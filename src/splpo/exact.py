@@ -16,6 +16,18 @@ Lower bounds used at a node (open set O forced, C forced closed, U undecided):
 Both are valid because preference-forced assignments never cost less than
 cost-minimal ones and savings of a set of facilities never exceed the sum of
 their individual savings.
+
+Each node carries the per-customer state these bounds need, derived from its
+parent's rather than rebuilt: ``cmin`` (cheapest allowed cost outside C),
+``from_open`` (cheapest cost over O), ``rank`` (rank of the most preferred
+member of O, which fixes the assignment) and ``colsum[k]``, the summed
+per-customer improvement of facility k over ``from_open``, plus the sums the
+bounds take of them. Opening j takes elementwise minima with column j for
+``from_open`` and ``rank`` and recomputes ``colsum`` in one O(m*n) pass;
+closing j shares everything with the parent except ``cmin``, which is
+recomputed only for the customers whose minimum was attained at j. Minima are
+exact and every float sum keeps its operands and their order, so each bound
+equals the from-scratch value bit for bit.
 """
 
 from __future__ import annotations
@@ -119,30 +131,40 @@ class _Context:
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
             self.forced[j] = True
+        self.facility_of_rank = inst.facility_of_rank
         if spec.kind == KIND_SLR:
             self.gamma = spec.gamma
             self.gamma_sum = float(spec.gamma.sum())
-            self.reduced = inst.c - spec.gamma[:, None]
+            self.costs = inst.c - spec.gamma[:, None]
         else:
             self.gamma = None
             self.gamma_sum = 0.0
-            self.reduced = None
+            self.costs = inst.c
+        # Service costs with forbidden pairs priced out; the savings bound is
+        # only valid without forbidden pairs.
         if spec.forbidden:
             mask = np.zeros((self.m, self.n), dtype=bool)
             for i, j in spec.forbidden:
                 mask[i, j] = True
             self.forbidden = mask
+            self.allowed_costs = np.where(mask, np.inf, self.costs)
         else:
             self.forbidden = None
+            self.allowed_costs = self.costs
 
-    def evaluate(self, open_mask: np.ndarray):
-        """Value and forced assignment of an open set; None if infeasible."""
+    def evaluate(self, open_mask: np.ndarray, rank: np.ndarray | None = None):
+        """Value and forced assignment of an open set; None if infeasible.
+
+        rank is each customer's best preference rank over the open set; the
+        search passes the one it keeps, other callers leave it to be derived.
+        """
         if not open_mask.any():
             if self.allow_empty and not self.forced.any():
                 return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
             return None
-        ranked = np.where(open_mask[None, :], self.p, self.big)
-        assign = np.argmin(ranked, axis=1)
+        if rank is None:
+            rank = np.where(open_mask[None, :], self.p, self.big).min(axis=1)
+        assign = self.facility_of_rank[self.rows, rank - 1]
         if self.forbidden is not None and self.forbidden[self.rows, assign].any():
             return None
         service = self.c[self.rows, assign]
@@ -164,48 +186,104 @@ def _result_solution(value, open_mask, assign, provenance) -> Solution:
     )
 
 
-def _node_bound(ctx: _Context, open_mask, closed_mask) -> float:
-    """Valid lower bound on every leaf below (open ⊇ open_mask, ∩ closed = ∅).
+def _served(cmin) -> float:
+    """Everyone served at cmin; inf when some customer has no facility left."""
+    return float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
 
-    Returns +inf when no feasible leaf exists in the subtree.
+
+class _Node:
+    """One search node: its decisions plus the bound state of the module docstring.
+
+    Children share every array they do not change with their parent, and
+    the sums of those arrays with them.
     """
-    avail = ~closed_mask
-    if ctx.forbidden is not None:
-        allowed = avail[None, :] & ~ctx.forbidden
-    else:
-        allowed = np.broadcast_to(avail[None, :], (ctx.m, ctx.n))
-    open_any = open_mask.any()
-    costs = ctx.reduced if ctx.kind == KIND_SLR else ctx.c
-    cmin = np.min(np.where(allowed, costs, np.inf), axis=1)
-    fopen = float(ctx.f[open_mask].sum())
 
-    if ctx.kind == KIND_SLR:
-        if open_any:
-            if not np.isfinite(cmin).all():
-                return math.inf  # someone cannot be served, yet service is forced
-            bound = ctx.gamma_sum + fopen + float(cmin.sum())
-        else:
+    __slots__ = (
+        "open", "closed", "fopen", "cmin", "served", "from_open", "open_cost", "rank", "colsum",
+    )
+
+    def __init__(self, open_mask, closed_mask, fopen, cmin, served, from_open, open_cost, rank,
+                 colsum):
+        self.open = open_mask
+        self.closed = closed_mask
+        self.fopen = fopen  # opening costs of the open set
+        self.cmin = cmin
+        self.served = served  # _served(cmin)
+        self.from_open = from_open
+        # fopen plus everyone served from the open set (plus sum(gamma) for slr);
+        # None while nothing is open.
+        self.open_cost = open_cost
+        self.rank = rank
+        self.colsum = colsum  # None while nothing is open, or with forbidden pairs
+
+    @staticmethod
+    def root(ctx: _Context) -> "_Node":
+        cmin = ctx.allowed_costs.min(axis=1)
+        node = _Node(
+            np.zeros(ctx.n, dtype=bool),
+            np.zeros(ctx.n, dtype=bool),
+            0.0,
+            cmin,
+            _served(cmin),
+            np.full(ctx.m, np.inf),
+            None,
+            np.full(ctx.m, ctx.big, dtype=np.int64),
+            None,
+        )
+        for j in np.flatnonzero(ctx.forced):
+            node = node.open_child(ctx, j)
+        return node
+
+    def open_child(self, ctx: _Context, j) -> "_Node":
+        open_mask = self.open.copy()
+        open_mask[j] = True
+        fopen = float(ctx.f[open_mask].sum())
+        from_open = np.minimum(self.from_open, ctx.costs[:, j])
+        open_cost = fopen + float(from_open.sum()) + ctx.gamma_sum
+        colsum = None
+        if ctx.forbidden is None:
+            colsum = np.maximum(from_open[:, None] - ctx.costs, 0.0).sum(axis=0)
+        rank = np.minimum(self.rank, ctx.p[:, j])
+        return _Node(open_mask, self.closed, fopen, self.cmin, self.served, from_open, open_cost,
+                     rank, colsum)
+
+    def closed_child(self, ctx: _Context, j) -> "_Node":
+        closed_mask = self.closed.copy()
+        closed_mask[j] = True
+        cmin, served = self.cmin, self.served
+        hit = np.flatnonzero(ctx.allowed_costs[:, j] == cmin)
+        if hit.size:
+            cmin = cmin.copy()
+            cmin[hit] = np.where(closed_mask, np.inf, ctx.allowed_costs[hit]).min(axis=1)
+            served = _served(cmin)
+        return _Node(self.open, closed_mask, self.fopen, cmin, served, self.from_open,
+                     self.open_cost, self.rank, self.colsum)
+
+    def bound(self, ctx: _Context) -> float:
+        """Valid lower bound on every leaf below this node.
+
+        Returns +inf when no feasible leaf exists in the subtree.
+        """
+        if ctx.kind == KIND_SLR and self.open_cost is None:
             # The empty set stays reachable, so unserved customers cost nothing.
-            bound = ctx.gamma_sum + float(np.minimum(cmin, 0.0).sum())
-    else:
-        if not np.isfinite(cmin).all():
-            return math.inf
-        bound = fopen + float(cmin.sum())
-
-    if open_any and ctx.forbidden is None:
-        # Savings bound: serve everyone from the open set, then credit each
-        # undecided facility with at most its own best-case net saving.
-        from_open = np.min(np.where(open_mask[None, :], costs, np.inf), axis=1)
-        undecided = avail & ~open_mask
-        if undecided.any():
-            gains = np.maximum(from_open[:, None] - costs, 0.0)
-            per_facility = gains.sum(axis=0, where=undecided[None, :])
-            savings = float(np.maximum(per_facility[undecided] - ctx.f[undecided], 0.0).sum())
+            bound = ctx.gamma_sum + float(np.minimum(self.cmin, 0.0).sum())
+        elif self.served == math.inf:
+            return math.inf  # someone cannot be served, yet service is forced
         else:
-            savings = 0.0
-        alt = fopen + float(from_open.sum()) + ctx.gamma_sum - savings
-        bound = max(bound, alt)
-    return bound
+            bound = ctx.gamma_sum + self.fopen + self.served
+
+        if self.colsum is not None:
+            # Savings bound: serve everyone from the open set, then credit each
+            # undecided facility with at most its own best-case net saving.
+            undecided = ~(self.closed | self.open)
+            if undecided.any():
+                savings = float(
+                    np.maximum(self.colsum[undecided] - ctx.f[undecided], 0.0).sum()
+                )
+            else:
+                savings = 0.0
+            bound = max(bound, self.open_cost - savings)
+        return bound
 
 
 def branch_and_bound(
@@ -236,9 +314,9 @@ def branch_and_bound(
     incumbent_mask = None
     incumbent_assign = None
 
-    def consider(mask) -> None:
+    def consider(mask, rank=None) -> None:
         nonlocal incumbent_value, incumbent_mask, incumbent_assign
-        out = ctx.evaluate(mask)
+        out = ctx.evaluate(mask, rank)
         if out is None:
             return
         value, assign = out
@@ -255,44 +333,38 @@ def branch_and_bound(
         consider(warm)
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    root_open = ctx.forced.copy()
-    root_closed = np.zeros(inst.n, dtype=bool)
-    # Stack entries: (depth, open_mask, closed_mask, inherited_bound, just_opened)
-    stack = [(0, root_open, root_closed, -math.inf, True)]
+    # Stack entries: (depth, node, inherited_bound, just_opened)
+    stack = [(0, _Node.root(ctx), -math.inf, True)]
     nodes = 0
     aborted = False
     frontier_bound = math.inf
 
     while stack:
-        depth, open_mask, closed_mask, inherited, just_opened = stack.pop()
+        depth, node, inherited, just_opened = stack.pop()
         if (node_limit is not None and nodes >= node_limit) or (
             deadline is not None and time.monotonic() >= deadline
         ):
             aborted = True
             frontier_bound = min(frontier_bound, inherited)
             for entry in stack:
-                frontier_bound = min(frontier_bound, entry[3])
+                frontier_bound = min(frontier_bound, entry[2])
             break
         nodes += 1
-        bound = _node_bound(ctx, open_mask, closed_mask)
+        bound = node.bound(ctx)
         if on_node is not None:
-            on_node(depth, open_mask.copy(), closed_mask.copy(), bound, incumbent_value)
+            on_node(depth, node.open.copy(), node.closed.copy(), bound, incumbent_value)
         if just_opened or depth == 0:
             # Evaluate the current open set before the prune check so that a
             # subtree whose bound ties the incumbent still surrenders its
             # equal-valued solution (deterministic tie-breaking).
-            consider(open_mask)
+            consider(node.open, node.rank)
         if bound >= incumbent_value:
             continue
         if depth == len(order):
             continue
         j = order[depth]
-        closed_child = closed_mask.copy()
-        closed_child[j] = True
-        stack.append((depth + 1, open_mask, closed_child, bound, False))
-        open_child = open_mask.copy()
-        open_child[j] = True
-        stack.append((depth + 1, open_child, closed_mask, bound, True))
+        stack.append((depth + 1, node.closed_child(ctx, j), bound, False))
+        stack.append((depth + 1, node.open_child(ctx, j), bound, True))
 
     if incumbent_mask is None and not aborted:
         raise InfeasibleError("no feasible open set exists for this spec")

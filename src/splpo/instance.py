@@ -9,6 +9,7 @@ over its assigned server makes the assignment infeasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,8 +33,8 @@ class InstanceFormatError(ValueError):
 class Instance:
     """Immutable instance data.
 
-    f: opening costs, shape (n,), all >= 0.
-    c: service costs, shape (m, n), all >= 0.
+    f: opening costs, shape (n,), all finite and >= 0.
+    c: service costs, shape (m, n), all finite and >= 0.
     p: preference ranks, shape (m, n); every row is a permutation of 1..n
        with 1 marking the customer's most preferred site.
     """
@@ -56,6 +57,10 @@ class Instance:
             raise ValueError(f"f must have shape ({n},), got {self.f.shape}")
         if self.p.shape != (m, n):
             raise ValueError(f"p must have shape ({m}, {n}), got {self.p.shape}")
+        if not np.isfinite(self.f).all():
+            raise ValueError("non-finite opening cost")
+        if not np.isfinite(self.c).all():
+            raise ValueError("non-finite service cost")
         if np.any(self.f < 0):
             raise ValueError("negative opening cost")
         if np.any(self.c < 0):
@@ -190,9 +195,12 @@ def _parse_row(tokens: list[str], n: int, kind: str, row: int, ln: int) -> list[
     out = []
     for t in tokens:
         try:
-            out.append(float(t))
+            v = float(t)
         except ValueError:
             raise InstanceFormatError(f"bad number {t!r} in {kind} row {row}", ln) from None
+        if not math.isfinite(v):
+            raise InstanceFormatError(f"non-finite number {t!r} in {kind} row {row}", ln)
+        out.append(v)
     return out
 
 

@@ -198,6 +198,13 @@ def test_infeasible_exit_code(tmp_path, monkeypatch):
     assert main(["solve", str(path), "--algorithm", "exact"]) == EXIT_INFEASIBLE
 
 
+def test_non_finite_costs_are_bad_input_not_infeasible(tmp_path, capsys):
+    path = tmp_path / "bad.splpo"
+    path.write_text(TOY_DOC.replace("3 1", "1 inf").replace("2 5", "1 nan"))
+    assert main(["solve", str(path), "--algorithm", "exact"]) == EXIT_USAGE
+    assert "line 3: non-finite" in capsys.readouterr().err
+
+
 def test_report_round_trips():
     rows = [
         ReportRow(prob="a", algorithm="hc", status="ok", best_ub=8.0, gap_pct=0.0,

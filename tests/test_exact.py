@@ -13,8 +13,10 @@ from splpo import (
     brute_force,
     check_feasible,
     cost_ladder,
+    generate_instance,
     to_mps,
 )
+from splpo.exact import KIND_SLR, _Context
 
 from conftest import random_instance
 
@@ -148,8 +150,6 @@ def test_time_limit_trips():
 
 def _subtree_minimum(spec, open_mask, closed_mask):
     """Exhaustively evaluate every completion of a node's partial decision."""
-    from splpo.exact import _Context
-
     ctx = _Context(spec)
     n = spec.inst.n
     undecided = [j for j in range(n) if not open_mask[j] and not closed_mask[j]]
@@ -179,6 +179,95 @@ def test_node_bounds_are_valid(kind):
         for _, open_mask, closed_mask, bound, _ in records:
             true_min = _subtree_minimum(spec, open_mask, closed_mask)
             assert bound <= true_min + 1e-9
+
+
+def _reference_bound(ctx, open_mask, closed_mask) -> float:
+    """The engine's node bound, rebuilt from scratch out of the node's decisions."""
+    avail = ~closed_mask
+    if ctx.forbidden is not None:
+        allowed = avail[None, :] & ~ctx.forbidden
+    else:
+        allowed = np.broadcast_to(avail[None, :], (ctx.m, ctx.n))
+    open_any = open_mask.any()
+    costs = ctx.costs
+    cmin = np.min(np.where(allowed, costs, np.inf), axis=1)
+    fopen = float(ctx.f[open_mask].sum())
+
+    if ctx.kind == KIND_SLR:
+        if open_any:
+            if not np.isfinite(cmin).all():
+                return math.inf
+            bound = ctx.gamma_sum + fopen + float(cmin.sum())
+        else:
+            bound = ctx.gamma_sum + float(np.minimum(cmin, 0.0).sum())
+    else:
+        if not np.isfinite(cmin).all():
+            return math.inf
+        bound = fopen + float(cmin.sum())
+
+    if open_any and ctx.forbidden is None:
+        from_open = np.min(np.where(open_mask[None, :], costs, np.inf), axis=1)
+        undecided = avail & ~open_mask
+        if undecided.any():
+            gains = np.maximum(from_open[:, None] - costs, 0.0)
+            per_facility = gains.sum(axis=0, where=undecided[None, :])
+            savings = float(np.maximum(per_facility[undecided] - ctx.f[undecided], 0.0).sum())
+        else:
+            savings = 0.0
+        alt = fopen + float(from_open.sum()) + ctx.gamma_sum - savings
+        bound = max(bound, alt)
+    return bound
+
+
+def _float_specs(seed):
+    """Four problem kinds on one instance with non-integer costs.
+
+    Integer-valued costs would sum exactly in any order, so they could not
+    show a bound whose float sums were reordered.
+    """
+    rng = np.random.default_rng(seed)
+    base = generate_instance(16, 9, seed)
+    inst = Instance(
+        f=base.f * rng.uniform(0.05, 0.15, base.n) + rng.random(base.n),
+        c=base.c + rng.random((base.m, base.n)),
+        p=base.p,
+        name=f"float{seed}",
+    )
+    rng = np.random.default_rng(seed + 1)
+    gamma = random_gamma_in_box(inst, rng)
+    forbidden = [(i, j) for i in range(inst.m) for j in range(inst.n) if rng.random() < 0.15]
+    return {
+        "splpo": ProblemSpec.splpo(inst),
+        "splpo_forced": ProblemSpec.splpo(inst, forced_open=[seed % inst.n]),
+        "slr": ProblemSpec.slr(inst, gamma),
+        "slr_forbidden": ProblemSpec.slr(inst, gamma, forbidden=forbidden),
+    }
+
+
+# Nodes each spec took with the from-scratch bound above: an identical bound
+# sequence must give an identical search tree.
+RECORDED_NODES = {
+    0: {"splpo": 879, "splpo_forced": 499, "slr": 879, "slr_forbidden": 995},
+    1: {"splpo": 639, "splpo_forced": 273, "slr": 745, "slr_forbidden": 1013},
+    2: {"splpo": 455, "splpo_forced": 495, "slr": 455, "slr_forbidden": 1019},
+    3: {"splpo": 803, "splpo_forced": 435, "slr": 813, "slr_forbidden": 1017},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
+def test_node_bounds_equal_reference(seed):
+    for kind, spec in _float_specs(seed).items():
+        ctx = _Context(spec)
+        mismatches = []
+
+        def check(depth, open_mask, closed_mask, bound, incumbent):
+            expected = _reference_bound(ctx, open_mask, closed_mask)
+            if bound != expected:
+                mismatches.append((depth, open_mask, closed_mask, bound, expected))
+
+        res = branch_and_bound(spec, on_node=check)
+        assert mismatches == [], kind
+        assert res.nodes == RECORDED_NODES[seed][kind], kind
 
 
 def test_incumbent_is_monotone():

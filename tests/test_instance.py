@@ -48,6 +48,16 @@ def test_parse_rejects_non_permutation_row():
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [("3 1", "3 inf", 3), ("2 5", "nan 5", 4), ("4 2", "4 -inf", 5), ("4 2", "4 NaN", 5)],
+)
+def test_parse_rejects_non_finite_costs(old, new, line):
+    with pytest.raises(InstanceFormatError, match="non-finite") as err:
+        parse_instance(TOY_DOC.replace(old, new, 1))
+    assert err.value.line == line
+
+
 def test_parse_minimal_instance():
     inst = parse_instance("SPLPO 1\n1 1\n0\n0\n1\n")
     assert inst.m == inst.n == 1
@@ -106,6 +116,10 @@ def test_constructor_validation():
         Instance(f=np.zeros(2), c=np.zeros((1, 2)), p=np.array([[1, 1]]))
     with pytest.raises(ValueError, match="negative"):
         Instance(f=np.array([-1.0]), c=np.zeros((1, 1)), p=np.array([[1]]))
+    with pytest.raises(ValueError, match="non-finite opening"):
+        Instance(f=[1.0, np.inf], c=[[1.0, 2.0], [2.0, 3.0]], p=[[1, 2], [2, 1]])
+    with pytest.raises(ValueError, match="non-finite service"):
+        Instance(f=[1.0, 2.0], c=[[1.0, np.nan], [2.0, 3.0]], p=[[1, 2], [2, 1]])
     with pytest.raises(ValueError):
         Instance(f=np.zeros(2), c=np.zeros((0, 2)), p=np.zeros((0, 2), dtype=int))
 
