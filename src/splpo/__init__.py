@@ -3,20 +3,12 @@ rankings: exact branch and bound, greedy bounds, Lagrangean and
 semi-Lagrangean duals, and the accelerated dual ascent pipeline."""
 
 from .ada import AdaConfig, AdaResult, PRESETS, ada, preset_config, vfh
-from .exact import (
-    ExactResult,
-    InfeasibleError,
-    ProblemSpec,
-    branch_and_bound,
-    brute_force,
-    to_mps,
-)
+from .exact import ExactResult, InfeasibleError, ProblemSpec, branch_and_bound, brute_force
 from .instance import (
     CostLadder,
     GeneratorConfig,
     Instance,
     InstanceFormatError,
-    PreferenceSets,
     cost_ladder,
     default_epsilon,
     facility_sort_keys,
@@ -54,7 +46,6 @@ from .semilagrange import (
     ascend,
     dual_ascent,
     place_gamma,
-    prefix_audit_rows,
     slr_subgradient,
     solve_slr,
 )

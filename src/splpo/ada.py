@@ -37,8 +37,6 @@ class AdaConfig:
     epsilon: float | None = None
     node_limit: int | None = None
     time_limit: float | None = None
-    top_rule: str = "ceiling"
-    prefix: bool = False
     preset: str | None = None
 
     def __post_init__(self):
@@ -160,11 +158,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     stages.append("sg")
 
     da_cfg = DaConfig(
-        epsilon=cfg.epsilon,
-        prefix=cfg.prefix,
-        node_limit=cfg.node_limit,
-        time_limit=cfg.time_limit,
-        top_rule=cfg.top_rule,
+        epsilon=cfg.epsilon, node_limit=cfg.node_limit, time_limit=cfg.time_limit
     )
     driver = DualAscent(inst, sg.best_mu, da_cfg)
     t0 = time.perf_counter()

@@ -86,9 +86,6 @@ def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--node-limit", type=int, default=None)
     cmd.add_argument("--time-limit", type=float, default=None)
     cmd.add_argument("--seed", type=int, default=None)
-    cmd.add_argument("--prefix-x", action="store_true", help="pre-fix x variables by reduced cost")
-    cmd.add_argument("--snap-top", action="store_true",
-                     help="use the epsilon-offset rule above the ladder's top cost")
 
 
 def _ada_config(args, inst: Instance) -> AdaConfig:
@@ -106,10 +103,6 @@ def _ada_config(args, inst: Instance) -> AdaConfig:
         value = getattr(args, flag)
         if value is not None:
             updates[name] = value
-    if args.prefix_x:
-        updates["prefix"] = True
-    if args.snap_top:
-        updates["top_rule"] = "snap"
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -132,17 +125,15 @@ def _da_config(args) -> DaConfig:
     return DaConfig(
         epsilon=args.epsilon,
         max_iter=args.da_iter,
-        prefix=args.prefix_x,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        top_rule="snap" if args.snap_top else "ceiling",
     )
 
 
 def _effective_config(args, algorithm: str) -> dict:
     keys = (
         "preset sg_iter da_iter vfh_iter ps epsilon beta0 stall_k beta_dec "
-        "node_limit time_limit seed prefix_x snap_top"
+        "node_limit time_limit seed"
     ).split()
     payload = {k: getattr(args, k, None) for k in keys}
     payload["algorithm"] = algorithm

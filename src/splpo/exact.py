@@ -18,7 +18,7 @@ cost-minimal ones and savings of a set of facilities never exceed the sum of
 their individual savings.
 
 Each node carries the per-customer state these bounds need, derived from its
-parent's rather than rebuilt: ``cmin`` (cheapest allowed cost outside C),
+parent's rather than rebuilt: ``cmin`` (cheapest cost outside C),
 ``from_open`` (cheapest cost over O), ``rank`` (rank of the most preferred
 member of O, which fixes the assignment) and ``colsum[k]``, the summed
 per-customer improvement of facility k over ``from_open``, plus the sums the
@@ -53,18 +53,15 @@ class InfeasibleError(RuntimeError):
 class ProblemSpec:
     """What to optimize: the original problem or its service-relaxed variant.
 
-    gamma is only meaningful for kind "slr" (per-customer service credits);
-    forced_open facilities are charged and may not be closed; forbidden
-    pairs (i, j) make any open set whose forced assignment serves i from j
-    infeasible. allow_empty permits the no-facility solution (slr only).
+    gamma is only meaningful for kind "slr" (finite per-customer service
+    credits); the slr kind also admits the empty open set, which serves no
+    one. forced_open facilities are charged and may not be closed.
     """
 
     kind: str
     inst: Instance
     gamma: np.ndarray | None = None
     forced_open: frozenset = frozenset()
-    forbidden: frozenset = frozenset()
-    allow_empty: bool = False
 
     def __post_init__(self):
         if self.kind not in (KIND_SPLPO, KIND_SLR):
@@ -72,14 +69,14 @@ class ProblemSpec:
         if self.kind == KIND_SPLPO:
             if self.gamma is not None:
                 raise ValueError("gamma is only valid for the slr kind")
-            if self.allow_empty:
-                raise ValueError("the empty open set is only valid for the slr kind")
         else:
             if self.gamma is None:
                 raise ValueError("the slr kind requires gamma")
             g = np.ascontiguousarray(self.gamma, dtype=float)
             if g.shape != (self.inst.m,):
                 raise ValueError(f"gamma must have shape ({self.inst.m},)")
+            if not np.isfinite(g).all():
+                raise ValueError("gamma must be finite")
             g.setflags(write=False)
             object.__setattr__(self, "gamma", g)
         bad = [j for j in self.forced_open if not 0 <= j < self.inst.n]
@@ -87,23 +84,16 @@ class ProblemSpec:
             raise ValueError(f"forced_open contains invalid facilities {bad}")
 
     @staticmethod
-    def splpo(inst: Instance, forced_open=(), forbidden=()) -> "ProblemSpec":
+    def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":
         return ProblemSpec(
             kind=KIND_SPLPO,
             inst=inst,
             forced_open=frozenset(int(j) for j in forced_open),
-            forbidden=frozenset((int(i), int(j)) for i, j in forbidden),
         )
 
     @staticmethod
-    def slr(inst: Instance, gamma, forbidden=(), allow_empty=True) -> "ProblemSpec":
-        return ProblemSpec(
-            kind=KIND_SLR,
-            inst=inst,
-            gamma=np.asarray(gamma, dtype=float),
-            forbidden=frozenset((int(i), int(j)) for i, j in forbidden),
-            allow_empty=allow_empty,
-        )
+    def slr(inst: Instance, gamma) -> "ProblemSpec":
+        return ProblemSpec(kind=KIND_SLR, inst=inst, gamma=np.asarray(gamma, dtype=float))
 
 
 @dataclass
@@ -127,7 +117,6 @@ class _Context:
         self.p = inst.p
         self.rows = np.arange(self.m)
         self.big = self.n + 1
-        self.allow_empty = spec.allow_empty
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
             self.forced[j] = True
@@ -140,17 +129,8 @@ class _Context:
             self.gamma = None
             self.gamma_sum = 0.0
             self.costs = inst.c
-        # Service costs with forbidden pairs priced out; the savings bound is
-        # only valid without forbidden pairs.
-        if spec.forbidden:
-            mask = np.zeros((self.m, self.n), dtype=bool)
-            for i, j in spec.forbidden:
-                mask[i, j] = True
-            self.forbidden = mask
-            self.allowed_costs = np.where(mask, np.inf, self.costs)
-        else:
-            self.forbidden = None
-            self.allowed_costs = self.costs
+        # Only the slr kind may open nothing, and only with nothing forced open.
+        self.empty_feasible = spec.kind == KIND_SLR and not spec.forced_open
 
     def evaluate(self, open_mask: np.ndarray, rank: np.ndarray | None = None):
         """Value and forced assignment of an open set; None if infeasible.
@@ -159,14 +139,12 @@ class _Context:
         search passes the one it keeps, other callers leave it to be derived.
         """
         if not open_mask.any():
-            if self.allow_empty and not self.forced.any():
+            if self.empty_feasible:
                 return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
             return None
         if rank is None:
             rank = np.where(open_mask[None, :], self.p, self.big).min(axis=1)
         assign = self.facility_of_rank[self.rows, rank - 1]
-        if self.forbidden is not None and self.forbidden[self.rows, assign].any():
-            return None
         service = self.c[self.rows, assign]
         if self.kind == KIND_SLR:
             value = float(
@@ -214,11 +192,11 @@ class _Node:
         # None while nothing is open.
         self.open_cost = open_cost
         self.rank = rank
-        self.colsum = colsum  # None while nothing is open, or with forbidden pairs
+        self.colsum = colsum  # None while nothing is open
 
     @staticmethod
     def root(ctx: _Context) -> "_Node":
-        cmin = ctx.allowed_costs.min(axis=1)
+        cmin = ctx.costs.min(axis=1)
         node = _Node(
             np.zeros(ctx.n, dtype=bool),
             np.zeros(ctx.n, dtype=bool),
@@ -240,9 +218,7 @@ class _Node:
         fopen = float(ctx.f[open_mask].sum())
         from_open = np.minimum(self.from_open, ctx.costs[:, j])
         open_cost = fopen + float(from_open.sum()) + ctx.gamma_sum
-        colsum = None
-        if ctx.forbidden is None:
-            colsum = np.maximum(from_open[:, None] - ctx.costs, 0.0).sum(axis=0)
+        colsum = np.maximum(from_open[:, None] - ctx.costs, 0.0).sum(axis=0)
         rank = np.minimum(self.rank, ctx.p[:, j])
         return _Node(open_mask, self.closed, fopen, self.cmin, self.served, from_open, open_cost,
                      rank, colsum)
@@ -251,10 +227,10 @@ class _Node:
         closed_mask = self.closed.copy()
         closed_mask[j] = True
         cmin, served = self.cmin, self.served
-        hit = np.flatnonzero(ctx.allowed_costs[:, j] == cmin)
+        hit = np.flatnonzero(ctx.costs[:, j] == cmin)
         if hit.size:
             cmin = cmin.copy()
-            cmin[hit] = np.where(closed_mask, np.inf, ctx.allowed_costs[hit]).min(axis=1)
+            cmin[hit] = np.where(closed_mask, np.inf, ctx.costs[hit]).min(axis=1)
             served = _served(cmin)
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.from_open,
                      self.open_cost, self.rank, self.colsum)
@@ -409,48 +385,35 @@ def brute_force(spec: ProblemSpec, max_sites: int = 20) -> ExactResult:
 
     best_k = -1
     best_value = math.inf
-    if ctx.forbidden is None:
-        forced_idx = np.flatnonzero(ctx.forced)
-        chunk = max(1, (1 << 22) // max(1, inst.m * n))
-        for start in range(0, total, chunk):
-            ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            masks = ((ks[:, None] >> shifts[None, :]) & 1).astype(bool)
-            ok = masks.any(axis=1)
-            if ctx.allow_empty and not forced_idx.size:
-                ok |= ks == 0
-            if forced_idx.size:
-                ok &= masks[:, forced_idx].all(axis=1)
-            if not ok.any():
-                continue
-            ranked = np.where(masks[:, None, :], ctx.p[None, :, :], ctx.big)
-            assign = np.argmin(ranked, axis=2)
-            service = np.take_along_axis(
-                ctx.c[None, :, :], assign[:, :, None], axis=2
-            )[:, :, 0]
-            fsums = masks.astype(float) @ ctx.f
-            if ctx.kind == KIND_SLR:
-                values = (service - ctx.gamma[None, :]).sum(axis=1) + fsums + ctx.gamma_sum
-                if ctx.allow_empty and not forced_idx.size and start == 0:
-                    values[0] = ctx.gamma_sum
-            else:
-                values = service.sum(axis=1) + fsums
-            values = np.where(ok, values, np.inf)
-            k_local = int(np.argmin(values))
-            if values[k_local] < best_value:
-                best_value = float(values[k_local])
-                best_k = start + k_local
-    else:
-        for k in range(total):
-            mask = ((k >> shifts) & 1).astype(bool)
-            if ctx.forced.any() and not mask[ctx.forced].all():
-                continue
-            out = ctx.evaluate(mask)
-            if out is None:
-                continue
-            value, _ = out
-            if value < best_value:
-                best_value = value
-                best_k = k
+    forced_idx = np.flatnonzero(ctx.forced)
+    chunk = max(1, (1 << 22) // max(1, inst.m * n))
+    for start in range(0, total, chunk):
+        ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        masks = ((ks[:, None] >> shifts[None, :]) & 1).astype(bool)
+        ok = masks.any(axis=1)
+        if ctx.empty_feasible:
+            ok |= ks == 0
+        if forced_idx.size:
+            ok &= masks[:, forced_idx].all(axis=1)
+        if not ok.any():
+            continue
+        ranked = np.where(masks[:, None, :], ctx.p[None, :, :], ctx.big)
+        assign = np.argmin(ranked, axis=2)
+        service = np.take_along_axis(
+            ctx.c[None, :, :], assign[:, :, None], axis=2
+        )[:, :, 0]
+        fsums = masks.astype(float) @ ctx.f
+        if ctx.kind == KIND_SLR:
+            values = (service - ctx.gamma[None, :]).sum(axis=1) + fsums + ctx.gamma_sum
+            if ctx.empty_feasible and start == 0:
+                values[0] = ctx.gamma_sum
+        else:
+            values = service.sum(axis=1) + fsums
+        values = np.where(ok, values, np.inf)
+        k_local = int(np.argmin(values))
+        if values[k_local] < best_value:
+            best_value = float(values[k_local])
+            best_k = start + k_local
 
     if best_k < 0:
         raise InfeasibleError("no feasible open set exists for this spec")
@@ -468,64 +431,6 @@ def brute_force(spec: ProblemSpec, max_sites: int = 20) -> ExactResult:
     )
 
 
-def to_mps(spec: ProblemSpec, problem_name: str = "SPLPO") -> str:
-    """Emit the subproblem in MPS text form for external cross-checking.
-
-    Columns are named x_<i>_<j> and y_<j> with 1-based indices. For the slr
-    kind the objective uses the gamma-reduced service costs and omits the
-    constant sum of gamma (add it back when comparing values). Emission only;
-    nothing in this package consumes the output.
-    """
-    inst = spec.inst
-    m, n = inst.m, inst.n
-    slr = spec.kind == KIND_SLR
-    costs = inst.c - spec.gamma[:, None] if slr else inst.c
-    lines = [f"NAME {problem_name}", "ROWS", " N  COST"]
-    assign_kind = "L" if slr else "E"
-    for i in range(m):
-        lines.append(f" {assign_kind}  ASSIGN_{i + 1}")
-    for i in range(m):
-        for j in range(n):
-            lines.append(f" L  VUB_{i + 1}_{j + 1}")
-    for i in range(m):
-        for j in range(n):
-            lines.append(f" G  PREF_{i + 1}_{j + 1}")
-    lines.append("COLUMNS")
-    lines.append("    MARKER    'MARKER'    'INTORG'")
-    for j in range(n):
-        col = f"y_{j + 1}"
-        lines.append(f"    {col}  COST  {inst.f[j]:.12g}")
-        for i in range(m):
-            lines.append(f"    {col}  VUB_{i + 1}_{j + 1}  -1")
-            lines.append(f"    {col}  PREF_{i + 1}_{j + 1}  -1")
-    lines.append("    MARKER    'MARKER'    'INTEND'")
-    for i in range(m):
-        for j in range(n):
-            col = f"x_{i + 1}_{j + 1}"
-            lines.append(f"    {col}  COST  {costs[i, j]:.12g}")
-            lines.append(f"    {col}  ASSIGN_{i + 1}  1")
-            lines.append(f"    {col}  VUB_{i + 1}_{j + 1}  1")
-            for jp in range(n):
-                if inst.p[i, jp] >= inst.p[i, j]:
-                    lines.append(f"    {col}  PREF_{i + 1}_{jp + 1}  1")
-    lines.append("RHS")
-    for i in range(m):
-        lines.append(f"    RHS  ASSIGN_{i + 1}  1")
-    lines.append("BOUNDS")
-    for j in range(n):
-        kind = "FX" if j in spec.forced_open else "BV"
-        val = "  1" if kind == "FX" else ""
-        lines.append(f" {kind} BND  y_{j + 1}{val}")
-    for i in range(m):
-        for j in range(n):
-            if (i, j) in spec.forbidden:
-                lines.append(f" FX BND  x_{i + 1}_{j + 1}  0")
-            else:
-                lines.append(f" UP BND  x_{i + 1}_{j + 1}  1")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
 __all__ = [
     "ExactResult",
     "InfeasibleError",
@@ -534,5 +439,4 @@ __all__ = [
     "ProblemSpec",
     "branch_and_bound",
     "brute_force",
-    "to_mps",
 ]

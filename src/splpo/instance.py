@@ -102,35 +102,6 @@ class Instance:
         return f"Instance(m={self.m}, n={self.n}{tag})"
 
 
-class PreferenceSets:
-    """Per-(customer, facility) site sets derived from the ranking matrix.
-
-    For customer i and facility j:
-      strictly_worse(i, j)   sites ranked below j by i,
-      weakly_preferred(i, j) sites ranked at or above j (includes j),
-      worse_or_self(i, j)    strictly worse sites plus j itself.
-    """
-
-    def __init__(self, inst: Instance):
-        self._p = inst.p
-        self._all = frozenset(range(inst.n))
-
-    def strictly_worse(self, i: int, j: int) -> frozenset:
-        row = self._p[i]
-        return frozenset(np.flatnonzero(row > row[j]).tolist())
-
-    def weakly_preferred(self, i: int, j: int) -> frozenset:
-        row = self._p[i]
-        return frozenset(np.flatnonzero(row <= row[j]).tolist())
-
-    def worse_or_self(self, i: int, j: int) -> frozenset:
-        return self.strictly_worse(i, j) | {j}
-
-    @property
-    def all_sites(self) -> frozenset:
-        return self._all
-
-
 @dataclass(frozen=True)
 class CostLadder:
     """Per-customer sorted service costs plus the cost ceiling vector.
@@ -378,7 +349,6 @@ __all__ = [
     "GeneratorConfig",
     "Instance",
     "InstanceFormatError",
-    "PreferenceSets",
     "cost_ladder",
     "default_epsilon",
     "facility_sort_keys",

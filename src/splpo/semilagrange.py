@@ -20,8 +20,6 @@ from .exact import ProblemSpec, branch_and_bound
 from .instance import CostLadder, Instance, cost_ladder, default_epsilon
 from .solution import UNASSIGNED, Solution
 
-TOP_RULES = ("ceiling", "snap", "literal")
-
 
 @dataclass(frozen=True)
 class GammaState:
@@ -41,24 +39,17 @@ class GammaState:
         return self.gamma >= self.ladder.cp - 1e-12
 
 
-def place_gamma(
-    ladder: CostLadder, gamma0, epsilon: float, top_rule: str = "literal"
-) -> GammaState:
+def place_gamma(ladder: CostLadder, gamma0, epsilon: float) -> GammaState:
     """Snap a raw multiplier vector onto ladder-rung representatives.
 
     Components at or below the cheapest cost move just above it; components
     inside an interval between consecutive sorted costs snap down to the
-    interval's lower cost plus epsilon. The treatment above the top cost
-    depends on top_rule:
-      "literal"  clamp to the top sorted cost (no offset),
-      "snap"     min(top cost + epsilon, cp),
-      "ceiling"  like "snap" inside (top cost, cp), but anything at or above
-                 cp pins exactly to cp, where the dual provably plateaus.
+    interval's lower cost plus epsilon. Above the top cost, components below
+    cp go to min(top cost + epsilon, cp), and anything at or above cp pins
+    exactly to cp, where the dual provably plateaus.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if top_rule not in TOP_RULES:
-        raise ValueError(f"top_rule must be one of {TOP_RULES}")
     gamma0 = np.asarray(gamma0, dtype=float)
     m, n = ladder.sorted_costs.shape
     gamma = np.empty(m)
@@ -70,9 +61,7 @@ def place_gamma(
         if k == 0:
             gamma[i], rung[i] = row[0] + epsilon, 1
         elif k == n:
-            if top_rule == "literal":
-                gamma[i], rung[i] = row[n - 1], n
-            elif top_rule == "snap" or g < ladder.cp[i]:
+            if g < ladder.cp[i]:
                 gamma[i], rung[i] = min(row[n - 1] + epsilon, ladder.cp[i]), n
             else:
                 gamma[i], rung[i] = ladder.cp[i], n + 1
@@ -122,21 +111,16 @@ class SlrSolution:
 def solve_slr(
     inst: Instance,
     state: GammaState,
-    prefix: bool = False,
     node_limit: int | None = None,
     time_limit: float | None = None,
 ) -> SlrSolution:
     """Optimize the relaxed subproblem at the state's gamma via the exact engine.
 
-    With prefix set, every (i, j) whose service cost exceeds gamma[i] is fixed
-    to zero before the search. That rule is a search-space heuristic, not a
-    proven-safe reduction, so it defaults to off and is audited separately.
+    No assignment is fixed in advance: with preference-forced service, a
+    pair whose cost exceeds gamma[i] can still be the optimum's, so reduced-cost
+    pre-fixing from plain UFL would be unsafe here.
     """
-    forbidden = []
-    if prefix:
-        ii, jj = np.nonzero(inst.c - state.gamma[:, None] > 0)
-        forbidden = list(zip(ii.tolist(), jj.tolist()))
-    spec = ProblemSpec.slr(inst, state.gamma, forbidden=forbidden)
+    spec = ProblemSpec.slr(inst, state.gamma)
     res = branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit)
     sol = res.solution
     if sol is None:
@@ -167,17 +151,13 @@ class DaConfig:
 
     max_iter None means run until the subgradient vanishes. epsilon None
     derives the rung offset from the ladder (half the smallest positive cost
-    gap). top_rule picks the placement behaviour above the ladder's top cost;
-    the "ceiling" default keeps multipliers already at or beyond cp pinned to
-    cp, which the literal clamp would pull back below the plateau.
+    gap). node_limit and time_limit apply to each subproblem solve.
     """
 
     epsilon: float | None = None
     max_iter: int | None = None
-    prefix: bool = False
     node_limit: int | None = None
     time_limit: float | None = None
-    top_rule: str = "ceiling"
 
 
 @dataclass(frozen=True)
@@ -208,7 +188,7 @@ class DualAscent:
         self.cfg = cfg
         ladder = cost_ladder(inst)
         eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(ladder)
-        self.state = place_gamma(ladder, gamma0, eps, top_rule=cfg.top_rule)
+        self.state = place_gamma(ladder, gamma0, eps)
         self.iterations = 0
         self.trace: list[DaTraceRow] = []
         self.last: SlrSolution | None = None
@@ -221,7 +201,6 @@ class DualAscent:
         slr = solve_slr(
             self.inst,
             self.state,
-            prefix=self.cfg.prefix,
             node_limit=self.cfg.node_limit,
             time_limit=self.cfg.time_limit,
         )
@@ -298,31 +277,6 @@ def feasible_solution_from(slr: SlrSolution, inst: Instance) -> Solution | None:
     )
 
 
-def prefix_audit_rows(inst: Instance, gammas) -> list[dict]:
-    """Compare subproblem values with the prefix rule on and off.
-
-    Returns one row per gamma vector with both values and their difference;
-    discrepancies are reported, never asserted away.
-    """
-    ladder = cost_ladder(inst)
-    eps = default_epsilon(ladder)
-    rows = []
-    for k, gamma0 in enumerate(gammas):
-        state = place_gamma(ladder, gamma0, eps, top_rule="ceiling")
-        off = solve_slr(inst, state, prefix=False)
-        on = solve_slr(inst, state, prefix=True)
-        rows.append(
-            {
-                "gamma_index": k,
-                "value_off": off.value,
-                "value_on": on.value,
-                "difference": on.value - off.value,
-                "agree": abs(on.value - off.value) <= 1e-9,
-            }
-        )
-    return rows
-
-
 __all__ = [
     "DAResult",
     "DaConfig",
@@ -334,7 +288,6 @@ __all__ = [
     "dual_ascent",
     "feasible_solution_from",
     "place_gamma",
-    "prefix_audit_rows",
     "slr_subgradient",
     "solve_slr",
 ]

@@ -5,7 +5,6 @@ to see one pass/fail line per criterion. Criterion 8 needs the original
 benchmark files and skips unless SPLPO_BENCHMARK_DIR points at them.
 """
 
-import csv
 import itertools
 import os
 from pathlib import Path
@@ -33,7 +32,6 @@ from splpo import (
     subgradient_method,
 )
 from splpo.lagrange import LagrangeMultipliers
-from splpo.semilagrange import prefix_audit_rows
 
 from test_lagrange import oracle_min_relaxed
 
@@ -203,30 +201,3 @@ def test_criterion_8_reference_values_when_files_present():
     res = ada(inst, AdaConfig(sg_iter=50, da_iter=3, vfh_iter=2, ps=0.25))
     assert 100.0 * (res.best_ub - opt) / opt <= 0.5
     print("CRITERION 8 (reference value reproduction): PASS")
-
-
-def test_criterion_9_prefix_audit_report(tmp_path):
-    """Emit the pre-fixing audit; discrepancies are reported, not asserted."""
-    rows = []
-    for seed in range(50):
-        inst = sized_instance(900 + seed, lo=2, hi=7)
-        rng = np.random.default_rng(900 + seed)
-        gammas = [gamma_in_box(inst, rng) for _ in range(2)]
-        for rec in prefix_audit_rows(inst, gammas):
-            rec["instance"] = inst.name
-            rows.append(rec)
-    assert len(rows) == 100
-    out = Path(os.environ.get("SPLPO_AUDIT_OUT", tmp_path / "prefix_audit.csv"))
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["instance", "gamma_index", "value_off", "value_on",
-                            "difference", "agree"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    assert out.exists() and out.stat().st_size > 0
-    disagreements = sum(1 for r in rows if not r["agree"])
-    print(
-        f"CRITERION 9 (pre-fixing audit, 100 pairs, {disagreements} "
-        f"discrepancies, report at {out}): PASS"
-    )

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from splpo import RunReport, parse_instance
-from splpo.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from splpo import ProblemSpec, RunReport, brute_force, parse_instance
+from splpo.cli import (
+    ALGORITHMS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
+)
 from splpo.report import ReportRow, config_hash, gap_fields
+
+from conftest import random_instance
 
 TOY_DOC = """SPLPO 1
 2 2
@@ -271,3 +275,17 @@ def test_trace_and_ada_json_helpers(toy_file):
     assert doc["gap_pct"] == 0.0
     assert doc["solution"]["open"] and min(doc["solution"]["open"]) >= 1
     assert doc["stages_completed"] == ["hc", "sg", "da", "vfh"]
+
+
+def test_every_algorithm_brackets_the_optimum():
+    """Each algorithm's report row, at default flags, has LB <= opt <= UB."""
+    for seed in range(40):
+        inst = random_instance(3000 + seed, m_max=8, n_max=7)
+        opt = brute_force(ProblemSpec.splpo(inst)).value
+        for algorithm in ALGORITHMS:
+            args = build_parser().parse_args(["solve", "unused", "--algorithm", algorithm])
+            row, _ = _run_algorithm(inst, algorithm, args)
+            if row.lower_bound is not None:
+                assert row.lower_bound <= opt + 1e-9, (inst.name, algorithm)
+            if row.best_ub is not None:
+                assert row.best_ub >= opt - 1e-9, (inst.name, algorithm)

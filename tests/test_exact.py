@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
-    InfeasibleError,
     Instance,
     ProblemSpec,
     branch_and_bound,
@@ -14,7 +13,6 @@ from splpo import (
     check_feasible,
     cost_ladder,
     generate_instance,
-    to_mps,
 )
 from splpo.exact import KIND_SLR, _Context
 
@@ -69,12 +67,11 @@ def test_brute_force_site_cap():
         brute_force(ProblemSpec.splpo(inst), max_sites=2)
 
 
-def test_all_forbidden_is_infeasible(toy):
-    forbidden = [(i, j) for i in range(2) for j in range(2)]
-    with pytest.raises(InfeasibleError):
-        branch_and_bound(ProblemSpec.splpo(toy, forbidden=forbidden))
-    with pytest.raises(InfeasibleError):
-        brute_force(ProblemSpec.splpo(toy, forbidden=forbidden))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_slr_rejects_non_finite_gamma(value):
+    inst = generate_instance(5, 4, 1)
+    with pytest.raises(ValueError, match="finite"):
+        ProblemSpec.slr(inst, np.full(inst.m, value))
 
 
 @given(st.integers(0, 400))
@@ -96,22 +93,6 @@ def test_engines_agree_on_slr(seed):
     assert a.value == b.value
 
 
-@given(st.integers(0, 150))
-def test_engines_agree_with_forbidden_pairs(seed):
-    inst = random_instance(seed, m_max=5, n_max=5)
-    rng = np.random.default_rng(seed + 5)
-    forbidden = [
-        (i, j)
-        for i in range(inst.m)
-        for j in range(inst.n)
-        if rng.random() < 0.2
-    ]
-    gamma = random_gamma_in_box(inst, rng)
-    a = branch_and_bound(ProblemSpec.slr(inst, gamma, forbidden=forbidden))
-    b = brute_force(ProblemSpec.slr(inst, gamma, forbidden=forbidden))
-    assert a.value == b.value
-
-
 @given(st.integers(0, 100))
 def test_engines_agree_with_forced_open(seed):
     inst = random_instance(seed, m_max=6, n_max=6)
@@ -121,15 +102,6 @@ def test_engines_agree_with_forced_open(seed):
     b = brute_force(ProblemSpec.splpo(inst, forced_open=forced))
     assert a.value == b.value
     assert set(forced) <= a.solution.open_facilities
-
-
-def test_slr_without_empty_option(toy):
-    spec = ProblemSpec.slr(toy, [2.5, 2.5], allow_empty=False)
-    res = branch_and_bound(spec)
-    # forced to open something: best non-empty configuration costs 8
-    assert res.value == 8.0
-    assert res.solution.open_facilities
-    assert brute_force(spec).value == 8.0
 
 
 def test_node_limit_keeps_bound_valid():
@@ -184,13 +156,9 @@ def test_node_bounds_are_valid(kind):
 def _reference_bound(ctx, open_mask, closed_mask) -> float:
     """The engine's node bound, rebuilt from scratch out of the node's decisions."""
     avail = ~closed_mask
-    if ctx.forbidden is not None:
-        allowed = avail[None, :] & ~ctx.forbidden
-    else:
-        allowed = np.broadcast_to(avail[None, :], (ctx.m, ctx.n))
     open_any = open_mask.any()
     costs = ctx.costs
-    cmin = np.min(np.where(allowed, costs, np.inf), axis=1)
+    cmin = np.min(np.where(avail[None, :], costs, np.inf), axis=1)
     fopen = float(ctx.f[open_mask].sum())
 
     if ctx.kind == KIND_SLR:
@@ -205,7 +173,7 @@ def _reference_bound(ctx, open_mask, closed_mask) -> float:
             return math.inf
         bound = fopen + float(cmin.sum())
 
-    if open_any and ctx.forbidden is None:
+    if open_any:
         from_open = np.min(np.where(open_mask[None, :], costs, np.inf), axis=1)
         undecided = avail & ~open_mask
         if undecided.any():
@@ -220,7 +188,7 @@ def _reference_bound(ctx, open_mask, closed_mask) -> float:
 
 
 def _float_specs(seed):
-    """Four problem kinds on one instance with non-integer costs.
+    """Three problem kinds on one instance with non-integer costs.
 
     Integer-valued costs would sum exactly in any order, so they could not
     show a bound whose float sums were reordered.
@@ -235,22 +203,20 @@ def _float_specs(seed):
     )
     rng = np.random.default_rng(seed + 1)
     gamma = random_gamma_in_box(inst, rng)
-    forbidden = [(i, j) for i in range(inst.m) for j in range(inst.n) if rng.random() < 0.15]
     return {
         "splpo": ProblemSpec.splpo(inst),
         "splpo_forced": ProblemSpec.splpo(inst, forced_open=[seed % inst.n]),
         "slr": ProblemSpec.slr(inst, gamma),
-        "slr_forbidden": ProblemSpec.slr(inst, gamma, forbidden=forbidden),
     }
 
 
 # Nodes each spec took with the from-scratch bound above: an identical bound
 # sequence must give an identical search tree.
 RECORDED_NODES = {
-    0: {"splpo": 879, "splpo_forced": 499, "slr": 879, "slr_forbidden": 995},
-    1: {"splpo": 639, "splpo_forced": 273, "slr": 745, "slr_forbidden": 1013},
-    2: {"splpo": 455, "splpo_forced": 495, "slr": 455, "slr_forbidden": 1019},
-    3: {"splpo": 803, "splpo_forced": 435, "slr": 813, "slr_forbidden": 1017},
+    0: {"splpo": 879, "splpo_forced": 499, "slr": 879},
+    1: {"splpo": 639, "splpo_forced": 273, "slr": 745},
+    2: {"splpo": 455, "splpo_forced": 495, "slr": 455},
+    3: {"splpo": 803, "splpo_forced": 435, "slr": 813},
 }
 
 
@@ -276,18 +242,3 @@ def test_incumbent_is_monotone():
     branch_and_bound(ProblemSpec.splpo(inst), on_node=lambda *a: seen.append(a[4]))
     finite = [v for v in seen if v < math.inf]
     assert all(b <= a + 1e-12 for a, b in zip(finite, finite[1:]))
-
-
-def test_mps_emission(toy):
-    text = to_mps(ProblemSpec.splpo(toy, forced_open=[1]))
-    assert text.startswith("NAME")
-    assert " E  ASSIGN_1" in text
-    assert "x_1_2" in text and "y_2" in text
-    assert " FX BND  y_2  1" in text
-    assert text.rstrip().endswith("ENDATA")
-    # preference row of customer 1 for its favourite site covers only x_1_1
-    assert "    x_1_1  PREF_1_1  1" in text
-    assert "    x_1_2  PREF_1_1  1" not in text
-    slr_text = to_mps(ProblemSpec.slr(toy, [2.5, 2.5], forbidden=[(0, 1)]))
-    assert " L  ASSIGN_1" in slr_text
-    assert " FX BND  x_1_2  0" in slr_text

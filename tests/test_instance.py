@@ -6,7 +6,6 @@ from splpo import (
     GeneratorConfig,
     Instance,
     InstanceFormatError,
-    PreferenceSets,
     cost_ladder,
     default_epsilon,
     facility_sort_keys,
@@ -146,32 +145,6 @@ def test_generator_cost_consistent_mode():
 def test_generator_rejects_bad_dims():
     with pytest.raises(ValueError):
         generate_instance(0, 5, seed=1)
-
-
-def test_preference_sets_toy(toy):
-    ps = PreferenceSets(toy)
-    # customer 0 prefers site 0 over site 1
-    assert ps.strictly_worse(0, 0) == {1}
-    assert ps.weakly_preferred(0, 0) == {0}
-    assert ps.worse_or_self(0, 0) == {0, 1}
-    assert ps.worse_or_self(0, 1) == {1}
-    assert len(ps.worse_or_self(0, 0)) == toy.n - toy.p[0, 0] + 1
-
-
-@given(st.integers(0, 2000))
-def test_preference_sets_partition(seed):
-    inst = random_instance(seed, m_max=6, n_max=7)
-    ps = PreferenceSets(inst)
-    rng = np.random.default_rng(seed)
-    i = int(rng.integers(inst.m))
-    j = int(rng.integers(inst.n))
-    worse = ps.strictly_worse(i, j)
-    weakly = ps.weakly_preferred(i, j)
-    assert worse & weakly == set()
-    assert worse | weakly == set(range(inst.n))
-    assert j in weakly and j in ps.worse_or_self(i, j)
-    assert len(weakly) == inst.p[i, j]
-    assert len(ps.worse_or_self(i, j)) == inst.n - inst.p[i, j] + 1
 
 
 @given(st.integers(0, 2000))

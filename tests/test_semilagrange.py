@@ -4,14 +4,12 @@ from hypothesis import given, strategies as st
 
 from splpo import (
     DaConfig,
-    Instance,
     ProblemSpec,
     brute_force,
     check_feasible,
     cost_ladder,
     dual_ascent,
     place_gamma,
-    prefix_audit_rows,
     slr_subgradient,
     solve_slr,
 )
@@ -44,24 +42,13 @@ def test_place_gamma_inside_intervals(toy):
     assert np.array_equal(st_.gamma, [2.5, 2.5])
 
 
-def test_place_gamma_literal_top(toy):
-    st_ = place_gamma(cost_ladder(toy), [100.0, 100.0], 0.5, top_rule="literal")
-    assert np.array_equal(st_.gamma, [5.0, 4.0])
-    assert np.array_equal(st_.interval_index, [2, 2])
-
-
-def test_place_gamma_snap_top(toy):
-    st_ = place_gamma(cost_ladder(toy), [100.0, 100.0], 0.5, top_rule="snap")
-    assert np.array_equal(st_.gamma, [5.5, 4.5])
-
-
 def test_place_gamma_ceiling_top(toy):
     lad = cost_ladder(toy)
-    st_ = place_gamma(lad, lad.cp, 0.5, top_rule="ceiling")
+    st_ = place_gamma(lad, lad.cp, 0.5)
     assert np.array_equal(st_.gamma, lad.cp)
     assert np.array_equal(st_.interval_index, [3, 3])
     # strictly inside the top interval still snaps down
-    st2 = place_gamma(lad, [5.9, 6.9], 0.5, top_rule="ceiling")
+    st2 = place_gamma(lad, [5.9, 6.9], 0.5)
     assert np.array_equal(st2.gamma, [5.5, 4.5])
 
 
@@ -76,7 +63,7 @@ def test_place_gamma_lands_above_cheapest(seed):
     lad = cost_ladder(inst)
     rng = np.random.default_rng(seed)
     gamma0 = rng.uniform(0, lad.cp * 1.2)
-    st_ = place_gamma(lad, gamma0, 0.25, top_rule="ceiling")
+    st_ = place_gamma(lad, gamma0, 0.25)
     assert np.all(st_.gamma > lad.sorted_costs[:, 0])
     assert np.all(st_.gamma <= lad.cp + 1e-12)
 
@@ -104,34 +91,6 @@ def test_solve_slr_zero_gamma(toy):
     assert not slr.served.any()
 
 
-def test_solve_slr_prefix_pre_fixes_positive_reduced_costs(toy):
-    # gamma large enough that nothing is pre-fixed: identical results
-    st_ = state_at(toy, [6.0, 7.0])
-    off = solve_slr(toy, st_, prefix=False)
-    on = solve_slr(toy, st_, prefix=True)
-    assert off.value == on.value
-
-
-def test_prefix_rule_can_change_the_optimum():
-    # The preference-forced server of customer 2 has positive reduced cost in
-    # the true optimum, so pre-fixing that pair cuts the optimum off.
-    inst = Instance(
-        f=np.array([0.0]),
-        c=np.array([[0.0], [10.0]]),
-        p=np.array([[1], [1]]),
-    )
-    off = solve_slr(inst, state_at(inst, [100.0, 5.0]), prefix=False)
-    on = solve_slr(inst, state_at(inst, [100.0, 5.0]), prefix=True)
-    assert off.value == 10.0
-    assert on.value == 105.0
-
-
-def test_prefix_audit_reports_rows(toy):
-    rows = prefix_audit_rows(toy, [np.zeros(2), cost_ladder(toy).cp])
-    assert len(rows) == 2
-    assert {"value_off", "value_on", "difference", "agree"} <= set(rows[0])
-
-
 # --- ascent ------------------------------------------------------------------
 
 
@@ -151,7 +110,7 @@ def test_ascend_masked_component(toy):
 
 def test_ascend_sticks_at_ceiling(toy):
     lad = cost_ladder(toy)
-    st_ = place_gamma(lad, lad.cp, 0.5, top_rule="ceiling")
+    st_ = place_gamma(lad, lad.cp, 0.5)
     st2 = ascend(st_, np.array([1, 1]))
     assert np.array_equal(st2.gamma, lad.cp)
 
