@@ -136,9 +136,10 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
 
     Stages: greedy bound, subgradient warm-up from mu_i = min_j (c[i,j]+f[j]),
     dual ascent seeded with the warm-up's best multipliers, then vfh_iter
-    rounds of one ascent iteration followed by a variable-fixing solve. A
-    stage failure leaves earlier results intact; completed stages are listed
-    in the result.
+    rounds of one ascent iteration followed by a variable-fixing solve; once
+    the ascent is done, later rounds repeat the last solve's solution instead
+    of solving the same problem again. A stage failure leaves earlier results
+    intact; completed stages are listed in the result.
     """
     timings: dict = {}
     stages: list = []
@@ -170,6 +171,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     stages.append("da")
 
     vfh_solutions: list[Solution] = []
+    fixed_from = None  # the subproblem solution the latest round fixed from
     t0 = time.perf_counter()
     for round_no in range(cfg.vfh_iter):
         last: SlrSolution | None = driver.last
@@ -177,14 +179,20 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
             last = driver.step()
         if last is None:
             break
-        sol = vfh(
-            inst,
-            last.open_facilities,
-            cfg.ps,
-            node_limit=cfg.node_limit,
-            time_limit=cfg.time_limit,
-        )
-        sol.provenance["round"] = round_no
+        if last is fixed_from:
+            # Once DA is done every round gets the same input: reuse the solve.
+            prev = vfh_solutions[-1]
+            sol = replace(prev, provenance={**prev.provenance, "round": round_no})
+        else:
+            sol = vfh(
+                inst,
+                last.open_facilities,
+                cfg.ps,
+                node_limit=cfg.node_limit,
+                time_limit=cfg.time_limit,
+            )
+            sol.provenance["round"] = round_no
+            fixed_from = last
         vfh_solutions.append(sol)
     timings["vfh"] = time.perf_counter() - t0
     stages.append("vfh")

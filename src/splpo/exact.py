@@ -28,6 +28,10 @@ closing j shares everything with the parent except ``cmin``, which is
 recomputed only for the customers whose minimum was attained at j. Minima are
 exact and every float sum keeps its operands and their order, so each bound
 equals the from-scratch value bit for bit.
+
+Branching follows the savings bound: once something is open, the engine
+branches on the undecided facility with the largest net saving
+``colsum[k] - f[k]``, the one whose closing raises that bound the most.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, facility_sort_keys
+from .instance import Instance
 from .solution import Solution, UNASSIGNED, heuristic_hc
 
 KIND_SPLPO = "splpo"
@@ -75,8 +79,12 @@ class ProblemSpec:
             g = np.ascontiguousarray(self.gamma, dtype=float)
             if g.shape != (self.inst.m,):
                 raise ValueError(f"gamma must have shape ({self.inst.m},)")
-            if not np.isfinite(g).all():
-                raise ValueError("gamma must be finite")
+            # The engine sums gamma; a sum that overflows (or a NaN/inf entry)
+            # would turn every slr value into inf or NaN.
+            with np.errstate(over="ignore"):
+                magnitude = np.abs(g).sum()
+            if not np.isfinite(magnitude):
+                raise ValueError("gamma must be finite, and so must the sum of its magnitudes")
             g.setflags(write=False)
             object.__setattr__(self, "gamma", g)
         bad = [j for j in self.forced_open if not 0 <= j < self.inst.n]
@@ -235,31 +243,32 @@ class _Node:
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.from_open,
                      self.open_cost, self.rank, self.colsum)
 
-    def bound(self, ctx: _Context) -> float:
-        """Valid lower bound on every leaf below this node.
+    def bound(self, ctx: _Context) -> tuple[float, int | None]:
+        """Valid lower bound on every leaf below this node, and the facility to branch on.
 
-        Returns +inf when no feasible leaf exists in the subtree.
+        The bound is +inf when no feasible leaf exists in the subtree. The
+        facility is the undecided one with the largest net saving
+        ``colsum[k] - f[k]`` (ties to the lowest index); it is None while
+        nothing is open, when nothing is undecided, or when the bound is +inf.
         """
         if ctx.kind == KIND_SLR and self.open_cost is None:
             # The empty set stays reachable, so unserved customers cost nothing.
             bound = ctx.gamma_sum + float(np.minimum(self.cmin, 0.0).sum())
         elif self.served == math.inf:
-            return math.inf  # someone cannot be served, yet service is forced
+            return math.inf, None  # someone cannot be served, yet service is forced
         else:
             bound = ctx.gamma_sum + self.fopen + self.served
 
+        best = None
         if self.colsum is not None:
             # Savings bound: serve everyone from the open set, then credit each
             # undecided facility with at most its own best-case net saving.
-            undecided = ~(self.closed | self.open)
-            if undecided.any():
-                savings = float(
-                    np.maximum(self.colsum[undecided] - ctx.f[undecided], 0.0).sum()
-                )
-            else:
-                savings = 0.0
-            bound = max(bound, self.open_cost - savings)
-        return bound
+            undecided = np.flatnonzero(~(self.closed | self.open))
+            net = self.colsum[undecided] - ctx.f[undecided]
+            if undecided.size:
+                best = int(undecided[np.argmax(net)])
+            bound = max(bound, self.open_cost - float(np.maximum(net, 0.0).sum()))
+        return bound, best
 
 
 def branch_and_bound(
@@ -270,9 +279,12 @@ def branch_and_bound(
 ) -> ExactResult:
     """Depth-first search over open/close decisions with incumbent pruning.
 
-    Facilities are branched in ascending order of sum_i c[i, j] + m * f[j],
-    opening before closing. Entering a node whose bound is not below the
-    incumbent prunes its subtree. After each opening decision the current
+    While nothing is open, facilities are branched in ascending order of the
+    cost of opening each alone, f[j] + sum_i costs[i, j]; once something is
+    open, on the undecided facility with the largest net saving
+    colsum[k] - f[k]. Ties go to the lower index, and the open child is
+    searched before the closed one. Entering a node whose bound is not below
+    the incumbent prunes its subtree. After each opening decision the current
     open set itself is evaluated as a candidate solution, which covers every
     reachable leaf. With limits exhausted the result is flagged incomplete
     and carries a still-valid lower bound.
@@ -282,9 +294,11 @@ def branch_and_bound(
     """
     ctx = _Context(spec)
     inst = spec.inst
-    keys = facility_sort_keys(inst)
+    # Nodes with nothing open lie on the chain of closed children below the
+    # root, so their closed set is a prefix of this order.
+    alone = ctx.f + ctx.costs.sum(axis=0)
     free = [j for j in range(inst.n) if not ctx.forced[j]]
-    order = sorted(free, key=lambda j: (keys[j], j))
+    order = sorted(free, key=lambda j: (alone[j], j))
 
     incumbent_value = math.inf
     incumbent_mask = None
@@ -326,7 +340,7 @@ def branch_and_bound(
                 frontier_bound = min(frontier_bound, entry[2])
             break
         nodes += 1
-        bound = node.bound(ctx)
+        bound, best = node.bound(ctx)
         if on_node is not None:
             on_node(depth, node.open.copy(), node.closed.copy(), bound, incumbent_value)
         if just_opened or depth == 0:
@@ -338,7 +352,7 @@ def branch_and_bound(
             continue
         if depth == len(order):
             continue
-        j = order[depth]
+        j = order[depth] if best is None else best
         stack.append((depth + 1, node.closed_child(ctx, j), bound, False))
         stack.append((depth + 1, node.open_child(ctx, j), bound, True))
 

@@ -155,22 +155,22 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
     j0 = int(np.argmin(col_sums))  # ties resolved to the lowest index
     assign = np.full(m, j0, dtype=np.int64)
     trace = [_round_from_assign(inst, j0, assign)]
-    remaining = [j for j in range(n) if j != j0]
+    remaining = np.delete(np.arange(n), j0)
     tc_prev = float(col_sums[j0])
+    rows = np.arange(m)
+    p_t = np.ascontiguousarray(inst.p.T)
 
-    while remaining:
-        best_j = None
-        best_tc = None
-        best_assign = None
-        rows = np.arange(m)
-        for j in remaining:
-            prefer_j = inst.p[:, j] < inst.p[rows, assign]
-            cand = np.where(prefer_j, j, assign)
-            tc = float(inst.c[rows, cand].sum())
-            if best_tc is None or tc < best_tc:
-                best_j, best_tc, best_assign = j, tc, cand
-        remaining.remove(best_j)
-        assign = best_assign
+    while remaining.size:
+        # One row per remaining facility: the assignment if it were added.
+        # Each row sums along the contiguous last axis, as the 1-D sum of a
+        # single candidate would, so every tc is the same float.
+        prefer = p_t[remaining] < inst.p[rows, assign]
+        cand = np.where(prefer, remaining[:, None], assign)
+        tcs = inst.c[rows, cand].sum(axis=1)
+        k = int(np.argmin(tcs))  # the first minimum, as a strict < scan keeps
+        best_j, best_tc = int(remaining[k]), float(tcs[k])
+        remaining = np.delete(remaining, k)
+        assign = cand[k]
         trace.append(_round_from_assign(inst, best_j, assign))
         if early_stop:
             if best_tc >= tc_prev:

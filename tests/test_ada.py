@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,31 @@ def test_vfh_flags_incomplete_engine():
     capped = vfh(inst, [0, 1, 2], ps=0.5, node_limit=1)
     assert capped.provenance["heuristic"]
     assert capped.objective >= full.objective
+
+
+@pytest.mark.parametrize("da_iter, solves", [(5, 1), (0, 2)])
+def test_vfh_solves_each_subproblem_solution_once(monkeypatch, da_iter, solves):
+    # splpo.ada is rebound to the function, so reach the module itself.
+    module = sys.modules["splpo.ada"]
+    calls = []
+
+    def counting_vfh(*args, **kwargs):
+        calls.append(args)
+        return vfh(*args, **kwargs)
+
+    monkeypatch.setattr(module, "vfh", counting_vfh)
+    inst = random_instance(4)
+    res = ada(inst, AdaConfig(sg_iter=10, da_iter=da_iter, vfh_iter=3))
+    # DA takes two steps here, so it is done within da_iter=5 and after the
+    # second VFH round with da_iter=0; every later round repeats the input.
+    assert res.da_status == "optimal" and len(res.da_trace) == 2
+    assert len(calls) == solves
+    assert [s.provenance["round"] for s in res.vfh_solutions] == [0, 1, 2]
+    last = res.vfh_solutions[solves - 1]
+    for sol in res.vfh_solutions[solves:]:
+        assert sol.objective == last.objective
+        assert sol.open_facilities == last.open_facilities
+        assert {**sol.provenance, "round": None} == {**last.provenance, "round": None}
 
 
 def test_ada_toy_reaches_optimum(toy):

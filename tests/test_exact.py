@@ -74,6 +74,12 @@ def test_slr_rejects_non_finite_gamma(value):
         ProblemSpec.slr(inst, np.full(inst.m, value))
 
 
+def test_slr_rejects_gamma_whose_sum_overflows():
+    inst = generate_instance(5, 4, 1)
+    with pytest.raises(ValueError, match="sum"):
+        ProblemSpec.slr(inst, np.full(inst.m, 1e308))
+
+
 @given(st.integers(0, 400))
 def test_engines_agree_on_splpo(seed):
     inst = random_instance(seed)
@@ -210,13 +216,14 @@ def _float_specs(seed):
     }
 
 
-# Nodes each spec took with the from-scratch bound above: an identical bound
-# sequence must give an identical search tree.
+# Nodes each spec takes under the net-saving branching rule (see
+# test_branching_follows_net_saving) with the from-scratch bound above: the
+# same rule and an identical bound sequence must give an identical search tree.
 RECORDED_NODES = {
-    0: {"splpo": 879, "splpo_forced": 499, "slr": 879},
-    1: {"splpo": 639, "splpo_forced": 273, "slr": 745},
-    2: {"splpo": 455, "splpo_forced": 495, "slr": 455},
-    3: {"splpo": 803, "splpo_forced": 435, "slr": 813},
+    0: {"splpo": 911, "splpo_forced": 499, "slr": 911},
+    1: {"splpo": 683, "splpo_forced": 311, "slr": 683},
+    2: {"splpo": 461, "splpo_forced": 495, "slr": 461},
+    3: {"splpo": 793, "splpo_forced": 441, "slr": 793},
 }
 
 
@@ -234,6 +241,38 @@ def test_node_bounds_equal_reference(seed):
         res = branch_and_bound(spec, on_node=check)
         assert mismatches == [], kind
         assert res.nodes == RECORDED_NODES[seed][kind], kind
+
+
+def _rule_choice(ctx, open_mask, closed_mask) -> int:
+    """The facility the branching rule picks at a node, from scratch."""
+    undecided = ~(open_mask | closed_mask)
+    if not open_mask.any():
+        alone = ctx.f + ctx.costs.sum(axis=0)
+        return min(np.flatnonzero(undecided), key=lambda j: (alone[j], j))
+    from_open = np.min(np.where(open_mask[None, :], ctx.costs, np.inf), axis=1)
+    colsum = np.maximum(from_open[:, None] - ctx.costs, 0.0).sum(axis=0)
+    net = np.where(undecided, colsum - ctx.f, -np.inf)
+    return int(np.argmax(net))
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
+def test_branching_follows_net_saving(seed):
+    for kind, spec in _float_specs(seed).items():
+        ctx = _Context(spec)
+        records = []
+        branch_and_bound(spec, on_node=lambda *a: records.append(a))
+        checked = 0
+        for parent, child in zip(records, records[1:]):
+            added = np.flatnonzero(child[1] & ~parent[1])
+            if (
+                child[0] == parent[0] + 1
+                and np.array_equal(child[2], parent[2])
+                and child[1].sum() == parent[1].sum() + 1
+                and added.size == 1
+            ):
+                assert added[0] == _rule_choice(ctx, parent[1], parent[2]), kind
+                checked += 1
+        assert checked > 0, kind
 
 
 def test_incumbent_is_monotone():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    GeneratorConfig,
     Instance,
     ProblemSpec,
     Solution,
@@ -12,12 +13,14 @@ from splpo import (
     assign_most_preferred,
     brute_force,
     check_feasible,
+    generate_instance,
     heuristic_hc,
     heuristic_hs,
     objective,
     solution_from_json,
     solution_to_json,
 )
+from splpo.solution import _round_from_assign
 
 from conftest import random_instance
 
@@ -154,6 +157,52 @@ def test_heuristics_bound_the_optimum(seed):
     hc_sol, _ = heuristic_hc(inst)
     hs_sol, _ = heuristic_hs(inst)
     assert opt <= hc_sol.objective <= hs_sol.objective
+
+
+def _reference_sweep_trace(inst, early_stop):
+    """The greedy sweep as a plain loop over the remaining facilities."""
+    m, n = inst.m, inst.n
+    col_sums = inst.c.sum(axis=0)
+    j0 = int(np.argmin(col_sums))
+    assign = np.full(m, j0, dtype=np.int64)
+    trace = [_round_from_assign(inst, j0, assign)]
+    remaining = [j for j in range(n) if j != j0]
+    tc_prev = float(col_sums[j0])
+    rows = np.arange(m)
+    while remaining:
+        best_j = best_tc = best_assign = None
+        for j in remaining:
+            prefer_j = inst.p[:, j] < inst.p[rows, assign]
+            cand = np.where(prefer_j, j, assign)
+            tc = float(inst.c[rows, cand].sum())
+            if best_tc is None or tc < best_tc:
+                best_j, best_tc, best_assign = j, tc, cand
+        remaining.remove(best_j)
+        assign = best_assign
+        trace.append(_round_from_assign(inst, best_j, assign))
+        if early_stop:
+            if best_tc >= tc_prev:
+                break
+            tc_prev = best_tc
+    return trace
+
+
+def _sweep_instances():
+    """Seeded instances with many cost ties, and with non-integer costs."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 40)), int(rng.integers(2, 30))
+        mode = "uniform" if seed % 2 else "cost-consistent"
+        yield generate_instance(m, n, seed, GeneratorConfig(mode=mode, cost_range=(1, 5)))
+        base = generate_instance(m, n, seed, GeneratorConfig(mode=mode))
+        yield Instance(f=base.f + rng.random(n), c=base.c + rng.random((m, n)), p=base.p)
+
+
+def test_greedy_sweep_matches_reference_loop():
+    for inst in _sweep_instances():
+        for heuristic, early_stop in ((heuristic_hc, False), (heuristic_hs, True)):
+            _, trace = heuristic(inst)
+            assert trace == _reference_sweep_trace(inst, early_stop)
 
 
 def test_solution_json_round_trip(toy):
