@@ -4,8 +4,11 @@ Because every customer must be served by its most preferred open facility,
 both the original problem and its service-relaxed variant reduce to a search
 over open sets: fixing the set fixes the assignment. The engine is a
 depth-first branch and bound over facility open/close decisions, with a
-full-enumeration oracle for verification. Both share one leaf-evaluation
-routine so their objective arithmetic is bit-identical.
+full-enumeration oracle for verification. Every splpo value, here and in the
+greedy heuristics, dual ascent and objective(), is priced by solution.price.
+Two sums stay apart on purpose: brute_force's batched scan (the oracle; the
+value it reports goes through evaluate) and the slr value, which the slr
+bounds and recorded node counts are pinned to.
 
 Lower bounds used at a node (open set O forced, C forced closed, U undecided):
   * every customer priced at its cheapest facility outside C, plus opening
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .solution import Solution, UNASSIGNED, heuristic_hc
+from .solution import Solution, UNASSIGNED, assign_most_preferred, heuristic_hc, price
 
 KIND_SPLPO = "splpo"
 KIND_SLR = "slr"
@@ -117,7 +120,7 @@ class _Context:
     """Precomputed arrays shared by the evaluator, bounds, and oracles."""
 
     def __init__(self, spec: ProblemSpec):
-        inst = spec.inst
+        self.inst = inst = spec.inst
         self.kind = spec.kind
         self.m, self.n = inst.m, inst.n
         self.c = inst.c
@@ -128,7 +131,6 @@ class _Context:
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
             self.forced[j] = True
-        self.facility_of_rank = inst.facility_of_rank
         if spec.kind == KIND_SLR:
             self.gamma = spec.gamma
             self.gamma_sum = float(spec.gamma.sum())
@@ -151,15 +153,14 @@ class _Context:
                 return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
             return None
         if rank is None:
-            rank = np.where(open_mask[None, :], self.p, self.big).min(axis=1)
-        assign = self.facility_of_rank[self.rows, rank - 1]
-        service = self.c[self.rows, assign]
-        if self.kind == KIND_SLR:
-            value = float(
-                (service - self.gamma).sum() + self.f[open_mask].sum() + self.gamma_sum
-            )
+            assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
         else:
-            value = float(service.sum() + self.f[open_mask].sum())
+            assign = self.inst.facility_of_rank[self.rows, rank - 1]
+        if self.kind == KIND_SLR:
+            reduced = self.c[self.rows, assign] - self.gamma
+            value = float(reduced.sum() + self.f[open_mask].sum() + self.gamma_sum)
+        else:
+            value = price(self.inst, self.rows, assign, open_mask)
         return value, assign
 
 

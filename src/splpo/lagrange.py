@@ -16,6 +16,8 @@ import numpy as np
 from .instance import Instance
 from .solution import heuristic_hc
 
+IMPROVEMENT_TOL = 1e-9  # how far a relaxation value must beat the incumbent
+
 
 @dataclass(frozen=True)
 class LagrangeMultipliers:
@@ -101,25 +103,18 @@ def default_start(inst: Instance) -> LagrangeMultipliers:
 class SgConfig:
     """Subgradient-method settings.
 
-    The step multiplier beta starts at beta0 and shrinks once the incumbent
-    has not improved for stall_window consecutive iterations: linearly by
-    beta_decrement per iteration under the default schedule, or multiplied
-    by beta_decrement under the "multiplicative" schedule. The run stops at
-    beta <= 0, a zero subgradient, or max_iter updates. lr_aim is the target
-    upper bound for the step size; None means take it from heuristic_hc.
+    The step multiplier beta starts at beta0 and, once the incumbent has not
+    improved for stall_window consecutive iterations, drops by
+    beta_decrement per iteration. The run stops at beta <= 0, a zero
+    subgradient, or max_iter updates. lr_aim is the target upper bound for
+    the step size; None means take it from heuristic_hc.
     """
 
     max_iter: int = 1500
     beta0: float = 2.0
     stall_window: int = 30
     beta_decrement: float = 0.005
-    schedule: str = "linear"
     lr_aim: float | None = None
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.schedule not in ("linear", "multiplicative"):
-            raise ValueError(f"unknown beta schedule {self.schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +193,7 @@ def subgradient_method(
         lam = np.maximum(0.0, lam + alpha * s_lam)
         lr = solve_lr(inst, LagrangeMultipliers(mu, lam))
         iteration += 1
-        if lr.value > best_value + cfg.tol:
+        if lr.value > best_value + IMPROVEMENT_TOL:
             best_value = lr.value
             best_mu, best_lam = mu.copy(), lam.copy()
             best_iteration = iteration
@@ -206,10 +201,7 @@ def subgradient_method(
         else:
             stall += 1
         if stall >= cfg.stall_window:
-            if cfg.schedule == "linear":
-                beta -= cfg.beta_decrement
-            else:
-                beta *= cfg.beta_decrement
+            beta -= cfg.beta_decrement
         if beta <= 0:
             trace.append(
                 SgTraceRow(iteration, lr.value, best_value, beta, math.nan, math.nan)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exact import ProblemSpec, branch_and_bound
 from .instance import CostLadder, Instance, cost_ladder, default_epsilon
-from .solution import UNASSIGNED, Solution
+from .solution import UNASSIGNED, Solution, open_mask, price
 
 
 @dataclass(frozen=True)
@@ -266,13 +266,11 @@ def feasible_solution_from(slr: SlrSolution, inst: Instance) -> Solution | None:
     """Repackage an all-served subproblem solution as a regular solution."""
     if not slr.all_served:
         return None
-    open_set = slr.open_facilities
-    service = float(inst.c[np.arange(inst.m), slr.assign].sum())
-    fsum = float(sum(inst.f[j] for j in sorted(open_set)))
+    mask = open_mask(inst, slr.open_facilities)
     return Solution(
-        open_facilities=open_set,
+        open_facilities=slr.open_facilities,
         assign=slr.assign.copy(),
-        objective=service + fsum,
+        objective=price(inst, np.arange(inst.m), slr.assign, mask),
         provenance={"algorithm": "dual_ascent"},
     )
 

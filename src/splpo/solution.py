@@ -35,32 +35,46 @@ class Violation:
     message: str
 
 
+def open_mask(inst: Instance, open_facilities) -> np.ndarray:
+    """Boolean mask over the sites, true at each id in open_facilities."""
+    mask = np.zeros(inst.n, dtype=bool)
+    mask[list(open_facilities)] = True
+    return mask
+
+
+def price(inst: Instance, rows: np.ndarray, assign: np.ndarray, mask: np.ndarray) -> float:
+    """Value of a splpo solution: assign[k] serves customer rows[k], the mask is open.
+
+    Every splpo value the package reports is this one sum, so an open set
+    has one price whichever algorithm found it.
+    """
+    return float(inst.c[rows, assign].sum() + inst.f[mask].sum())
+
+
 def assign_most_preferred(inst: Instance, open_facilities) -> np.ndarray:
     """Assign every customer to its top-ranked member of the open set.
 
     With a full strict ranking per customer this choice is unique, and it is
     the only assignment compatible with the preference constraints once the
-    open set is fixed.
+    open set is fixed. The best rank over the open set names it, as in the
+    exact engine.
     """
-    open_set = sorted(open_facilities)
-    if not open_set:
+    mask = open_mask(inst, open_facilities)
+    if not mask.any():
         raise ValueError("open set is empty")
-    cols = np.asarray(open_set)
-    sub = inst.p[:, cols]
-    return cols[np.argmin(sub, axis=1)]
+    rank = np.where(mask, inst.p, inst.n + 1).min(axis=1)
+    return inst.facility_of_rank[np.arange(inst.m), rank - 1]
 
 
 def objective(inst: Instance, sol: Solution) -> float:
     """Service cost of assigned customers plus opening cost of open facilities."""
-    total = 0.0
-    for i, j in enumerate(sol.assign):
-        if j == UNASSIGNED:
-            continue
-        if j not in sol.open_facilities:
-            raise ValueError(f"customer {i} assigned to closed facility {j}")
-        total += inst.c[i, j]
-    total += sum(inst.f[j] for j in sorted(sol.open_facilities))
-    return total
+    assign = np.asarray(sol.assign)
+    rows = np.flatnonzero(assign != UNASSIGNED)
+    closed = rows[~np.isin(assign[rows], list(sol.open_facilities))]
+    if closed.size:
+        i = int(closed[0])
+        raise ValueError(f"customer {i} assigned to closed facility {assign[i]}")
+    return price(inst, rows, assign[rows], open_mask(inst, sol.open_facilities))
 
 
 def check_feasible(inst: Instance, sol: Solution) -> list[Violation]:
@@ -68,38 +82,31 @@ def check_feasible(inst: Instance, sol: Solution) -> list[Violation]:
 
     Checks, in indicator form: every customer is assigned, assignments point
     at open facilities, and no customer bypasses an open facility it prefers
-    over its server.
+    over its server; preference violations come by open facility, then customer.
     """
+    assign = np.asarray(sol.assign)
+    open_ids = sorted(sol.open_facilities)
+    linked = (assign != UNASSIGNED) & np.isin(assign, open_ids)
     violations = []
-    open_set = sol.open_facilities
-    for i in range(inst.m):
-        j = int(sol.assign[i])
+    for i in np.flatnonzero(~linked).tolist():
+        j = int(assign[i])
         if j == UNASSIGNED:
+            violations.append(Violation("assignment", i, None, f"customer {i} is not assigned"))
+        else:
             violations.append(
-                Violation("assignment", i, None, f"customer {i} is not assigned")
+                Violation("open_link", i, j, f"customer {i} assigned to closed facility {j}")
             )
-        elif j not in open_set:
-            violations.append(
-                Violation(
-                    "open_link", i, j, f"customer {i} assigned to closed facility {j}"
-                )
-            )
-    for j in sorted(open_set):
-        for i in range(inst.m):
-            a = int(sol.assign[i])
-            if a == UNASSIGNED or a not in open_set:
-                covered = False
-            else:
-                covered = inst.p[i, a] <= inst.p[i, j]
-            if not covered:
-                violations.append(
-                    Violation(
-                        "preference",
-                        i,
-                        j,
-                        f"customer {i} bypasses open facility {j} it weakly prefers",
-                    )
-                )
+    # covered[k, i]: customer i's server is open and ranked no worse than open_ids[k].
+    covered = np.zeros((len(open_ids), inst.m), dtype=bool)
+    served = np.flatnonzero(linked)
+    if served.size:  # p is indexed for linked customers only: an id of no site raises only then
+        ranks = inst.p[served]
+        covered[:, served] = (ranks[np.arange(served.size), assign[served]][:, None]
+                              <= ranks[:, open_ids]).T
+    for k, i in np.argwhere(~covered).tolist():
+        j = open_ids[k]
+        message = f"customer {i} bypasses open facility {j} it weakly prefers"
+        violations.append(Violation("preference", i, j, message))
     return violations
 
 
@@ -143,10 +150,12 @@ class GreedyRound:
 
 
 def _round_from_assign(inst: Instance, facility: int, assign: np.ndarray) -> GreedyRound:
-    service = float(inst.c[np.arange(inst.m), assign].sum())
-    used = tuple(sorted(set(assign.tolist())))
-    full = service + float(sum(inst.f[j] for j in used))
-    return GreedyRound(facility=facility, service_cost=service, objective=full, used=used)
+    rows = np.arange(inst.m)
+    used = np.zeros(inst.n, dtype=bool)
+    used[assign] = True
+    service = float(inst.c[rows, assign].sum())
+    full = price(inst, rows, assign, used)
+    return GreedyRound(facility, service, full, tuple(np.flatnonzero(used).tolist()))
 
 
 def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[GreedyRound]]:
@@ -155,6 +164,7 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
     j0 = int(np.argmin(col_sums))  # ties resolved to the lowest index
     assign = np.full(m, j0, dtype=np.int64)
     trace = [_round_from_assign(inst, j0, assign)]
+    best, best_assign = trace[0], assign
     remaining = np.delete(np.arange(n), j0)
     tc_prev = float(col_sums[j0])
     rows = np.arange(m)
@@ -172,20 +182,17 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
         remaining = np.delete(remaining, k)
         assign = cand[k]
         trace.append(_round_from_assign(inst, best_j, assign))
+        if trace[-1].objective < best.objective:
+            best, best_assign = trace[-1], assign
         if early_stop:
             if best_tc >= tc_prev:
                 break
             tc_prev = best_tc
 
-    best = min(trace, key=lambda r: r.objective)
-    # Rebuild the winning assignment: customers keep the best-preferred
-    # facility among those selected up to and including the winning round.
-    selected = [r.facility for r in trace[: trace.index(best) + 1]]
-    assign = assign_most_preferred(inst, selected)
-    used = frozenset(int(j) for j in assign)
+    # Customers sit at their most preferred selected facility: the forced assignment.
     sol = Solution(
-        open_facilities=used,
-        assign=assign,
+        open_facilities=frozenset(best.used),
+        assign=best_assign,
         objective=best.objective,
         provenance={"algorithm": "hs" if early_stop else "hc"},
     )

@@ -126,6 +126,18 @@ def test_time_limit_trips():
     assert res.status == "incomplete"
 
 
+@pytest.mark.parametrize("limit", [{"node_limit": 0}, {"time_limit": 0.0}])
+def test_splpo_always_returns_a_solution(limit):
+    # The greedy warm start is evaluated before the first limit check, so even
+    # a search stopped at once hands back a feasible incumbent.
+    inst = generate_instance(8, 6, 3)
+    res = branch_and_bound(ProblemSpec.splpo(inst, forced_open=[2]), **limit)
+    assert res.status == "incomplete"
+    assert res.solution is not None and res.solution.objective == res.value == 32417.0
+    assert 2 in res.solution.open_facilities
+    assert check_feasible(inst, res.solution) == []
+
+
 def _subtree_minimum(spec, open_mask, closed_mask):
     """Exhaustively evaluate every completion of a node's partial decision."""
     ctx = _Context(spec)

@@ -225,15 +225,6 @@ def test_sg_iteration_budget():
     assert res.trace[0].iteration == 0
 
 
-def test_sg_multiplicative_schedule():
-    inst = random_instance(61, m_max=5, n_max=5)
-    cfg = SgConfig(max_iter=500, stall_window=5, beta_decrement=0.5, schedule="multiplicative")
-    res = subgradient_method(inst, cfg)
-    betas = [row.beta for row in res.trace]
-    assert betas[0] == 2.0
-    assert all(b > 0 for b in betas)
-
-
 def test_sg_trace_is_csv_friendly():
     inst = random_instance(71, m_max=4, n_max=4)
     res = subgradient_method(inst, SgConfig(max_iter=5))

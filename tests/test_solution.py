@@ -10,9 +10,12 @@ from splpo import (
     ProblemSpec,
     Solution,
     UNASSIGNED,
+    Violation,
     assign_most_preferred,
+    branch_and_bound,
     brute_force,
     check_feasible,
+    dual_ascent,
     generate_instance,
     heuristic_hc,
     heuristic_hs,
@@ -20,7 +23,9 @@ from splpo import (
     solution_from_json,
     solution_to_json,
 )
-from splpo.solution import _round_from_assign
+from splpo.exact import _Context
+from splpo.semilagrange import feasible_solution_from
+from splpo.solution import _round_from_assign, open_mask
 
 from conftest import random_instance
 
@@ -104,6 +109,127 @@ def test_check_feasible_flags_unassigned(toy):
 def test_check_feasible_flags_closed_assignment(toy):
     violations = check_feasible(toy, make_solution({1}, [0, 1]))
     assert any(v.kind == "open_link" and v.customer == 0 for v in violations)
+
+
+def _reference_check_feasible(inst, sol):
+    """check_feasible as the plain double loop over open facilities and customers."""
+    violations = []
+    open_set = sol.open_facilities
+    for i in range(inst.m):
+        j = int(sol.assign[i])
+        if j == UNASSIGNED:
+            violations.append(
+                Violation("assignment", i, None, f"customer {i} is not assigned")
+            )
+        elif j not in open_set:
+            violations.append(
+                Violation(
+                    "open_link", i, j, f"customer {i} assigned to closed facility {j}"
+                )
+            )
+    for j in sorted(open_set):
+        for i in range(inst.m):
+            a = int(sol.assign[i])
+            if a == UNASSIGNED or a not in open_set:
+                covered = False
+            else:
+                covered = inst.p[i, a] <= inst.p[i, j]
+            if not covered:
+                violations.append(
+                    Violation(
+                        "preference",
+                        i,
+                        j,
+                        f"customer {i} bypasses open facility {j} it weakly prefers",
+                    )
+                )
+    return violations
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+def _random_solutions(seed):
+    """Seeded solutions with unassigned customers, closed servers, empty open
+    sets, and (on the 3-site instance) ids of no site such as 7 and -4."""
+    rng = np.random.default_rng(seed)
+    three = Instance(f=np.array([3.0, 1.0, 2.0]), c=rng.random((5, 3)) * 10,
+                     p=np.argsort(rng.random((5, 3)), axis=1) + 1)
+    inst = three if seed % 2 else random_instance(seed, m_max=9, n_max=9)
+    ids = [UNASSIGNED, 7, -4] + list(range(inst.n))
+    for _ in range(20):
+        size = int(rng.integers(0, inst.n + 1))
+        open_set = rng.choice(inst.n, size=size, replace=False).tolist()
+        if inst is three and rng.random() < 0.2:
+            open_set.append(int(rng.choice([7, -4, -2])))
+        assign = rng.choice(ids, size=inst.m)
+        if rng.random() < 0.3 and size:
+            assign = assign_most_preferred(inst, open_set[:size])
+        yield inst, make_solution(open_set, assign)
+
+
+def test_check_feasible_matches_reference_loop():
+    cases = 0
+    for seed in range(40):
+        for inst, sol in _random_solutions(seed):
+            assert _outcome(check_feasible, inst, sol) == _outcome(
+                _reference_check_feasible, inst, sol
+            )
+            cases += 1
+    assert cases == 800
+
+
+def test_out_of_range_servers_are_open_link_violations():
+    inst = Instance(f=np.ones(3), c=np.ones((3, 3)), p=np.array([[1, 2, 3]] * 3))
+    sol = make_solution({0}, [7, -4, 0])
+    kinds = [(v.kind, v.customer, v.facility) for v in check_feasible(inst, sol)]
+    assert kinds == [("open_link", 0, 7), ("open_link", 1, -4),
+                     ("preference", 0, 0), ("preference", 1, 0)]
+    with pytest.raises(ValueError, match="closed facility 7"):
+        objective(inst, sol)
+
+
+def _float_instance(seed):
+    """20x14, non-integer costs, preferences that follow costs."""
+    rng = np.random.default_rng(seed)
+    c = rng.random((20, 14)) * 100
+    p = np.argsort(np.argsort(c, axis=1), axis=1) + 1
+    f = rng.random(14) * 3 + 0.1
+    return Instance(f=f, c=c, p=p)
+
+
+def test_one_price_per_open_set():
+    # Every producer of a splpo value prices an open set the same way, so
+    # the same open set never carries two floats (and opt <= hc holds exactly).
+    for seed in range(300):
+        inst = _float_instance(seed)
+        spec = ProblemSpec.splpo(inst)
+        ctx = _Context(spec)
+        hc_sol, hs_sol = heuristic_hc(inst)[0], heuristic_hs(inst)[0]
+        produced = [hc_sol, hs_sol]
+        if seed < 5:
+            da = dual_ascent(inst, np.zeros(inst.m))
+            assert da.status == "optimal"
+            produced.append(feasible_solution_from(da.last, inst))
+        for sol in produced:
+            value, assign = ctx.evaluate(open_mask(inst, sol.open_facilities))
+            assert np.array_equal(assign, sol.assign)
+            assert sol.objective == value == objective(inst, sol)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            open_set = rng.choice(inst.n, size=int(rng.integers(1, inst.n + 1)), replace=False)
+            value, assign = ctx.evaluate(open_mask(inst, open_set))
+            assert objective(inst, make_solution(open_set, assign)) == value
+        res = branch_and_bound(spec)
+        assert res.value == objective(inst, res.solution)
+        assert res.value <= hc_sol.objective
+        if res.solution.open_facilities == hc_sol.open_facilities:
+            assert res.value == hc_sol.objective
 
 
 def test_heuristic_hc_toy_trace(toy):
