@@ -4,11 +4,29 @@ Because every customer must be served by its most preferred open facility,
 both the original problem and its service-relaxed variant reduce to a search
 over open sets: fixing the set fixes the assignment. The engine is a
 depth-first branch and bound over facility open/close decisions, with a
-full-enumeration oracle for verification. Every splpo value, here and in the
-greedy heuristics, dual ascent and objective(), is priced by solution.price.
-Two sums stay apart on purpose: brute_force's batched scan (the oracle; the
-value it reports goes through evaluate) and the slr value, which the slr
-bounds and recorded node counts are pinned to.
+full-enumeration oracle for verification. Every non-empty open set is
+priced by solution.price, the one price of a splpo solution (brute_force
+ranks its batches by its own sum, but reports the value of evaluate).
+
+The slr kind is the splpo search plus the empty open set. Any non-empty set
+serves every customer, so its value does not depend on gamma; only the empty
+set does, at sum(gamma). An slr search therefore starts from the empty set as
+its incumbent and runs the splpo search below it, and its optimum is
+min(sum(gamma), splpo optimum). Node bounds cover the non-empty sets below a
+node; the bound reported for an slr node with nothing open is
+min(sum(gamma), bound), which covers the empty leaf too.
+
+When an slr search ends at the empty set, every set it evaluated and every
+node it pruned lies at or above sum(gamma). Its result keeps them, in
+preorder, as a Frontier: pruned nodes as their decisions, bound and branch
+facility, rejected sets as their value. A search at a larger sum(gamma)
+resumes from that list instead of the root: it expands every node the
+earlier one expanded (their bounds lie below the old sum(gamma), so below
+every later incumbent), so it only re-tests the pruned nodes against its
+incumbent, rebuilding a node's state from its decisions when it expands it,
+and re-considers the rejected sets in their place. The replay meets every
+set and every prune decision of a fresh search in the same order, so it
+returns the same incumbent, ties included.
 
 Lower bounds used at a node (open set O forced, C forced closed, U undecided):
   * every customer priced at its cheapest facility outside C, plus opening
@@ -41,7 +59,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,6 +125,21 @@ class ProblemSpec:
         return ProblemSpec(kind=KIND_SLR, inst=inst, gamma=np.asarray(gamma, dtype=float))
 
 
+@dataclass(frozen=True)
+class Frontier:
+    """Where an slr search that ended at the empty set stopped.
+
+    entries lists, in preorder, the nodes the search pruned, as (bound over
+    the non-empty sets below, depth, open mask, closed mask, branch facility),
+    and the open sets it rejected, as (value, open mask). None of them depends
+    on gamma, so a search at a larger sum(gamma) can start from them.
+    """
+
+    inst: Instance
+    gamma_sum: float
+    entries: list
+
+
 @dataclass
 class ExactResult:
     value: float
@@ -114,6 +147,8 @@ class ExactResult:
     status: str  # "optimal" or "incomplete"
     lower_bound: float
     nodes: int
+    # Set only for an optimal slr search that ended at the empty set.
+    frontier: Frontier | None = field(default=None, repr=False, compare=False)
 
 
 class _Context:
@@ -121,7 +156,6 @@ class _Context:
 
     def __init__(self, spec: ProblemSpec):
         self.inst = inst = spec.inst
-        self.kind = spec.kind
         self.m, self.n = inst.m, inst.n
         self.c = inst.c
         self.f = inst.f
@@ -131,14 +165,7 @@ class _Context:
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
             self.forced[j] = True
-        if spec.kind == KIND_SLR:
-            self.gamma = spec.gamma
-            self.gamma_sum = float(spec.gamma.sum())
-            self.costs = inst.c - spec.gamma[:, None]
-        else:
-            self.gamma = None
-            self.gamma_sum = 0.0
-            self.costs = inst.c
+        self.gamma_sum = float(spec.gamma.sum()) if spec.kind == KIND_SLR else 0.0
         # Only the slr kind may open nothing, and only with nothing forced open.
         self.empty_feasible = spec.kind == KIND_SLR and not spec.forced_open
 
@@ -156,12 +183,7 @@ class _Context:
             assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
         else:
             assign = self.inst.facility_of_rank[self.rows, rank - 1]
-        if self.kind == KIND_SLR:
-            reduced = self.c[self.rows, assign] - self.gamma
-            value = float(reduced.sum() + self.f[open_mask].sum() + self.gamma_sum)
-        else:
-            value = price(self.inst, self.rows, assign, open_mask)
-        return value, assign
+        return price(self.inst, self.rows, assign, open_mask), assign
 
 
 def _result_solution(value, open_mask, assign, provenance) -> Solution:
@@ -197,37 +219,35 @@ class _Node:
         self.cmin = cmin
         self.served = served  # _served(cmin)
         self.from_open = from_open
-        # fopen plus everyone served from the open set (plus sum(gamma) for slr);
-        # None while nothing is open.
+        # fopen plus everyone served from the open set; None while nothing is open.
         self.open_cost = open_cost
         self.rank = rank
         self.colsum = colsum  # None while nothing is open
 
     @staticmethod
-    def root(ctx: _Context) -> "_Node":
-        cmin = ctx.costs.min(axis=1)
-        node = _Node(
-            np.zeros(ctx.n, dtype=bool),
-            np.zeros(ctx.n, dtype=bool),
-            0.0,
-            cmin,
-            _served(cmin),
-            np.full(ctx.m, np.inf),
-            None,
-            np.full(ctx.m, ctx.big, dtype=np.int64),
-            None,
-        )
-        for j in np.flatnonzero(ctx.forced):
-            node = node.open_child(ctx, j)
-        return node
+    def from_masks(ctx: _Context, open_mask, closed_mask) -> "_Node":
+        """The node with these decisions, its state computed from scratch.
+
+        Minima are exact and the sums are those of open_child, so the state
+        equals the one the node's ancestors would hand down, bit for bit.
+        """
+        cmin = np.where(closed_mask, np.inf, ctx.c).min(axis=1)
+        if not open_mask.any():
+            return _Node(open_mask, closed_mask, 0.0, cmin, _served(cmin), np.full(ctx.m, np.inf),
+                         None, np.full(ctx.m, ctx.big, dtype=np.int64), None)
+        fopen = float(ctx.f[open_mask].sum())
+        from_open = ctx.c[:, open_mask].min(axis=1)
+        colsum = np.maximum(from_open[:, None] - ctx.c, 0.0).sum(axis=0)
+        return _Node(open_mask, closed_mask, fopen, cmin, _served(cmin), from_open,
+                     fopen + float(from_open.sum()), ctx.p[:, open_mask].min(axis=1), colsum)
 
     def open_child(self, ctx: _Context, j) -> "_Node":
         open_mask = self.open.copy()
         open_mask[j] = True
         fopen = float(ctx.f[open_mask].sum())
-        from_open = np.minimum(self.from_open, ctx.costs[:, j])
-        open_cost = fopen + float(from_open.sum()) + ctx.gamma_sum
-        colsum = np.maximum(from_open[:, None] - ctx.costs, 0.0).sum(axis=0)
+        from_open = np.minimum(self.from_open, ctx.c[:, j])
+        open_cost = fopen + float(from_open.sum())
+        colsum = np.maximum(from_open[:, None] - ctx.c, 0.0).sum(axis=0)
         rank = np.minimum(self.rank, ctx.p[:, j])
         return _Node(open_mask, self.closed, fopen, self.cmin, self.served, from_open, open_cost,
                      rank, colsum)
@@ -236,30 +256,25 @@ class _Node:
         closed_mask = self.closed.copy()
         closed_mask[j] = True
         cmin, served = self.cmin, self.served
-        hit = np.flatnonzero(ctx.costs[:, j] == cmin)
+        hit = np.flatnonzero(ctx.c[:, j] == cmin)
         if hit.size:
             cmin = cmin.copy()
-            cmin[hit] = np.where(closed_mask, np.inf, ctx.costs[hit]).min(axis=1)
+            cmin[hit] = np.where(closed_mask, np.inf, ctx.c[hit]).min(axis=1)
             served = _served(cmin)
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.from_open,
                      self.open_cost, self.rank, self.colsum)
 
     def bound(self, ctx: _Context) -> tuple[float, int | None]:
-        """Valid lower bound on every leaf below this node, and the facility to branch on.
+        """Lower bound on every non-empty open set below this node, and the facility to branch on.
 
-        The bound is +inf when no feasible leaf exists in the subtree. The
+        The bound is +inf when no such set exists in the subtree. The
         facility is the undecided one with the largest net saving
         ``colsum[k] - f[k]`` (ties to the lowest index); it is None while
         nothing is open, when nothing is undecided, or when the bound is +inf.
         """
-        if ctx.kind == KIND_SLR and self.open_cost is None:
-            # The empty set stays reachable, so unserved customers cost nothing.
-            bound = ctx.gamma_sum + float(np.minimum(self.cmin, 0.0).sum())
-        elif self.served == math.inf:
+        if self.served == math.inf:
             return math.inf, None  # someone cannot be served, yet service is forced
-        else:
-            bound = ctx.gamma_sum + self.fopen + self.served
-
+        bound = self.fopen + self.served
         best = None
         if self.colsum is not None:
             # Savings bound: serve everyone from the open set, then credit each
@@ -272,16 +287,33 @@ class _Node:
         return bound, best
 
 
+def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
+    """The previous search's frontier as a stack that pops in preorder."""
+    if resume.status != "optimal":
+        raise ValueError("resume needs a search that finished, not an incomplete one")
+    if resume.frontier is None:
+        raise ValueError("resume needs an slr search that ended at the empty set")
+    if resume.frontier.inst is not ctx.inst:
+        raise ValueError("resume belongs to a search on another instance")
+    if not ctx.empty_feasible:
+        raise ValueError("only an slr spec without forced-open facilities can resume")
+    if ctx.gamma_sum < resume.frontier.gamma_sum:
+        raise ValueError(
+            f"resume needs sum(gamma) >= {resume.frontier.gamma_sum!r}, got {ctx.gamma_sum!r}")
+    return resume.frontier.entries[::-1]
+
+
 def branch_and_bound(
     spec: ProblemSpec,
     node_limit: int | None = None,
     time_limit: float | None = None,
     on_node=None,
+    resume: ExactResult | None = None,
 ) -> ExactResult:
     """Depth-first search over open/close decisions with incumbent pruning.
 
     While nothing is open, facilities are branched in ascending order of the
-    cost of opening each alone, f[j] + sum_i costs[i, j]; once something is
+    cost of opening each alone, f[j] + sum_i c[i, j]; once something is
     open, on the undecided facility with the largest net saving
     colsum[k] - f[k]. Ties go to the lower index, and the open child is
     searched before the closed one. Entering a node whose bound is not below
@@ -290,72 +322,114 @@ def branch_and_bound(
     reachable leaf. With limits exhausted the result is flagged incomplete
     and carries a still-valid lower bound.
 
+    resume, an earlier result on the same instance whose frontier is set,
+    continues that search at this spec's gamma instead of starting from the
+    root; sum(gamma) must not be smaller. The result is the one a fresh
+    search would return, but nodes and node_limit count only the nodes this
+    call newly evaluates.
+
     on_node, when given, is called as on_node(depth, open_mask, closed_mask,
-    bound, incumbent_value) for every expanded node (instrumentation only).
+    bound, incumbent_value) for every node this call evaluates
+    (instrumentation only).
     """
     ctx = _Context(spec)
     inst = spec.inst
     # Nodes with nothing open lie on the chain of closed children below the
     # root, so their closed set is a prefix of this order.
-    alone = ctx.f + ctx.costs.sum(axis=0)
+    alone = ctx.f + ctx.c.sum(axis=0)
     free = [j for j in range(inst.n) if not ctx.forced[j]]
     order = sorted(free, key=lambda j: (alone[j], j))
 
     incumbent_value = math.inf
     incumbent_mask = None
     incumbent_assign = None
+    # What a later call needs to resume this one; kept while the incumbent is
+    # the empty set, which only the slr kind admits.
+    frontier = None
 
-    def consider(mask, rank=None) -> None:
-        nonlocal incumbent_value, incumbent_mask, incumbent_assign
-        out = ctx.evaluate(mask, rank)
-        if out is None:
-            return
-        value, assign = out
-        if value <= incumbent_value:
-            incumbent_value = value
-            incumbent_mask = mask.copy()
-            incumbent_assign = assign
+    def consider(value, mask, assign=None) -> bool:
+        """Take the open set as incumbent unless it is worse; say whether it was taken."""
+        nonlocal incumbent_value, incumbent_mask, incumbent_assign, frontier
+        if value > incumbent_value:
+            return False
+        if assign is None:
+            assign = ctx.evaluate(mask)[1]
+        incumbent_value, incumbent_mask, incumbent_assign = value, mask.copy(), assign
+        frontier = None
+        return True
 
+    # The warm start: the greedy open set for splpo; for slr the empty set,
+    # valued sum(gamma) and never evaluated again, so node bounds need to
+    # cover only the non-empty sets below a node.
     if spec.kind == KIND_SPLPO:
         hc_sol, _ = heuristic_hc(inst)
         warm = ctx.forced.copy()
         for j in hc_sol.open_facilities:
             warm[j] = True
-        consider(warm)
+        value, assign = ctx.evaluate(warm)
+        consider(value, warm, assign)
+    elif ctx.empty_feasible:
+        consider(ctx.gamma_sum, np.zeros(inst.n, dtype=bool))
+        frontier = []
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    # Stack entries: (depth, node, inherited_bound, just_opened)
-    stack = [(0, _Node.root(ctx), -math.inf, True)]
+    # Stack entries, each led by a lower bound on the leaves it stands for:
+    #   (inherited bound, depth, node, just_opened)    a node to evaluate
+    #   (bound, depth, open, closed, branch facility)  a node an earlier call pruned
+    #   (value, open)                                  a set an earlier call rejected
+    if resume is None:
+        root = _Node.from_masks(ctx, ctx.forced.copy(), np.zeros(inst.n, dtype=bool))
+        stack = [(-math.inf, 0, root, bool(ctx.forced.any()))]
+    else:
+        stack = _resume_stack(ctx, resume)
     nodes = 0
     aborted = False
     frontier_bound = math.inf
 
     while stack:
-        depth, node, inherited, just_opened = stack.pop()
-        if (node_limit is not None and nodes >= node_limit) or (
-            deadline is not None and time.monotonic() >= deadline
-        ):
-            aborted = True
-            frontier_bound = min(frontier_bound, inherited)
-            for entry in stack:
-                frontier_bound = min(frontier_bound, entry[2])
-            break
-        nodes += 1
-        bound, best = node.bound(ctx)
-        if on_node is not None:
-            on_node(depth, node.open.copy(), node.closed.copy(), bound, incumbent_value)
-        if just_opened or depth == 0:
-            # Evaluate the current open set before the prune check so that a
-            # subtree whose bound ties the incumbent still surrenders its
-            # equal-valued solution (deterministic tie-breaking).
-            consider(node.open, node.rank)
-        if bound >= incumbent_value:
+        entry = stack.pop()
+        if len(entry) == 2:
+            if not consider(*entry) and frontier is not None:
+                frontier.append(entry)
             continue
+        if len(entry) == 5:
+            bound, depth, open_mask, closed_mask, best = entry
+            if bound >= incumbent_value:
+                if frontier is not None:
+                    frontier.append(entry)
+                continue
+            node = _Node.from_masks(ctx, open_mask, closed_mask)
+        else:
+            if (node_limit is not None and nodes >= node_limit) or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                aborted = True
+                frontier_bound = min(e[0] for e in (entry, *stack))
+                break
+            _, depth, node, just_opened = entry
+            nodes += 1
+            bound, best = node.bound(ctx)
+            if on_node is not None:
+                shown = bound
+                if ctx.empty_feasible and node.colsum is None:
+                    shown = min(bound, ctx.gamma_sum)  # the empty set lies below too
+                on_node(depth, node.open.copy(), node.closed.copy(), shown, incumbent_value)
+            if just_opened:
+                # Evaluate the current open set before the prune check so that a
+                # subtree whose bound ties the incumbent still surrenders its
+                # equal-valued solution (deterministic tie-breaking).
+                value, assign = ctx.evaluate(node.open, node.rank)
+                if not consider(value, node.open, assign) and frontier is not None:
+                    frontier.append((value, node.open))
+            if bound >= incumbent_value:
+                if frontier is not None:
+                    frontier.append((bound, depth, node.open, node.closed, best))
+                continue
         if depth == len(order):
             continue
         j = order[depth] if best is None else best
-        stack.append((depth + 1, node.closed_child(ctx, j), bound, False))
-        stack.append((depth + 1, node.open_child(ctx, j), bound, True))
+        stack.append((bound, depth + 1, node.closed_child(ctx, j), False))
+        stack.append((bound, depth + 1, node.open_child(ctx, j), True))
 
     if incumbent_mask is None and not aborted:
         raise InfeasibleError("no feasible open set exists for this spec")
@@ -363,6 +437,7 @@ def branch_and_bound(
     if aborted:
         status = "incomplete"
         lower_bound = min(incumbent_value, frontier_bound)
+        frontier = None
     else:
         status = "optimal"
         lower_bound = incumbent_value
@@ -381,6 +456,7 @@ def branch_and_bound(
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
+        frontier=None if frontier is None else Frontier(inst, ctx.gamma_sum, frontier),
     )
 
 
@@ -417,13 +493,9 @@ def brute_force(spec: ProblemSpec, max_sites: int = 20) -> ExactResult:
         service = np.take_along_axis(
             ctx.c[None, :, :], assign[:, :, None], axis=2
         )[:, :, 0]
-        fsums = masks.astype(float) @ ctx.f
-        if ctx.kind == KIND_SLR:
-            values = (service - ctx.gamma[None, :]).sum(axis=1) + fsums + ctx.gamma_sum
-            if ctx.empty_feasible and start == 0:
-                values[0] = ctx.gamma_sum
-        else:
-            values = service.sum(axis=1) + fsums
+        values = service.sum(axis=1) + masks.astype(float) @ ctx.f
+        if ctx.empty_feasible and start == 0:
+            values[0] = ctx.gamma_sum
         values = np.where(ok, values, np.inf)
         k_local = int(np.argmin(values))
         if values[k_local] < best_value:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exact import ProblemSpec, branch_and_bound
+from .exact import ExactResult, ProblemSpec, branch_and_bound
 from .instance import CostLadder, Instance, cost_ladder, default_epsilon
 from .solution import UNASSIGNED, Solution, open_mask, price
 
@@ -90,9 +90,10 @@ def ascend(state: GammaState, s: np.ndarray) -> GammaState:
 class SlrSolution:
     """Relaxed-subproblem optimum at fixed gamma.
 
-    value includes the constant gamma total. served marks customers with an
-    assignment; open facilities force service for everyone, so served is
-    all-true whenever open_facilities is non-empty.
+    value is sum(gamma) for the empty open set and the splpo value of any
+    other. served marks customers with an assignment; open facilities force
+    service for everyone, so served is all-true whenever open_facilities is
+    non-empty. search is the engine result, which a later solve can resume.
     """
 
     value: float
@@ -102,6 +103,7 @@ class SlrSolution:
     status: str
     lower_bound: float
     nodes: int
+    search: ExactResult = field(repr=False, compare=False)
 
     @property
     def all_served(self) -> bool:
@@ -113,15 +115,24 @@ def solve_slr(
     state: GammaState,
     node_limit: int | None = None,
     time_limit: float | None = None,
+    resume: SlrSolution | None = None,
 ) -> SlrSolution:
     """Optimize the relaxed subproblem at the state's gamma via the exact engine.
 
-    No assignment is fixed in advance: with preference-forced service, a
-    pair whose cost exceeds gamma[i] can still be the optimum's, so reduced-cost
-    pre-fixing from plain UFL would be unsafe here.
+    resume, an earlier optimal solution of the same instance that opened
+    nothing at a sum(gamma) no larger than this one, continues that search
+    instead of starting again (see branch_and_bound). No assignment is fixed
+    in advance: with preference-forced service, a pair whose cost exceeds
+    gamma[i] can still be the optimum's, so reduced-cost pre-fixing from
+    plain UFL would be unsafe here.
     """
     spec = ProblemSpec.slr(inst, state.gamma)
-    res = branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit)
+    res = branch_and_bound(
+        spec,
+        node_limit=node_limit,
+        time_limit=time_limit,
+        resume=None if resume is None else resume.search,
+    )
     sol = res.solution
     if sol is None:
         assign = np.full(inst.m, UNASSIGNED, dtype=np.int64)
@@ -137,6 +148,7 @@ def solve_slr(
         status=res.status,
         lower_bound=res.lower_bound,
         nodes=res.nodes,
+        search=res,
     )
 
 
@@ -151,7 +163,9 @@ class DaConfig:
 
     max_iter None means run until the subgradient vanishes. epsilon None
     derives the rung offset from the ladder (half the smallest positive cost
-    gap). node_limit and time_limit apply to each subproblem solve.
+    gap). node_limit and time_limit apply to each subproblem solve. Each step
+    resumes the previous step's search, so node_limit counts only the nodes
+    a step newly expands.
     """
 
     epsilon: float | None = None
@@ -181,7 +195,11 @@ class DAResult:
 
 class DualAscent:
     """Stepwise driver: one step = solve the subproblem at the current gamma,
-    record it, and climb the unserved customers one rung if any remain."""
+    record it, and climb the unserved customers one rung if any remain.
+
+    A step only follows a step whose subproblem opened nothing, and gamma
+    only grows, so every step after the first resumes the previous search.
+    """
 
     def __init__(self, inst: Instance, gamma0, cfg: DaConfig = DaConfig()):
         self.inst = inst
@@ -203,6 +221,7 @@ class DualAscent:
             self.state,
             node_limit=self.cfg.node_limit,
             time_limit=self.cfg.time_limit,
+            resume=self.last,
         )
         self.last = slr
         self.best_lower_bound = max(self.best_lower_bound, slr.lower_bound)

@@ -121,13 +121,23 @@ def solution_to_json(sol: Solution) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _site_from_json(value, key: str, position: int) -> int:
+    """A 1-based facility id read from disk, as a 0-based index."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key}[{position}]: facility ids are integers >= 1, got {value!r}")
+    return value - 1
+
+
 def solution_from_json(text: str) -> Solution:
+    """Read solution_to_json's format; ValueError for a facility id below 1 or not an integer."""
     doc = json.loads(text)
     assign = np.array(
-        [UNASSIGNED if j is None else int(j) - 1 for j in doc["assign"]], dtype=np.int64
+        [UNASSIGNED if j is None else _site_from_json(j, "assign", i)
+         for i, j in enumerate(doc["assign"])],
+        dtype=np.int64,
     )
     return Solution(
-        open_facilities=frozenset(j - 1 for j in doc["open"]),
+        open_facilities=frozenset(_site_from_json(j, "open", k) for k, j in enumerate(doc["open"])),
         assign=assign,
         objective=float(doc["objective"]),
         provenance=doc.get("provenance", {}),

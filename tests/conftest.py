@@ -27,3 +27,15 @@ def random_instance(seed: int, m_max: int = 10, n_max: int = 10) -> Instance:
     m = int(rng.integers(2, m_max + 1))
     n = int(rng.integers(2, n_max + 1))
     return generate_instance(m, n, seed, name=f"rand{seed}")
+
+
+def cheap_open_instance(seed: int, integer=False, m_range=(2, 10), n_range=(2, 10)) -> Instance:
+    """Seeded instance with opening costs cut to about a tenth, so that optima
+    open several facilities; integer data, or costs with fractional parts."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(*m_range, endpoint=True)), int(rng.integers(*n_range, endpoint=True))
+    base = generate_instance(m, n, seed)
+    f = base.f * rng.uniform(0.05, 0.15, n)
+    if integer:
+        return Instance(f=np.floor(f), c=base.c, p=base.p)
+    return Instance(f=f + rng.random(n), c=base.c + rng.random((m, n)), p=base.p)

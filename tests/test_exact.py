@@ -16,7 +16,7 @@ from splpo import (
 )
 from splpo.exact import KIND_SLR, _Context
 
-from conftest import random_instance
+from conftest import cheap_open_instance, random_instance
 
 
 def random_gamma_in_box(inst, rng):
@@ -175,32 +175,23 @@ def _reference_bound(ctx, open_mask, closed_mask) -> float:
     """The engine's node bound, rebuilt from scratch out of the node's decisions."""
     avail = ~closed_mask
     open_any = open_mask.any()
-    costs = ctx.costs
-    cmin = np.min(np.where(avail[None, :], costs, np.inf), axis=1)
+    c = ctx.c
+    cmin = np.min(np.where(avail[None, :], c, np.inf), axis=1)
     fopen = float(ctx.f[open_mask].sum())
-
-    if ctx.kind == KIND_SLR:
-        if open_any:
-            if not np.isfinite(cmin).all():
-                return math.inf
-            bound = ctx.gamma_sum + fopen + float(cmin.sum())
-        else:
-            bound = ctx.gamma_sum + float(np.minimum(cmin, 0.0).sum())
-    else:
-        if not np.isfinite(cmin).all():
-            return math.inf
-        bound = fopen + float(cmin.sum())
-
-    if open_any:
-        from_open = np.min(np.where(open_mask[None, :], costs, np.inf), axis=1)
+    bound = fopen + float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
+    if ctx.empty_feasible and not open_any:
+        # The empty set, at sum(gamma), is one of the leaves below.
+        return min(ctx.gamma_sum, bound)
+    if open_any and bound < math.inf:
+        from_open = np.min(np.where(open_mask[None, :], c, np.inf), axis=1)
         undecided = avail & ~open_mask
         if undecided.any():
-            gains = np.maximum(from_open[:, None] - costs, 0.0)
+            gains = np.maximum(from_open[:, None] - c, 0.0)
             per_facility = gains.sum(axis=0, where=undecided[None, :])
             savings = float(np.maximum(per_facility[undecided] - ctx.f[undecided], 0.0).sum())
         else:
             savings = 0.0
-        alt = fopen + float(from_open.sum()) + ctx.gamma_sum - savings
+        alt = fopen + float(from_open.sum()) - savings
         bound = max(bound, alt)
     return bound
 
@@ -259,10 +250,10 @@ def _rule_choice(ctx, open_mask, closed_mask) -> int:
     """The facility the branching rule picks at a node, from scratch."""
     undecided = ~(open_mask | closed_mask)
     if not open_mask.any():
-        alone = ctx.f + ctx.costs.sum(axis=0)
+        alone = ctx.f + ctx.c.sum(axis=0)
         return min(np.flatnonzero(undecided), key=lambda j: (alone[j], j))
-    from_open = np.min(np.where(open_mask[None, :], ctx.costs, np.inf), axis=1)
-    colsum = np.maximum(from_open[:, None] - ctx.costs, 0.0).sum(axis=0)
+    from_open = np.min(np.where(open_mask[None, :], ctx.c, np.inf), axis=1)
+    colsum = np.maximum(from_open[:, None] - ctx.c, 0.0).sum(axis=0)
     net = np.where(undecided, colsum - ctx.f, -np.inf)
     return int(np.argmax(net))
 
@@ -293,3 +284,83 @@ def test_incumbent_is_monotone():
     branch_and_bound(ProblemSpec.splpo(inst), on_node=lambda *a: seen.append(a[4]))
     finite = [v for v in seen if v < math.inf]
     assert all(b <= a + 1e-12 for a, b in zip(finite, finite[1:]))
+
+
+def _empty_slr_result(inst):
+    """An optimal slr search that ends at the empty set."""
+    gamma = cost_ladder(inst).sorted_costs[:, 0] * 0.5
+    res = branch_and_bound(ProblemSpec.slr(inst, gamma))
+    assert res.solution.open_facilities == frozenset() and res.frontier is not None
+    return res, gamma
+
+
+def test_resume_rejects_what_it_cannot_continue():
+    inst = generate_instance(8, 6, 4)
+    prev, gamma = _empty_slr_result(inst)
+    cp = cost_ladder(inst).cp
+    with pytest.raises(ValueError, match="sum"):
+        branch_and_bound(ProblemSpec.slr(inst, gamma * 0.5), resume=prev)
+    with pytest.raises(ValueError, match="another instance"):
+        other = generate_instance(8, 6, 5)
+        branch_and_bound(ProblemSpec.slr(other, cp), resume=prev)
+    with pytest.raises(ValueError, match="forced"):
+        spec = ProblemSpec(kind=KIND_SLR, inst=inst, gamma=cp, forced_open=frozenset({0}))
+        branch_and_bound(spec, resume=prev)
+    non_empty = branch_and_bound(ProblemSpec.slr(inst, cp))
+    assert non_empty.solution.open_facilities and non_empty.frontier is None
+    incomplete = branch_and_bound(ProblemSpec.slr(inst, gamma), node_limit=0)
+    assert incomplete.status == "incomplete" and incomplete.frontier is None
+    splpo = branch_and_bound(ProblemSpec.splpo(inst))
+    for bad, match in ((non_empty, "empty set"), (incomplete, "incomplete"), (splpo, "empty set")):
+        with pytest.raises(ValueError, match=match):
+            branch_and_bound(ProblemSpec.slr(inst, cp), resume=bad)
+
+
+def _slr_chain(inst):
+    """slr specs at gamma rising from the cheapest costs towards the ceiling."""
+    lad = cost_ladder(inst)
+    low = lad.sorted_costs[:, 0]
+    for t in np.linspace(0.0, 0.3, 31):
+        yield ProblemSpec.slr(inst, low + t * (lad.cp - low))
+
+
+@pytest.mark.parametrize("case", ["float0", "float1", "float2", "float3", "int1", "int2", "int3"])
+def test_resumed_search_equals_a_fresh_one(case):
+    # Each search resumes the last one while it ends at the empty set.
+    seed = int(case[-1])
+    if case.startswith("float"):
+        inst = _float_specs(seed)["slr"].inst
+    else:
+        inst = cheap_open_instance(seed, integer=True, m_range=(16, 16), n_range=(10, 10))
+    prev, total, steps = None, 0, 0
+    for spec in _slr_chain(inst):
+        fresh = branch_and_bound(spec)
+        res = branch_and_bound(spec, resume=prev)
+        total += res.nodes
+        steps += 1
+        assert (res.value, res.status, res.lower_bound) == (
+            fresh.value, fresh.status, fresh.lower_bound)
+        assert res.solution.open_facilities == fresh.solution.open_facilities
+        assert np.array_equal(res.solution.assign, fresh.solution.assign)
+        # The chain evaluates exactly the nodes of one fresh search.
+        assert total == fresh.nodes
+        if res.frontier is None:
+            break
+        prev = res
+    assert res.solution.open_facilities and steps > 5
+
+
+def test_node_limit_in_a_resumed_search_keeps_bound_valid():
+    inst = cheap_open_instance(5, integer=True, m_range=(16, 16), n_range=(10, 10))
+    prev = None
+    for spec in _slr_chain(inst):
+        fresh = branch_and_bound(spec)
+        if fresh.frontier is None:
+            break
+        prev = branch_and_bound(spec, resume=prev)
+    assert len(prev.frontier.entries) > 100
+    opt = fresh.value
+    for limit in (0, 1, 5, 50):
+        res = branch_and_bound(spec, node_limit=limit, resume=prev)
+        assert res.status == "incomplete" and res.nodes == limit
+        assert res.lower_bound <= opt <= res.value

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from splpo import (
     DaConfig,
     ProblemSpec,
+    branch_and_bound,
     brute_force,
     check_feasible,
     cost_ladder,
@@ -15,7 +18,7 @@ from splpo import (
 )
 from splpo.semilagrange import DualAscent, GammaState, ascend, feasible_solution_from
 
-from conftest import random_instance
+from conftest import cheap_open_instance, random_instance
 
 
 def state_at(inst, gamma, epsilon=0.5):
@@ -202,3 +205,51 @@ def test_gamma_trajectory_monotone_and_boxed(seed):
         assert np.all(cur <= lad.cp + 1e-12)
         prev = cur.copy()
     assert driver.done
+
+
+def test_dual_ascent_lower_bound_never_exceeds_the_optimum():
+    # A subproblem that opens something is priced like the original problem,
+    # so on non-integer costs its value cannot land an ulp above the optimum.
+    for seed in range(60):
+        inst = cheap_open_instance(seed, m_range=(10, 16), n_range=(6, 9))
+        opt = branch_and_bound(ProblemSpec.splpo(inst)).value
+        res = dual_ascent(inst, np.zeros(inst.m))
+        assert res.status == "optimal"
+        assert res.best_value <= opt
+        assert res.best_lower_bound <= opt
+
+
+def _run_steps(inst, gamma0):
+    ascent = DualAscent(inst, gamma0, DaConfig())
+    steps = []
+    while not ascent.done:
+        steps.append(ascent.step())
+    return ascent, steps
+
+
+@pytest.mark.parametrize("kind", ["integer", "float"])
+def test_resumed_dual_ascent_equals_fresh_steps(kind, monkeypatch):
+    semilagrange = importlib.import_module("splpo.semilagrange")
+    solve_slr_resumed = semilagrange.solve_slr
+
+    def solve_slr_fresh(*args, resume=None, **kwargs):
+        return solve_slr_resumed(*args, **kwargs)
+
+    for seed in range(40):
+        inst = cheap_open_instance(seed, integer=kind == "integer")
+        rng = np.random.default_rng(seed)
+        gamma0 = np.zeros(inst.m) if seed % 2 else rng.uniform(0, cost_ladder(inst).cp)
+        ascent, steps = _run_steps(inst, gamma0)
+        with monkeypatch.context() as patch:
+            patch.setattr(semilagrange, "solve_slr", solve_slr_fresh)
+            fresh_ascent, fresh_steps = _run_steps(inst, gamma0)
+        assert ascent.trace == fresh_ascent.trace
+        assert (ascent.status, ascent.best_lower_bound) == (
+            fresh_ascent.status, fresh_ascent.best_lower_bound)
+        for a, b in zip(steps, fresh_steps, strict=True):
+            assert (a.value, a.status, a.lower_bound) == (b.value, b.status, b.lower_bound)
+            assert a.open_facilities == b.open_facilities
+            assert np.array_equal(a.assign, b.assign)
+        # Every step after the first resumes the last, so together they
+        # evaluate the nodes of one fresh search at the final gamma.
+        assert sum(a.nodes for a in steps) == fresh_steps[-1].nodes

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -351,3 +352,22 @@ def test_solution_json_handles_unassigned():
     sol = make_solution({0}, [UNASSIGNED, 0], obj=5.0)
     back = solution_from_json(solution_to_json(sol))
     assert back.assign[0] == UNASSIGNED and back.assign[1] == 0
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"open": [1], "assign": [0, 1]}, r"assign\[0\]"),
+        ({"open": [1], "assign": [1, -2]}, r"assign\[1\]"),
+        ({"open": [1], "assign": [1, 1.0]}, r"assign\[1\]"),
+        ({"open": [1], "assign": ["1", 1]}, r"assign\[0\]"),
+        ({"open": [1], "assign": [True, 1]}, r"assign\[0\]"),
+        ({"open": [1, 0], "assign": [1, 1]}, r"open\[1\]"),
+        ({"open": [2.5], "assign": [1, 1]}, r"open\[0\]"),
+    ],
+)
+def test_solution_json_rejects_bad_facility_ids(doc, where):
+    # An assigned 0 used to become -1 and read back silently as UNASSIGNED.
+    text = json.dumps({**doc, "objective": 1.0})
+    with pytest.raises(ValueError, match=where):
+        solution_from_json(text)
