@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from splpo import (
-    AdaConfig,
     ProblemSpec,
     ada,
     ada_table_row,
@@ -71,8 +70,6 @@ def main(argv=None):
     rows = []
     for m, n in args.sizes:
         cfg = preset_config((m, n))
-        cfg = AdaConfig(sg_iter=cfg.sg_iter, da_iter=cfg.da_iter,
-                        vfh_iter=cfg.vfh_iter, ps=cfg.ps, preset=cfg.preset)
         for k in range(args.seeds):
             name = f"a{m}_{n}_{k + 1}"
             inst = generate_instance(m, n, args.seed0 + k, name=name)

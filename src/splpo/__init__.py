@@ -38,15 +38,12 @@ from .report import (
     trace_to_csv,
 )
 from .semilagrange import (
-    DAResult,
     DaConfig,
     DualAscent,
     GammaState,
-    SlrSolution,
     ascend,
     dual_ascent,
     place_gamma,
-    slr_subgradient,
     solve_slr,
 )
 from .solution import (

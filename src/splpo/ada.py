@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .exact import ProblemSpec, branch_and_bound
 from .instance import Instance, facility_sort_keys
 from .lagrange import SgConfig, SgResult, default_start, subgradient_method
-from .semilagrange import DaConfig, DualAscent, SlrSolution
+from .semilagrange import DaConfig, DualAscent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
@@ -37,7 +37,6 @@ class AdaConfig:
     epsilon: float | None = None
     node_limit: int | None = None
     time_limit: float | None = None
-    preset: str | None = None
 
     def __post_init__(self):
         if min(self.sg_iter, self.da_iter, self.vfh_iter) < 0:
@@ -48,10 +47,10 @@ class AdaConfig:
 
 # Empirical budgets per (m, n) bucket; ps = 0.25 throughout.
 PRESETS = {
-    (75, 50): AdaConfig(sg_iter=50, da_iter=3, vfh_iter=2, ps=0.25, preset="75_50"),
-    (100, 75): AdaConfig(sg_iter=100, da_iter=7, vfh_iter=2, ps=0.25, preset="100_75"),
-    (125, 100): AdaConfig(sg_iter=170, da_iter=10, vfh_iter=2, ps=0.25, preset="125_100"),
-    (150, 100): AdaConfig(sg_iter=170, da_iter=12, vfh_iter=2, ps=0.25, preset="150_100"),
+    (75, 50): AdaConfig(sg_iter=50, da_iter=3, vfh_iter=2, ps=0.25),
+    (100, 75): AdaConfig(sg_iter=100, da_iter=7, vfh_iter=2, ps=0.25),
+    (125, 100): AdaConfig(sg_iter=170, da_iter=10, vfh_iter=2, ps=0.25),
+    (150, 100): AdaConfig(sg_iter=170, da_iter=12, vfh_iter=2, ps=0.25),
 }
 
 
@@ -71,8 +70,7 @@ def preset_config(name_or_size) -> AdaConfig:
     if (m, n) in PRESETS:
         return PRESETS[(m, n)]
     area = m * n
-    key = min(PRESETS, key=lambda s: abs(s[0] * s[1] - area))
-    return replace(PRESETS[key], preset=f"{key[0]}_{key[1]}")
+    return PRESETS[min(PRESETS, key=lambda s: abs(s[0] * s[1] - area))]
 
 
 def vfh(
@@ -174,7 +172,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     fixed_from = None  # the subproblem solution the latest round fixed from
     t0 = time.perf_counter()
     for round_no in range(cfg.vfh_iter):
-        last: SlrSolution | None = driver.last
+        last = driver.last
         if not driver.done:
             last = driver.step()
         if last is None:
@@ -186,7 +184,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
         else:
             sol = vfh(
                 inst,
-                last.open_facilities,
+                last.solution.open_facilities,
                 cfg.ps,
                 node_limit=cfg.node_limit,
                 time_limit=cfg.time_limit,
@@ -201,15 +199,14 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     feasible = [s for s in candidates if not check_feasible(inst, s)]
     best = min(feasible, key=lambda s: s.objective)
 
-    da_result = driver.result()
     return AdaResult(
         best_solution=best,
         best_ub=best.objective,
         lb_sg=sg.best_value,
-        lb_da=da_result.best_lower_bound,
+        lb_da=driver.best_lower_bound,
         sg=sg,
-        da_trace=da_result.trace,
-        da_status=da_result.status,
+        da_trace=driver.trace,
+        da_status=driver.status,
         vfh_solutions=vfh_solutions,
         hc_solution=hc_sol,
         timings=timings,

@@ -24,7 +24,7 @@ from .exact import InfeasibleError, ProblemSpec, branch_and_bound, brute_force
 from .instance import GeneratorConfig, Instance, generate_instance, parse_instance, write_instance
 from .lagrange import SgConfig, subgradient_method
 from .report import ReportRow, RunReport, config_hash, gap_fields
-from .semilagrange import DaConfig, dual_ascent, feasible_solution_from
+from .semilagrange import DaConfig, dual_ascent
 from .solution import heuristic_hc, heuristic_hs, solution_to_json
 
 EXIT_OK = 0
@@ -90,20 +90,9 @@ def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
 
 def _ada_config(args, inst: Instance) -> AdaConfig:
     cfg = preset_config(args.preset) if args.preset else preset_config((inst.m, inst.n))
-    updates = {}
-    for flag, name in (
-        ("sg_iter", "sg_iter"),
-        ("da_iter", "da_iter"),
-        ("vfh_iter", "vfh_iter"),
-        ("ps", "ps"),
-        ("epsilon", "epsilon"),
-        ("node_limit", "node_limit"),
-        ("time_limit", "time_limit"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[name] = value
-    return replace(cfg, **updates) if updates else cfg
+    names = ("sg_iter", "da_iter", "vfh_iter", "ps", "epsilon", "node_limit", "time_limit")
+    updates = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return replace(cfg, **updates)
 
 
 def _sg_config(args, lr_aim=None) -> SgConfig:
@@ -160,12 +149,10 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
         status = res.status
     elif algorithm == "da":
         res = dual_ascent(inst, np.zeros(inst.m), _da_config(args))
-        lb, iterations, status = res.best_value, res.iterations, res.status
-        if res.last is not None:
-            sol = feasible_solution_from(res.last, inst)
-            if sol is not None:
-                solution, ub = sol, sol.objective
-                y_count = len(sol.open_facilities)
+        lb, iterations, status = res.best_lower_bound, res.iterations, res.status
+        if res.last is not None and res.last.solution.open_facilities:
+            solution = replace(res.last.solution, provenance={"algorithm": "dual_ascent"})
+            ub, y_count = solution.objective, len(solution.open_facilities)
     elif algorithm == "ada":
         res = ada(inst, _ada_config(args, inst))
         solution, ub, lb = res.best_solution, res.best_ub, res.best_lb

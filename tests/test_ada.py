@@ -97,8 +97,8 @@ def test_preset_values():
 
 
 def test_preset_nearest_bucket():
-    assert preset_config((70, 50)).preset == "75_50"
-    assert preset_config((160, 110)).preset == "150_100"
+    assert preset_config((70, 50)) is PRESETS[(75, 50)]
+    assert preset_config((160, 110)) is PRESETS[(150, 100)]
     with pytest.raises(ValueError):
         preset_config("nonsense")
 

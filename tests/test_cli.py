@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from splpo import ProblemSpec, RunReport, brute_force, parse_instance
+from splpo import (
+    GeneratorConfig, ProblemSpec, RunReport, branch_and_bound, brute_force, generate_instance,
+    parse_instance,
+)
 from splpo.cli import (
     ALGORITHMS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
 )
@@ -256,6 +259,23 @@ def test_solve_incomplete_exit_code(tmp_path):
     path = out_dir / "a10_10_1.splpo"
     code = main(["solve", str(path), "--algorithm", "exact", "--node-limit", "1"])
     assert code == 4
+
+
+def test_node_limited_da_brackets_the_optimum():
+    """An incomplete dual-ascent step's value is its incumbent, not a bound:
+    the report row must carry the proven lower bound instead."""
+    params = GeneratorConfig(mode="cost-consistent", open_range=(100, 300))
+    for seed in range(20):
+        inst = generate_instance(10, 7, seed, params)
+        opt = branch_and_bound(ProblemSpec.splpo(inst)).value
+        for limit in range(1, 11):
+            args = build_parser().parse_args(
+                ["solve", "unused", "--algorithm", "da", "--node-limit", str(limit)])
+            row, sol = _run_algorithm(inst, "da", args)
+            assert row.lower_bound <= opt, (seed, limit, row.lower_bound, opt)
+            if sol is not None:
+                assert sol.provenance == {"algorithm": "dual_ascent"}
+                assert opt <= row.best_ub == sol.objective, (seed, limit, row.best_ub, opt)
 
 
 def test_trace_and_ada_json_helpers(toy_file):

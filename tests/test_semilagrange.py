@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    UNASSIGNED,
     DaConfig,
     ProblemSpec,
     branch_and_bound,
@@ -13,10 +14,9 @@ from splpo import (
     cost_ladder,
     dual_ascent,
     place_gamma,
-    slr_subgradient,
     solve_slr,
 )
-from splpo.semilagrange import DualAscent, GammaState, ascend, feasible_solution_from
+from splpo.semilagrange import DualAscent, GammaState, ascend
 
 from conftest import cheap_open_instance, random_instance
 
@@ -60,6 +60,50 @@ def test_place_gamma_requires_positive_epsilon(toy):
         place_gamma(cost_ladder(toy), [0.0, 0.0], 0.0)
 
 
+@pytest.mark.parametrize("gamma0", [
+    [0.0, 0.0, 0.0, 0.0],  # length m + 2 would be truncated
+    [1.0],  # length 1 would be broadcast
+    5.0,
+    [[0.0, 0.0]],
+    [float("nan"), 0.0],  # NaN would pin to cp
+], ids=["too_long", "too_short", "scalar", "two_dim", "nan"])
+def test_place_gamma_rejects_malformed_gamma0(toy, gamma0):
+    with pytest.raises(ValueError):
+        place_gamma(cost_ladder(toy), gamma0, 0.5)
+    with pytest.raises(ValueError):
+        dual_ascent(toy, gamma0)
+
+
+def _place_one(row, cp, g, epsilon):
+    """The placement rule for one customer, written out case by case."""
+    n = len(row)
+    k = int(np.searchsorted(row, g, side="left"))
+    if k == 0:
+        return row[0] + epsilon, 1
+    if k < n:
+        return row[k - 1] + epsilon, k
+    if g < cp:
+        return min(row[n - 1] + epsilon, cp), n
+    return cp, n + 1
+
+
+@given(st.integers(0, 300), st.sampled_from([0.25, 3.0]))
+def test_place_gamma_matches_the_per_customer_rule(seed, epsilon):
+    inst = random_instance(seed, m_max=6, n_max=6)
+    lad = cost_ladder(inst)
+    rng = np.random.default_rng(seed)
+    # Starts below, inside and above the ladder, on its costs and at cp.
+    gamma0 = rng.uniform(-1, lad.cp * 1.3)
+    on_cost = rng.random(inst.m) < 0.3
+    gamma0[on_cost] = lad.sorted_costs[on_cost, rng.integers(0, inst.n, on_cost.sum())]
+    at_cp = rng.random(inst.m) < 0.2
+    gamma0[at_cp] = lad.cp[at_cp]
+    st_ = place_gamma(lad, gamma0, epsilon)
+    for i in range(inst.m):
+        expected = _place_one(lad.sorted_costs[i], lad.cp[i], gamma0[i], epsilon)
+        assert (st_.gamma[i], st_.interval_index[i]) == expected
+
+
 @given(st.integers(0, 300))
 def test_place_gamma_lands_above_cheapest(seed):
     inst = random_instance(seed, m_max=6, n_max=6)
@@ -77,21 +121,21 @@ def test_place_gamma_lands_above_cheapest(seed):
 def test_solve_slr_at_ceiling_serves_all(toy):
     slr = solve_slr(toy, state_at(toy, [6.0, 7.0]))
     assert slr.value == 8.0
-    assert slr.all_served
-    assert np.array_equal(slr_subgradient(slr), [0, 0])
+    assert slr.solution.open_facilities
+    assert not (slr.solution.assign == UNASSIGNED).any()
 
 
 def test_solve_slr_small_gamma_leaves_all_unserved(toy):
     slr = solve_slr(toy, state_at(toy, [2.5, 2.5]))
     assert slr.value == 5.0
-    assert slr.open_facilities == frozenset()
-    assert np.array_equal(slr_subgradient(slr), [1, 1])
+    assert slr.solution.open_facilities == frozenset()
+    assert (slr.solution.assign == UNASSIGNED).all()
 
 
 def test_solve_slr_zero_gamma(toy):
     slr = solve_slr(toy, state_at(toy, [0.0, 0.0]))
     assert slr.value == 0.0
-    assert not slr.served.any()
+    assert (slr.solution.assign == UNASSIGNED).all()
 
 
 # --- ascent ------------------------------------------------------------------
@@ -99,22 +143,31 @@ def test_solve_slr_zero_gamma(toy):
 
 def test_ascend_moves_one_rung(toy):
     st_ = place_gamma(cost_ladder(toy), [0.0, 0.0], 0.5)
-    st2 = ascend(st_, np.array([1, 1]))
+    st2 = ascend(st_)
     assert np.array_equal(st2.gamma, [5.5, 4.5])
     assert np.array_equal(st2.interval_index, [2, 2])
 
 
-def test_ascend_masked_component(toy):
-    st_ = place_gamma(cost_ladder(toy), [0.0, 0.0], 0.5)
-    st2 = ascend(st_, np.array([0, 1]))
-    assert st2.gamma[0] == st_.gamma[0]
-    assert st2.gamma[1] == 4.5
+@given(st.integers(0, 200), st.sampled_from([0.25, 3.0]))
+def test_ascend_moves_every_rung(seed, epsilon):
+    inst = random_instance(seed, m_max=6, n_max=6)
+    lad = cost_ladder(inst)
+    n = inst.n
+    st_ = place_gamma(lad, np.random.default_rng(seed).uniform(0, lad.cp * 1.2), epsilon)
+    for _ in range(n + 1):
+        st2 = ascend(st_)
+        assert np.array_equal(st2.interval_index, np.minimum(st_.interval_index + 1, n + 1))
+        for i, rung in enumerate(st2.interval_index):
+            top = lad.cp[i] if rung > n else min(lad.sorted_costs[i, rung - 1] + epsilon, lad.cp[i])
+            assert st2.gamma[i] == top
+        st_ = st2
+    assert (st_.interval_index == n + 1).all()
 
 
 def test_ascend_sticks_at_ceiling(toy):
     lad = cost_ladder(toy)
     st_ = place_gamma(lad, lad.cp, 0.5)
-    st2 = ascend(st_, np.array([1, 1]))
+    st2 = ascend(st_)
     assert np.array_equal(st2.gamma, lad.cp)
 
 
@@ -126,7 +179,7 @@ def test_dual_ascent_toy_trace(toy):
     assert res.status == "optimal"
     assert [row.value for row in res.trace] == [5.0, 8.0]
     assert [row.served for row in res.trace] == [0, 2]
-    assert res.best_value == 8.0
+    assert res.best_lower_bound == 8.0
     assert np.array_equal(res.state.gamma, [5.5, 4.5])
 
 
@@ -135,7 +188,7 @@ def test_dual_ascent_from_ceiling_stops_immediately(toy):
     res = dual_ascent(toy, cp, DaConfig(epsilon=0.5))
     assert res.status == "optimal"
     assert len(res.trace) == 1 and res.trace[0].iteration == 0
-    assert res.best_value == 8.0
+    assert res.best_lower_bound == 8.0
 
 
 def test_dual_ascent_iteration_cap(toy):
@@ -154,8 +207,7 @@ def test_dual_ascent_propagates_engine_limits():
 
 def test_dual_ascent_solution_is_feasible_at_optimum(toy):
     res = dual_ascent(toy, np.zeros(2), DaConfig(epsilon=0.5))
-    sol = feasible_solution_from(res.last, toy)
-    assert sol is not None
+    sol = res.last.solution
     assert check_feasible(toy, sol) == []
     assert sol.objective == 8.0
 
@@ -166,7 +218,7 @@ def test_dual_ascent_closes_the_gap(seed):
     res = dual_ascent(inst, np.zeros(inst.m), DaConfig())
     opt = brute_force(ProblemSpec.splpo(inst)).value
     assert res.status == "optimal"
-    assert res.best_value == pytest.approx(opt, abs=1e-9)
+    assert res.best_lower_bound == pytest.approx(opt, abs=1e-9)
     values = [row.value for row in res.trace]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -179,7 +231,7 @@ def test_dual_ascent_from_ceiling_property(seed):
     opt = brute_force(ProblemSpec.splpo(inst)).value
     assert res.status == "optimal"
     assert len(res.trace) == 1
-    assert res.best_value == pytest.approx(opt, abs=1e-9)
+    assert res.best_lower_bound == pytest.approx(opt, abs=1e-9)
 
 
 @given(st.integers(0, 60))
@@ -188,8 +240,8 @@ def test_gamma_below_cheapest_cost_serves_nobody(seed):
     lad = cost_ladder(inst)
     gamma = lad.sorted_costs[:, 0] * 0.5  # strictly below every cheapest cost
     slr = solve_slr(inst, state_at(inst, gamma))
-    assert not slr.served.any()
-    assert np.array_equal(slr_subgradient(slr), np.ones(inst.m, dtype=int))
+    assert slr.solution.open_facilities == frozenset()
+    assert (slr.solution.assign == UNASSIGNED).all()
 
 
 @given(st.integers(0, 40))
@@ -215,7 +267,7 @@ def test_dual_ascent_lower_bound_never_exceeds_the_optimum():
         opt = branch_and_bound(ProblemSpec.splpo(inst)).value
         res = dual_ascent(inst, np.zeros(inst.m))
         assert res.status == "optimal"
-        assert res.best_value <= opt
+        assert max(row.value for row in res.trace) <= opt
         assert res.best_lower_bound <= opt
 
 
@@ -248,8 +300,34 @@ def test_resumed_dual_ascent_equals_fresh_steps(kind, monkeypatch):
             fresh_ascent.status, fresh_ascent.best_lower_bound)
         for a, b in zip(steps, fresh_steps, strict=True):
             assert (a.value, a.status, a.lower_bound) == (b.value, b.status, b.lower_bound)
-            assert a.open_facilities == b.open_facilities
-            assert np.array_equal(a.assign, b.assign)
+            assert a.solution.open_facilities == b.solution.open_facilities
+            assert np.array_equal(a.solution.assign, b.solution.assign)
         # Every step after the first resumes the last, so together they
         # evaluate the nodes of one fresh search at the final gamma.
         assert sum(a.nodes for a in steps) == fresh_steps[-1].nodes
+
+
+@pytest.mark.parametrize("kind", ["integer", "float"])
+def test_every_step_serves_everyone_or_no_one(kind):
+    # The fact dual ascent rests on: the preference constraints make any
+    # non-empty open set serve every customer, so a step either opens
+    # nothing at sum(gamma) or opens something and ends the ascent.
+    for seed in range(30):
+        inst = cheap_open_instance(seed, integer=kind == "integer")
+        cp = cost_ladder(inst).cp
+        starts = [np.zeros(inst.m), np.random.default_rng(seed).uniform(0, cp), cp * 1.5]
+        for gamma0 in starts:
+            ascent = DualAscent(inst, gamma0, DaConfig())
+            while not ascent.done:
+                gamma = ascent.state.gamma
+                res = ascent.step()
+                assign = res.solution.assign
+                if res.solution.open_facilities:
+                    assert not (assign == UNASSIGNED).any()
+                    assert ascent.done and ascent.status == "optimal"
+                else:
+                    assert res.value == float(gamma.sum())
+                    assert (assign == UNASSIGNED).all()
+                    assert ascent.trace[-1].served == 0
+            assert ascent.status == "optimal"
+            assert ascent.trace[-1].served == inst.m

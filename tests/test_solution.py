@@ -25,7 +25,6 @@ from splpo import (
     solution_to_json,
 )
 from splpo.exact import _Context
-from splpo.semilagrange import feasible_solution_from
 from splpo.solution import _round_from_assign, open_mask
 
 from conftest import random_instance
@@ -216,7 +215,7 @@ def test_one_price_per_open_set():
         if seed < 5:
             da = dual_ascent(inst, np.zeros(inst.m))
             assert da.status == "optimal"
-            produced.append(feasible_solution_from(da.last, inst))
+            produced.append(da.last.solution)
         for sol in produced:
             value, assign = ctx.evaluate(open_mask(inst, sol.open_facilities))
             assert np.array_equal(assign, sol.assign)
