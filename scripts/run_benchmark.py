@@ -2,8 +2,10 @@
 """Desk-scale benchmark sweep.
 
 Generates seeded instance suites, runs the bound heuristics, the subgradient
-and dual-ascent bounds, the full pipeline, and the exact engine, and writes
-per-algorithm comparison tables (CSV) plus a pipeline summary table.
+and dual-ascent bounds, the full pipeline, and the exact engine through
+`splpo bench`, and writes its per-algorithm comparison table (CSV) plus a
+pipeline summary table read from the `ada` and `exact` rows of that table
+(both are added to --algorithms when missing).
 
     python scripts/run_benchmark.py --out results/ --seeds 4
     python scripts/run_benchmark.py --sizes 40x25,60x40 --algorithms hc,hs,ada,exact
@@ -12,20 +14,10 @@ per-algorithm comparison tables (CSV) plus a pipeline summary table.
 import argparse
 import csv
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
-from splpo import (
-    ProblemSpec,
-    ada,
-    ada_table_row,
-    branch_and_bound,
-    generate_instance,
-    preset_config,
-)
 from splpo.cli import main as cli_main
+from splpo.report import RunReport
 
 
 def parse_sizes(text):
@@ -45,6 +37,9 @@ def main(argv=None):
     parser.add_argument("--algorithms", default="hc,hs,sg,da,ada,exact")
     args = parser.parse_args(argv)
 
+    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    algorithms += [a for a in ("ada", "exact") if a not in algorithms]
+
     args.out.mkdir(parents=True, exist_ok=True)
     inst_dir = args.out / "instances"
 
@@ -60,27 +55,34 @@ def main(argv=None):
 
     bench_csv = args.out / "bench.csv"
     code = cli_main([
-        "bench", *paths, "--algorithms", args.algorithms, "--out", str(bench_csv),
+        "bench", *paths, "--algorithms", ",".join(algorithms), "--out", str(bench_csv),
     ])
     if code != 0:
         return code
 
-    # Pipeline summary table with per-size presets and exact reference values.
+    # Pipeline summary table, in size-then-seed order; the bench table holds
+    # the pipeline's rows (per-size presets) and the exact reference values.
+    report = RunReport.from_csv(bench_csv.read_text())
+    bench = {(row.prob, row.algorithm): row for row in report.rows}
     summary_path = args.out / "ada_summary.csv"
     rows = []
     for m, n in args.sizes:
-        cfg = preset_config((m, n))
         for k in range(args.seeds):
             name = f"a{m}_{n}_{k + 1}"
-            inst = generate_instance(m, n, args.seed0 + k, name=name)
-            t0 = time.perf_counter()
-            opt = branch_and_bound(ProblemSpec.splpo(inst)).value
-            exact_t = time.perf_counter() - t0
-            result = ada(inst, cfg)
-            row = ada_table_row(name, result, opt=opt)
-            row["exact_t"] = round(exact_t, 3)
+            ada_row = bench[(name, "ada")]
+            row = {
+                "Prob": name,
+                "Optimal?": (ada_row.gap_abs is not None and abs(ada_row.gap_abs) <= 1e-9) or None,
+                "bestUB": ada_row.best_ub,
+                "LB": ada_row.lower_bound,
+                "y_j": ada_row.y_count,
+                "t": ada_row.time_s,
+                "Tt": ada_row.total_time_s,
+                "GAP_o%": ada_row.gap_pct,
+                "exact_t": bench[(name, "exact")].total_time_s,
+            }
             rows.append(row)
-            print(f"{name}: opt={opt:.0f} ada={result.best_ub:.0f} "
+            print(f"{name}: opt={ada_row.opt:.0f} ada={ada_row.best_ub:.0f} "
                   f"gap={row['GAP_o%']:.3f}% Tt={row['Tt']}s")
     with summary_path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -89,7 +91,7 @@ def main(argv=None):
 
     print(f"\nwrote {bench_csv} and {summary_path}")
     gaps = [row["GAP_o%"] for row in rows]
-    print(f"pipeline mean gap: {np.mean(gaps):.3f}% over {len(gaps)} instances")
+    print(f"pipeline mean gap: {sum(gaps) / len(gaps):.3f}% over {len(gaps)} instances")
     return 0
 
 

@@ -28,15 +28,7 @@ from .lagrange import (
     solve_lr,
     subgradient_method,
 )
-from .report import (
-    ReportRow,
-    RunReport,
-    ada_result_json,
-    ada_table_row,
-    config_hash,
-    gap_fields,
-    trace_to_csv,
-)
+from .report import ReportRow, RunReport, config_hash, gap_fields
 from .semilagrange import (
     DaConfig,
     DualAscent,

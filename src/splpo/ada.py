@@ -14,10 +14,10 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .exact import ProblemSpec, branch_and_bound
+from .exact import ProblemSpec, branch_and_bound, check_limits
 from .instance import Instance, facility_sort_keys
 from .lagrange import SgConfig, SgResult, default_start, subgradient_method
-from .semilagrange import DaConfig, DualAscent
+from .semilagrange import DaConfig, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
@@ -28,6 +28,10 @@ class AdaConfig:
     sg_iter, da_iter, and vfh_iter are iteration budgets for the warm-up,
     the plain ascent stage, and the ascent+fixing rounds. ps is the fraction
     of the currently open facilities forced open by each fixing pass.
+    node_limit applies to each engine call. time_limit, in seconds, is one
+    budget for the whole pipeline call: dual ascent and every fixing solve
+    get the time left, so a stage that starts after it expires returns the
+    engine's incumbent at once.
     """
 
     sg_iter: int = 50
@@ -43,6 +47,7 @@ class AdaConfig:
             raise ValueError("iteration budgets must be nonnegative")
         if not 0.0 <= self.ps <= 1.0:
             raise ValueError("ps must lie in [0, 1]")
+        check_limits(self.node_limit, self.time_limit)
 
 
 # Empirical budgets per (m, n) bucket; ps = 0.25 throughout.
@@ -121,8 +126,6 @@ class AdaResult:
     vfh_solutions: list = field(default_factory=list)
     hc_solution: Solution | None = None
     timings: dict = field(default_factory=dict)
-    stages_completed: list = field(default_factory=list)
-    config: AdaConfig | None = None
 
     @property
     def best_lb(self) -> float:
@@ -134,18 +137,21 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
 
     Stages: greedy bound, subgradient warm-up from mu_i = min_j (c[i,j]+f[j]),
     dual ascent seeded with the warm-up's best multipliers, then vfh_iter
-    rounds of one ascent iteration followed by a variable-fixing solve; once
-    the ascent is done, later rounds repeat the last solve's solution instead
-    of solving the same problem again. A stage failure leaves earlier results
-    intact; completed stages are listed in the result.
+    rounds of one ascent iteration followed by a variable-fixing solve. A
+    round whose input open set equals the latest solve's (the empty set
+    while the ascent opens nothing, the final set once it is done) repeats
+    that solve's solution instead of solving the same problem again.
     """
+    deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
+
+    def time_left():
+        return None if deadline is None else max(0.0, deadline - time.monotonic())
+
     timings: dict = {}
-    stages: list = []
 
     t0 = time.perf_counter()
     hc_sol, _ = heuristic_hc(inst)
     timings["hc"] = time.perf_counter() - t0
-    stages.append("hc")
 
     t0 = time.perf_counter()
     sg = subgradient_method(
@@ -154,46 +160,30 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
         start=default_start(inst),
     )
     timings["sg"] = time.perf_counter() - t0
-    stages.append("sg")
 
-    da_cfg = DaConfig(
-        epsilon=cfg.epsilon, node_limit=cfg.node_limit, time_limit=cfg.time_limit
-    )
-    driver = DualAscent(inst, sg.best_mu, da_cfg)
     t0 = time.perf_counter()
-    for _ in range(cfg.da_iter):
-        if driver.done:
-            break
-        driver.step()
+    da_cfg = DaConfig(
+        epsilon=cfg.epsilon, max_iter=cfg.da_iter, node_limit=cfg.node_limit, time_limit=time_left()
+    )
+    driver = dual_ascent(inst, sg.best_mu, da_cfg)
     timings["da"] = time.perf_counter() - t0
-    stages.append("da")
 
     vfh_solutions: list[Solution] = []
-    fixed_from = None  # the subproblem solution the latest round fixed from
+    fixed_from = None  # the input open set of the latest solve
     t0 = time.perf_counter()
     for round_no in range(cfg.vfh_iter):
-        last = driver.last
         if not driver.done:
-            last = driver.step()
-        if last is None:
-            break
-        if last is fixed_from:
-            # Once DA is done every round gets the same input: reuse the solve.
+            driver.step()
+        open_now = driver.last.solution.open_facilities
+        if open_now == fixed_from:
             prev = vfh_solutions[-1]
             sol = replace(prev, provenance={**prev.provenance, "round": round_no})
         else:
-            sol = vfh(
-                inst,
-                last.solution.open_facilities,
-                cfg.ps,
-                node_limit=cfg.node_limit,
-                time_limit=cfg.time_limit,
-            )
+            sol = vfh(inst, open_now, cfg.ps, node_limit=cfg.node_limit, time_limit=time_left())
             sol.provenance["round"] = round_no
-            fixed_from = last
+            fixed_from = open_now
         vfh_solutions.append(sol)
     timings["vfh"] = time.perf_counter() - t0
-    stages.append("vfh")
 
     candidates = [hc_sol] + vfh_solutions
     feasible = [s for s in candidates if not check_feasible(inst, s)]
@@ -210,8 +200,6 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
         vfh_solutions=vfh_solutions,
         hc_solution=hc_sol,
         timings=timings,
-        stages_completed=stages,
-        config=cfg,
     )
 
 

@@ -303,6 +303,15 @@ def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
     return resume.frontier.entries[::-1]
 
 
+def check_limits(node_limit: int | None, time_limit: float | None) -> None:
+    """Raise ValueError unless each limit is None or a nonnegative number."""
+    # Written as "not >= 0" so that NaN fails too.
+    if node_limit is not None and not node_limit >= 0:
+        raise ValueError(f"node_limit must be nonnegative, got {node_limit!r}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be a nonnegative number, got {time_limit!r}")
+
+
 def branch_and_bound(
     spec: ProblemSpec,
     node_limit: int | None = None,
@@ -320,7 +329,8 @@ def branch_and_bound(
     the incumbent prunes its subtree. After each opening decision the current
     open set itself is evaluated as a candidate solution, which covers every
     reachable leaf. With limits exhausted the result is flagged incomplete
-    and carries a still-valid lower bound.
+    and carries a still-valid lower bound. A negative or NaN limit raises
+    ValueError.
 
     resume, an earlier result on the same instance whose frontier is set,
     continues that search at this spec's gamma instead of starting from the
@@ -332,6 +342,7 @@ def branch_and_bound(
     bound, incumbent_value) for every node this call evaluates
     (instrumentation only).
     """
+    check_limits(node_limit, time_limit)
     ctx = _Context(spec)
     inst = spec.inst
     # Nodes with nothing open lie on the chain of closed children below the
@@ -526,4 +537,5 @@ __all__ = [
     "ProblemSpec",
     "branch_and_bound",
     "brute_force",
+    "check_limits",
 ]

@@ -89,72 +89,4 @@ class RunReport:
         return RunReport(rows=[ReportRow(**rec) for rec in json.loads(text)])
 
 
-def trace_to_csv(rows) -> str:
-    """Render a list of trace-row dataclasses (any flavour) as CSV text."""
-    if not rows:
-        return ""
-    names = [f.name for f in fields(rows[0])]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(asdict(row))
-    return buf.getvalue()
-
-
-def ada_result_json(result, prob: str = "", opt: float | None = None) -> str:
-    """Full pipeline result as a JSON document (1-based facility ids)."""
-    gap_abs, gap_pct = gap_fields(result.best_ub, opt)
-    best = result.best_solution
-    doc = {
-        "prob": prob,
-        "best_ub": result.best_ub,
-        "lb_sg": result.lb_sg,
-        "lb_da": None if math.isinf(result.lb_da) else result.lb_da,
-        "best_lb": None if math.isinf(result.best_lb) else result.best_lb,
-        "gap_abs": gap_abs,
-        "gap_pct": gap_pct,
-        "solution": {
-            "open": [j + 1 for j in sorted(best.open_facilities)],
-            "assign": [int(j) + 1 for j in best.assign],
-            "provenance": best.provenance,
-        },
-        "sg": {"status": result.sg.status, "iterations": result.sg.iterations,
-               "best_iteration": result.sg.best_iteration},
-        "da": {"status": result.da_status,
-               "values": [row.value for row in result.da_trace]},
-        "vfh_rounds": [
-            {"objective": s.objective, "provenance": s.provenance}
-            for s in result.vfh_solutions
-        ],
-        "timings": result.timings,
-        "stages_completed": result.stages_completed,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def ada_table_row(prob: str, result, opt: float | None = None) -> dict:
-    """Summary row for a pipeline result with the benchmark-table header set."""
-    gap_abs, gap_pct = gap_fields(result.best_ub, opt)
-    total = sum(result.timings.values())
-    return {
-        "Prob": prob,
-        "Optimal?": (gap_abs is not None and abs(gap_abs) <= 1e-9) or None,
-        "bestUB": result.best_ub,
-        "LB": result.best_lb,
-        "y_j": len(result.best_solution.open_facilities),
-        "t": round(result.timings.get("vfh", 0.0) + result.timings.get("da", 0.0), 3),
-        "Tt": round(total, 3),
-        "GAP_o%": gap_pct,
-    }
-
-
-__all__ = [
-    "ReportRow",
-    "RunReport",
-    "ada_result_json",
-    "ada_table_row",
-    "config_hash",
-    "gap_fields",
-    "trace_to_csv",
-]
+__all__ = ["ReportRow", "RunReport", "config_hash", "gap_fields"]

@@ -15,11 +15,12 @@ need to exceed cp_i = max_j (c[i, j] + f[j]).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exact import ExactResult, ProblemSpec, branch_and_bound
+from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits
 from .instance import CostLadder, Instance, cost_ladder, default_epsilon
 
 
@@ -109,15 +110,20 @@ class DaConfig:
 
     max_iter None means run until a subproblem opens something. epsilon None
     derives the rung offset from the ladder (half the smallest positive cost
-    gap). node_limit and time_limit apply to each subproblem solve. Each step
-    resumes the previous step's search, so node_limit counts only the nodes
-    a step newly expands.
+    gap). node_limit applies to each subproblem solve; each step resumes the
+    previous step's search, so it counts only the nodes a step newly
+    expands. time_limit, in seconds, is one budget for the whole driver: its
+    deadline is fixed when the driver is built, and each step gets the time
+    left. A negative or NaN limit raises ValueError.
     """
 
     epsilon: float | None = None
     max_iter: int | None = None
     node_limit: int | None = None
     time_limit: float | None = None
+
+    def __post_init__(self):
+        check_limits(self.node_limit, self.time_limit)
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,7 @@ class DualAscent:
         ladder = cost_ladder(inst)
         eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(ladder)
         self.state = place_gamma(ladder, gamma0, eps)
+        self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         self.iterations = 0
         self.trace: list[DaTraceRow] = []
         self.last: ExactResult | None = None
@@ -156,11 +163,12 @@ class DualAscent:
 
     def step(self) -> ExactResult:
         """Run one iteration; sets done/status when no further progress is possible."""
+        time_left = None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
         res = solve_slr(
             self.inst,
             self.state,
             node_limit=self.cfg.node_limit,
-            time_limit=self.cfg.time_limit,
+            time_limit=time_left,
             resume=self.last,
         )
         self.last = res

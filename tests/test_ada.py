@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,10 @@ from splpo import (
     PRESETS,
     ProblemSpec,
     ada,
-    ada_table_row,
+    branch_and_bound,
     brute_force,
     check_feasible,
+    generate_instance,
     heuristic_hc,
     preset_config,
     vfh,
@@ -52,8 +54,23 @@ def test_vfh_flags_incomplete_engine():
     assert capped.objective >= full.objective
 
 
-@pytest.mark.parametrize("da_iter, solves", [(5, 1), (0, 2)])
-def test_vfh_solves_each_subproblem_solution_once(monkeypatch, da_iter, solves):
+@pytest.mark.parametrize(
+    "make, sg_iter, da_iter, steps, repeated",
+    [
+        # DA takes two steps here, so it is done within da_iter=5 and after
+        # the second VFH round with da_iter=0; every later round repeats the
+        # input.
+        pytest.param(lambda: random_instance(4), 10, 5, 2, {1, 2}, id="5-1"),
+        pytest.param(lambda: random_instance(4), 10, 0, 2, {2}, id="0-2"),
+        # Three DA steps with da_iter=0: rounds 0 and 1 both open nothing, so
+        # round 1 repeats round 0's unrestricted solve.
+        pytest.param(
+            lambda: generate_instance(40, 25, 1), 50, 0, 3, {1}, id="0-2-empty-twice"),
+    ],
+)
+def test_vfh_solves_each_subproblem_solution_once(
+    monkeypatch, make, sg_iter, da_iter, steps, repeated
+):
     # splpo.ada is rebound to the function, so reach the module itself.
     module = sys.modules["splpo.ada"]
     calls = []
@@ -63,25 +80,52 @@ def test_vfh_solves_each_subproblem_solution_once(monkeypatch, da_iter, solves):
         return vfh(*args, **kwargs)
 
     monkeypatch.setattr(module, "vfh", counting_vfh)
-    inst = random_instance(4)
-    res = ada(inst, AdaConfig(sg_iter=10, da_iter=da_iter, vfh_iter=3))
-    # DA takes two steps here, so it is done within da_iter=5 and after the
-    # second VFH round with da_iter=0; every later round repeats the input.
-    assert res.da_status == "optimal" and len(res.da_trace) == 2
-    assert len(calls) == solves
+    res = ada(make(), AdaConfig(sg_iter=sg_iter, da_iter=da_iter, vfh_iter=3))
+    assert res.da_status == "optimal" and len(res.da_trace) == steps
+    assert len(calls) == 3 - len(repeated)
     assert [s.provenance["round"] for s in res.vfh_solutions] == [0, 1, 2]
-    last = res.vfh_solutions[solves - 1]
-    for sol in res.vfh_solutions[solves:]:
-        assert sol.objective == last.objective
-        assert sol.open_facilities == last.open_facilities
-        assert {**sol.provenance, "round": None} == {**last.provenance, "round": None}
+    for round_no in repeated:
+        prev, sol = res.vfh_solutions[round_no - 1 : round_no + 1]
+        assert sol.objective == prev.objective
+        assert sol.open_facilities == prev.open_facilities
+        assert {**sol.provenance, "round": None} == {**prev.provenance, "round": None}
+
+
+def test_time_limit_is_one_budget_for_the_whole_call(monkeypatch):
+    # A fake clock that moves only when an engine call returns, one second
+    # per call; within a call it stands still, so a call times out only when
+    # it is given no time at all.
+    clock = [0.0]
+    fake_time = SimpleNamespace(monotonic=lambda: clock[0], perf_counter=lambda: clock[0])
+    limits = []
+
+    def one_second_engine(*args, time_limit=None, **kwargs):
+        limits.append(time_limit)
+        res = branch_and_bound(*args, time_limit=time_limit, **kwargs)
+        clock[0] += 1.0
+        return res
+
+    for name in ("ada", "semilagrange", "exact"):
+        monkeypatch.setattr(sys.modules[f"splpo.{name}"], "time", fake_time)
+    for name in ("ada", "semilagrange"):
+        monkeypatch.setattr(sys.modules[f"splpo.{name}"], "branch_and_bound", one_second_engine)
+    inst = generate_instance(40, 25, 1)
+    res = ada(inst, AdaConfig(sg_iter=50, da_iter=1, vfh_iter=3, time_limit=2.5))
+    # DA step, DA step, VFH solve of the empty set, then a DA step and a VFH
+    # solve with no time left. That DA step still ends optimal (its resumed
+    # search replays the last frontier and expands no node); the VFH solve
+    # stops at its warm start, and round 2 repeats it.
+    assert limits == [2.5, 1.5, 0.5, 0.0, 0.0]
+    assert res.da_status == "optimal" and len(res.da_trace) == 3
+    assert [s.provenance["heuristic"] for s in res.vfh_solutions] == [False, True, True]
+    assert res.best_lb <= res.best_ub
+    assert all(check_feasible(inst, s) == [] for s in res.vfh_solutions)
 
 
 def test_ada_toy_reaches_optimum(toy):
     res = ada(toy, AdaConfig(sg_iter=10, da_iter=2, vfh_iter=1, ps=0.5))
     assert res.best_ub == 8.0
     assert res.best_lb <= 8.0 + 1e-9
-    assert res.stages_completed == ["hc", "sg", "da", "vfh"]
     assert check_feasible(toy, res.best_solution) == []
 
 
@@ -108,6 +152,10 @@ def test_ada_config_validation():
         AdaConfig(ps=1.5)
     with pytest.raises(ValueError):
         AdaConfig(sg_iter=-1)
+    with pytest.raises(ValueError):
+        AdaConfig(time_limit=float("nan"))
+    with pytest.raises(ValueError):
+        AdaConfig(node_limit=-1)
 
 
 @given(st.integers(0, 40))
@@ -143,13 +191,3 @@ def test_ada_zero_budgets(toy):
     # only the greedy candidate remains
     assert res.best_ub == 8.0
     assert res.vfh_solutions == []
-
-
-def test_ada_table_row(toy):
-    res = ada(toy, AdaConfig(sg_iter=5, da_iter=1, vfh_iter=1, ps=0.5))
-    row = ada_table_row("toy", res, opt=8.0)
-    assert row["Prob"] == "toy"
-    assert row["bestUB"] == 8.0
-    assert row["GAP_o%"] == 0.0
-    assert row["Optimal?"] is True
-    assert row["y_j"] >= 1

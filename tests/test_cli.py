@@ -278,23 +278,14 @@ def test_node_limited_da_brackets_the_optimum():
                 assert opt <= row.best_ub == sol.objective, (seed, limit, row.best_ub, opt)
 
 
-def test_trace_and_ada_json_helpers(toy_file):
-    from splpo import AdaConfig, SgConfig, ada, ada_result_json, subgradient_method, trace_to_csv
-
-    inst = parse_instance(TOY_DOC, name="toy")
-    sg = subgradient_method(inst, SgConfig(max_iter=3))
-    text = trace_to_csv(sg.trace)
-    lines = text.splitlines()
-    assert lines[0] == "iteration,lr_value,lr_best,beta,alpha,s_norm_sq"
-    assert len(lines) == len(sg.trace) + 1
-    assert trace_to_csv([]) == ""
-
-    res = ada(inst, AdaConfig(sg_iter=3, da_iter=1, vfh_iter=1, ps=0.5))
-    doc = json.loads(ada_result_json(res, prob="toy", opt=8.0))
-    assert doc["best_ub"] == 8.0
-    assert doc["gap_pct"] == 0.0
-    assert doc["solution"]["open"] and min(doc["solution"]["open"]) >= 1
-    assert doc["stages_completed"] == ["hc", "sg", "da", "vfh"]
+@pytest.mark.parametrize("algorithm", ["exact", "da", "ada"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--node-limit", "-1")],
+    ids=["nan-time", "negative-time", "negative-nodes"],
+)
+def test_solve_rejects_malformed_limits(toy_file, algorithm, flag, value):
+    assert main(["solve", str(toy_file), "--algorithm", algorithm, flag, value]) == EXIT_USAGE
 
 
 def test_every_algorithm_brackets_the_optimum():

@@ -126,6 +126,18 @@ def test_time_limit_trips():
     assert res.status == "incomplete"
 
 
+@pytest.mark.parametrize(
+    "limit",
+    [{"time_limit": math.nan}, {"time_limit": -0.5}, {"node_limit": -1}],
+    ids=["nan-time", "negative-time", "negative-nodes"],
+)
+def test_malformed_limits_are_rejected(limit):
+    inst = random_instance(3)
+    for spec in (ProblemSpec.splpo(inst), ProblemSpec.slr(inst, np.ones(inst.m))):
+        with pytest.raises(ValueError):
+            branch_and_bound(spec, **limit)
+
+
 @pytest.mark.parametrize("limit", [{"node_limit": 0}, {"time_limit": 0.0}])
 def test_splpo_always_returns_a_solution(limit):
     # The greedy warm start is evaluated before the first limit check, so even

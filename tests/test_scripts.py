@@ -1,5 +1,9 @@
+import csv
 import importlib.util
+import sys
 from pathlib import Path
+
+from splpo import ProblemSpec, RunReport, ada, branch_and_bound, generate_instance, preset_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,3 +20,45 @@ def test_run_benchmark_smoke(tmp_path):
     assert run_benchmark.main(["--out", str(tmp_path), "--sizes", "8x5", "--seeds", "1"]) == 0
     assert (tmp_path / "bench.csv").exists()
     assert (tmp_path / "ada_summary.csv").exists()
+
+
+def test_run_benchmark_summary_is_read_from_the_bench_rows(tmp_path, monkeypatch):
+    run_benchmark = load_script("run_benchmark")
+    cli = sys.modules["splpo.cli"]
+    calls = {"ada": [], "branch_and_bound": []}
+    for name in calls:
+        def counted(inst_or_spec, *args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name].append(getattr(inst_or_spec, "inst", inst_or_spec).name)
+            return _fn(inst_or_spec, *args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    argv = ["--out", str(tmp_path), "--sizes", "8x5,10x6", "--seeds", "2", "--algorithms", "hc"]
+    assert run_benchmark.main(argv) == 0
+
+    names = ["a8_5_1", "a8_5_2", "a10_6_1", "a10_6_2"]
+    # The pipeline and the exact engine each see every instance once; ada and
+    # exact join hc in the bench table because the summary needs them.
+    assert sorted(calls["ada"]) == sorted(calls["branch_and_bound"]) == sorted(names)
+    bench = RunReport.from_csv((tmp_path / "bench.csv").read_text()).rows
+    assert {(r.prob, r.algorithm) for r in bench} == {
+        (name, alg) for name in names for alg in ("hc", "ada", "exact")}
+    bench = {(r.prob, r.algorithm): r for r in bench}
+
+    with (tmp_path / "ada_summary.csv").open() as fh:
+        summary = list(csv.DictReader(fh))
+    assert [row["Prob"] for row in summary] == names
+    for row in summary:
+        name = row["Prob"]
+        m, n, seed = (int(x) for x in name[1:].split("_"))
+        inst = generate_instance(m, n, seed)
+        direct = ada(inst, preset_config((m, n)))
+        opt = branch_and_bound(ProblemSpec.splpo(inst)).value
+        ada_row = bench[(name, "ada")]
+        assert float(row["bestUB"]) == ada_row.best_ub == direct.best_ub
+        assert float(row["LB"]) == ada_row.lower_bound == direct.best_lb
+        assert int(row["y_j"]) == ada_row.y_count == len(direct.best_solution.open_facilities)
+        assert float(row["GAP_o%"]) == ada_row.gap_pct == 100.0 * (direct.best_ub - opt) / opt
+        assert row["Optimal?"] == ("True" if direct.best_ub == opt else "")
+        assert float(row["t"]) == ada_row.time_s
+        assert float(row["Tt"]) == ada_row.total_time_s
+        assert float(row["exact_t"]) == bench[(name, "exact")].total_time_s
