@@ -51,7 +51,9 @@ def main(argv=None):
         ])
         if code != 0:
             return code
-        paths.extend(sorted(str(p) for p in inst_dir.glob(f"a{m}_{n}_*.splpo")))
+        # Exactly this run's files, in seed order: a reused --out directory
+        # may hold more seeds of the same size from an earlier run.
+        paths += [str(inst_dir / f"a{m}_{n}_{k}.splpo") for k in range(1, args.seeds + 1)]
 
     bench_csv = args.out / "bench.csv"
     code = cli_main([

@@ -3,7 +3,7 @@ rankings: exact branch and bound, greedy bounds, Lagrangean and
 semi-Lagrangean duals, and the accelerated dual ascent pipeline."""
 
 from .ada import AdaConfig, AdaResult, PRESETS, ada, preset_config, vfh
-from .exact import ExactResult, InfeasibleError, ProblemSpec, branch_and_bound, brute_force
+from .exact import ExactResult, ProblemSpec, branch_and_bound, brute_force
 from .instance import (
     CostLadder,
     GeneratorConfig,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .exact import ProblemSpec, branch_and_bound, check_limits
 from .instance import Instance, facility_sort_keys
 from .lagrange import SgConfig, SgResult, default_start, subgradient_method
-from .semilagrange import DaConfig, dual_ascent
+from .semilagrange import DaConfig, check_epsilon, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
@@ -28,10 +28,11 @@ class AdaConfig:
     sg_iter, da_iter, and vfh_iter are iteration budgets for the warm-up,
     the plain ascent stage, and the ascent+fixing rounds. ps is the fraction
     of the currently open facilities forced open by each fixing pass.
-    node_limit applies to each engine call. time_limit, in seconds, is one
-    budget for the whole pipeline call: dual ascent and every fixing solve
-    get the time left, so a stage that starts after it expires returns the
-    engine's incumbent at once.
+    epsilon is dual ascent's rung offset (see DaConfig). node_limit applies
+    to each engine call. time_limit, in seconds, is one budget for the whole
+    pipeline call: dual ascent and every fixing solve get the time left, so
+    a stage that starts after it expires returns the engine's incumbent at
+    once.
     """
 
     sg_iter: int = 50
@@ -47,6 +48,7 @@ class AdaConfig:
             raise ValueError("iteration budgets must be nonnegative")
         if not 0.0 <= self.ps <= 1.0:
             raise ValueError("ps must lie in [0, 1]")
+        check_epsilon(self.epsilon)
         check_limits(self.node_limit, self.time_limit)
 
 

@@ -4,7 +4,7 @@
     splpo solve instances/a75_50_1.splpo --algorithm ada --preset a75_50
     splpo bench "instances/*.splpo" --algorithms hc,hs,exact --out report.csv
 
-Exit codes: 0 success, 2 usage error, 3 infeasible, 4 stopped at a limit.
+Exit codes: 0 success, 2 usage error, 4 stopped at a limit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .ada import AdaConfig, ada, preset_config
-from .exact import InfeasibleError, ProblemSpec, branch_and_bound, brute_force
+from .exact import ProblemSpec, branch_and_bound, brute_force
 from .instance import GeneratorConfig, Instance, generate_instance, parse_instance, write_instance
 from .lagrange import SgConfig, subgradient_method
 from .report import ReportRow, RunReport, config_hash, gap_fields
@@ -29,7 +29,6 @@ from .solution import heuristic_hc, heuristic_hs, solution_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_INFEASIBLE = 3
 EXIT_INCOMPLETE = 4
 
 ALGORITHMS = ("hc", "hs", "sg", "da", "ada", "exact", "brute")
@@ -168,7 +167,7 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
             res = brute_force(spec)
         solution, ub, lb, status = res.solution, res.value, res.lower_bound, res.status
         opt = res.value if res.status == "optimal" else None
-        y_count = len(res.solution.open_facilities) if res.solution else None
+        y_count = len(res.solution.open_facilities)
         iterations = res.nodes
     else:
         raise CliError(f"unknown algorithm {algorithm!r}")
@@ -228,8 +227,6 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     try:
         row, solution = _run_algorithm(inst, args.algorithm, args)
-    except InfeasibleError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -268,7 +265,7 @@ def cmd_bench(args) -> int:
         if not hits and Path(pattern).exists():
             hits = [pattern]
         paths.extend(hits)
-    paths = sorted(dict.fromkeys(paths))
+    paths = list(dict.fromkeys(paths))  # in the order given, each glob's hits sorted
     if not paths:
         raise CliError("no instances match the given patterns")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -288,7 +285,7 @@ def cmd_bench(args) -> int:
         for algorithm in algorithms:
             try:
                 row, _ = _run_algorithm(inst, algorithm, args)
-            except (InfeasibleError, ValueError) as exc:
+            except ValueError as exc:
                 per_instance.append(
                     ReportRow(prob=inst.name, algorithm=algorithm, status=f"error: {exc}")
                 )

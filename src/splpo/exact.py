@@ -70,17 +70,15 @@ KIND_SPLPO = "splpo"
 KIND_SLR = "slr"
 
 
-class InfeasibleError(RuntimeError):
-    """No open set satisfies the spec (for example, everything forced closed)."""
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """What to optimize: the original problem or its service-relaxed variant.
 
     gamma is only meaningful for kind "slr" (finite per-customer service
     credits); the slr kind also admits the empty open set, which serves no
-    one. forced_open facilities are charged and may not be closed.
+    one. forced_open facilities, valid for the splpo kind only, are charged
+    and may not be closed. Every spec therefore has a feasible open set, and
+    every search returns one.
     """
 
     kind: str
@@ -97,6 +95,8 @@ class ProblemSpec:
         else:
             if self.gamma is None:
                 raise ValueError("the slr kind requires gamma")
+            if self.forced_open:
+                raise ValueError("forced_open is only valid for the splpo kind")
             g = np.ascontiguousarray(self.gamma, dtype=float)
             if g.shape != (self.inst.m,):
                 raise ValueError(f"gamma must have shape ({self.inst.m},)")
@@ -143,7 +143,7 @@ class Frontier:
 @dataclass
 class ExactResult:
     value: float
-    solution: Solution | None
+    solution: Solution
     status: str  # "optimal" or "incomplete"
     lower_bound: float
     nodes: int
@@ -166,19 +166,17 @@ class _Context:
         for j in spec.forced_open:
             self.forced[j] = True
         self.gamma_sum = float(spec.gamma.sum()) if spec.kind == KIND_SLR else 0.0
-        # Only the slr kind may open nothing, and only with nothing forced open.
-        self.empty_feasible = spec.kind == KIND_SLR and not spec.forced_open
+        # Only the slr kind may open nothing.
+        self.empty_feasible = spec.kind == KIND_SLR
 
     def evaluate(self, open_mask: np.ndarray, rank: np.ndarray | None = None):
-        """Value and forced assignment of an open set; None if infeasible.
+        """Value and forced assignment of a feasible open set.
 
         rank is each customer's best preference rank over the open set; the
         search passes the one it keeps, other callers leave it to be derived.
         """
         if not open_mask.any():
-            if self.empty_feasible:
-                return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
-            return None
+            return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
         if rank is None:
             assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
         else:
@@ -295,8 +293,6 @@ def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
         raise ValueError("resume needs an slr search that ended at the empty set")
     if resume.frontier.inst is not ctx.inst:
         raise ValueError("resume belongs to a search on another instance")
-    if not ctx.empty_feasible:
-        raise ValueError("only an slr spec without forced-open facilities can resume")
     if ctx.gamma_sum < resume.frontier.gamma_sum:
         raise ValueError(
             f"resume needs sum(gamma) >= {resume.frontier.gamma_sum!r}, got {ctx.gamma_sum!r}")
@@ -379,7 +375,7 @@ def branch_and_bound(
             warm[j] = True
         value, assign = ctx.evaluate(warm)
         consider(value, warm, assign)
-    elif ctx.empty_feasible:
+    else:
         consider(ctx.gamma_sum, np.zeros(inst.n, dtype=bool))
         frontier = []
 
@@ -442,9 +438,6 @@ def branch_and_bound(
         stack.append((bound, depth + 1, node.closed_child(ctx, j), False))
         stack.append((bound, depth + 1, node.open_child(ctx, j), True))
 
-    if incumbent_mask is None and not aborted:
-        raise InfeasibleError("no feasible open set exists for this spec")
-
     if aborted:
         status = "incomplete"
         lower_bound = min(incumbent_value, frontier_bound)
@@ -453,17 +446,14 @@ def branch_and_bound(
         status = "optimal"
         lower_bound = incumbent_value
 
-    solution = None
-    if incumbent_mask is not None:
-        solution = _result_solution(
+    return ExactResult(
+        value=incumbent_value,
+        solution=_result_solution(
             incumbent_value,
             incumbent_mask,
             incumbent_assign,
             {"algorithm": "branch_and_bound", "kind": spec.kind, "status": status},
-        )
-    return ExactResult(
-        value=incumbent_value,
-        solution=solution,
+        ),
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
@@ -513,9 +503,6 @@ def brute_force(spec: ProblemSpec, max_sites: int = 20) -> ExactResult:
             best_value = float(values[k_local])
             best_k = start + k_local
 
-    if best_k < 0:
-        raise InfeasibleError("no feasible open set exists for this spec")
-
     mask = ((best_k >> shifts) & 1).astype(bool)
     value, assign = ctx.evaluate(mask)
     solution = _result_solution(
@@ -531,7 +518,6 @@ def brute_force(spec: ProblemSpec, max_sites: int = 20) -> ExactResult:
 
 __all__ = [
     "ExactResult",
-    "InfeasibleError",
     "KIND_SLR",
     "KIND_SPLPO",
     "ProblemSpec",

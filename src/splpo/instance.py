@@ -107,22 +107,19 @@ class CostLadder:
     """Per-customer sorted service costs plus the cost ceiling vector.
 
     sorted_costs[i] is customer i's service costs in non-decreasing order,
-    order[i, k] the facility delivering the k-th cheapest cost, and
-    cp[i] = max_j (c[i, j] + f[j]).
+    and cp[i] = max_j (c[i, j] + f[j]).
     """
 
     sorted_costs: np.ndarray
-    order: np.ndarray
     cp: np.ndarray
 
 
 def cost_ladder(inst: Instance) -> CostLadder:
-    order = np.argsort(inst.c, axis=1, kind="stable")
-    sorted_costs = np.take_along_axis(inst.c, order, axis=1)
+    sorted_costs = np.sort(inst.c, axis=1)
     cp = (inst.c + inst.f[None, :]).max(axis=1)
-    for a in (sorted_costs, order, cp):
+    for a in (sorted_costs, cp):
         a.setflags(write=False)
-    return CostLadder(sorted_costs=sorted_costs, order=order, cp=cp)
+    return CostLadder(sorted_costs=sorted_costs, cp=cp)
 
 
 def facility_sort_keys(inst: Instance) -> np.ndarray:

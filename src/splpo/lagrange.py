@@ -107,7 +107,10 @@ class SgConfig:
     improved for stall_window consecutive iterations, drops by
     beta_decrement per iteration. The run stops at beta <= 0, a zero
     subgradient, or max_iter updates. lr_aim is the target upper bound for
-    the step size; None means take it from heuristic_hc.
+    the step size; None means take it from heuristic_hc. max_iter and
+    stall_window must be nonnegative, beta0 finite and above zero,
+    beta_decrement finite and nonnegative, and lr_aim None or finite;
+    anything else raises ValueError.
     """
 
     max_iter: int = 1500
@@ -115,6 +118,20 @@ class SgConfig:
     stall_window: int = 30
     beta_decrement: float = 0.005
     lr_aim: float | None = None
+
+    def __post_init__(self):
+        # Written so that NaN fails every comparison.
+        if not self.max_iter >= 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter!r}")
+        if not 0 < self.beta0 < math.inf:
+            raise ValueError(f"beta0 must be a finite number above zero, got {self.beta0!r}")
+        if not self.stall_window >= 0:
+            raise ValueError(f"stall_window must be nonnegative, got {self.stall_window!r}")
+        if not 0 <= self.beta_decrement < math.inf:
+            raise ValueError(
+                f"beta_decrement must be a finite nonnegative number, got {self.beta_decrement!r}")
+        if self.lr_aim is not None and not math.isfinite(self.lr_aim):
+            raise ValueError(f"lr_aim must be None or finite, got {self.lr_aim!r}")
 
 
 @dataclass(frozen=True)

@@ -24,36 +24,48 @@ from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits
 from .instance import CostLadder, Instance, cost_ladder, default_epsilon
 
 
+def check_epsilon(epsilon: float | None) -> None:
+    """Raise ValueError unless epsilon is None or a finite number above zero."""
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number above zero, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class GammaState:
     """Multipliers pinned to ladder rungs.
 
-    interval_index[i] is the rung customer i currently sits on: gamma[i] is
-    sorted_costs[i, rung-1] + epsilon for rungs 1..n, and cp[i] at rung n+1.
+    rungs[i, r-1] is customer i's multiplier on rung r: sorted_costs[i, r-1]
+    + epsilon capped at cp[i] for rungs 1..n, and cp[i] on rung n+1.
+    interval_index[i] is the rung customer i sits on; gamma and at_ceiling
+    are read off the table, so every multiplier lies at or below cp and
+    climbing a rung never lowers it.
     """
 
-    gamma: np.ndarray
     interval_index: np.ndarray
-    epsilon: float
-    ladder: CostLadder
+    rungs: np.ndarray
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.rungs[np.arange(self.rungs.shape[0]), self.interval_index - 1]
 
     @property
     def at_ceiling(self) -> np.ndarray:
-        return self.gamma >= self.ladder.cp - 1e-12
+        return self.gamma == self.rungs[:, -1]
 
 
-def place_gamma(ladder: CostLadder, gamma0, epsilon: float) -> GammaState:
-    """Snap a raw multiplier vector onto ladder-rung representatives.
+def place_gamma(ladder: CostLadder, gamma0, epsilon: float | None = None) -> GammaState:
+    """Put a raw multiplier vector on the rung it lies in.
 
-    Components at or below the cheapest cost move just above it; components
-    inside an interval between consecutive sorted costs snap down to the
-    interval's lower cost plus epsilon. Above the top cost, components below
-    cp go to min(top cost + epsilon, cp), and anything at or above cp pins
-    exactly to cp, where the dual provably plateaus. gamma0 must hold one
+    A component at or below the cheapest cost takes rung 1; one above the
+    k-th cheapest cost but not the next takes rung k, just above that cost;
+    one at or above cp takes rung n+1, where the dual provably plateaus.
+    epsilon, None or a finite number above zero, is the rung offset; None
+    derives it from the ladder (see default_epsilon). gamma0 must hold one
     number per customer, none of them NaN.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
+    if epsilon is None:
+        epsilon = default_epsilon(ladder)
     costs, cp = ladder.sorted_costs, ladder.cp
     m, n = costs.shape
     gamma0 = np.asarray(gamma0, dtype=float)
@@ -61,35 +73,27 @@ def place_gamma(ladder: CostLadder, gamma0, epsilon: float) -> GammaState:
         raise ValueError(f"gamma0 must have shape ({m},), got {gamma0.shape}")
     if np.isnan(gamma0).any():
         raise ValueError("gamma0 must not contain NaN")
+    rungs = np.column_stack([np.minimum(costs + epsilon, cp[:, None]), cp])
     # Per row, the count of costs below g is searchsorted(row, g, "left").
     k = (costs < gamma0[:, None]).sum(axis=1)
-    rung = np.maximum(k, 1)
-    gamma = costs[np.arange(m), rung - 1] + epsilon
-    top = k == n
-    gamma[top] = np.minimum(gamma[top], cp[top])
-    pinned = top & (gamma0 >= cp)
-    gamma[pinned], rung[pinned] = cp[pinned], n + 1
-    return GammaState(gamma=gamma, interval_index=rung, epsilon=epsilon, ladder=ladder)
+    rung = np.where(gamma0 >= cp, n + 1, np.maximum(k, 1))
+    return GammaState(interval_index=rung, rungs=rungs)
 
 
 def ascend(state: GammaState) -> GammaState:
-    """Move every multiplier up one rung (capped at cp)."""
-    costs, cp = state.ladder.sorted_costs, state.ladder.cp
-    m, n = costs.shape
-    rung = np.minimum(state.interval_index + 1, n + 1)
-    below = np.minimum(costs[np.arange(m), np.minimum(rung, n) - 1] + state.epsilon, cp)
-    gamma = np.where(rung > n, cp, below)
-    return replace(state, gamma=gamma, interval_index=rung)
+    """Move every multiplier up one rung; rung n+1 is the top."""
+    top = state.rungs.shape[1]
+    return replace(state, interval_index=np.minimum(state.interval_index + 1, top))
 
 
 def solve_slr(
     inst: Instance,
-    state: GammaState,
+    gamma,
     node_limit: int | None = None,
     time_limit: float | None = None,
     resume: ExactResult | None = None,
 ) -> ExactResult:
-    """Optimize the relaxed subproblem at the state's gamma via the exact engine.
+    """Optimize the relaxed subproblem at multipliers gamma via the exact engine.
 
     The result's solution is the empty set, valued sum(gamma) with every
     customer UNASSIGNED, or a non-empty set that serves everyone at its
@@ -100,7 +104,7 @@ def solve_slr(
     exceeds gamma[i] can still be the optimum's, so reduced-cost pre-fixing
     from plain UFL would be unsafe here.
     """
-    spec = ProblemSpec.slr(inst, state.gamma)
+    spec = ProblemSpec.slr(inst, gamma)
     return branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit, resume=resume)
 
 
@@ -108,13 +112,14 @@ def solve_slr(
 class DaConfig:
     """Dual-ascent settings.
 
-    max_iter None means run until a subproblem opens something. epsilon None
-    derives the rung offset from the ladder (half the smallest positive cost
-    gap). node_limit applies to each subproblem solve; each step resumes the
-    previous step's search, so it counts only the nodes a step newly
-    expands. time_limit, in seconds, is one budget for the whole driver: its
-    deadline is fixed when the driver is built, and each step gets the time
-    left. A negative or NaN limit raises ValueError.
+    max_iter None means run until a subproblem opens something. epsilon, the
+    rung offset, is None or a finite number above zero; None derives it from
+    the ladder (half the smallest positive cost gap). node_limit applies to
+    each subproblem solve; each step resumes the previous step's search, so
+    it counts only the nodes a step newly expands. time_limit, in seconds,
+    is one budget for the whole driver: its deadline is fixed when the
+    driver is built, and each step gets the time left. A negative or NaN
+    limit raises ValueError.
     """
 
     epsilon: float | None = None
@@ -123,6 +128,7 @@ class DaConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
+        check_epsilon(self.epsilon)
         check_limits(self.node_limit, self.time_limit)
 
 
@@ -139,20 +145,19 @@ class DualAscent:
     record it, and climb every multiplier one rung if it opened nothing.
 
     status is "optimal" once a step opens something, "incomplete" once a
-    step hits an engine limit, "ceiling" when every multiplier sits at cp
+    step hits an engine limit, "ceiling" when every multiplier equals its cp
     and the subproblem still opens nothing, and "iter_limit" until then.
     last is the latest step's engine result and best_lower_bound the largest
     lower bound any step proved. A step only follows a step whose subproblem
-    opened nothing, and gamma only grows, so every step after the first
-    resumes the previous search.
+    opened nothing, and gamma never falls, so every step after the first
+    resumes the previous search; a climb that leaves sum(gamma) where it was
+    (tied costs, or rungs capped at cp) resumes without a new node.
     """
 
     def __init__(self, inst: Instance, gamma0, cfg: DaConfig = DaConfig()):
         self.inst = inst
         self.cfg = cfg
-        ladder = cost_ladder(inst)
-        eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(ladder)
-        self.state = place_gamma(ladder, gamma0, eps)
+        self.state = place_gamma(cost_ladder(inst), gamma0, cfg.epsilon)
         self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         self.iterations = 0
         self.trace: list[DaTraceRow] = []
@@ -166,7 +171,7 @@ class DualAscent:
         time_left = None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
         res = solve_slr(
             self.inst,
-            self.state,
+            self.state.gamma,
             node_limit=self.cfg.node_limit,
             time_limit=time_left,
             resume=self.last,
@@ -187,14 +192,10 @@ class DualAscent:
             self.done, self.status = True, "incomplete"
         elif opened:
             self.done, self.status = True, "optimal"
+        elif self.state.at_ceiling.all():
+            self.done, self.status = True, "ceiling"
         else:
-            new_state = ascend(self.state)
-            if np.array_equal(new_state.gamma, self.state.gamma):
-                # Every multiplier is already pinned at cp; the dual value
-                # cannot move, so stop instead of looping.
-                self.done, self.status = True, "ceiling"
-            else:
-                self.state = new_state
+            self.state = ascend(self.state)
         return res
 
 
@@ -219,6 +220,7 @@ __all__ = [
     "DualAscent",
     "GammaState",
     "ascend",
+    "check_epsilon",
     "dual_ascent",
     "place_gamma",
     "solve_slr",

@@ -16,6 +16,7 @@ from splpo import (
     UNASSIGNED,
     AdaConfig,
     DaConfig,
+    GeneratorConfig,
     ProblemSpec,
     SgConfig,
     ada,
@@ -35,6 +36,7 @@ from splpo import (
 from splpo.lagrange import LagrangeMultipliers
 
 from test_lagrange import oracle_min_relaxed
+from test_semilagrange import tied_instance
 
 
 def sized_instance(seed, lo=2, hi=10):
@@ -111,16 +113,20 @@ def test_criterion_3_weak_duality_along_sg():
 
 
 def test_criterion_4_duality_gap_closure():
-    """Uncapped dual ascent certifies the exact optimum."""
-    for seed in range(50):
-        inst = sized_instance(400 + seed)
+    """Uncapped dual ascent certifies the exact optimum, tied costs included."""
+    instances = [sized_instance(400 + seed) for seed in range(50)]
+    instances += [tied_instance(seed) for seed in range(400)]
+    # The worst false ceiling of the old stop rule: lower bound 6 against 1,256.
+    wide_open = GeneratorConfig(cost_range=(1, 4), open_range=(0, 5000))
+    instances.append(generate_instance(3, 3, 34, wide_open, name="tied_wide34"))
+    for inst in instances:
         res = dual_ascent(inst, np.zeros(inst.m), DaConfig())
         opt = brute_force(ProblemSpec.splpo(inst)).value
-        assert res.status == "optimal", (seed, res.status)
-        assert abs(res.best_lower_bound - opt) <= 1e-9, (seed, res.best_lower_bound, opt)
+        assert res.status == "optimal", (inst.name, res.status)
+        assert abs(res.best_lower_bound - opt) <= 1e-9, (inst.name, res.best_lower_bound, opt)
         values = [row.value for row in res.trace]
         assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(values, values[1:]))
-    print("CRITERION 4 (dual ascent closes the gap, 50 instances): PASS")
+    print(f"CRITERION 4 (dual ascent closes the gap, {len(instances)} instances): PASS")
 
 
 def test_criterion_5_ceiling_start_terminates_immediately():

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from splpo import (
     AdaConfig,
+    DaConfig,
     PRESETS,
     ProblemSpec,
+    SgConfig,
     ada,
     branch_and_bound,
     brute_force,
@@ -156,6 +158,22 @@ def test_ada_config_validation():
         AdaConfig(time_limit=float("nan"))
     with pytest.raises(ValueError):
         AdaConfig(node_limit=-1)
+    nan, inf = float("nan"), float("inf")
+    for epsilon in (nan, 0.0, -1.0, inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            AdaConfig(epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            DaConfig(epsilon=epsilon)
+    bad_sg = [{"max_iter": -1}, {"beta0": nan}, {"beta0": 0.0}, {"beta0": -1.0}, {"beta0": inf},
+              {"stall_window": -1}, {"beta_decrement": nan}, {"beta_decrement": -0.1},
+              {"beta_decrement": inf}, {"lr_aim": nan}, {"lr_aim": inf}]
+    for kwargs in bad_sg:
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SgConfig(**kwargs)
+    # The boundary values stay valid.
+    SgConfig(max_iter=0, stall_window=0, beta_decrement=0.0, lr_aim=-1e9)
+    AdaConfig(epsilon=1e-9)
+    DaConfig(epsilon=None)
 
 
 @given(st.integers(0, 40))

@@ -8,7 +8,7 @@ from splpo import (
     parse_instance,
 )
 from splpo.cli import (
-    ALGORITHMS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
+    ALGORITHMS, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
 )
 from splpo.report import ReportRow, config_hash, gap_fields
 
@@ -191,20 +191,6 @@ def test_bench_with_optima_file(toy_file, tmp_path):
     assert row.opt == 8.0 and row.gap_pct == 0.0
 
 
-def test_infeasible_exit_code(tmp_path, monkeypatch):
-    # force an infeasible spec through the solve path
-    import splpo.cli as cli_mod
-    from splpo import InfeasibleError
-
-    def boom(*args, **kwargs):
-        raise InfeasibleError("forced")
-
-    monkeypatch.setattr(cli_mod, "branch_and_bound", boom)
-    path = tmp_path / "toy.splpo"
-    path.write_text(TOY_DOC)
-    assert main(["solve", str(path), "--algorithm", "exact"]) == EXIT_INFEASIBLE
-
-
 def test_non_finite_costs_are_bad_input_not_infeasible(tmp_path, capsys):
     path = tmp_path / "bad.splpo"
     path.write_text(TOY_DOC.replace("3 1", "1 inf").replace("2 5", "1 nan"))
@@ -278,12 +264,17 @@ def test_node_limited_da_brackets_the_optimum():
                 assert opt <= row.best_ub == sol.objective, (seed, limit, row.best_ub, opt)
 
 
-@pytest.mark.parametrize("algorithm", ["exact", "da", "ada"])
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--time-limit", "nan"), ("--time-limit", "-1"), ("--node-limit", "-1")],
-    ids=["nan-time", "negative-time", "negative-nodes"],
-)
+MALFORMED_LIMITS = [("nan-time", "--time-limit", "nan"), ("negative-time", "--time-limit", "-1"),
+                    ("negative-nodes", "--node-limit", "-1")]
+
+
+@pytest.mark.parametrize("algorithm, flag, value", [
+    *(pytest.param(algorithm, flag, value, id=f"{name}-{algorithm}")
+      for name, flag, value in MALFORMED_LIMITS for algorithm in ("exact", "da", "ada")),
+    pytest.param("sg", "--beta0", "nan", id="nan-beta0-sg"),
+    pytest.param("da", "--epsilon", "nan", id="nan-epsilon-da"),
+    pytest.param("ada", "--epsilon", "nan", id="nan-epsilon-ada"),
+])
 def test_solve_rejects_malformed_limits(toy_file, algorithm, flag, value):
     assert main(["solve", str(toy_file), "--algorithm", algorithm, flag, value]) == EXIT_USAGE
 

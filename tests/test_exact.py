@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    UNASSIGNED,
     Instance,
     ProblemSpec,
     branch_and_bound,
@@ -140,14 +141,26 @@ def test_malformed_limits_are_rejected(limit):
 
 @pytest.mark.parametrize("limit", [{"node_limit": 0}, {"time_limit": 0.0}])
 def test_splpo_always_returns_a_solution(limit):
-    # The greedy warm start is evaluated before the first limit check, so even
-    # a search stopped at once hands back a feasible incumbent.
+    # Every spec has a warm start evaluated before the first limit check (the
+    # greedy open set plus the forced facilities for splpo, the empty set for
+    # slr), so even a search stopped at once hands back a feasible incumbent.
     inst = generate_instance(8, 6, 3)
-    res = branch_and_bound(ProblemSpec.splpo(inst, forced_open=[2]), **limit)
-    assert res.status == "incomplete"
-    assert res.solution is not None and res.solution.objective == res.value == 32417.0
-    assert 2 in res.solution.open_facilities
-    assert check_feasible(inst, res.solution) == []
+    gamma = cost_ladder(inst).cp
+    cases = [
+        (ProblemSpec.splpo(inst), 20684.0, {3}),
+        (ProblemSpec.splpo(inst, forced_open=[2]), 32417.0, {2}),
+        (ProblemSpec.slr(inst, gamma), float(gamma.sum()), set()),
+    ]
+    for spec, value, opened in cases:
+        res = branch_and_bound(spec, **limit)
+        assert res.status == "incomplete"
+        assert res.solution.objective == res.value == value
+        assert opened <= res.solution.open_facilities
+        if spec.kind == KIND_SLR:
+            assert res.solution.open_facilities == frozenset()
+            assert (res.solution.assign == UNASSIGNED).all()
+        else:
+            assert check_feasible(inst, res.solution) == []
 
 
 def _subtree_minimum(spec, open_mask, closed_mask):
@@ -160,9 +173,8 @@ def _subtree_minimum(spec, open_mask, closed_mask):
         mask = open_mask.copy()
         for j, b in zip(undecided, bits):
             mask[j] = b
-        out = ctx.evaluate(mask)
-        if out is not None:
-            best = min(best, out[0])
+        if mask.any() or ctx.empty_feasible:
+            best = min(best, ctx.evaluate(mask)[0])
     return best
 
 
@@ -316,8 +328,7 @@ def test_resume_rejects_what_it_cannot_continue():
         other = generate_instance(8, 6, 5)
         branch_and_bound(ProblemSpec.slr(other, cp), resume=prev)
     with pytest.raises(ValueError, match="forced"):
-        spec = ProblemSpec(kind=KIND_SLR, inst=inst, gamma=cp, forced_open=frozenset({0}))
-        branch_and_bound(spec, resume=prev)
+        ProblemSpec(kind=KIND_SLR, inst=inst, gamma=cp, forced_open=frozenset({0}))
     non_empty = branch_and_bound(ProblemSpec.slr(inst, cp))
     assert non_empty.solution.open_facilities and non_empty.frontier is None
     incomplete = branch_and_bound(ProblemSpec.slr(inst, gamma), node_limit=0)

@@ -157,8 +157,6 @@ def test_cost_ladder_toy(toy):
     lad = cost_ladder(toy)
     assert np.array_equal(lad.sorted_costs, [[2, 5], [2, 4]])
     assert np.array_equal(lad.cp, [6, 7])
-    assert np.array_equal(lad.order[0], [0, 1])
-    assert np.array_equal(lad.order[1], [1, 0])
 
 
 def test_cost_ladder_uniform():

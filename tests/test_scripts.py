@@ -16,10 +16,16 @@ def load_script(name):
 
 
 def test_run_benchmark_smoke(tmp_path):
+    # The second run reuses --out, which still holds the first run's files.
     run_benchmark = load_script("run_benchmark")
-    assert run_benchmark.main(["--out", str(tmp_path), "--sizes", "8x5", "--seeds", "1"]) == 0
-    assert (tmp_path / "bench.csv").exists()
-    assert (tmp_path / "ada_summary.csv").exists()
+    for seeds in (11, 2):
+        argv = ["--out", str(tmp_path), "--sizes", "8x5", "--seeds", str(seeds)]
+        assert run_benchmark.main(argv) == 0
+        names = [f"a8_5_{k}" for k in range(1, seeds + 1)]
+        bench = RunReport.from_csv((tmp_path / "bench.csv").read_text()).rows
+        assert list(dict.fromkeys(row.prob for row in bench)) == names
+        with (tmp_path / "ada_summary.csv").open() as fh:
+            assert [row["Prob"] for row in csv.DictReader(fh)] == names
 
 
 def test_run_benchmark_summary_is_read_from_the_bench_rows(tmp_path, monkeypatch):

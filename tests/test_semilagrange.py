@@ -7,28 +7,31 @@ from hypothesis import given, strategies as st
 from splpo import (
     UNASSIGNED,
     DaConfig,
+    GeneratorConfig,
+    Instance,
     ProblemSpec,
     branch_and_bound,
     brute_force,
     check_feasible,
     cost_ladder,
     dual_ascent,
+    generate_instance,
     place_gamma,
     solve_slr,
 )
-from splpo.semilagrange import DualAscent, GammaState, ascend
+from splpo.semilagrange import DualAscent, ascend
 
 from conftest import cheap_open_instance, random_instance
 
+# Costs 1..4 give every customer tied rungs; cheap facilities keep optima open.
+TIED = GeneratorConfig(cost_range=(1, 4), open_range=(5, 20))
 
-def state_at(inst, gamma, epsilon=0.5):
-    """GammaState pinned at an explicit gamma (bypasses placement)."""
-    lad = cost_ladder(inst)
-    rung = np.full(inst.m, lad.sorted_costs.shape[1] + 1, dtype=np.int64)
-    return GammaState(
-        gamma=np.asarray(gamma, dtype=float), interval_index=rung,
-        epsilon=epsilon, ladder=lad,
-    )
+
+def tied_instance(seed):
+    """Seeded tied-cost instance with m and n in 2..6."""
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(2, 7, size=2))
+    return generate_instance(m, n, seed, TIED, name=f"tied{seed}")
 
 
 # --- placement -------------------------------------------------------------
@@ -56,8 +59,9 @@ def test_place_gamma_ceiling_top(toy):
 
 
 def test_place_gamma_requires_positive_epsilon(toy):
-    with pytest.raises(ValueError):
-        place_gamma(cost_ladder(toy), [0.0, 0.0], 0.0)
+    for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            place_gamma(cost_ladder(toy), [0.0, 0.0], epsilon)
 
 
 @pytest.mark.parametrize("gamma0", [
@@ -77,14 +81,12 @@ def test_place_gamma_rejects_malformed_gamma0(toy, gamma0):
 def _place_one(row, cp, g, epsilon):
     """The placement rule for one customer, written out case by case."""
     n = len(row)
+    if g >= cp:
+        return cp, n + 1
     k = int(np.searchsorted(row, g, side="left"))
     if k == 0:
-        return row[0] + epsilon, 1
-    if k < n:
-        return row[k - 1] + epsilon, k
-    if g < cp:
-        return min(row[n - 1] + epsilon, cp), n
-    return cp, n + 1
+        return min(row[0] + epsilon, cp), 1
+    return min(row[k - 1] + epsilon, cp), k
 
 
 @given(st.integers(0, 300), st.sampled_from([0.25, 3.0]))
@@ -106,34 +108,37 @@ def test_place_gamma_matches_the_per_customer_rule(seed, epsilon):
 
 @given(st.integers(0, 300))
 def test_place_gamma_lands_above_cheapest(seed):
-    inst = random_instance(seed, m_max=6, n_max=6)
-    lad = cost_ladder(inst)
-    rng = np.random.default_rng(seed)
-    gamma0 = rng.uniform(0, lad.cp * 1.2)
-    st_ = place_gamma(lad, gamma0, 0.25)
-    assert np.all(st_.gamma > lad.sorted_costs[:, 0])
-    assert np.all(st_.gamma <= lad.cp + 1e-12)
+    # An epsilon wider than the cost gaps must not lift a rung above cp.
+    low_open = GeneratorConfig(cost_range=(1, 9), open_range=(0, 3))
+    cases = [(random_instance(seed, m_max=6, n_max=6), 0.25),
+             (generate_instance(6, 5, seed, low_open), 3.0)]
+    for inst, epsilon in cases:
+        lad = cost_ladder(inst)
+        gamma0 = np.random.default_rng(seed).uniform(0, lad.cp * 1.2)
+        st_ = place_gamma(lad, gamma0, epsilon)
+        assert np.all(st_.gamma > lad.sorted_costs[:, 0])
+        assert np.all(st_.gamma <= lad.cp)
 
 
 # --- subproblem and subgradient ---------------------------------------------
 
 
 def test_solve_slr_at_ceiling_serves_all(toy):
-    slr = solve_slr(toy, state_at(toy, [6.0, 7.0]))
+    slr = solve_slr(toy, [6.0, 7.0])
     assert slr.value == 8.0
     assert slr.solution.open_facilities
     assert not (slr.solution.assign == UNASSIGNED).any()
 
 
 def test_solve_slr_small_gamma_leaves_all_unserved(toy):
-    slr = solve_slr(toy, state_at(toy, [2.5, 2.5]))
+    slr = solve_slr(toy, [2.5, 2.5])
     assert slr.value == 5.0
     assert slr.solution.open_facilities == frozenset()
     assert (slr.solution.assign == UNASSIGNED).all()
 
 
 def test_solve_slr_zero_gamma(toy):
-    slr = solve_slr(toy, state_at(toy, [0.0, 0.0]))
+    slr = solve_slr(toy, [0.0, 0.0])
     assert slr.value == 0.0
     assert (slr.solution.assign == UNASSIGNED).all()
 
@@ -191,6 +196,21 @@ def test_dual_ascent_from_ceiling_stops_immediately(toy):
     assert res.best_lower_bound == 8.0
 
 
+def test_dual_ascent_climbs_past_tied_rungs():
+    # One customer with costs 1, 3, 3, 7: rungs 2, 4, 4, 8 and cp = 17. The
+    # climb from rung 2 to rung 3 leaves gamma at 4, which is no ceiling; it
+    # resumes the last search at the same sum(gamma) without a new node.
+    inst = Instance(f=np.full(4, 10.0), c=np.array([[1.0, 3.0, 3.0, 7.0]]),
+                    p=np.array([[1, 2, 3, 4]]))
+    ascent = DualAscent(inst, np.zeros(1))
+    steps = []
+    while not ascent.done:
+        steps.append(ascent.step())
+    assert ascent.status == "optimal" and ascent.best_lower_bound == 11.0
+    assert [row.value for row in ascent.trace] == [2.0, 4.0, 4.0, 8.0, 11.0]
+    assert steps[2].nodes == 0
+
+
 def test_dual_ascent_iteration_cap(toy):
     res = dual_ascent(toy, np.zeros(2), DaConfig(epsilon=0.5, max_iter=1))
     assert res.status == "iter_limit"
@@ -212,15 +232,15 @@ def test_dual_ascent_solution_is_feasible_at_optimum(toy):
     assert sol.objective == 8.0
 
 
-@given(st.integers(0, 60))
+@given(st.integers(0, 400))
 def test_dual_ascent_closes_the_gap(seed):
-    inst = random_instance(seed)
-    res = dual_ascent(inst, np.zeros(inst.m), DaConfig())
-    opt = brute_force(ProblemSpec.splpo(inst)).value
-    assert res.status == "optimal"
-    assert res.best_lower_bound == pytest.approx(opt, abs=1e-9)
-    values = [row.value for row in res.trace]
-    assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+    for inst in (random_instance(seed), tied_instance(seed)):
+        res = dual_ascent(inst, np.zeros(inst.m), DaConfig())
+        opt = brute_force(ProblemSpec.splpo(inst)).value
+        assert res.status == "optimal", inst.name
+        assert res.best_lower_bound == pytest.approx(opt, abs=1e-9)
+        values = [row.value for row in res.trace]
+        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 @given(st.integers(0, 60))
@@ -239,24 +259,24 @@ def test_gamma_below_cheapest_cost_serves_nobody(seed):
     inst = random_instance(seed, m_max=6, n_max=6)
     lad = cost_ladder(inst)
     gamma = lad.sorted_costs[:, 0] * 0.5  # strictly below every cheapest cost
-    slr = solve_slr(inst, state_at(inst, gamma))
+    slr = solve_slr(inst, gamma)
     assert slr.solution.open_facilities == frozenset()
     assert (slr.solution.assign == UNASSIGNED).all()
 
 
-@given(st.integers(0, 40))
+@given(st.integers(0, 400))
 def test_gamma_trajectory_monotone_and_boxed(seed):
-    inst = random_instance(seed, m_max=7, n_max=7)
-    driver = DualAscent(inst, np.zeros(inst.m), DaConfig())
-    lad = driver.state.ladder
-    prev = driver.state.gamma.copy()
-    while not driver.done and driver.iterations < 50:
-        driver.step()
-        cur = driver.state.gamma
-        assert np.all(cur >= prev - 1e-12)
-        assert np.all(cur <= lad.cp + 1e-12)
-        prev = cur.copy()
-    assert driver.done
+    for inst in (random_instance(seed, m_max=7, n_max=7), tied_instance(seed)):
+        cp = cost_ladder(inst).cp
+        driver = DualAscent(inst, np.zeros(inst.m), DaConfig())
+        prev = driver.state.gamma
+        while not driver.done and driver.iterations < 50:
+            driver.step()
+            cur = driver.state.gamma
+            assert np.all(cur >= prev)
+            assert np.all(cur <= cp)
+            prev = cur
+        assert driver.done and driver.status == "optimal", inst.name
 
 
 def test_dual_ascent_lower_bound_never_exceeds_the_optimum():
