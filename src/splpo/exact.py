@@ -412,6 +412,10 @@ def branch_and_bound(
             ):
                 aborted = True
                 frontier_bound = min(e[0] for e in (entry, *stack))
+                if frontier_bound == -math.inf:
+                    # Only the unevaluated root inherits -inf, and it is then
+                    # the only entry: its own bound covers every set below it.
+                    frontier_bound = entry[2].bound(ctx)[0]
                 break
             _, depth, node, just_opened = entry
             nodes += 1

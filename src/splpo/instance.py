@@ -88,6 +88,24 @@ class Instance:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def flat_rank_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(to_rank, to_site): flat ``ndarray.take`` indices into rank order and back.
+
+        Rank order runs worst first: for an (m, n) array a,
+        ``a.take(to_rank)[i, q]`` is a[i, j] for the facility j that customer
+        i ranks (n - q)-th, so column 0 holds its least preferred site.
+        ``b.take(to_site)`` maps such a b back, so ``a.take(to_rank).take(to_site)``
+        equals a. Worst first makes a sum over the sites a customer likes no
+        better than j a plain cumsum.
+        """
+        base = (np.arange(self.m) * self.n)[:, None]
+        to_rank = base + self.facility_of_rank[:, ::-1]
+        to_site = base + (self.n - self.p)
+        for a in (to_rank, to_site):
+            a.setflags(write=False)
+        return to_rank, to_site
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented

@@ -4,6 +4,13 @@ Relaxing both constraint families leaves a problem that decomposes over
 facilities and is solvable in closed form: facility j opens exactly when its
 aggregated reduced cost is negative. The dual is maximized with a projected
 subgradient method driven by a target upper bound (Polyak-style step sizes).
+
+The preference terms are suffix (and, in the subgradient, prefix) sums along
+each customer's ranking. They move between site order and rank order with
+``ndarray.take`` on the flat index pair ``Instance.flat_rank_index``, which
+is built once per instance. The relaxed assignment x is a bool array, like y.
+Multipliers are checked once, where ``LagrangeMultipliers`` is built, and
+their shapes where ``solve_lr`` reads them.
 """
 
 from __future__ import annotations
@@ -22,21 +29,36 @@ IMPROVEMENT_TOL = 1e-9  # how far a relaxation value must beat the incumbent
 @dataclass(frozen=True)
 class LagrangeMultipliers:
     """mu penalizes unassigned customers (free sign); lam penalizes preference
-    violations and must stay componentwise nonnegative."""
+    violations and must stay componentwise nonnegative. An entry that is
+    NaN or infinite, or a negative entry of lam, raises ValueError."""
 
     mu: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        if np.any(self.lam < 0):
-            raise ValueError("lam must be nonnegative")
+        mu = np.asarray(self.mu, dtype=float)
+        lam = np.asarray(self.lam, dtype=float)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", lam)
+        if not np.isfinite(mu).all():
+            raise ValueError("mu must be finite")
+        _check_lam(lam)
+
+
+def _check_lam(lam: np.ndarray) -> None:
+    # Written so that NaN fails too.
+    if not (lam.min(initial=0.0) >= 0.0 and lam.max(initial=0.0) < math.inf):
+        raise ValueError("lam must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
 class LrSolution:
-    """Closed-form relaxation output; (x, y) need not be feasible upstream."""
+    """Closed-form relaxation output; (x, y) need not be feasible upstream.
+
+    x[i, j] says customer i is assigned to facility j and y[j] that j is
+    open; solve_lr returns both as bool arrays, shapes (m, n) and (n,). rho
+    is each facility's aggregated reduced cost.
+    """
 
     value: float
     x: np.ndarray
@@ -44,34 +66,47 @@ class LrSolution:
     rho: np.ndarray
 
 
+def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
+    # Flat gathers would silently misread a same-size array of another shape.
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+
+
+def _suffix_lambda(inst: Instance, lam: np.ndarray) -> np.ndarray:
+    """cumulative_lambda without the checks, for multipliers already validated."""
+    to_rank, to_site = inst.flat_rank_index
+    return np.cumsum(lam.take(to_rank), axis=1).take(to_site)
+
+
 def cumulative_lambda(inst: Instance, lam: np.ndarray) -> np.ndarray:
     """For each (i, j): the sum of lam[i, k] over every facility k that
     customer i ranks no better than j, including j itself.
 
     Computed as suffix sums along each customer's ranking, so row i sums to
-    sum_j p[i, j] * lam[i, j] (a useful checksum).
+    sum_j p[i, j] * lam[i, j] (a useful checksum). lam must be finite,
+    nonnegative and of shape (m, n), else ValueError.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lam must be nonnegative")
-    rows = np.arange(inst.m)[:, None]
-    by_rank = lam[rows, inst.facility_of_rank]
-    suffix = np.cumsum(by_rank[:, ::-1], axis=1)[:, ::-1]
-    return suffix[rows, inst.p - 1]
+    _check_shape("lam", lam, (inst.m, inst.n))
+    _check_lam(lam)
+    return _suffix_lambda(inst, lam)
 
 
 def solve_lr(inst: Instance, mult: LagrangeMultipliers) -> LrSolution:
     """Closed-form optimum of the relaxation at fixed multipliers.
 
     Facility j opens iff rho_j < 0, where rho_j adds every negative reduced
-    service cost in column j to the penalized opening cost. x[i, j] = 1 iff
-    j is open and the reduced cost is strictly negative. The value is the
-    sum of negative rho plus the mu total, a lower bound on the optimum.
+    service cost in column j to the penalized opening cost. x[i, j] is true
+    iff j is open and the reduced cost is strictly negative. The value is
+    the sum of negative rho plus the mu total, a lower bound on the optimum.
+    mu must have shape (m,) and lam shape (m, n), else ValueError.
     """
-    reduced = inst.c - mult.mu[:, None] - cumulative_lambda(inst, mult.lam)
+    _check_shape("mu", mult.mu, (inst.m,))
+    _check_shape("lam", mult.lam, (inst.m, inst.n))
+    reduced = inst.c - mult.mu[:, None] - _suffix_lambda(inst, mult.lam)
     rho = np.minimum(reduced, 0.0).sum(axis=0) + inst.f + mult.lam.sum(axis=0)
     y = rho < 0.0
-    x = (y[None, :] & (reduced < 0.0)).astype(np.int8)
+    x = y[None, :] & (reduced < 0.0)
     value = float(rho[y].sum() + mult.mu.sum())
     return LrSolution(value=value, x=x, y=y, rho=rho)
 
@@ -81,15 +116,17 @@ def lr_subgradient(inst: Instance, lr: LrSolution) -> tuple[np.ndarray, np.ndarr
 
     Returns (s_mu, s_lam): s_mu[i] = 1 - (assignments of customer i), and
     s_lam[i, j] = y_j - (assignments of i to facilities it weakly prefers
-    over j). A zero vector certifies dual optimality.
+    over j). A zero vector certifies dual optimality. x may be bool or any
+    0/1 integer array of shape (m, n).
     """
-    x = lr.x.astype(float)
-    rows = np.arange(inst.m)[:, None]
-    s_mu = 1.0 - x.sum(axis=1)
-    by_rank = x[rows, inst.facility_of_rank]
-    prefix = np.cumsum(by_rank, axis=1)
-    covered = prefix[rows, inst.p - 1]
-    s_lam = lr.y.astype(float)[None, :] - covered
+    _check_shape("x", lr.x, (inst.m, inst.n))
+    to_rank, to_site = inst.flat_rank_index
+    by_rank = lr.x.take(to_rank)
+    # Sums from each customer's favourite, stored worst first like by_rank.
+    covered = np.empty(by_rank.shape)
+    np.cumsum(by_rank[:, ::-1], axis=1, dtype=float, out=covered[:, ::-1])
+    s_mu = 1.0 - covered[:, 0]
+    s_lam = lr.y - covered.take(to_site)
     return s_mu, s_lam
 
 
@@ -186,7 +223,8 @@ def subgradient_method(
 
     while True:
         s_mu, s_lam = lr_subgradient(inst, lr)
-        norm_sq = float((s_mu**2).sum() + (s_lam**2).sum())
+        # Subgradient entries are small integers, so these sums are exact in any order.
+        norm_sq = float(s_mu @ s_mu + s_lam.ravel() @ s_lam.ravel())
         if norm_sq == 0.0:
             trace.append(
                 SgTraceRow(iteration, lr.value, best_value, beta, 0.0, 0.0)

@@ -163,6 +163,21 @@ def test_splpo_always_returns_a_solution(limit):
             assert check_feasible(inst, res.solution) == []
 
 
+@pytest.mark.parametrize("limit", [{"node_limit": 0}, {"time_limit": 0.0}])
+def test_search_stopped_at_the_root_reports_the_root_bound(limit):
+    # The root is never evaluated, yet its bound is one pass over the data.
+    inst = generate_instance(8, 6, 3)
+    gamma = cost_ladder(inst).cp * 0.9
+    for spec in (ProblemSpec.splpo(inst), ProblemSpec.splpo(inst, forced_open=[2]),
+                 ProblemSpec.slr(inst, gamma)):
+        res = branch_and_bound(spec, **limit)
+        opt = brute_force(spec).value
+        assert res.status == "incomplete" and res.nodes == 0
+        assert math.isfinite(res.lower_bound) and 0 < res.lower_bound <= opt
+        if spec.kind == KIND_SLR:
+            assert res.lower_bound <= gamma.sum()
+
+
 def _subtree_minimum(spec, open_mask, closed_mask):
     """Exhaustively evaluate every completion of a node's partial decision."""
     ctx = _Context(spec)

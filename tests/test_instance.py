@@ -217,6 +217,16 @@ def test_orlib_rejects_short_sidecar():
 
 
 def test_instance_arrays_are_read_only(toy):
-    for array in (toy.f, toy.c, toy.p, toy.facility_of_rank):
+    for array in (toy.f, toy.c, toy.p, toy.facility_of_rank, *toy.flat_rank_index):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_flat_rank_index_orders_worst_first_and_back():
+    inst = generate_instance(5, 4, 2)
+    to_rank, to_site = inst.flat_rank_index
+    a = np.arange(20.0).reshape(5, 4)
+    by_rank = a.take(to_rank)
+    for i in range(5):
+        assert list(by_rank[i]) == [a[i, j] for j in np.argsort(-inst.p[i])]
+    assert np.array_equal(by_rank.take(to_site), a)

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    GeneratorConfig,
+    Instance,
     LagrangeMultipliers,
     ProblemSpec,
     SgConfig,
     brute_force,
     cumulative_lambda,
     default_start,
+    generate_instance,
+    heuristic_hc,
     lr_subgradient,
     solve_lr,
     subgradient_method,
 )
+from splpo.lagrange import IMPROVEMENT_TOL, LrSolution, SgResult, SgTraceRow
 from splpo.solution import assign_most_preferred
 
 from conftest import random_instance
@@ -168,8 +173,6 @@ def test_lr_subgradient_toy(toy):
 def test_lr_subgradient_on_feasible_point(toy):
     # indicators of a feasible solution: zero assignment residual and
     # nonpositive preference residual
-    from splpo.lagrange import LrSolution
-
     open_set = {1}
     assign = assign_most_preferred(toy, open_set)
     x = np.zeros((2, 2), dtype=np.int8)
@@ -264,3 +267,174 @@ def test_feasible_relaxation_point_respects_weak_duality():
         assert true_obj >= lr.value - 1e-9
         hits += 1
     assert hits > 0  # the property must actually have been exercised
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["mu", "lam"])
+def test_multipliers_reject_non_finite_entries(toy, which, bad):
+    mu, lam = np.array([6.0, 7.0]), np.zeros((2, 2))
+    {"mu": mu, "lam": lam}[which][1] = bad
+    with pytest.raises(ValueError, match=which):
+        LagrangeMultipliers(mu=mu, lam=lam)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cumulative_lambda_rejects_non_finite(toy, bad):
+    with pytest.raises(ValueError, match="finite"):
+        cumulative_lambda(toy, np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
+def test_relaxation_rejects_multipliers_of_the_wrong_shape():
+    # A same-size array of another shape must not be read in flat order.
+    inst = generate_instance(3, 2, 1)
+    mu, lam = np.ones(3), np.zeros((3, 2))
+    for bad_mu, bad_lam, name in ((np.ones(2), lam, "mu"), (np.ones((3, 1)), lam, "mu"),
+                                  (mu, np.zeros((2, 3)), "lam"), (mu, np.zeros(6), "lam")):
+        mult = LagrangeMultipliers(mu=bad_mu, lam=bad_lam)
+        with pytest.raises(ValueError, match=name):
+            solve_lr(inst, mult)
+        with pytest.raises(ValueError, match=name):
+            subgradient_method(inst, SgConfig(max_iter=5), start=mult)
+    with pytest.raises(ValueError, match="lam"):
+        cumulative_lambda(inst, np.zeros((2, 3)))
+    lr = solve_lr(inst, LagrangeMultipliers(mu=mu, lam=lam))
+    with pytest.raises(ValueError, match="x"):
+        lr_subgradient(inst, LrSolution(value=lr.value, x=lr.x.T, y=lr.y, rho=lr.rho))
+
+
+# The relaxation and subgradient method as they stood when every step gathered
+# with 2-D fancy indices and x was an int8 array: the faster code must
+# reproduce them bit for bit.
+
+def _reference_cumulative_lambda(inst, lam):
+    rows = np.arange(inst.m)[:, None]
+    by_rank = lam[rows, inst.facility_of_rank]
+    suffix = np.cumsum(by_rank[:, ::-1], axis=1)[:, ::-1]
+    return suffix[rows, inst.p - 1]
+
+
+def _reference_solve_lr(inst, mu, lam):
+    reduced = inst.c - mu[:, None] - _reference_cumulative_lambda(inst, lam)
+    rho = np.minimum(reduced, 0.0).sum(axis=0) + inst.f + lam.sum(axis=0)
+    y = rho < 0.0
+    x = (y[None, :] & (reduced < 0.0)).astype(np.int8)
+    value = float(rho[y].sum() + mu.sum())
+    return LrSolution(value=value, x=x, y=y, rho=rho)
+
+
+def _reference_lr_subgradient(inst, lr):
+    x = lr.x.astype(float)
+    rows = np.arange(inst.m)[:, None]
+    s_mu = 1.0 - x.sum(axis=1)
+    by_rank = x[rows, inst.facility_of_rank]
+    prefix = np.cumsum(by_rank, axis=1)
+    covered = prefix[rows, inst.p - 1]
+    s_lam = lr.y.astype(float)[None, :] - covered
+    return s_mu, s_lam
+
+
+def _reference_subgradient_method(inst, cfg, start):
+    lr_aim = cfg.lr_aim if cfg.lr_aim is not None else heuristic_hc(inst)[0].objective
+    mu, lam = start.mu.copy(), start.lam.copy()
+    lr = _reference_solve_lr(inst, mu, lam)
+    best_value = lr.value
+    best_mu, best_lam = mu.copy(), lam.copy()
+    best_iteration, beta, stall, iteration, trace = 0, cfg.beta0, 0, 0, []
+    while True:
+        s_mu, s_lam = _reference_lr_subgradient(inst, lr)
+        norm_sq = float((s_mu**2).sum() + (s_lam**2).sum())
+        if norm_sq == 0.0:
+            trace.append(SgTraceRow(iteration, lr.value, best_value, beta, 0.0, 0.0))
+            status = "optimal"
+            break
+        gap = lr_aim - lr.value
+        if gap < 0:
+            trace.append(SgTraceRow(iteration, lr.value, best_value, beta, math.nan, norm_sq))
+            status = "aim_exceeded"
+            break
+        alpha = beta * gap / norm_sq
+        trace.append(SgTraceRow(iteration, lr.value, best_value, beta, alpha, norm_sq))
+        if iteration >= cfg.max_iter:
+            status = "iter_limit"
+            break
+        mu = mu + alpha * s_mu
+        lam = np.maximum(0.0, lam + alpha * s_lam)
+        lr = _reference_solve_lr(inst, mu, lam)
+        iteration += 1
+        if lr.value > best_value + IMPROVEMENT_TOL:
+            best_value = lr.value
+            best_mu, best_lam = mu.copy(), lam.copy()
+            best_iteration = iteration
+            stall = 0
+        else:
+            stall += 1
+        if stall >= cfg.stall_window:
+            beta -= cfg.beta_decrement
+        if beta <= 0:
+            trace.append(SgTraceRow(iteration, lr.value, best_value, beta, math.nan, math.nan))
+            status = "beta_exhausted"
+            break
+    return SgResult(best_value, best_mu, best_lam, best_iteration, iteration, status, trace)
+
+
+def _fractional_instance(seed, m, n):
+    rng = np.random.default_rng(seed)
+    return Instance(f=rng.uniform(0, 50, n), c=rng.uniform(0, 30, (m, n)),
+                    p=np.array([rng.permutation(n) + 1 for _ in range(m)]))
+
+
+def _bit_identity_cases():
+    cost_consistent = GeneratorConfig(mode="cost-consistent")
+    for seed in (1, 2):
+        inst = generate_instance(75, 50, seed, cost_consistent)
+        yield inst, SgConfig(), default_start(inst)
+    shapes = [(1, 1), (1, 6), (7, 1), (2, 2), (5, 4), (8, 7)]
+    for seed, (m, n) in enumerate(shapes * 3):
+        rng = np.random.default_rng(seed)
+        if seed < len(shapes):
+            inst = generate_instance(m, n, seed)
+        else:
+            inst = _fractional_instance(seed, m, n)
+        cfg = SgConfig(max_iter=int(rng.integers(0, 250)), stall_window=int(rng.integers(0, 15)),
+                       beta_decrement=0.02)
+        start = default_start(inst) if seed % 2 else random_multipliers(inst, rng)
+        yield inst, cfg, start
+
+
+def test_sg_is_bit_identical_to_the_gather_based_reference():
+    # repr round-trips every float exactly and reads NaN as equal to itself.
+    statuses = set()
+    for inst, cfg, start in _bit_identity_cases():
+        res = subgradient_method(inst, cfg, start)
+        ref = _reference_subgradient_method(inst, cfg, start)
+        case = (inst, cfg)
+        assert repr(res.trace) == repr(ref.trace), case
+        assert (res.status, res.iterations, res.best_iteration) == (
+            ref.status, ref.iterations, ref.best_iteration), case
+        assert res.best_value == ref.best_value, case
+        assert res.best_mu.tobytes() == ref.best_mu.tobytes(), case
+        assert res.best_lam.tobytes() == ref.best_lam.tobytes(), case
+        statuses.add(res.status)
+    assert statuses >= {"iter_limit", "beta_exhausted"}
+
+
+def test_relaxation_steps_match_the_gather_based_reference():
+    for seed in range(40):
+        inst = random_instance(seed) if seed % 2 else _fractional_instance(seed, seed % 5 + 1,
+                                                                           seed % 7 + 1)
+        rng = np.random.default_rng(seed)
+        mult = random_multipliers(inst, rng)
+        ref_cl = _reference_cumulative_lambda(inst, mult.lam)
+        assert cumulative_lambda(inst, mult.lam).tobytes() == ref_cl.tobytes()
+        lr, ref = solve_lr(inst, mult), _reference_solve_lr(inst, mult.mu, mult.lam)
+        assert lr.value == ref.value
+        assert np.array_equal(lr.x, ref.x) and lr.x.dtype == bool
+        assert np.array_equal(lr.y, ref.y) and lr.rho.tobytes() == ref.rho.tobytes()
+        # x as an int8 array, as a hand-built LrSolution may carry it.
+        x8 = (rng.random((inst.m, inst.n)) < 0.3).astype(np.int8)
+        y = rng.random(inst.n) < 0.5
+        for x in (lr.x, x8):
+            point = LrSolution(value=0.0, x=x, y=y, rho=np.zeros(inst.n))
+            got, want = lr_subgradient(inst, point), _reference_lr_subgradient(inst, point)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
