@@ -5,8 +5,9 @@ both the original problem and its service-relaxed variant reduce to a search
 over open sets: fixing the set fixes the assignment. The engine is a
 depth-first branch and bound over facility open/close decisions, with a
 full-enumeration oracle for verification. Every non-empty open set is
-priced by solution.price, the one price of a splpo solution (brute_force
-ranks its batches by its own sum, but reports the value of evaluate).
+valued at solution.price, the one price of a splpo solution: the search
+carries that exact sum in its nodes, and brute_force ranks its batches by
+its own sum but reports the value of evaluate.
 
 The slr kind is the splpo search plus the empty open set. Any non-empty set
 serves every customer, so its value does not depend on gamma; only the empty
@@ -31,28 +32,32 @@ returns the same incumbent, ties included.
 Lower bounds used at a node (open set O forced, C forced closed, U undecided):
   * every customer priced at its cheapest facility outside C, plus opening
     costs of O, and
-  * when O is non-empty, the cost of serving everyone from O minus, for each
-    undecided facility, the best net saving it could possibly contribute
-    (per-customer improvements over O, less its opening cost).
-Both are valid because preference-forced assignments never cost less than
-cost-minimal ones and savings of a set of facilities never exceed the sum of
-their individual savings.
+  * when O is non-empty, the preference bound. Let a[i] be customer i's cost
+    at its most preferred member of O, so that value = f(O) + sum(a) is the
+    price of O, and let gain[k] sum max(a[i] - c[i, k], 0) over the customers
+    i that prefer k to every member of O. The bound is
+    value - sum over k in U of max(gain[k] - f[k], 0).
+The first is valid because preference-forced assignments never cost less
+than cost-minimal ones. The second because opening more facilities can move
+a customer only to a facility it prefers to its current one, saving at most
+a[i] - c[i, k] there, and the savings of a set of facilities never exceed
+the sum of their individual savings.
 
 Each node carries the per-customer state these bounds need, derived from its
-parent's rather than rebuilt: ``cmin`` (cheapest cost outside C),
-``from_open`` (cheapest cost over O), ``rank`` (rank of the most preferred
-member of O, which fixes the assignment) and ``colsum[k]``, the summed
-per-customer improvement of facility k over ``from_open``, plus the sums the
-bounds take of them. Opening j takes elementwise minima with column j for
-``from_open`` and ``rank`` and recomputes ``colsum`` in one O(m*n) pass;
-closing j shares everything with the parent except ``cmin``, which is
-recomputed only for the customers whose minimum was attained at j. Minima are
-exact and every float sum keeps its operands and their order, so each bound
-equals the from-scratch value bit for bit.
+parent's rather than rebuilt: ``cmin`` (cheapest cost outside C), ``rank``
+(rank of the most preferred member of O, which fixes the assignment), ``a``
+and ``gain``, plus the sums the bounds take of them. Opening j moves to j the
+customers that rank it above their current server, updating ``rank`` and
+``a`` elementwise, and recomputes ``gain`` in one O(m*n) pass; closing j
+shares everything with the parent except ``cmin``, which is recomputed only
+for the customers whose minimum was attained at j. Minima and gathers are
+exact and every float sum keeps its operands and their order, so a node's
+state equals the one computed from its decisions alone, bit for bit, and its
+value is the price of its open set.
 
-Branching follows the savings bound: once something is open, the engine
-branches on the undecided facility with the largest net saving
-``colsum[k] - f[k]``, the one whose closing raises that bound the most.
+Branching follows the preference bound: once something is open, the engine
+branches on the undecided facility with the largest ``gain[k] - f[k]``, the
+one whose closing raises that bound the most.
 """
 
 from __future__ import annotations
@@ -161,6 +166,9 @@ class _Context:
         self.f = inst.f
         self.p = inst.p
         self.rows = np.arange(self.m)
+        # Facility-major copies: a facility's column is one contiguous row.
+        self.cT = np.ascontiguousarray(self.c.T)
+        self.pT = np.ascontiguousarray(self.p.T)
         self.big = self.n + 1
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
@@ -169,18 +177,11 @@ class _Context:
         # Only the slr kind may open nothing.
         self.empty_feasible = spec.kind == KIND_SLR
 
-    def evaluate(self, open_mask: np.ndarray, rank: np.ndarray | None = None):
-        """Value and forced assignment of a feasible open set.
-
-        rank is each customer's best preference rank over the open set; the
-        search passes the one it keeps, other callers leave it to be derived.
-        """
+    def evaluate(self, open_mask: np.ndarray):
+        """Value and forced assignment of a feasible open set."""
         if not open_mask.any():
             return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
-        if rank is None:
-            assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
-        else:
-            assign = self.inst.facility_of_rank[self.rows, rank - 1]
+        assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
         return price(self.inst, self.rows, assign, open_mask), assign
 
 
@@ -205,83 +206,92 @@ class _Node:
     the sums of those arrays with them.
     """
 
-    __slots__ = (
-        "open", "closed", "fopen", "cmin", "served", "from_open", "open_cost", "rank", "colsum",
-    )
+    __slots__ = ("open", "closed", "fopen", "cmin", "served", "rank", "a", "value", "gain")
 
-    def __init__(self, open_mask, closed_mask, fopen, cmin, served, from_open, open_cost, rank,
-                 colsum):
+    def __init__(self, open_mask, closed_mask, fopen, cmin, served, rank, a, value, gain):
         self.open = open_mask
         self.closed = closed_mask
         self.fopen = fopen  # opening costs of the open set
         self.cmin = cmin
         self.served = served  # _served(cmin)
-        self.from_open = from_open
-        # fopen plus everyone served from the open set; None while nothing is open.
-        self.open_cost = open_cost
         self.rank = rank
-        self.colsum = colsum  # None while nothing is open
+        self.a = a  # inf while nothing is open
+        self.value = value  # price of the open set; None while nothing is open
+        self.gain = gain  # None while nothing is open
+
+    @staticmethod
+    def _opened(ctx: _Context, open_mask, closed_mask, cmin, served, rank, a) -> "_Node":
+        """The node of a non-empty open set, given each customer's rank and cost there.
+
+        value takes the sums solution.price takes, so it is that price bit
+        for bit; from_masks and open_child both come here, so they agree on
+        value and gain whenever they agree on rank and a.
+        """
+        fopen = float(ctx.f[open_mask].sum())
+        saving = a - ctx.cT
+        np.maximum(saving, 0.0, out=saving)
+        np.putmask(saving, ctx.pT >= rank, 0.0)
+        gain = saving.sum(axis=1)
+        return _Node(open_mask, closed_mask, fopen, cmin, served, rank, a,
+                     fopen + float(a.sum()), gain)
 
     @staticmethod
     def from_masks(ctx: _Context, open_mask, closed_mask) -> "_Node":
         """The node with these decisions, its state computed from scratch.
 
-        Minima are exact and the sums are those of open_child, so the state
-        equals the one the node's ancestors would hand down, bit for bit.
+        Minima and gathers are exact and the sums are those of open_child,
+        so the state equals the one the node's ancestors would hand down, bit
+        for bit.
         """
         cmin = np.where(closed_mask, np.inf, ctx.c).min(axis=1)
+        served = _served(cmin)
         if not open_mask.any():
-            return _Node(open_mask, closed_mask, 0.0, cmin, _served(cmin), np.full(ctx.m, np.inf),
-                         None, np.full(ctx.m, ctx.big, dtype=np.int64), None)
-        fopen = float(ctx.f[open_mask].sum())
-        from_open = ctx.c[:, open_mask].min(axis=1)
-        colsum = np.maximum(from_open[:, None] - ctx.c, 0.0).sum(axis=0)
-        return _Node(open_mask, closed_mask, fopen, cmin, _served(cmin), from_open,
-                     fopen + float(from_open.sum()), ctx.p[:, open_mask].min(axis=1), colsum)
+            rank = np.full(ctx.m, ctx.big, dtype=np.int64)
+            return _Node(open_mask, closed_mask, 0.0, cmin, served, rank, np.full(ctx.m, np.inf),
+                         None, None)
+        rank = ctx.p[:, open_mask].min(axis=1)
+        a = ctx.c[ctx.rows, ctx.inst.facility_of_rank[ctx.rows, rank - 1]]
+        return _Node._opened(ctx, open_mask, closed_mask, cmin, served, rank, a)
 
     def open_child(self, ctx: _Context, j) -> "_Node":
         open_mask = self.open.copy()
         open_mask[j] = True
-        fopen = float(ctx.f[open_mask].sum())
-        from_open = np.minimum(self.from_open, ctx.c[:, j])
-        open_cost = fopen + float(from_open.sum())
-        colsum = np.maximum(from_open[:, None] - ctx.c, 0.0).sum(axis=0)
-        rank = np.minimum(self.rank, ctx.p[:, j])
-        return _Node(open_mask, self.closed, fopen, self.cmin, self.served, from_open, open_cost,
-                     rank, colsum)
+        rank = np.minimum(self.rank, ctx.pT[j])
+        a = np.where(rank < self.rank, ctx.cT[j], self.a)  # the customers that move to j
+        return _Node._opened(ctx, open_mask, self.closed, self.cmin, self.served, rank, a)
 
     def closed_child(self, ctx: _Context, j) -> "_Node":
         closed_mask = self.closed.copy()
         closed_mask[j] = True
         cmin, served = self.cmin, self.served
-        hit = np.flatnonzero(ctx.c[:, j] == cmin)
+        hit = (ctx.cT[j] == cmin).nonzero()[0]
         if hit.size:
             cmin = cmin.copy()
             cmin[hit] = np.where(closed_mask, np.inf, ctx.c[hit]).min(axis=1)
             served = _served(cmin)
-        return _Node(self.open, closed_mask, self.fopen, cmin, served, self.from_open,
-                     self.open_cost, self.rank, self.colsum)
+        return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
+                     self.value, self.gain)
 
     def bound(self, ctx: _Context) -> tuple[float, int | None]:
         """Lower bound on every non-empty open set below this node, and the facility to branch on.
 
-        The bound is +inf when no such set exists in the subtree. The
-        facility is the undecided one with the largest net saving
-        ``colsum[k] - f[k]`` (ties to the lowest index); it is None while
-        nothing is open, when nothing is undecided, or when the bound is +inf.
+        The bound is the larger of the cheapest-service bound and, once
+        something is open, the preference bound value - sum over undecided k
+        of max(gain[k] - f[k], 0); it is +inf when no such set exists in the
+        subtree. The facility is the undecided one with the largest
+        gain[k] - f[k] (ties to the lowest index); it is None while nothing
+        is open, when nothing is undecided, or when the bound is +inf.
         """
         if self.served == math.inf:
             return math.inf, None  # someone cannot be served, yet service is forced
         bound = self.fopen + self.served
         best = None
-        if self.colsum is not None:
-            # Savings bound: serve everyone from the open set, then credit each
-            # undecided facility with at most its own best-case net saving.
-            undecided = np.flatnonzero(~(self.closed | self.open))
-            net = self.colsum[undecided] - ctx.f[undecided]
-            if undecided.size:
-                best = int(undecided[np.argmax(net)])
-            bound = max(bound, self.open_cost - float(np.maximum(net, 0.0).sum()))
+        if self.gain is not None:
+            net = np.where(self.closed | self.open, -np.inf, self.gain - ctx.f)
+            k = int(net.argmax())
+            if net[k] > -np.inf:
+                best = k
+            bound = max(bound, self.value - float(np.maximum(net, 0.0).sum()))
         return bound, best
 
 
@@ -319,14 +329,15 @@ def branch_and_bound(
 
     While nothing is open, facilities are branched in ascending order of the
     cost of opening each alone, f[j] + sum_i c[i, j]; once something is
-    open, on the undecided facility with the largest net saving
-    colsum[k] - f[k]. Ties go to the lower index, and the open child is
-    searched before the closed one. Entering a node whose bound is not below
-    the incumbent prunes its subtree. After each opening decision the current
-    open set itself is evaluated as a candidate solution, which covers every
-    reachable leaf. With limits exhausted the result is flagged incomplete
-    and carries a still-valid lower bound. A negative or NaN limit raises
-    ValueError.
+    open, on the undecided facility with the largest gain[k] - f[k] of the
+    preference bound (module docstring). Ties go to the lower index, and the
+    open child is searched before the closed one. Entering a node whose bound
+    is not below the incumbent prunes its subtree. After each opening
+    decision the current open set is a candidate solution, valued by the
+    price the node carries, which covers every reachable leaf; the
+    assignment is built once, for the final incumbent. With limits exhausted
+    the result is flagged incomplete and carries a still-valid lower bound. A
+    negative or NaN limit raises ValueError.
 
     resume, an earlier result on the same instance whose frontier is set,
     continues that search at this spec's gamma instead of starting from the
@@ -349,19 +360,16 @@ def branch_and_bound(
 
     incumbent_value = math.inf
     incumbent_mask = None
-    incumbent_assign = None
     # What a later call needs to resume this one; kept while the incumbent is
     # the empty set, which only the slr kind admits.
     frontier = None
 
-    def consider(value, mask, assign=None) -> bool:
+    def consider(value, mask) -> bool:
         """Take the open set as incumbent unless it is worse; say whether it was taken."""
-        nonlocal incumbent_value, incumbent_mask, incumbent_assign, frontier
+        nonlocal incumbent_value, incumbent_mask, frontier
         if value > incumbent_value:
             return False
-        if assign is None:
-            assign = ctx.evaluate(mask)[1]
-        incumbent_value, incumbent_mask, incumbent_assign = value, mask.copy(), assign
+        incumbent_value, incumbent_mask = value, mask.copy()
         frontier = None
         return True
 
@@ -373,8 +381,7 @@ def branch_and_bound(
         warm = ctx.forced.copy()
         for j in hc_sol.open_facilities:
             warm[j] = True
-        value, assign = ctx.evaluate(warm)
-        consider(value, warm, assign)
+        consider(ctx.evaluate(warm)[0], warm)
     else:
         consider(ctx.gamma_sum, np.zeros(inst.n, dtype=bool))
         frontier = []
@@ -422,16 +429,15 @@ def branch_and_bound(
             bound, best = node.bound(ctx)
             if on_node is not None:
                 shown = bound
-                if ctx.empty_feasible and node.colsum is None:
+                if ctx.empty_feasible and node.value is None:
                     shown = min(bound, ctx.gamma_sum)  # the empty set lies below too
                 on_node(depth, node.open.copy(), node.closed.copy(), shown, incumbent_value)
             if just_opened:
                 # Evaluate the current open set before the prune check so that a
                 # subtree whose bound ties the incumbent still surrenders its
                 # equal-valued solution (deterministic tie-breaking).
-                value, assign = ctx.evaluate(node.open, node.rank)
-                if not consider(value, node.open, assign) and frontier is not None:
-                    frontier.append((value, node.open))
+                if not consider(node.value, node.open) and frontier is not None:
+                    frontier.append((node.value, node.open))
             if bound >= incumbent_value:
                 if frontier is not None:
                     frontier.append((bound, depth, node.open, node.closed, best))
@@ -455,7 +461,7 @@ def branch_and_bound(
         solution=_result_solution(
             incumbent_value,
             incumbent_mask,
-            incumbent_assign,
+            ctx.evaluate(incumbent_mask)[1],
             {"algorithm": "branch_and_bound", "kind": spec.kind, "status": status},
         ),
         status=status,

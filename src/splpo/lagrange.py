@@ -10,7 +10,8 @@ each customer's ranking. They move between site order and rank order with
 ``ndarray.take`` on the flat index pair ``Instance.flat_rank_index``, which
 is built once per instance. The relaxed assignment x is a bool array, like y.
 Multipliers are checked once, where ``LagrangeMultipliers`` is built, and
-their shapes where ``solve_lr`` reads them.
+their shapes where ``solve_lr`` reads them; the subgradient method checks
+its start and builds its iterates, finite steps from that start, unchecked.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ class LagrangeMultipliers:
         if not np.isfinite(mu).all():
             raise ValueError("mu must be finite")
         _check_lam(lam)
+
+    @classmethod
+    def _unchecked(cls, mu: np.ndarray, lam: np.ndarray) -> "LagrangeMultipliers":
+        """Float arrays known to be valid, wrapped without the checks."""
+        mult = object.__new__(cls)
+        object.__setattr__(mult, "mu", mu)
+        object.__setattr__(mult, "lam", lam)
+        return mult
 
 
 def _check_lam(lam: np.ndarray) -> None:
@@ -200,7 +209,8 @@ def subgradient_method(
     Steps use alpha = beta * (lr_aim - value) / ||s||^2; mu moves freely while
     lam is clipped at zero. The incumbent is the best relaxation value seen,
     with the achieving multipliers retained. Iterations count multiplier
-    updates; the starting point is iteration 0.
+    updates; the starting point is iteration 0. The start is checked once;
+    the iterates, finite steps from it with lam clipped at zero, are not.
     """
     if start is None:
         start = default_start(inst)
@@ -246,7 +256,7 @@ def subgradient_method(
 
         mu = mu + alpha * s_mu
         lam = np.maximum(0.0, lam + alpha * s_lam)
-        lr = solve_lr(inst, LagrangeMultipliers(mu, lam))
+        lr = solve_lr(inst, LagrangeMultipliers._unchecked(mu, lam))
         iteration += 1
         if lr.value > best_value + IMPROVEMENT_TOL:
             best_value = lr.value

@@ -20,7 +20,7 @@ from splpo import (
     vfh,
 )
 
-from conftest import random_instance
+from conftest import cheap_open_instance, random_instance
 
 
 def test_vfh_toy_fixes_cheaper_key(toy):
@@ -49,9 +49,12 @@ def test_vfh_empty_input_solves_unrestricted(toy):
 
 
 def test_vfh_flags_incomplete_engine():
-    inst = random_instance(7)
+    # Cheap opening, so that the preference bound does not settle the search
+    # at its first node.
+    inst = cheap_open_instance(1, m_range=(10, 10), n_range=(10, 10))
     full = vfh(inst, [0, 1, 2], ps=0.5)
     capped = vfh(inst, [0, 1, 2], ps=0.5, node_limit=1)
+    assert not full.provenance["heuristic"]
     assert capped.provenance["heuristic"]
     assert capped.objective >= full.objective
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from splpo import (
     UNASSIGNED,
+    GeneratorConfig,
     Instance,
     ProblemSpec,
     branch_and_bound,
@@ -15,9 +16,10 @@ from splpo import (
     cost_ladder,
     generate_instance,
 )
-from splpo.exact import KIND_SLR, _Context
+from splpo.exact import KIND_SLR, _Context, _Node
 
 from conftest import cheap_open_instance, random_instance
+from test_semilagrange import tied_instance
 
 
 def random_gamma_in_box(inst, rng):
@@ -109,6 +111,49 @@ def test_engines_agree_with_forced_open(seed):
     b = brute_force(ProblemSpec.splpo(inst, forced_open=forced))
     assert a.value == b.value
     assert set(forced) <= a.solution.open_facilities
+
+
+def _agree_with_brute_force(inst, seed):
+    """Both engines on splpo, forced-open splpo and slr specs of one instance."""
+    rng = np.random.default_rng(seed)
+    forced = rng.choice(inst.n, size=int(rng.integers(1, min(inst.n, 2) + 1)), replace=False)
+    specs = (
+        ProblemSpec.splpo(inst),
+        ProblemSpec.splpo(inst, forced_open=forced.tolist()),
+        ProblemSpec.slr(inst, random_gamma_in_box(inst, rng)),
+    )
+    for spec in specs:
+        a = branch_and_bound(spec)
+        assert a.value == brute_force(spec).value, spec.kind
+        assert a.status == "optimal" and a.lower_bound == a.value
+        if a.solution.open_facilities:
+            assert check_feasible(inst, a.solution) == []
+
+
+@given(st.integers(0, 400))
+def test_engines_agree_on_tied_costs(seed):
+    _agree_with_brute_force(tied_instance(seed), seed)
+
+
+@given(st.integers(0, 400))
+def test_engines_agree_on_non_integer_costs(seed):
+    _agree_with_brute_force(cheap_open_instance(seed, m_range=(2, 8), n_range=(2, 8)), seed)
+
+
+@pytest.mark.parametrize("seed, optimum", [(1, 55923.0), (3, 56621.0)])
+def test_closes_cheap_opening_uniform_instances(seed, optimum):
+    # Uniform preferences with cheap opening: optima open three facilities,
+    # and a node bound that ignores preferences does not finish in a minute.
+    inst = generate_instance(40, 25, seed, GeneratorConfig(open_range=(500, 1000)))
+    res = branch_and_bound(ProblemSpec.splpo(inst), node_limit=5000)
+    assert (res.status, res.value, res.lower_bound) == ("optimal", optimum, optimum)
+    assert check_feasible(inst, res.solution) == []
+
+
+def test_closes_100x75_within_a_thousand_nodes():
+    inst = generate_instance(100, 75, 1)
+    res = branch_and_bound(ProblemSpec.splpo(inst), node_limit=1000)
+    assert (res.status, res.value) == ("optimal", 153855.0)
 
 
 def test_node_limit_keeps_bound_valid():
@@ -210,29 +255,33 @@ def test_node_bounds_are_valid(kind):
             assert bound <= true_min + 1e-9
 
 
+def _reference_gain(ctx, open_mask):
+    """Each customer's cost at its server and each facility's preference gain, from scratch."""
+    p, c = ctx.p, ctx.c
+    opened = np.flatnonzero(open_mask)
+    server = np.array([min(opened, key=lambda k: p[i, k]) for i in range(ctx.m)])
+    a = c[ctx.rows, server]
+    server_rank = p[ctx.rows, server]
+    gain = np.array([
+        np.where(p[:, k] < server_rank, np.maximum(a - c[:, k], 0.0), 0.0).sum()
+        for k in range(ctx.n)
+    ])
+    return a, gain
+
+
 def _reference_bound(ctx, open_mask, closed_mask) -> float:
     """The engine's node bound, rebuilt from scratch out of the node's decisions."""
-    avail = ~closed_mask
-    open_any = open_mask.any()
-    c = ctx.c
-    cmin = np.min(np.where(avail[None, :], c, np.inf), axis=1)
+    cmin = np.min(np.where(closed_mask[None, :], np.inf, ctx.c), axis=1)
     fopen = float(ctx.f[open_mask].sum())
     bound = fopen + float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
-    if ctx.empty_feasible and not open_any:
-        # The empty set, at sum(gamma), is one of the leaves below.
-        return min(ctx.gamma_sum, bound)
-    if open_any and bound < math.inf:
-        from_open = np.min(np.where(open_mask[None, :], c, np.inf), axis=1)
-        undecided = avail & ~open_mask
-        if undecided.any():
-            gains = np.maximum(from_open[:, None] - c, 0.0)
-            per_facility = gains.sum(axis=0, where=undecided[None, :])
-            savings = float(np.maximum(per_facility[undecided] - ctx.f[undecided], 0.0).sum())
-        else:
-            savings = 0.0
-        alt = fopen + float(from_open.sum()) - savings
-        bound = max(bound, alt)
-    return bound
+    if not open_mask.any():
+        # For slr the empty set, at sum(gamma), is one of the leaves below.
+        return min(ctx.gamma_sum, bound) if ctx.empty_feasible else bound
+    a, gain = _reference_gain(ctx, open_mask)
+    value = fopen + float(a.sum())
+    undecided = ~(open_mask | closed_mask)
+    credit = np.where(undecided, np.maximum(gain - ctx.f, 0.0), 0.0)
+    return max(bound, value - float(credit.sum()))
 
 
 def _float_specs(seed):
@@ -242,7 +291,7 @@ def _float_specs(seed):
     show a bound whose float sums were reordered.
     """
     rng = np.random.default_rng(seed)
-    base = generate_instance(16, 9, seed)
+    base = generate_instance(40, 16, seed)
     inst = Instance(
         f=base.f * rng.uniform(0.05, 0.15, base.n) + rng.random(base.n),
         c=base.c + rng.random((base.m, base.n)),
@@ -258,14 +307,15 @@ def _float_specs(seed):
     }
 
 
-# Nodes each spec takes under the net-saving branching rule (see
-# test_branching_follows_net_saving) with the from-scratch bound above: the
-# same rule and an identical bound sequence must give an identical search tree.
+# Nodes each spec takes under the branching rule on gain[k] - f[k] (see
+# test_branching_follows_net_saving) with the from-scratch preference bound
+# above: the same rule and an identical bound sequence must give an identical
+# search tree.
 RECORDED_NODES = {
-    0: {"splpo": 911, "splpo_forced": 499, "slr": 911},
-    1: {"splpo": 683, "splpo_forced": 311, "slr": 683},
-    2: {"splpo": 461, "splpo_forced": 495, "slr": 461},
-    3: {"splpo": 793, "splpo_forced": 441, "slr": 793},
+    0: {"splpo": 613, "splpo_forced": 209, "slr": 613},
+    1: {"splpo": 495, "splpo_forced": 199, "slr": 621},
+    2: {"splpo": 509, "splpo_forced": 145, "slr": 509},
+    3: {"splpo": 667, "splpo_forced": 461, "slr": 667},
 }
 
 
@@ -285,15 +335,57 @@ def test_node_bounds_equal_reference(seed):
         assert res.nodes == RECORDED_NODES[seed][kind], kind
 
 
+def _same_bits(x, y) -> bool:
+    if x is None or y is None:
+        return x is y
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
+def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
+    # A resumed search rebuilds pruned nodes from their masks, so the state a
+    # node inherits must be exactly the one from_masks computes.
+    seen = []
+    bound = _Node.bound
+
+    def recording(node, ctx):
+        seen.append((ctx, node))
+        return bound(node, ctx)
+
+    monkeypatch.setattr(_Node, "bound", recording)
+    specs = _float_specs(seed)
+    counts = {}
+    for kind, spec in specs.items():
+        branch_and_bound(spec)
+        counts[kind] = len(seen) - sum(counts.values())
+    prev = None
+    for spec in _slr_chain(specs["slr"].inst):
+        fresh_nodes = len(seen)
+        res = branch_and_bound(spec, resume=prev)
+        if prev is None:
+            del seen[fresh_nodes:]  # the chain's first search starts from the root
+        if res.frontier is None:
+            break
+        prev = res
+    counts["resumed"] = len(seen) - sum(counts.values())
+    assert min(counts.values()) > 0, counts
+    for ctx, node in seen:
+        fresh = _Node.from_masks(ctx, node.open, node.closed)
+        for name in ("a", "value", "rank", "gain", "fopen", "cmin", "served"):
+            assert _same_bits(getattr(node, name), getattr(fresh, name)), name
+        if node.value is not None:
+            assert _same_bits(node.value, ctx.evaluate(node.open)[0])  # the set's price
+
+
 def _rule_choice(ctx, open_mask, closed_mask) -> int:
     """The facility the branching rule picks at a node, from scratch."""
     undecided = ~(open_mask | closed_mask)
     if not open_mask.any():
         alone = ctx.f + ctx.c.sum(axis=0)
         return min(np.flatnonzero(undecided), key=lambda j: (alone[j], j))
-    from_open = np.min(np.where(open_mask[None, :], ctx.c, np.inf), axis=1)
-    colsum = np.maximum(from_open[:, None] - ctx.c, 0.0).sum(axis=0)
-    net = np.where(undecided, colsum - ctx.f, -np.inf)
+    _, gain = _reference_gain(ctx, open_mask)
+    net = np.where(undecided, gain - ctx.f, -np.inf)
     return int(np.argmax(net))
 
 
@@ -389,7 +481,9 @@ def test_resumed_search_equals_a_fresh_one(case):
 
 
 def test_node_limit_in_a_resumed_search_keeps_bound_valid():
-    inst = cheap_open_instance(5, integer=True, m_range=(16, 16), n_range=(10, 10))
+    # The last frontier before the search opens something holds over a
+    # hundred entries, and the search resumed from it takes more than 50 nodes.
+    inst = cheap_open_instance(3, integer=True, m_range=(30, 30), n_range=(14, 14))
     prev = None
     for spec in _slr_chain(inst):
         fresh = branch_and_bound(spec)

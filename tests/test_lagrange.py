@@ -20,6 +20,7 @@ from splpo import (
     solve_lr,
     subgradient_method,
 )
+from splpo import lagrange
 from splpo.lagrange import IMPROVEMENT_TOL, LrSolution, SgResult, SgTraceRow
 from splpo.solution import assign_most_preferred
 
@@ -226,6 +227,19 @@ def test_sg_iteration_budget():
     res = subgradient_method(inst, SgConfig(max_iter=7))
     assert res.iterations <= 7
     assert res.trace[0].iteration == 0
+
+
+def test_sg_checks_its_start_once(monkeypatch):
+    # The iterates are finite steps from a checked start; only the start and
+    # the caller's own LagrangeMultipliers go through the checks.
+    checks = []
+    check = lagrange._check_lam
+    monkeypatch.setattr(lagrange, "_check_lam", lambda lam: (checks.append(1), check(lam)))
+    inst = generate_instance(12, 8, 3)
+    res = subgradient_method(inst, SgConfig(max_iter=40))
+    assert res.iterations == 40 and len(checks) == 2  # default_start, then the start's copy
+    with pytest.raises(ValueError, match="lam"):
+        LagrangeMultipliers(mu=np.zeros(2), lam=-np.ones((2, 2)))
 
 
 def test_sg_trace_is_csv_friendly():
