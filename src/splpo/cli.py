@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -258,6 +259,26 @@ def _append_report(path: Path, rows) -> None:
     path.write_text(report.to_csv())
 
 
+def _load_optima(path: Path) -> dict:
+    """A JSON object mapping instance names to finite numbers, else CliError."""
+    try:
+        optima = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read optima file {path}: {exc}") from exc
+    if not isinstance(optima, dict):
+        raise CliError(f"optima file {path} must hold a JSON object mapping instance names "
+                       f"to optimal values, got a {type(optima).__name__}")
+    for name, value in optima.items():
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            finite = False
+        if not finite:
+            raise CliError(f"optima file {path}: the value of {name!r} must be a finite "
+                           f"number, got {value!r}")
+    return optima
+
+
 def cmd_bench(args) -> int:
     paths = []
     for pattern in args.instances:
@@ -273,9 +294,7 @@ def cmd_bench(args) -> int:
     if unknown:
         raise CliError(f"unknown algorithms: {', '.join(unknown)}")
 
-    optima = {}
-    if args.optima:
-        optima = json.loads(args.optima.read_text())
+    optima = _load_optima(args.optima) if args.optima else {}
 
     rows = []
     for path in paths:

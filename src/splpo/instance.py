@@ -10,6 +10,7 @@ over its assigned server makes the assignment infeasible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -255,7 +256,10 @@ class GeneratorConfig:
 
     mode "uniform" draws each preference row as a uniform random permutation;
     mode "cost-consistent" ranks facilities by the generated service costs
-    (random tie-breaking), so cheaper sites are preferred.
+    (random tie-breaking), so cheaper sites are preferred. Costs are drawn
+    from the inclusive integer ranges and multiplied by scale. A scale that
+    is not a positive integer, or a range that is not a pair of integers
+    lo, hi with 0 <= lo <= hi, raises ValueError.
     """
 
     mode: str = "uniform"
@@ -266,6 +270,18 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.mode not in ("uniform", "cost-consistent"):
             raise ValueError(f"unknown generator mode {self.mode!r}")
+        if not (_is_int(self.scale) and self.scale >= 1):
+            raise ValueError(f"scale must be a positive integer, got {self.scale!r}")
+        for name in ("cost_range", "open_range"):
+            r = getattr(self, name)
+            if not (isinstance(r, (tuple, list)) and len(r) == 2 and all(map(_is_int, r))
+                    and 0 <= r[0] <= r[1]):
+                raise ValueError(
+                    f"{name} must be a pair of integers lo, hi with 0 <= lo <= hi, got {r!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def generate_instance(

@@ -6,12 +6,20 @@ aggregated reduced cost is negative. The dual is maximized with a projected
 subgradient method driven by a target upper bound (Polyak-style step sizes).
 
 The preference terms are suffix (and, in the subgradient, prefix) sums along
-each customer's ranking. They move between site order and rank order with
-``ndarray.take`` on the flat index pair ``Instance.flat_rank_index``, which
-is built once per instance. The relaxed assignment x is a bool array, like y.
+each customer's ranking, so one private kernel evaluates the relaxation and
+its subgradient in rank order: each customer's row lists its sites worst
+first, as ``Instance.flat_rank_index`` defines it, and those sums are plain
+row-wise cumsums. The subgradient method holds lam in rank order for its
+whole run, reuses one set of (m, n) buffers, and takes its best lam back to
+site order once, at the end. ``solve_lr`` and ``lr_subgradient`` take and
+return site-order arrays and convert at their edges. Column sums run over
+customers in order, so every float sum is the one site order would give.
+The relaxed assignment x is a bool array, like y.
+
 Multipliers are checked once, where ``LagrangeMultipliers`` is built, and
 their shapes where ``solve_lr`` reads them; the subgradient method checks
-its start and builds its iterates, finite steps from that start, unchecked.
+its start, by relaxing it through ``solve_lr``, and builds its iterates,
+finite steps from that start, unchecked.
 """
 
 from __future__ import annotations
@@ -45,14 +53,6 @@ class LagrangeMultipliers:
             raise ValueError("mu must be finite")
         _check_lam(lam)
 
-    @classmethod
-    def _unchecked(cls, mu: np.ndarray, lam: np.ndarray) -> "LagrangeMultipliers":
-        """Float arrays known to be valid, wrapped without the checks."""
-        mult = object.__new__(cls)
-        object.__setattr__(mult, "mu", mu)
-        object.__setattr__(mult, "lam", lam)
-        return mult
-
 
 def _check_lam(lam: np.ndarray) -> None:
     # Written so that NaN fails too.
@@ -81,10 +81,52 @@ def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
 
 
-def _suffix_lambda(inst: Instance, lam: np.ndarray) -> np.ndarray:
-    """cumulative_lambda without the checks, for multipliers already validated."""
-    to_rank, to_site = inst.flat_rank_index
-    return np.cumsum(lam.take(to_rank), axis=1).take(to_site)
+class _RankRelaxation:
+    """The relaxation of one instance with lam in rank order.
+
+    Every (m, n) array here is in rank order: row i lists customer i's sites
+    worst first. ``facility[i, q]`` is the site in cell (i, q). The buffers
+    are reused, so each call overwrites what the last one returned in them.
+    """
+
+    def __init__(self, inst: Instance):
+        self.to_rank, self.to_site = inst.flat_rank_index
+        self.c = inst.c.take(self.to_rank)
+        self.f = inst.f
+        self.facility = np.ascontiguousarray(inst.facility_of_rank[:, ::-1])
+        self.reduced = np.empty(self.c.shape)
+        self.scratch = np.empty(self.c.shape)
+        self.x = np.empty(self.c.shape, dtype=bool)
+        self.y = np.empty(self.c.shape, dtype=bool)
+        self.covered = np.empty(self.c.shape, dtype=np.int64)
+        self.s_lam = np.empty(self.c.shape, dtype=np.int64)
+
+    def colsum(self, a: np.ndarray) -> np.ndarray:
+        """Per-site sums of a, adding customer after customer like sum(axis=0)
+        in site order: the same floats, up to the sign of a zero sum."""
+        return np.bincount(self.facility.ravel(), weights=a.ravel(), minlength=self.f.size)
+
+    def solve(self, mu: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(value, rho, y) in site order; self.x and self.y get x and y per cell."""
+        reduced, scratch = self.reduced, self.scratch
+        np.cumsum(lam, axis=1, out=scratch)
+        np.subtract(self.c, mu[:, None], out=reduced)
+        reduced -= scratch
+        np.minimum(reduced, 0.0, out=scratch)
+        rho = self.colsum(scratch) + self.f + self.colsum(lam)
+        y = rho < 0.0
+        np.take(y, self.facility, out=self.y)
+        np.less(reduced, 0.0, out=self.x)
+        self.x &= self.y
+        return float(rho[y].sum() + mu.sum()), rho, y
+
+    def subgradient(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s_mu, s_lam) from x and y per cell; s_lam is an integer array."""
+        covered = self.covered
+        # Counts from each customer's favourite, stored worst first like x.
+        np.cumsum(x[:, ::-1], axis=1, out=covered[:, ::-1])
+        np.subtract(y, covered, out=self.s_lam)
+        return 1.0 - covered[:, 0], self.s_lam
 
 
 def cumulative_lambda(inst: Instance, lam: np.ndarray) -> np.ndarray:
@@ -98,7 +140,8 @@ def cumulative_lambda(inst: Instance, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     _check_shape("lam", lam, (inst.m, inst.n))
     _check_lam(lam)
-    return _suffix_lambda(inst, lam)
+    to_rank, to_site = inst.flat_rank_index
+    return np.cumsum(lam.take(to_rank), axis=1).take(to_site)
 
 
 def solve_lr(inst: Instance, mult: LagrangeMultipliers) -> LrSolution:
@@ -112,12 +155,9 @@ def solve_lr(inst: Instance, mult: LagrangeMultipliers) -> LrSolution:
     """
     _check_shape("mu", mult.mu, (inst.m,))
     _check_shape("lam", mult.lam, (inst.m, inst.n))
-    reduced = inst.c - mult.mu[:, None] - _suffix_lambda(inst, mult.lam)
-    rho = np.minimum(reduced, 0.0).sum(axis=0) + inst.f + mult.lam.sum(axis=0)
-    y = rho < 0.0
-    x = y[None, :] & (reduced < 0.0)
-    value = float(rho[y].sum() + mult.mu.sum())
-    return LrSolution(value=value, x=x, y=y, rho=rho)
+    rel = _RankRelaxation(inst)
+    value, rho, y = rel.solve(mult.mu, mult.lam.take(rel.to_rank))
+    return LrSolution(value=value, x=rel.x.take(rel.to_site), y=y, rho=rho)
 
 
 def lr_subgradient(inst: Instance, lr: LrSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -126,17 +166,13 @@ def lr_subgradient(inst: Instance, lr: LrSolution) -> tuple[np.ndarray, np.ndarr
     Returns (s_mu, s_lam): s_mu[i] = 1 - (assignments of customer i), and
     s_lam[i, j] = y_j - (assignments of i to facilities it weakly prefers
     over j). A zero vector certifies dual optimality. x may be bool or any
-    0/1 integer array of shape (m, n).
+    0/1 integer array of shape (m, n), and y must have shape (n,).
     """
     _check_shape("x", lr.x, (inst.m, inst.n))
-    to_rank, to_site = inst.flat_rank_index
-    by_rank = lr.x.take(to_rank)
-    # Sums from each customer's favourite, stored worst first like by_rank.
-    covered = np.empty(by_rank.shape)
-    np.cumsum(by_rank[:, ::-1], axis=1, dtype=float, out=covered[:, ::-1])
-    s_mu = 1.0 - covered[:, 0]
-    s_lam = lr.y - covered.take(to_site)
-    return s_mu, s_lam
+    _check_shape("y", lr.y, (inst.n,))
+    rel = _RankRelaxation(inst)
+    s_mu, s_lam = rel.subgradient(lr.x.take(rel.to_rank), lr.y.take(rel.facility))
+    return s_mu, s_lam.take(rel.to_site).astype(float)
 
 
 def default_start(inst: Instance) -> LagrangeMultipliers:
@@ -211,6 +247,7 @@ def subgradient_method(
     with the achieving multipliers retained. Iterations count multiplier
     updates; the starting point is iteration 0. The start is checked once;
     the iterates, finite steps from it with lam clipped at zero, are not.
+    lam is held in rank order during the run; best_lam is in site order.
     """
     if start is None:
         start = default_start(inst)
@@ -220,9 +257,13 @@ def subgradient_method(
         lr_aim = hc_sol.objective
 
     mu = start.mu.copy()
-    lam = start.lam.copy()
-    lr = solve_lr(inst, LagrangeMultipliers(mu, lam))
-    best_value = lr.value
+    # The start's one check, shapes included, before any flat gather reads it.
+    lr = solve_lr(inst, LagrangeMultipliers(mu, start.lam))
+    rel = _RankRelaxation(inst)
+    lam = start.lam.take(rel.to_rank)
+    value, x, y = lr.value, lr.x.take(rel.to_rank), lr.y.take(rel.facility)
+    step = np.empty(lam.shape)
+    best_value = value
     best_mu, best_lam = mu.copy(), lam.copy()
     best_iteration = 0
     beta = cfg.beta0
@@ -232,34 +273,37 @@ def subgradient_method(
     iteration = 0
 
     while True:
-        s_mu, s_lam = lr_subgradient(inst, lr)
+        s_mu, s_lam = rel.subgradient(x, y)
         # Subgradient entries are small integers, so these sums are exact in any order.
         norm_sq = float(s_mu @ s_mu + s_lam.ravel() @ s_lam.ravel())
         if norm_sq == 0.0:
             trace.append(
-                SgTraceRow(iteration, lr.value, best_value, beta, 0.0, 0.0)
+                SgTraceRow(iteration, value, best_value, beta, 0.0, 0.0)
             )
             status = "optimal"
             break
-        gap = lr_aim - lr.value
+        gap = lr_aim - value
         if gap < 0:
             trace.append(
-                SgTraceRow(iteration, lr.value, best_value, beta, math.nan, norm_sq)
+                SgTraceRow(iteration, value, best_value, beta, math.nan, norm_sq)
             )
             status = "aim_exceeded"
             break
         alpha = beta * gap / norm_sq
-        trace.append(SgTraceRow(iteration, lr.value, best_value, beta, alpha, norm_sq))
+        trace.append(SgTraceRow(iteration, value, best_value, beta, alpha, norm_sq))
         if iteration >= cfg.max_iter:
             status = "iter_limit"
             break
 
-        mu = mu + alpha * s_mu
-        lam = np.maximum(0.0, lam + alpha * s_lam)
-        lr = solve_lr(inst, LagrangeMultipliers._unchecked(mu, lam))
+        mu += alpha * s_mu
+        np.multiply(s_lam, alpha, out=step)
+        lam += step
+        np.maximum(0.0, lam, out=lam)
+        value = rel.solve(mu, lam)[0]
+        x, y = rel.x, rel.y
         iteration += 1
-        if lr.value > best_value + IMPROVEMENT_TOL:
-            best_value = lr.value
+        if value > best_value + IMPROVEMENT_TOL:
+            best_value = value
             best_mu, best_lam = mu.copy(), lam.copy()
             best_iteration = iteration
             stall = 0
@@ -269,7 +313,7 @@ def subgradient_method(
             beta -= cfg.beta_decrement
         if beta <= 0:
             trace.append(
-                SgTraceRow(iteration, lr.value, best_value, beta, math.nan, math.nan)
+                SgTraceRow(iteration, value, best_value, beta, math.nan, math.nan)
             )
             status = "beta_exhausted"
             break
@@ -277,7 +321,7 @@ def subgradient_method(
     return SgResult(
         best_value=best_value,
         best_mu=best_mu,
-        best_lam=best_lam,
+        best_lam=best_lam.take(rel.to_site),
         best_iteration=best_iteration,
         iterations=iteration,
         status=status,

@@ -50,6 +50,15 @@ def test_generate_rejects_bad_dims(tmp_path):
     assert main(["generate", "--m", "0", "--n", "5", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_generate_rejects_a_bad_scale(tmp_path, capsys, scale):
+    out = tmp_path / "inst"
+    args = ["generate", "--m", "3", "--n", "2", "--scale", scale, "--out-dir", str(out)]
+    assert main(args) == EXIT_USAGE
+    assert f"scale must be a positive integer, got {scale}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exact(toy_file, tmp_path):
     sol_path = tmp_path / "sol.json"
     rep_path = tmp_path / "rows.csv"
@@ -189,6 +198,25 @@ def test_bench_with_optima_file(toy_file, tmp_path):
     assert code == EXIT_OK
     row = RunReport.from_csv(out.read_text()).rows[0]
     assert row.opt == 8.0 and row.gap_pct == 0.0
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ('{"toy": "abc"}', "'toy' must be a finite number, got 'abc'"),
+    ('{"toy": 8.0, "other": NaN}', "'other' must be a finite number"),
+    ('{"toy": true}', "'toy' must be a finite number"),
+    ('{"toy": 1e999}', "'toy' must be a finite number"),
+    ('[8.0]', "must hold a JSON object mapping instance names to optimal values, got a list"),
+    ('{"toy": ', "cannot read optima file"),
+])
+def test_bench_rejects_a_malformed_optima_file(toy_file, tmp_path, capsys, doc, fragment):
+    optima = tmp_path / "opt.json"
+    optima.write_text(doc)
+    out = tmp_path / "bench.csv"
+    code = main(["bench", str(toy_file), "--algorithms", "hc", "--optima", str(optima),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and fragment in err and str(optima) in err
+    assert not out.exists()
 
 
 def test_non_finite_costs_are_bad_input_not_infeasible(tmp_path, capsys):

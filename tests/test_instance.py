@@ -147,6 +147,23 @@ def test_generator_rejects_bad_dims():
         generate_instance(0, 5, seed=1)
 
 
+@pytest.mark.parametrize("settings", [
+    {"scale": 0}, {"scale": -3}, {"scale": 1.5}, {"scale": True},
+    {"cost_range": (5, 4)}, {"cost_range": (-1, 4)}, {"cost_range": (1.5, 4)},
+    {"cost_range": (1, 2, 3)}, {"open_range": 7}, {"open_range": (0, float("nan"))},
+])
+def test_generator_config_rejects_bad_settings(settings):
+    (name,) = settings
+    with pytest.raises(ValueError, match=name):
+        GeneratorConfig(**settings)
+
+
+def test_generator_config_accepts_integer_pairs_and_scales():
+    cfg = GeneratorConfig(cost_range=(0, 0), open_range=[3, 3], scale=np.int64(2))
+    inst = generate_instance(2, 3, seed=1, params=cfg)
+    assert np.array_equal(inst.c, np.zeros((2, 3))) and np.array_equal(inst.f, [6.0] * 3)
+
+
 @given(st.integers(0, 2000))
 def test_round_trip_property(seed):
     inst = random_instance(seed)

@@ -314,6 +314,8 @@ def test_relaxation_rejects_multipliers_of_the_wrong_shape():
     lr = solve_lr(inst, LagrangeMultipliers(mu=mu, lam=lam))
     with pytest.raises(ValueError, match="x"):
         lr_subgradient(inst, LrSolution(value=lr.value, x=lr.x.T, y=lr.y, rho=lr.rho))
+    with pytest.raises(ValueError, match="y must have shape"):
+        lr_subgradient(inst, LrSolution(value=lr.value, x=lr.x, y=np.ones(3, bool), rho=lr.rho))
 
 
 # The relaxation and subgradient method as they stood when every step gathered
@@ -413,6 +415,14 @@ def _bit_identity_cases():
                        beta_decrement=0.02)
         start = default_start(inst) if seed % 2 else random_multipliers(inst, rng)
         yield inst, cfg, start
+    # A zero subgradient at the start, and one reached after 32 steps.
+    for m, n, seed in ((2, 1, 0), (1, 2, 2)):
+        inst = generate_instance(m, n, seed)
+        yield inst, SgConfig(), default_start(inst)
+    # An aim below the start's relaxation value.
+    inst = generate_instance(5, 4, 3)
+    start = default_start(inst)
+    yield inst, SgConfig(lr_aim=solve_lr(inst, start).value - 1.0), start
 
 
 def test_sg_is_bit_identical_to_the_gather_based_reference():
@@ -429,7 +439,7 @@ def test_sg_is_bit_identical_to_the_gather_based_reference():
         assert res.best_mu.tobytes() == ref.best_mu.tobytes(), case
         assert res.best_lam.tobytes() == ref.best_lam.tobytes(), case
         statuses.add(res.status)
-    assert statuses >= {"iter_limit", "beta_exhausted"}
+    assert statuses == {"optimal", "aim_exceeded", "iter_limit", "beta_exhausted"}
 
 
 def test_relaxation_steps_match_the_gather_based_reference():
