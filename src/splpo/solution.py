@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,8 +129,21 @@ def _site_from_json(value, key: str, position: int) -> int:
     return value - 1
 
 
+def _objective_from_json(doc: dict) -> float:
+    """The objective read from disk: a JSON number that is finite as a float."""
+    value = doc.get("objective")
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer literal too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"objective: a finite number is required, got {value!r}")
+    return number
+
+
 def solution_from_json(text: str) -> Solution:
-    """Read solution_to_json's format; ValueError for a facility id below 1 or not an integer."""
+    """Read solution_to_json's format; ValueError for a facility id below 1 or
+    not an integer, and for an objective that is missing or not a finite number."""
     doc = json.loads(text)
     assign = np.array(
         [UNASSIGNED if j is None else _site_from_json(j, "assign", i)
@@ -139,7 +153,7 @@ def solution_from_json(text: str) -> Solution:
     return Solution(
         open_facilities=frozenset(_site_from_json(j, "open", k) for k, j in enumerate(doc["open"])),
         assign=assign,
-        objective=float(doc["objective"]),
+        objective=_objective_from_json(doc),
         provenance=doc.get("provenance", {}),
     )
 
@@ -159,45 +173,51 @@ class GreedyRound:
     used: tuple  # facilities actually serving someone
 
 
-def _round_from_assign(inst: Instance, facility: int, assign: np.ndarray) -> GreedyRound:
-    rows = np.arange(inst.m)
-    used = np.zeros(inst.n, dtype=bool)
-    used[assign] = True
-    service = float(inst.c[rows, assign].sum())
-    full = price(inst, rows, assign, used)
-    return GreedyRound(facility, service, full, tuple(np.flatnonzero(used).tolist()))
-
-
 def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[GreedyRound]]:
-    m, n = inst.m, inst.n
-    col_sums = inst.c.sum(axis=0)
-    j0 = int(np.argmin(col_sums))  # ties resolved to the lowest index
-    assign = np.full(m, j0, dtype=np.int64)
-    trace = [_round_from_assign(inst, j0, assign)]
-    best, best_assign = trace[0], assign
-    remaining = np.delete(np.arange(n), j0)
-    tc_prev = float(col_sums[j0])
-    rows = np.arange(m)
+    """The sweep behind hc and hs: one whole-array pass over every site per round.
+
+    Facility-major copies make each site's column one contiguous row. A round
+    carries every customer's current cost and rank; row j of ``cost`` is the
+    assignment if j were added (the customers preferring j move to it), and
+    its pairwise row sum is j's total service cost, the same float a 1-D sum
+    of that assignment gives. Taken sites are masked to inf, so ``argmin``
+    picks the lowest-index minimum among the rest. The round's record reuses
+    that row sum: its objective adds the opening costs of the sites in use,
+    as ``price`` does.
+    """
+    m, n, f = inst.m, inst.n, inst.f
+    c_t = np.ascontiguousarray(inst.c.T)
     p_t = np.ascontiguousarray(inst.p.T)
 
-    while remaining.size:
-        # One row per remaining facility: the assignment if it were added.
-        # Each row sums along the contiguous last axis, as the 1-D sum of a
-        # single candidate would, so every tc is the same float.
-        prefer = p_t[remaining] < inst.p[rows, assign]
-        cand = np.where(prefer, remaining[:, None], assign)
-        tcs = inst.c[rows, cand].sum(axis=1)
-        k = int(np.argmin(tcs))  # the first minimum, as a strict < scan keeps
-        best_j, best_tc = int(remaining[k]), float(tcs[k])
-        remaining = np.delete(remaining, k)
-        assign = cand[k]
-        trace.append(_round_from_assign(inst, best_j, assign))
+    def record(j: int, service: np.float64, assign: np.ndarray) -> GreedyRound:
+        used = np.bincount(assign, minlength=n) > 0
+        return GreedyRound(j, float(service), float(service + f[used].sum()),
+                           tuple(used.nonzero()[0].tolist()))
+
+    j0 = int(np.argmin(inst.c.sum(axis=0)))  # ties resolved to the lowest index
+    cur_c, cur_p = c_t[j0], p_t[j0]
+    assign = np.full(m, j0, dtype=np.int64)
+    taken = np.zeros(n, dtype=bool)
+    taken[j0] = True
+    trace = [record(j0, cur_c.sum(), assign)]
+    best, best_assign = trace[0], assign
+
+    for _ in range(n - 1):
+        prefer = p_t < cur_p
+        cost = np.where(prefer, c_t, cur_c)
+        tcs = cost.sum(axis=1)
+        tcs[taken] = np.inf
+        k = int(tcs.argmin())
+        if taken[k]:  # every untaken total overflowed to inf too
+            k = int(np.argmin(taken))
+        taken[k] = True
+        assign = np.where(prefer[k], k, assign)
+        cur_c, cur_p = cost[k], np.minimum(p_t[k], cur_p)
+        trace.append(record(k, tcs[k], assign))
         if trace[-1].objective < best.objective:
             best, best_assign = trace[-1], assign
-        if early_stop:
-            if best_tc >= tc_prev:
-                break
-            tc_prev = best_tc
+        if early_stop and trace[-1].service_cost >= trace[-2].service_cost:
+            break
 
     # Customers sit at their most preferred selected facility: the forced assignment.
     sol = Solution(
@@ -214,6 +234,9 @@ def heuristic_hc(inst: Instance) -> tuple[Solution, list[GreedyRound]]:
     adding the facility whose preference-aware reassignment has the lowest
     total service cost until none remain. The returned solution is the
     best full objective among all accepted assignments.
+
+    Each round is one whole-array pass over every site (see _greedy_sweep),
+    so a call costs n - 1 such passes over an (n, m) array.
     """
     return _greedy_sweep(inst, early_stop=False)
 
@@ -221,7 +244,8 @@ def heuristic_hc(inst: Instance) -> tuple[Solution, list[GreedyRound]]:
 def heuristic_hs(inst: Instance) -> tuple[Solution, list[GreedyRound]]:
     """Greedy sweep that stops as soon as the round's best service cost
     fails to improve on the previous one (opening costs excluded from the
-    stopping comparison).
+    stopping comparison). Round 1 is compared with the seed round's recorded
+    service cost, so a tie with the seed stops the sweep.
     """
     return _greedy_sweep(inst, early_stop=True)
 

@@ -25,7 +25,7 @@ from splpo import (
     solution_to_json,
 )
 from splpo.exact import _Context
-from splpo.solution import _round_from_assign, open_mask
+from splpo.solution import GreedyRound, open_mask
 
 from conftest import random_instance
 
@@ -285,36 +285,51 @@ def test_heuristics_bound_the_optimum(seed):
     assert opt <= hc_sol.objective <= hs_sol.objective
 
 
-def _reference_sweep_trace(inst, early_stop):
+def _round_from_assign(inst, facility, assign):
+    """The reference's record of one round, priced by its own gathers."""
+    rows = np.arange(inst.m)
+    used = np.zeros(inst.n, dtype=bool)
+    used[assign] = True
+    service = inst.c[rows, assign].sum()
+    return GreedyRound(facility, float(service), float(service + inst.f[used].sum()),
+                       tuple(np.flatnonzero(used).tolist()))
+
+
+def _reference_sweep(inst, early_stop):
     """The greedy sweep as a plain loop over the remaining facilities."""
     m, n = inst.m, inst.n
-    col_sums = inst.c.sum(axis=0)
-    j0 = int(np.argmin(col_sums))
+    j0 = int(np.argmin(inst.c.sum(axis=0)))
     assign = np.full(m, j0, dtype=np.int64)
     trace = [_round_from_assign(inst, j0, assign)]
+    best, best_assign = trace[0], assign
     remaining = [j for j in range(n) if j != j0]
-    tc_prev = float(col_sums[j0])
+    tc_prev = trace[0].service_cost
     rows = np.arange(m)
     while remaining:
-        best_j = best_tc = best_assign = None
+        best_j = best_tc = cand_assign = None
         for j in remaining:
             prefer_j = inst.p[:, j] < inst.p[rows, assign]
             cand = np.where(prefer_j, j, assign)
             tc = float(inst.c[rows, cand].sum())
             if best_tc is None or tc < best_tc:
-                best_j, best_tc, best_assign = j, tc, cand
+                best_j, best_tc, cand_assign = j, tc, cand
         remaining.remove(best_j)
-        assign = best_assign
+        assign = cand_assign
         trace.append(_round_from_assign(inst, best_j, assign))
+        if trace[-1].objective < best.objective:
+            best, best_assign = trace[-1], assign
         if early_stop:
             if best_tc >= tc_prev:
                 break
             tc_prev = best_tc
-    return trace
+    sol = Solution(frozenset(best.used), best_assign, best.objective,
+                   {"algorithm": "hs" if early_stop else "hc"})
+    return sol, trace
 
 
 def _sweep_instances():
-    """Seeded instances with many cost ties, and with non-integer costs."""
+    """Seeded instances with many cost ties, with non-integer costs, and with
+    one customer, one site or two sites."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(2, 40)), int(rng.integers(2, 30))
@@ -322,13 +337,56 @@ def _sweep_instances():
         yield generate_instance(m, n, seed, GeneratorConfig(mode=mode, cost_range=(1, 5)))
         base = generate_instance(m, n, seed, GeneratorConfig(mode=mode))
         yield Instance(f=base.f + rng.random(n), c=base.c + rng.random((m, n)), p=base.p)
+    for seed, (m, n) in enumerate([(1, 1), (1, 7), (9, 1), (12, 2), (1, 2), (30, 2)]):
+        yield generate_instance(m, n, seed, GeneratorConfig(mode="uniform", cost_range=(1, 3)))
+        rng = np.random.default_rng(seed)
+        yield Instance(f=rng.random(n) * 5, c=rng.random((m, n)) * 10,
+                       p=np.argsort(rng.random((m, n)), axis=1) + 1)
+
+
+def _assert_same_sweep(got, want):
+    (sol, trace), (ref_sol, ref_trace) = got, want
+    assert trace == ref_trace
+    assert sol.open_facilities == ref_sol.open_facilities
+    assert np.array_equal(sol.assign, ref_sol.assign)
+    assert sol.objective == ref_sol.objective
+    assert sol.provenance == ref_sol.provenance
 
 
 def test_greedy_sweep_matches_reference_loop():
     for inst in _sweep_instances():
         for heuristic, early_stop in ((heuristic_hc, False), (heuristic_hs, True)):
-            _, trace = heuristic(inst)
-            assert trace == _reference_sweep_trace(inst, early_stop)
+            _assert_same_sweep(heuristic(inst), _reference_sweep(inst, early_stop))
+
+
+def test_greedy_sweep_takes_each_site_once_when_totals_overflow():
+    # Every candidate total is inf, so the masked argmin alone could pick a
+    # site already taken; the sweep still adds the untaken sites in order.
+    inst = Instance(f=np.ones(4), c=np.full((3, 4), 1e308),
+                    p=np.array([[1, 2, 3, 4], [4, 3, 2, 1], [2, 1, 4, 3]]))
+    with np.errstate(over="ignore"):
+        for heuristic, early_stop in ((heuristic_hc, False), (heuristic_hs, True)):
+            _assert_same_sweep(heuristic(inst), _reference_sweep(inst, early_stop))
+        assert [r.facility for r in heuristic_hc(inst)[1]] == [0, 1, 2, 3]
+
+
+def test_hs_stops_at_a_tie_with_the_seed_round():
+    # The seed column summed down the rows can exceed its pairwise sum, the
+    # seed round's recorded service cost, by an ulp. Site 1 moves nobody, so
+    # round 1 ties the seed exactly and hs must stop there.
+    rng = np.random.default_rng(3)
+    while True:
+        col0 = rng.random(12) * 10
+        c = np.column_stack([col0, col0 + 5, col0 + 1])
+        if c.sum(axis=0)[0] > c[:, 0].copy().sum():
+            break
+    p = np.array([[1, 3, 2]] * 6 + [[2, 3, 1]] * 6)
+    inst = Instance(f=np.ones(3), c=c, p=p)
+    _, trace = heuristic_hs(inst)
+    assert trace[0].service_cost == 75.58585380888879
+    assert [r.facility for r in trace] == [0, 1]
+    assert trace[1].service_cost == trace[0].service_cost
+    _assert_same_sweep(heuristic_hs(inst), _reference_sweep(inst, True))
 
 
 def test_solution_json_round_trip(toy):
@@ -369,4 +427,16 @@ def test_solution_json_rejects_bad_facility_ids(doc, where):
     # An assigned 0 used to become -1 and read back silently as UNASSIGNED.
     text = json.dumps({**doc, "objective": 1.0})
     with pytest.raises(ValueError, match=where):
+        solution_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "objective",
+    ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "true", '"7"', "null", "[1]", None],
+    ids=["nan", "inf", "-inf", "1e999", "huge-int", "true", "string", "null", "list", "missing"],
+)
+def test_solution_json_rejects_a_bad_objective(objective):
+    doc = '{"open": [1], "assign": [1, 1]'
+    text = doc + ("}" if objective is None else f', "objective": {objective}}}')
+    with pytest.raises(ValueError, match="objective"):
         solution_from_json(text)
