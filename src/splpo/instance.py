@@ -66,10 +66,9 @@ class Instance:
             raise ValueError("negative opening cost")
         if np.any(self.c < 0):
             raise ValueError("negative service cost")
-        expected = np.arange(1, n + 1)
-        for i in range(m):
-            if not np.array_equal(np.sort(self.p[i]), expected):
-                raise ValueError(f"preference row {i + 1} is not a permutation of 1..{n}")
+        bad = np.flatnonzero((np.sort(self.p, axis=1) != np.arange(1, n + 1)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"preference row {bad[0] + 1} is not a permutation of 1..{n}")
         for a in (self.f, self.c, self.p):
             a.setflags(write=False)
 
@@ -191,8 +190,39 @@ def _parse_row(tokens: list[str], n: int, kind: str, row: int, ln: int) -> list[
     return out
 
 
+def _block(rows: list[tuple[int, str]], n: int) -> np.ndarray | None:
+    """The rows' numbers as one float array, or None if a row has other than
+    n tokens, a token that float() rejects, or a non-finite number."""
+    tokens = [ln.split() for _, ln in rows]
+    if any(len(t) != n for t in tokens):
+        return None
+    try:
+        a = np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+    return a if np.isfinite(a).all() else None
+
+
+def _parse_blocks(lines: list[tuple[int, str]], m: int, n: int) -> tuple | None:
+    """(f, c, p) converted block by block, or None if any check fails; the
+    row-by-row parse then finds the first fault and its line."""
+    f, c, p = _block(lines[2:3], n), _block(lines[3:3 + m], n), _block(lines[3 + m:], n)
+    if f is None or c is None or p is None or (f < 0).any() or (c < 0).any():
+        return None
+    if not ((p >= 1).all() and (p <= n).all()):  # in range before the cast to int
+        return None
+    ranks = p.astype(np.int64)
+    if not (np.array_equal(ranks, p) and (np.sort(ranks, axis=1) == np.arange(1, n + 1)).all()):
+        return None
+    return f[0], c, ranks
+
+
 def parse_instance(text: str, name: str = "") -> Instance:
-    """Parse a canonical-format document into a validated Instance."""
+    """Parse a canonical-format document into a validated Instance.
+
+    The number blocks are converted whole; if any check fails there, the
+    rows are parsed one by one to report the first fault with its line.
+    """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln]
     if not lines:
@@ -219,6 +249,11 @@ def parse_instance(text: str, name: str = "") -> Instance:
             f"expected {expected} non-empty lines for m={m}, got {len(lines)}",
             lines[-1][0],
         )
+
+    blocks = _parse_blocks(lines, m, n)
+    if blocks is not None:
+        f, c, p = blocks
+        return Instance(f=f, c=c, p=p, name=name)
 
     no, frow = lines[2]
     f = _parse_row(frow.split(), n, "opening-cost", 1, no)

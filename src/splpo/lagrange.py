@@ -16,6 +16,12 @@ return site-order arrays and convert at their edges. Column sums run over
 customers in order, so every float sum is the one site order would give.
 The relaxed assignment x is a bool array, like y.
 
+lam is mostly zero in a run: an all-zero row adds only +0.0 to its cumsum
+and to the column sums, so when fewer than half the rows hold a non-zero
+entry, the kernel sums those rows alone, and otherwise the whole array. The
+subgradient's cover counts (at most n) accumulate in int8 when n < 128 and
+in int64 otherwise, and its entries, small integers, are held as floats.
+
 Multipliers are checked once, where ``LagrangeMultipliers`` is built, and
 their shapes where ``solve_lr`` reads them; the subgradient method checks
 its start, by relaxing it through ``solve_lr``, and builds its iterates,
@@ -87,33 +93,50 @@ class _RankRelaxation:
     Every (m, n) array here is in rank order: row i lists customer i's sites
     worst first. ``facility[i, q]`` is the site in cell (i, q). The buffers
     are reused, so each call overwrites what the last one returned in them.
+    ``solve`` sums lam's non-zero rows alone when they are fewer than half
+    of them, and the whole array otherwise; ``subgradient`` counts covers in
+    an int8 counter when n < 128 and in an int64 one otherwise.
     """
 
     def __init__(self, inst: Instance):
         self.to_rank, self.to_site = inst.flat_rank_index
         self.c = inst.c.take(self.to_rank)
         self.f = inst.f
+        self.ones = np.ones(self.f.size)
         self.facility = np.ascontiguousarray(inst.facility_of_rank[:, ::-1])
         self.reduced = np.empty(self.c.shape)
         self.scratch = np.empty(self.c.shape)
         self.x = np.empty(self.c.shape, dtype=bool)
         self.y = np.empty(self.c.shape, dtype=bool)
-        self.covered = np.empty(self.c.shape, dtype=np.int64)
-        self.s_lam = np.empty(self.c.shape, dtype=np.int64)
+        # A count never exceeds n, and y minus a count is at least -n.
+        self.covered = np.empty(self.c.shape, dtype=np.int8 if self.f.size < 128 else np.int64)
+        self.s_lam = np.empty(self.c.shape)
 
-    def colsum(self, a: np.ndarray) -> np.ndarray:
-        """Per-site sums of a, adding customer after customer like sum(axis=0)
-        in site order: the same floats, up to the sign of a zero sum."""
-        return np.bincount(self.facility.ravel(), weights=a.ravel(), minlength=self.f.size)
+    def colsum(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Per-site sums of a, the given rows of an (m, n) array, adding
+        customer after customer like sum(axis=0) in site order: the same
+        floats, up to the sign of a zero sum."""
+        return np.bincount(self.facility[rows].ravel(), weights=a.ravel(),
+                           minlength=self.f.size)
 
     def solve(self, mu: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(value, rho, y) in site order; self.x and self.y get x and y per cell."""
         reduced, scratch = self.reduced, self.scratch
-        np.cumsum(lam, axis=1, out=scratch)
         np.subtract(self.c, mu[:, None], out=reduced)
-        reduced -= scratch
+        # An all-zero row adds +0.0 to the sums, which changes no float. lam
+        # is nonnegative, so a row sums to zero exactly when it is all zeros
+        # (and a NaN row counts as non-zero).
+        rows = np.flatnonzero(lam @ self.ones)
+        if 2 * rows.size < len(lam):
+            part = lam[rows]
+            reduced[rows] -= np.cumsum(part, axis=1)
+            lam_sum = self.colsum(part, rows)
+        else:
+            np.cumsum(lam, axis=1, out=scratch)
+            reduced -= scratch
+            lam_sum = self.colsum(lam)
         np.minimum(reduced, 0.0, out=scratch)
-        rho = self.colsum(scratch) + self.f + self.colsum(lam)
+        rho = self.colsum(scratch) + self.f + lam_sum
         y = rho < 0.0
         np.take(y, self.facility, out=self.y)
         np.less(reduced, 0.0, out=self.x)
@@ -121,10 +144,11 @@ class _RankRelaxation:
         return float(rho[y].sum() + mu.sum()), rho, y
 
     def subgradient(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(s_mu, s_lam) from x and y per cell; s_lam is an integer array."""
+        """(s_mu, s_lam) from x and y per cell; s_lam holds integers as floats."""
         covered = self.covered
         # Counts from each customer's favourite, stored worst first like x.
-        np.cumsum(x[:, ::-1], axis=1, out=covered[:, ::-1])
+        np.copyto(covered, x)
+        np.cumsum(covered[:, ::-1], axis=1, out=covered[:, ::-1])
         np.subtract(y, covered, out=self.s_lam)
         return 1.0 - covered[:, 0], self.s_lam
 
@@ -172,7 +196,7 @@ def lr_subgradient(inst: Instance, lr: LrSolution) -> tuple[np.ndarray, np.ndarr
     _check_shape("y", lr.y, (inst.n,))
     rel = _RankRelaxation(inst)
     s_mu, s_lam = rel.subgradient(lr.x.take(rel.to_rank), lr.y.take(rel.facility))
-    return s_mu, s_lam.take(rel.to_site).astype(float)
+    return s_mu, s_lam.take(rel.to_site)
 
 
 def default_start(inst: Instance) -> LagrangeMultipliers:

@@ -129,6 +129,13 @@ def _site_from_json(value, key: str, position: int) -> int:
     return value - 1
 
 
+def _list_from_json(doc: dict, key: str) -> list:
+    value = doc.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: a list is required, got {value!r}")
+    return value
+
+
 def _objective_from_json(doc: dict) -> float:
     """The objective read from disk: a JSON number that is finite as a float."""
     value = doc.get("objective")
@@ -142,20 +149,26 @@ def _objective_from_json(doc: dict) -> float:
 
 
 def solution_from_json(text: str) -> Solution:
-    """Read solution_to_json's format; ValueError for a facility id below 1 or
-    not an integer, and for an objective that is missing or not a finite number."""
+    """Read solution_to_json's format. ValueError for a document that is not a
+    JSON object, an "open" or "assign" that is missing or not a list, a
+    facility id below 1 or not an integer, an objective that is missing or
+    not a finite number, and a "provenance" that is not an object."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a solution is a JSON object, got {type(doc).__name__}")
     assign = np.array(
         [UNASSIGNED if j is None else _site_from_json(j, "assign", i)
-         for i, j in enumerate(doc["assign"])],
+         for i, j in enumerate(_list_from_json(doc, "assign"))],
         dtype=np.int64,
     )
-    return Solution(
-        open_facilities=frozenset(_site_from_json(j, "open", k) for k, j in enumerate(doc["open"])),
-        assign=assign,
-        objective=_objective_from_json(doc),
-        provenance=doc.get("provenance", {}),
-    )
+    open_facilities = frozenset(
+        _site_from_json(j, "open", k) for k, j in enumerate(_list_from_json(doc, "open")))
+    objective = _objective_from_json(doc)
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError(f"provenance: a JSON object is required, got {provenance!r}")
+    return Solution(open_facilities=open_facilities, assign=assign, objective=objective,
+                    provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from splpo import (
     write_instance,
 )
 
+import splpo.instance as instance_module
 from conftest import random_instance
 
 TOY_DOC = """SPLPO 1
@@ -80,6 +81,49 @@ def test_parse_errors_carry_line_numbers(mangle, fragment):
     assert err.value.line is not None
 
 
+def _parse_row_by_row(doc, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(instance_module, "_parse_blocks", lambda lines, m, n: None)
+        return parse_instance(doc)
+
+
+def _token_docs():
+    # Tokens float() accepts besides plain integers, in every block.
+    yield TOY_DOC.replace("3 1", "1e3 +5").replace("2 5", "1_000 -0").replace("1 2\n", "1.0 2e0\n")
+    yield TOY_DOC.replace("4 2", "4.5e-3 .25").replace("2 1\n", "+2 0001\n")
+
+
+def test_parse_blocks_match_the_row_by_row_parse(monkeypatch):
+    docs = [TOY_DOC, *_token_docs()]
+    for mode in ("uniform", "cost-consistent"):
+        docs += [write_instance(generate_instance(m, n, seed, GeneratorConfig(mode=mode)))
+                 for m, n, seed in ((1, 1, 1), (4, 3, 2), (75, 50, 3))]
+    rng = np.random.default_rng(0)
+    docs.append(write_instance(Instance(f=rng.uniform(0, 9, 6), c=rng.uniform(0, 9, (5, 6)),
+                                        p=np.array([rng.permutation(6) + 1 for _ in range(5)]))))
+    for doc in docs:
+        lines = [(k + 1, ln.strip()) for k, ln in enumerate(doc.splitlines()) if ln.strip()]
+        m, n = (int(t) for t in lines[1][1].split())
+        assert instance_module._parse_blocks(lines, m, n) is not None  # the block path ran
+        fast, slow = parse_instance(doc), _parse_row_by_row(doc, monkeypatch)
+        for a, b in ((fast.f, slow.f), (fast.c, slow.c), (fast.p, slow.p)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1 2\n", "1 1\n"), ("1 2\n", "1 2.5\n"), ("2 1\n", "0 2\n"), ("2 1\n", "1e300 1\n"),
+    ("2 1\n", "2 1 3\n"), ("3 1", "-3 1"), ("4 2", "4 -0.5"), ("2 5", "2 nan"),
+    ("2 5", "2 1e999"), ("4 2", "4 0x10"), ("2 1\n", "2 one\n"),
+])
+def test_parse_errors_match_the_row_by_row_parse(old, new, monkeypatch):
+    doc = TOY_DOC.replace(old, new, 1)
+    with pytest.raises(InstanceFormatError) as fast:
+        parse_instance(doc)
+    with pytest.raises(InstanceFormatError) as slow:
+        _parse_row_by_row(doc, monkeypatch)
+    assert str(fast.value) == str(slow.value) and fast.value.line == slow.value.line
+
+
 def test_write_parse_round_trip_toy():
     inst = parse_instance(TOY_DOC)
     assert parse_instance(write_instance(inst)) == inst
@@ -113,6 +157,8 @@ def test_fractional_costs_round_trip():
 def test_constructor_validation():
     with pytest.raises(ValueError, match="permutation"):
         Instance(f=np.zeros(2), c=np.zeros((1, 2)), p=np.array([[1, 1]]))
+    with pytest.raises(ValueError, match="preference row 2 is"):
+        Instance(f=np.zeros(2), c=np.zeros((3, 2)), p=np.array([[1, 2], [2, 2], [0, 1]]))
     with pytest.raises(ValueError, match="negative"):
         Instance(f=np.array([-1.0]), c=np.zeros((1, 1)), p=np.array([[1]]))
     with pytest.raises(ValueError, match="non-finite opening"):

@@ -423,12 +423,52 @@ def _bit_identity_cases():
     inst = generate_instance(5, 4, 3)
     start = default_start(inst)
     yield inst, SgConfig(lr_aim=solve_lr(inst, start).value - 1.0), start
+    # Every row of lam non-zero (the kernel sums whole rows), and exactly one
+    # (it sums that row alone).
+    rng = np.random.default_rng(7)
+    inst = generate_instance(20, 9, 4)
+    lam = rng.uniform(0.5, 3.0, (20, 9))
+    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam)
+    inst = _fractional_instance(5, 12, 8)
+    lam = np.zeros((12, 8))
+    lam[3] = rng.uniform(0.5, 3.0, 8)
+    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam)
+    # mu so large that every site opens and serves everyone: a count reaches
+    # n = 127, the most the narrow counter holds, and n = 130 in the wide one.
+    for n in (127, 130):
+        inst = generate_instance(3, n, n)
+        mu = np.full(3, inst.c.max() + inst.f.max() + 1.0)
+        yield inst, SgConfig(max_iter=40), LagrangeMultipliers(mu, np.zeros((3, n)))
 
 
-def test_sg_is_bit_identical_to_the_gather_based_reference():
+class _CumsumSpy:
+    """Stands in for numpy in the lagrange module and records its cumsums:
+    whether lam was summed whole, into the kernel's buffer, or as a gather
+    of fewer than half its rows, and the largest count per counter type."""
+
+    def __init__(self):
+        self.m, self.paths, self.counts = 0, set(), {}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, a, *args, **kwargs):
+        out = np.cumsum(a, *args, **kwargs)
+        if a.dtype == float:
+            whole = "out" in kwargs and len(a) == self.m
+            self.paths.add("whole" if whole else "rows" if 2 * len(a) < self.m else "other")
+        elif out.size:
+            self.counts[a.dtype] = max(self.counts.get(a.dtype, 0), int(out.max()))
+        return out
+
+
+def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
     # repr round-trips every float exactly and reads NaN as equal to itself.
     statuses = set()
+    spy = _CumsumSpy()
+    monkeypatch.setattr(lagrange, "np", spy)
     for inst, cfg, start in _bit_identity_cases():
+        spy.m = inst.m
         res = subgradient_method(inst, cfg, start)
         ref = _reference_subgradient_method(inst, cfg, start)
         case = (inst, cfg)
@@ -440,6 +480,8 @@ def test_sg_is_bit_identical_to_the_gather_based_reference():
         assert res.best_lam.tobytes() == ref.best_lam.tobytes(), case
         statuses.add(res.status)
     assert statuses == {"optimal", "aim_exceeded", "iter_limit", "beta_exhausted"}
+    assert spy.paths == {"whole", "rows"}
+    assert spy.counts[np.dtype(np.int8)] == 127 and spy.counts[np.dtype(np.int64)] == 130
 
 
 def test_relaxation_steps_match_the_gather_based_reference():

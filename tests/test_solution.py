@@ -440,3 +440,25 @@ def test_solution_json_rejects_a_bad_objective(objective):
     text = doc + ("}" if objective is None else f', "objective": {objective}}}')
     with pytest.raises(ValueError, match="objective"):
         solution_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[]", "JSON object"),
+        ("7", "JSON object"),
+        ('{"open": [1], "objective": 1.0}', "assign"),
+        ('{"assign": [1], "objective": 1.0}', "open"),
+        ('{"open": 1, "assign": [1], "objective": 1.0}', "open"),
+        ('{"open": [1], "assign": 1, "objective": 1.0}', "assign"),
+        ('{"open": [1], "assign": {"0": 1}, "objective": 1.0}', "assign"),
+        ('{"open": [1], "assign": [1], "objective": 1.0, "provenance": []}', "provenance"),
+        ('{"open": [1], "assign": [1], "objective": 1.0, "provenance": "hc"}', "provenance"),
+    ],
+    ids=["list", "number", "no-assign", "no-open", "open-int", "assign-int", "assign-object",
+         "provenance-list", "provenance-string"],
+)
+def test_solution_json_rejects_a_malformed_document(text, where):
+    # These used to escape as TypeError or KeyError.
+    with pytest.raises(ValueError, match=where):
+        solution_from_json(text)
