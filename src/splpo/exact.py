@@ -24,24 +24,48 @@ facility, rejected sets as their value. A search at a larger sum(gamma)
 resumes from that list instead of the root: it expands every node the
 earlier one expanded (their bounds lie below the old sum(gamma), so below
 every later incumbent), so it only re-tests the pruned nodes against its
-incumbent, rebuilding a node's state from its decisions when it expands it,
-and re-considers the rejected sets in their place. The replay meets every
-set and every prune decision of a fresh search in the same order, so it
-returns the same incumbent, ties included.
+incumbent, rebuilding a node's state from its decisions and bounding it
+again when its stored bound lies below, and re-considers the rejected sets
+in their place. The replay meets every set and every prune decision of a
+fresh search in the same order, so it returns the same incumbent, ties
+included.
 
 Lower bounds used at a node (open set O forced, C forced closed, U undecided):
   * every customer priced at its cheapest facility outside C, plus opening
-    costs of O, and
+    costs of O;
   * when O is non-empty, the preference bound. Let a[i] be customer i's cost
     at its most preferred member of O, so that value = f(O) + sum(a) is the
-    price of O, and let gain[k] sum max(a[i] - c[i, k], 0) over the customers
-    i that prefer k to every member of O. The bound is
-    value - sum over k in U of max(gain[k] - f[k], 0).
+    price of O, let s[k, i] = max(a[i] - c[i, k], 0) for the customers i
+    that prefer k to every member of O (0 for the others), and gain[k] =
+    sum_i s[k, i]. The bound is value - sum over k in U of
+    max(gain[k] - f[k], 0);
+  * when O is non-empty, the savings-dual bound value - min D(w) over a grid
+    of weights w >= 0, where
+    D(w) = sum_i w[i] + sum over k in L of max(sum_i max(s[k, i] - w[i], 0) - f[k], 0)
+    and L holds the facilities of U with gain[k] - f[k] > 0. The grid is
+    w = max(cap - t * max(cap), 0) for t = 1/9, ..., 8/9, where cap[i] is
+    the largest s[k, i] over L; all eight are evaluated in one pass.
 The first is valid because preference-forced assignments never cost less
-than cost-minimal ones. The second because opening more facilities can move
-a customer only to a facility it prefers to its current one, saving at most
-a[i] - c[i, k] there, and the savings of a set of facilities never exceed
-the sum of their individual savings.
+than cost-minimal ones. The second because opening a set S of undecided
+facilities can move a customer only to a facility it prefers to its current
+one, so O + S costs at least value - (sum_i max over k in S of s[k, i] -
+f(S)), and the savings of a set of facilities never exceed the sum of their
+individual savings. The third bounds the same net saving more tightly: for
+any w >= 0, max over k in S of s[k, i] is at most w[i] + sum over k in S of
+max(s[k, i] - w[i], 0), so the net saving of S is at most D(w), a customer's
+saving counted once in w[i] rather than once per facility (the LP dual of
+the savings relaxation, as in Erlenkotter's DUALOC). A facility outside L
+adds 0 to D for any w, since its clipped savings sum to at most gain[k] <=
+f[k], and w = 0 gives back the preference bound.
+
+The savings-dual bound rebuilds the rows s[k] of L from the node's a and
+rank and costs one O(|L| * m) pass per grid point, so it is computed only
+when the first two bounds lie below the incumbent: a node they already prune
+costs nothing extra, and every prune decision is the one the full bound
+would take. A pruned node's stored bound may therefore lack it, so a search
+resuming a frontier bounds each pruned node it rebuilds again, against its
+own incumbent, before expanding it; the replay then meets every prune
+decision of a fresh search.
 
 Each node carries the per-customer state these bounds need, derived from its
 parent's rather than rebuilt: ``cmin`` (cheapest cost outside C), ``rank``
@@ -194,6 +218,36 @@ def _result_solution(value, open_mask, assign, provenance) -> Solution:
     )
 
 
+def _savings(a, rank, cT, pT) -> np.ndarray:
+    """Savings rows: max(a[i] - c[i, k], 0) where customer i prefers k to its server, else 0.
+
+    cT and pT hold the facility-major cost and rank rows of the facilities k
+    in question; a and rank are each customer's cost and rank at its server.
+    """
+    saving = a - cT
+    np.maximum(saving, 0.0, out=saving)
+    np.putmask(saving, pT >= rank, 0.0)
+    return saving
+
+
+# The savings-dual weights tried at a node: w = max(cap - t * max(cap), 0)
+# for each t here (module docstring).
+_DUAL_GRID = np.arange(1, 9) / 9.0
+
+
+def _savings_dual(s, f, w) -> np.ndarray:
+    """D(w) of the module docstring for each row of w.
+
+    s holds the savings rows of some facilities, f their opening costs, and
+    each row of w a nonnegative weight per customer.
+    """
+    excess = s - w[:, None, :]
+    np.maximum(excess, 0.0, out=excess)
+    credit = excess.sum(axis=2) - f
+    np.maximum(credit, 0.0, out=credit)
+    return w.sum(axis=1) + credit.sum(axis=1)
+
+
 def _served(cmin) -> float:
     """Everyone served at cmin; inf when some customer has no facility left."""
     return float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
@@ -228,10 +282,7 @@ class _Node:
         value and gain whenever they agree on rank and a.
         """
         fopen = float(ctx.f[open_mask].sum())
-        saving = a - ctx.cT
-        np.maximum(saving, 0.0, out=saving)
-        np.putmask(saving, ctx.pT >= rank, 0.0)
-        gain = saving.sum(axis=1)
+        gain = _savings(a, rank, ctx.cT, ctx.pT).sum(axis=1)
         return _Node(open_mask, closed_mask, fopen, cmin, served, rank, a,
                      fopen + float(a.sum()), gain)
 
@@ -272,15 +323,19 @@ class _Node:
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
                      self.value, self.gain)
 
-    def bound(self, ctx: _Context) -> tuple[float, int | None]:
+    def bound(self, ctx: _Context, incumbent: float) -> tuple[float, int | None]:
         """Lower bound on every non-empty open set below this node, and the facility to branch on.
 
-        The bound is the larger of the cheapest-service bound and, once
+        The bound is the largest of the cheapest-service bound and, once
         something is open, the preference bound value - sum over undecided k
-        of max(gain[k] - f[k], 0); it is +inf when no such set exists in the
-        subtree. The facility is the undecided one with the largest
-        gain[k] - f[k] (ties to the lowest index); it is None while nothing
-        is open, when nothing is undecided, or when the bound is +inf.
+        of max(gain[k] - f[k], 0) and the savings-dual bound value - min D(w)
+        over the weight grid (module docstring); it is +inf when no such set
+        exists in the subtree. The savings-dual bound is computed only when
+        the other two lie below incumbent, so whether the bound reaches
+        incumbent does not depend on it being skipped. The facility is the
+        undecided one with the largest gain[k] - f[k] (ties to the lowest
+        index); it is None while nothing is open, when nothing is undecided,
+        or when the bound is +inf.
         """
         if self.served == math.inf:
             return math.inf, None  # someone cannot be served, yet service is forced
@@ -292,6 +347,13 @@ class _Node:
             if net[k] > -np.inf:
                 best = k
             bound = max(bound, self.value - float(np.maximum(net, 0.0).sum()))
+            if bound < incumbent and net[k] > 0.0:
+                live = net > 0.0
+                s = _savings(self.a, self.rank, ctx.cT[live], ctx.pT[live])
+                cap = s.max(axis=0)
+                w = cap - _DUAL_GRID[:, None] * cap.max()
+                np.maximum(w, 0.0, out=w)
+                bound = max(bound, self.value - float(_savings_dual(s, ctx.f[live], w).min()))
         return bound, best
 
 
@@ -408,11 +470,12 @@ def branch_and_bound(
             continue
         if len(entry) == 5:
             bound, depth, open_mask, closed_mask, best = entry
-            if bound >= incumbent_value:
-                if frontier is not None:
-                    frontier.append(entry)
-                continue
-            node = _Node.from_masks(ctx, open_mask, closed_mask)
+            if bound < incumbent_value:
+                # The stored bound may lack the savings-dual part, which the
+                # earlier search skipped; bound the node against this
+                # incumbent, as a fresh search would.
+                node = _Node.from_masks(ctx, open_mask, closed_mask)
+                bound, best = node.bound(ctx, incumbent_value)
         else:
             if (node_limit is not None and nodes >= node_limit) or (
                 deadline is not None and time.monotonic() >= deadline
@@ -422,26 +485,27 @@ def branch_and_bound(
                 if frontier_bound == -math.inf:
                     # Only the unevaluated root inherits -inf, and it is then
                     # the only entry: its own bound covers every set below it.
-                    frontier_bound = entry[2].bound(ctx)[0]
+                    frontier_bound = entry[2].bound(ctx, incumbent_value)[0]
                 break
             _, depth, node, just_opened = entry
+            open_mask, closed_mask = node.open, node.closed
             nodes += 1
-            bound, best = node.bound(ctx)
+            bound, best = node.bound(ctx, incumbent_value)
             if on_node is not None:
                 shown = bound
                 if ctx.empty_feasible and node.value is None:
                     shown = min(bound, ctx.gamma_sum)  # the empty set lies below too
-                on_node(depth, node.open.copy(), node.closed.copy(), shown, incumbent_value)
+                on_node(depth, open_mask.copy(), closed_mask.copy(), shown, incumbent_value)
             if just_opened:
                 # Evaluate the current open set before the prune check so that a
                 # subtree whose bound ties the incumbent still surrenders its
                 # equal-valued solution (deterministic tie-breaking).
-                if not consider(node.value, node.open) and frontier is not None:
-                    frontier.append((node.value, node.open))
-            if bound >= incumbent_value:
-                if frontier is not None:
-                    frontier.append((bound, depth, node.open, node.closed, best))
-                continue
+                if not consider(node.value, open_mask) and frontier is not None:
+                    frontier.append((node.value, open_mask))
+        if bound >= incumbent_value:
+            if frontier is not None:
+                frontier.append((bound, depth, open_mask, closed_mask, best))
+            continue
         if depth == len(order):
             continue
         j = order[depth] if best is None else best

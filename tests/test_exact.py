@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splpo import (
     UNASSIGNED,
@@ -16,7 +16,7 @@ from splpo import (
     cost_ladder,
     generate_instance,
 )
-from splpo.exact import KIND_SLR, _Context, _Node
+from splpo.exact import _DUAL_GRID, KIND_SLR, _Context, _Node, _savings_dual
 
 from conftest import cheap_open_instance, random_instance
 from test_semilagrange import tied_instance
@@ -156,6 +156,16 @@ def test_closes_100x75_within_a_thousand_nodes():
     assert (res.status, res.value) == ("optimal", 153855.0)
 
 
+def test_savings_dual_closes_a_three_facility_cost_consistent_instance():
+    # The optimum opens three facilities; the preference bound alone needs
+    # 1,445 nodes, the savings-dual bound 263.
+    cfg = GeneratorConfig(mode="cost-consistent", open_range=(4000, 6000))
+    inst = generate_instance(60, 40, 1, cfg)
+    res = branch_and_bound(ProblemSpec.splpo(inst), node_limit=400)
+    assert (res.status, res.value) == ("optimal", 84622.0)
+    assert len(res.solution.open_facilities) == 3
+
+
 def test_node_limit_keeps_bound_valid():
     inst = random_instance(77, m_max=10, n_max=10)
     full = branch_and_bound(ProblemSpec.splpo(inst))
@@ -255,33 +265,82 @@ def test_node_bounds_are_valid(kind):
             assert bound <= true_min + 1e-9
 
 
-def _reference_gain(ctx, open_mask):
-    """Each customer's cost at its server and each facility's preference gain, from scratch."""
+_SAVING = st.floats(0.0, 100.0)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_savings_dual_covers_every_set_of_facilities(data):
+    # The lemma behind the savings-dual bound: for savings rows s >= 0,
+    # opening costs f > 0 and any weights w >= 0, D(w) is at least the net
+    # saving of the best set S of facilities, sum_i max_{k in S} s[k, i] -
+    # f(S) (0 for the empty set).
+    K, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    s = np.array(data.draw(st.lists(st.lists(_SAVING, min_size=m, max_size=m),
+                                    min_size=K, max_size=K)))
+    f = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=K, max_size=K)))
+    free = np.array(data.draw(st.lists(_SAVING, min_size=m, max_size=m)))
+    cap = s.max(axis=0)
+    grid = np.maximum(cap - _DUAL_GRID[:, None] * cap.max(), 0.0)
+    w = np.vstack([free, grid, np.zeros(m), cap])
+    best = max(
+        float(s[list(S)].max(axis=0).sum() - f[list(S)].sum()) if S else 0.0
+        for r in range(K + 1)
+        for S in itertools.combinations(range(K), r)
+    )
+    assert (_savings_dual(s, f, w) >= best - 1e-9 * (1.0 + abs(best))).all()
+    # A facility whose savings do not pay its opening cost adds nothing to D.
+    for k in np.flatnonzero(s.sum(axis=1) - f <= 0.0):
+        assert (_savings_dual(s[[k]], f[[k]], w) == w.sum(axis=1)).all()
+
+
+def _reference_savings(ctx, open_mask):
+    """Each customer's cost at its server, each facility's savings row and their sums
+    (the preference gains), from scratch."""
     p, c = ctx.p, ctx.c
     opened = np.flatnonzero(open_mask)
     server = np.array([min(opened, key=lambda k: p[i, k]) for i in range(ctx.m)])
     a = c[ctx.rows, server]
     server_rank = p[ctx.rows, server]
-    gain = np.array([
-        np.where(p[:, k] < server_rank, np.maximum(a - c[:, k], 0.0), 0.0).sum()
+    savings = np.array([
+        np.where(p[:, k] < server_rank, np.maximum(a - c[:, k], 0.0), 0.0)
         for k in range(ctx.n)
     ])
-    return a, gain
+    return a, savings, np.array([row.sum() for row in savings])
 
 
-def _reference_bound(ctx, open_mask, closed_mask) -> float:
-    """The engine's node bound, rebuilt from scratch out of the node's decisions."""
+def _reference_dual(s, f, w) -> float:
+    """D(w) of the engine's savings-dual bound, one weight vector at a time."""
+    credit = np.array([max(float(np.maximum(row - w, 0.0).sum()) - fk, 0.0)
+                       for row, fk in zip(s, f)])
+    return float(w.sum()) + float(credit.sum())
+
+
+def _reference_bound(ctx, open_mask, closed_mask, incumbent) -> float:
+    """The engine's node bound, rebuilt from scratch out of the node's decisions.
+
+    The savings-dual part is taken only while the other two lie below
+    incumbent, as the engine takes it.
+    """
     cmin = np.min(np.where(closed_mask[None, :], np.inf, ctx.c), axis=1)
     fopen = float(ctx.f[open_mask].sum())
     bound = fopen + float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
     if not open_mask.any():
         # For slr the empty set, at sum(gamma), is one of the leaves below.
         return min(ctx.gamma_sum, bound) if ctx.empty_feasible else bound
-    a, gain = _reference_gain(ctx, open_mask)
+    a, savings, gain = _reference_savings(ctx, open_mask)
     value = fopen + float(a.sum())
     undecided = ~(open_mask | closed_mask)
     credit = np.where(undecided, np.maximum(gain - ctx.f, 0.0), 0.0)
-    return max(bound, value - float(credit.sum()))
+    bound = max(bound, value - float(credit.sum()))
+    live = undecided & (gain - ctx.f > 0.0)
+    if bound < incumbent and live.any():
+        s = savings[live]
+        cap = s.max(axis=0)
+        dual = min(_reference_dual(s, ctx.f[live], np.maximum(cap - g / 9 * cap.max(), 0.0))
+                   for g in range(1, 9))
+        bound = max(bound, value - dual)
+    return bound
 
 
 def _float_specs(seed):
@@ -308,14 +367,14 @@ def _float_specs(seed):
 
 
 # Nodes each spec takes under the branching rule on gain[k] - f[k] (see
-# test_branching_follows_net_saving) with the from-scratch preference bound
-# above: the same rule and an identical bound sequence must give an identical
-# search tree.
+# test_branching_follows_net_saving) with the from-scratch bounds above: the
+# same rule and an identical bound sequence must give an identical search
+# tree.
 RECORDED_NODES = {
-    0: {"splpo": 613, "splpo_forced": 209, "slr": 613},
-    1: {"splpo": 495, "splpo_forced": 199, "slr": 621},
-    2: {"splpo": 509, "splpo_forced": 145, "slr": 509},
-    3: {"splpo": 667, "splpo_forced": 461, "slr": 667},
+    0: {"splpo": 411, "splpo_forced": 137, "slr": 411},
+    1: {"splpo": 373, "splpo_forced": 149, "slr": 501},
+    2: {"splpo": 363, "splpo_forced": 123, "slr": 363},
+    3: {"splpo": 411, "splpo_forced": 347, "slr": 411},
 }
 
 
@@ -326,7 +385,7 @@ def test_node_bounds_equal_reference(seed):
         mismatches = []
 
         def check(depth, open_mask, closed_mask, bound, incumbent):
-            expected = _reference_bound(ctx, open_mask, closed_mask)
+            expected = _reference_bound(ctx, open_mask, closed_mask, incumbent)
             if bound != expected:
                 mismatches.append((depth, open_mask, closed_mask, bound, expected))
 
@@ -349,9 +408,9 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
     seen = []
     bound = _Node.bound
 
-    def recording(node, ctx):
+    def recording(node, ctx, incumbent):
         seen.append((ctx, node))
-        return bound(node, ctx)
+        return bound(node, ctx, incumbent)
 
     monkeypatch.setattr(_Node, "bound", recording)
     specs = _float_specs(seed)
@@ -384,7 +443,7 @@ def _rule_choice(ctx, open_mask, closed_mask) -> int:
     if not open_mask.any():
         alone = ctx.f + ctx.c.sum(axis=0)
         return min(np.flatnonzero(undecided), key=lambda j: (alone[j], j))
-    _, gain = _reference_gain(ctx, open_mask)
+    _, _, gain = _reference_savings(ctx, open_mask)
     net = np.where(undecided, gain - ctx.f, -np.inf)
     return int(np.argmax(net))
 
