@@ -58,26 +58,32 @@ the savings relaxation, as in Erlenkotter's DUALOC). A facility outside L
 adds 0 to D for any w, since its clipped savings sum to at most gain[k] <=
 f[k], and w = 0 gives back the preference bound.
 
-The savings-dual bound rebuilds the rows s[k] of L from the node's a and
-rank and costs one O(|L| * m) pass per grid point, so it is computed only
-when the first two bounds lie below the incumbent: a node they already prune
-costs nothing extra, and every prune decision is the one the full bound
-would take. A pruned node's stored bound may therefore lack it, so a search
-resuming a frontier bounds each pruned node it rebuilds again, against its
-own incumbent, before expanding it; the replay then meets every prune
-decision of a fresh search.
+The savings-dual bound slices the rows s[k] of L out of the node's savings
+matrix and costs one O(|L| * m) pass per grid point, so it is computed only
+where it can prune: where the first two bounds lie below the incumbent and
+value - max over k in U of (gain[k] - f[k]) does not. The second test rests
+on D(w) >= gain[k] - f[k] for every w >= 0 and every k in L (the lemma above
+for S = {k}, as w[i] + max(s[k, i] - w[i], 0) >= s[k, i]), so value minus
+the largest net gain caps the savings-dual bound. Every prune decision is
+thus the one the full bound would take, but a node's stored bound may lack
+the savings-dual part. A search resuming a frontier bounds each pruned node
+it rebuilds again, against its own incumbent, before expanding it, so the
+replay meets every prune decision of a fresh search; the bound an expanded
+node hands its children, which a stopped search reports as its lower bound,
+stays valid but may lie below the full bound.
 
 Each node carries the per-customer state these bounds need, derived from its
 parent's rather than rebuilt: ``cmin`` (cheapest cost outside C), ``rank``
-(rank of the most preferred member of O, which fixes the assignment), ``a``
-and ``gain``, plus the sums the bounds take of them. Opening j moves to j the
-customers that rank it above their current server, updating ``rank`` and
-``a`` elementwise, and recomputes ``gain`` in one O(m*n) pass; closing j
-shares everything with the parent except ``cmin``, which is recomputed only
-for the customers whose minimum was attained at j. Minima and gathers are
-exact and every float sum keeps its operands and their order, so a node's
-state equals the one computed from its decisions alone, bit for bit, and its
-value is the price of its open set.
+(rank of the most preferred member of O, which fixes the assignment), ``a``,
+``savings`` (the rows s[k], one per facility) and their sums ``gain``, plus
+the sums the bounds take of them. Opening j moves to j the customers that
+rank it above their current server, updating ``rank`` and ``a``
+elementwise, and recomputes ``savings`` and ``gain`` in one O(m*n) pass;
+closing j shares everything with the parent except ``cmin``, which is
+recomputed only for the customers whose minimum was attained at j. Minima
+and gathers are exact and every float sum keeps its operands and their
+order, so a node's state equals the one computed from its decisions alone,
+bit for bit, and its value is the price of its open set.
 
 Branching follows the preference bound: once something is open, the engine
 branches on the undecided facility with the largest ``gain[k] - f[k]``, the
@@ -87,6 +93,8 @@ one whose closing raises that bound the most.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -99,6 +107,17 @@ KIND_SPLPO = "splpo"
 KIND_SLR = "slr"
 
 
+def _is_index(x) -> bool:
+    """Whether x is an integer (a Python or numpy one), not a bool or a float."""
+    if isinstance(x, bool):
+        return False
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """What to optimize: the original problem or its service-relaxed variant.
@@ -106,8 +125,9 @@ class ProblemSpec:
     gamma is only meaningful for kind "slr" (finite per-customer service
     credits); the slr kind also admits the empty open set, which serves no
     one. forced_open facilities, valid for the splpo kind only, are charged
-    and may not be closed. Every spec therefore has a feasible open set, and
-    every search returns one.
+    and may not be closed; each must be an integer facility index (a bool or
+    a float raises ValueError). Every spec therefore has a feasible open
+    set, and every search returns one.
     """
 
     kind: str
@@ -137,16 +157,17 @@ class ProblemSpec:
                 raise ValueError("gamma must be finite, and so must the sum of its magnitudes")
             g.setflags(write=False)
             object.__setattr__(self, "gamma", g)
-        bad = [j for j in self.forced_open if not 0 <= j < self.inst.n]
+        bad = [j for j in self.forced_open if not _is_index(j) or not 0 <= j < self.inst.n]
         if bad:
             raise ValueError(f"forced_open contains invalid facilities {bad}")
+        object.__setattr__(self, "forced_open", frozenset(int(j) for j in self.forced_open))
 
     @staticmethod
     def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":
         return ProblemSpec(
             kind=KIND_SPLPO,
             inst=inst,
-            forced_open=frozenset(int(j) for j in forced_open),
+            forced_open=frozenset(forced_open),
         )
 
     @staticmethod
@@ -257,12 +278,15 @@ class _Node:
     """One search node: its decisions plus the bound state of the module docstring.
 
     Children share every array they do not change with their parent, and
-    the sums of those arrays with them.
+    the sums of those arrays with them: a closed child shares its parent's
+    savings rows, which bound slices instead of rebuilding.
     """
 
-    __slots__ = ("open", "closed", "fopen", "cmin", "served", "rank", "a", "value", "gain")
+    __slots__ = ("open", "closed", "fopen", "cmin", "served", "rank", "a", "value", "savings",
+                 "gain")
 
-    def __init__(self, open_mask, closed_mask, fopen, cmin, served, rank, a, value, gain):
+    def __init__(self, open_mask, closed_mask, fopen, cmin, served, rank, a, value, savings,
+                 gain):
         self.open = open_mask
         self.closed = closed_mask
         self.fopen = fopen  # opening costs of the open set
@@ -271,7 +295,8 @@ class _Node:
         self.rank = rank
         self.a = a  # inf while nothing is open
         self.value = value  # price of the open set; None while nothing is open
-        self.gain = gain  # None while nothing is open
+        self.savings = savings  # (n, m) savings rows; None while nothing is open
+        self.gain = gain  # savings.sum(axis=1); None while nothing is open
 
     @staticmethod
     def _opened(ctx: _Context, open_mask, closed_mask, cmin, served, rank, a) -> "_Node":
@@ -279,12 +304,12 @@ class _Node:
 
         value takes the sums solution.price takes, so it is that price bit
         for bit; from_masks and open_child both come here, so they agree on
-        value and gain whenever they agree on rank and a.
+        value, savings and gain whenever they agree on rank and a.
         """
         fopen = float(ctx.f[open_mask].sum())
-        gain = _savings(a, rank, ctx.cT, ctx.pT).sum(axis=1)
+        savings = _savings(a, rank, ctx.cT, ctx.pT)
         return _Node(open_mask, closed_mask, fopen, cmin, served, rank, a,
-                     fopen + float(a.sum()), gain)
+                     fopen + float(a.sum()), savings, savings.sum(axis=1))
 
     @staticmethod
     def from_masks(ctx: _Context, open_mask, closed_mask) -> "_Node":
@@ -299,7 +324,7 @@ class _Node:
         if not open_mask.any():
             rank = np.full(ctx.m, ctx.big, dtype=np.int64)
             return _Node(open_mask, closed_mask, 0.0, cmin, served, rank, np.full(ctx.m, np.inf),
-                         None, None)
+                         None, None, None)
         rank = ctx.p[:, open_mask].min(axis=1)
         a = ctx.c[ctx.rows, ctx.inst.facility_of_rank[ctx.rows, rank - 1]]
         return _Node._opened(ctx, open_mask, closed_mask, cmin, served, rank, a)
@@ -321,7 +346,7 @@ class _Node:
             cmin[hit] = np.where(closed_mask, np.inf, ctx.c[hit]).min(axis=1)
             served = _served(cmin)
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
-                     self.value, self.gain)
+                     self.value, self.savings, self.gain)
 
     def bound(self, ctx: _Context, incumbent: float) -> tuple[float, int | None]:
         """Lower bound on every non-empty open set below this node, and the facility to branch on.
@@ -330,12 +355,14 @@ class _Node:
         something is open, the preference bound value - sum over undecided k
         of max(gain[k] - f[k], 0) and the savings-dual bound value - min D(w)
         over the weight grid (module docstring); it is +inf when no such set
-        exists in the subtree. The savings-dual bound is computed only when
-        the other two lie below incumbent, so whether the bound reaches
-        incumbent does not depend on it being skipped. The facility is the
-        undecided one with the largest gain[k] - f[k] (ties to the lowest
-        index); it is None while nothing is open, when nothing is undecided,
-        or when the bound is +inf.
+        exists in the subtree. The savings-dual bound, taken from the rows of
+        savings, is computed only when the other two lie below incumbent and
+        value - max over undecided k of (gain[k] - f[k]) does not, since it
+        never exceeds that value; so whether the bound reaches incumbent does
+        not depend on it being skipped. The facility is the undecided one
+        with the largest gain[k] - f[k] (ties to the lowest index); it is
+        None while nothing is open, when nothing is undecided, or when the
+        bound is +inf.
         """
         if self.served == math.inf:
             return math.inf, None  # someone cannot be served, yet service is forced
@@ -347,9 +374,11 @@ class _Node:
             if net[k] > -np.inf:
                 best = k
             bound = max(bound, self.value - float(np.maximum(net, 0.0).sum()))
-            if bound < incumbent and net[k] > 0.0:
+            # D(w) >= net[k] for every w, so only here can the savings-dual
+            # bound reach the incumbent.
+            if bound < incumbent and net[k] > 0.0 and self.value - net[k] >= incumbent:
                 live = net > 0.0
-                s = _savings(self.a, self.rank, ctx.cT[live], ctx.pT[live])
+                s = self.savings[live]
                 cap = s.max(axis=0)
                 w = cap - _DUAL_GRID[:, None] * cap.max()
                 np.maximum(w, 0.0, out=w)
@@ -372,11 +401,15 @@ def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
 
 
 def check_limits(node_limit: int | None, time_limit: float | None) -> None:
-    """Raise ValueError unless each limit is None or a nonnegative number."""
+    """Raise ValueError unless node_limit is None or a nonnegative integer and
+    time_limit None or a nonnegative number (neither a bool)."""
+    if node_limit is not None and not (_is_index(node_limit) and node_limit >= 0):
+        raise ValueError(f"node_limit must be a nonnegative integer, got {node_limit!r}")
     # Written as "not >= 0" so that NaN fails too.
-    if node_limit is not None and not node_limit >= 0:
-        raise ValueError(f"node_limit must be nonnegative, got {node_limit!r}")
-    if time_limit is not None and not time_limit >= 0:
+    if time_limit is not None and not (
+        isinstance(time_limit, numbers.Real) and not isinstance(time_limit, bool)
+        and time_limit >= 0
+    ):
         raise ValueError(f"time_limit must be a nonnegative number, got {time_limit!r}")
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from splpo import (
     UNASSIGNED,
+    AdaConfig,
+    DaConfig,
     GeneratorConfig,
     Instance,
     ProblemSpec,
@@ -184,14 +186,48 @@ def test_time_limit_trips():
 
 @pytest.mark.parametrize(
     "limit",
-    [{"time_limit": math.nan}, {"time_limit": -0.5}, {"node_limit": -1}],
-    ids=["nan-time", "negative-time", "negative-nodes"],
+    [{"time_limit": math.nan}, {"time_limit": -0.5}, {"time_limit": "1"}, {"time_limit": True},
+     {"node_limit": -1}, {"node_limit": True}, {"node_limit": 2.5}, {"node_limit": 3.0},
+     {"node_limit": "3"}],
+    ids=["nan-time", "negative-time", "string-time", "bool-time", "negative-nodes",
+         "bool-nodes", "fractional-nodes", "float-nodes", "string-nodes"],
 )
 def test_malformed_limits_are_rejected(limit):
     inst = random_instance(3)
     for spec in (ProblemSpec.splpo(inst), ProblemSpec.slr(inst, np.ones(inst.m))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(limit))):
             branch_and_bound(spec, **limit)
+    for config in (AdaConfig, DaConfig):
+        with pytest.raises(ValueError, match=next(iter(limit))):
+            config(**limit)
+
+
+def test_numpy_limits_are_accepted():
+    inst = generate_instance(8, 6, 3)
+    res = branch_and_bound(ProblemSpec.splpo(inst), node_limit=np.int64(3),
+                           time_limit=np.float64(60.0))
+    assert res.nodes <= 3
+
+
+@pytest.mark.parametrize("member", [True, np.True_, 1.5, 2.0, -1, 4],
+                         ids=["bool", "numpy-bool", "fraction", "float", "negative", "too-large"])
+def test_forced_open_takes_only_facility_indices(member):
+    # Unchecked, True passed the range check and, used as a mask index, forced
+    # every facility open, and 1.5 failed later with an IndexError.
+    inst = generate_instance(5, 4, 1)
+    with pytest.raises(ValueError, match="forced_open"):
+        ProblemSpec(kind="splpo", inst=inst, forced_open=frozenset({member}))
+    with pytest.raises(ValueError, match="forced_open"):
+        ProblemSpec.splpo(inst, forced_open=[member])
+
+
+def test_forced_open_takes_numpy_integers():
+    inst = generate_instance(5, 4, 1)
+    spec = ProblemSpec(kind="splpo", inst=inst, forced_open=frozenset({np.int64(1)}))
+    assert spec.forced_open == frozenset({1})
+    res = branch_and_bound(spec)
+    assert res.value == brute_force(ProblemSpec.splpo(inst, forced_open=[1])).value
+    assert 1 in res.solution.open_facilities
 
 
 @pytest.mark.parametrize("limit", [{"node_limit": 0}, {"time_limit": 0.0}])
@@ -289,6 +325,11 @@ def test_savings_dual_covers_every_set_of_facilities(data):
         for S in itertools.combinations(range(K), r)
     )
     assert (_savings_dual(s, f, w) >= best - 1e-9 * (1.0 + abs(best))).all()
+    # In particular D(w) is at least every single facility's net saving, the
+    # premise on which the engine skips the bound where value minus the
+    # largest of them lies below the incumbent.
+    single = float((s.sum(axis=1) - f).max())
+    assert (_savings_dual(s, f, w) >= single - 1e-9 * (1.0 + abs(single))).all()
     # A facility whose savings do not pay its opening cost adds nothing to D.
     for k in np.flatnonzero(s.sum(axis=1) - f <= 0.0):
         assert (_savings_dual(s[[k]], f[[k]], w) == w.sum(axis=1)).all()
@@ -316,11 +357,12 @@ def _reference_dual(s, f, w) -> float:
     return float(w.sum()) + float(credit.sum())
 
 
-def _reference_bound(ctx, open_mask, closed_mask, incumbent) -> float:
+def _reference_bound(ctx, open_mask, closed_mask, incumbent, guard=True) -> float:
     """The engine's node bound, rebuilt from scratch out of the node's decisions.
 
     The savings-dual part is taken only while the other two lie below
-    incumbent, as the engine takes it.
+    incumbent and, with guard, where value minus the largest net gain of an
+    undecided facility reaches incumbent, as the engine takes it.
     """
     cmin = np.min(np.where(closed_mask[None, :], np.inf, ctx.c), axis=1)
     fopen = float(ctx.f[open_mask].sum())
@@ -333,8 +375,9 @@ def _reference_bound(ctx, open_mask, closed_mask, incumbent) -> float:
     undecided = ~(open_mask | closed_mask)
     credit = np.where(undecided, np.maximum(gain - ctx.f, 0.0), 0.0)
     bound = max(bound, value - float(credit.sum()))
-    live = undecided & (gain - ctx.f > 0.0)
-    if bound < incumbent and live.any():
+    net = gain - ctx.f
+    live = undecided & (net > 0.0)
+    if bound < incumbent and live.any() and (not guard or value - net[live].max() >= incumbent):
         s = savings[live]
         cap = s.max(axis=0)
         dual = min(_reference_dual(s, ctx.f[live], np.maximum(cap - g / 9 * cap.max(), 0.0))
@@ -382,15 +425,20 @@ RECORDED_NODES = {
 def test_node_bounds_equal_reference(seed):
     for kind, spec in _float_specs(seed).items():
         ctx = _Context(spec)
-        mismatches = []
+        mismatches, flips = [], []
 
         def check(depth, open_mask, closed_mask, bound, incumbent):
             expected = _reference_bound(ctx, open_mask, closed_mask, incumbent)
             if bound != expected:
                 mismatches.append((depth, open_mask, closed_mask, bound, expected))
+            # The guard skips the savings-dual bound only where it cannot prune.
+            full = _reference_bound(ctx, open_mask, closed_mask, incumbent, guard=False)
+            if (bound >= incumbent) != (full >= incumbent):
+                flips.append((depth, open_mask, closed_mask, bound, full))
 
         res = branch_and_bound(spec, on_node=check)
         assert mismatches == [], kind
+        assert flips == [], kind
         assert res.nodes == RECORDED_NODES[seed][kind], kind
 
 
@@ -431,7 +479,7 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
     assert min(counts.values()) > 0, counts
     for ctx, node in seen:
         fresh = _Node.from_masks(ctx, node.open, node.closed)
-        for name in ("a", "value", "rank", "gain", "fopen", "cmin", "served"):
+        for name in ("a", "value", "rank", "savings", "gain", "fopen", "cmin", "served"):
             assert _same_bits(getattr(node, name), getattr(fresh, name)), name
         if node.value is not None:
             assert _same_bits(node.value, ctx.evaluate(node.open)[0])  # the set's price
