@@ -5,12 +5,9 @@ semi-Lagrangean duals, and the accelerated dual ascent pipeline."""
 from .ada import AdaConfig, AdaResult, PRESETS, ada, preset_config, vfh
 from .exact import ExactResult, ProblemSpec, branch_and_bound, brute_force
 from .instance import (
-    CostLadder,
     GeneratorConfig,
     Instance,
     InstanceFormatError,
-    cost_ladder,
-    default_epsilon,
     facility_sort_keys,
     generate_instance,
     parse_instance,
@@ -22,22 +19,12 @@ from .lagrange import (
     LrSolution,
     SgConfig,
     SgResult,
-    cumulative_lambda,
     default_start,
-    lr_subgradient,
     solve_lr,
     subgradient_method,
 )
 from .report import ReportRow, RunReport, config_hash, gap_fields
-from .semilagrange import (
-    DaConfig,
-    DualAscent,
-    GammaState,
-    ascend,
-    dual_ascent,
-    place_gamma,
-    solve_slr,
-)
+from .semilagrange import DaConfig, DualAscent, dual_ascent, solve_slr
 from .solution import (
     Solution,
     UNASSIGNED,

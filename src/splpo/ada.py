@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .exact import ProblemSpec, branch_and_bound, check_limits
+from .exact import ProblemSpec, branch_and_bound, check_count, check_limits, is_number
 from .instance import Instance, facility_sort_keys
 from .lagrange import SgConfig, SgResult, default_start, subgradient_method
 from .semilagrange import DaConfig, check_epsilon, dual_ascent
@@ -44,10 +44,10 @@ class AdaConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
-        if min(self.sg_iter, self.da_iter, self.vfh_iter) < 0:
-            raise ValueError("iteration budgets must be nonnegative")
-        if not 0.0 <= self.ps <= 1.0:
-            raise ValueError("ps must lie in [0, 1]")
+        for name in ("sg_iter", "da_iter", "vfh_iter"):
+            check_count(name, getattr(self, name))
+        if not (is_number(self.ps) and 0.0 <= self.ps <= 1.0):
+            raise ValueError(f"ps must be a number in [0, 1], got {self.ps!r}")
         check_epsilon(self.epsilon)
         check_limits(self.node_limit, self.time_limit)
 
@@ -101,19 +101,13 @@ def vfh(
     fixed = open_now[:count]
     spec = ProblemSpec.splpo(inst, forced_open=fixed)
     res = branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit)
-    sol = res.solution
     provenance = {
         "algorithm": "vfh",
         "fixed_open": [j + 1 for j in fixed],
         "engine_status": res.status,
         "heuristic": res.status != "optimal",
     }
-    return Solution(
-        open_facilities=sol.open_facilities,
-        assign=sol.assign,
-        objective=sol.objective,
-        provenance=provenance,
-    )
+    return replace(res.solution, provenance=provenance)
 
 
 @dataclass

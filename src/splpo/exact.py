@@ -400,16 +400,24 @@ def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
     return resume.frontier.entries[::-1]
 
 
+def is_number(x) -> bool:
+    """Whether x is a real number (a Python or numpy one), not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless value is a nonnegative integer (not a bool)."""
+    if not (_is_index(value) and value >= 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def check_limits(node_limit: int | None, time_limit: float | None) -> None:
     """Raise ValueError unless node_limit is None or a nonnegative integer and
     time_limit None or a nonnegative number (neither a bool)."""
-    if node_limit is not None and not (_is_index(node_limit) and node_limit >= 0):
-        raise ValueError(f"node_limit must be a nonnegative integer, got {node_limit!r}")
+    if node_limit is not None:
+        check_count("node_limit", node_limit)
     # Written as "not >= 0" so that NaN fails too.
-    if time_limit is not None and not (
-        isinstance(time_limit, numbers.Real) and not isinstance(time_limit, bool)
-        and time_limit >= 0
-    ):
+    if time_limit is not None and not (is_number(time_limit) and time_limit >= 0):
         raise ValueError(f"time_limit must be a nonnegative number, got {time_limit!r}")
 
 

@@ -120,26 +120,6 @@ class Instance:
         return f"Instance(m={self.m}, n={self.n}{tag})"
 
 
-@dataclass(frozen=True)
-class CostLadder:
-    """Per-customer sorted service costs plus the cost ceiling vector.
-
-    sorted_costs[i] is customer i's service costs in non-decreasing order,
-    and cp[i] = max_j (c[i, j] + f[j]).
-    """
-
-    sorted_costs: np.ndarray
-    cp: np.ndarray
-
-
-def cost_ladder(inst: Instance) -> CostLadder:
-    sorted_costs = np.sort(inst.c, axis=1)
-    cp = (inst.c + inst.f[None, :]).max(axis=1)
-    for a in (sorted_costs, cp):
-        a.setflags(write=False)
-    return CostLadder(sorted_costs=sorted_costs, cp=cp)
-
-
 def facility_sort_keys(inst: Instance) -> np.ndarray:
     """Attractiveness key per facility: sum_i c[i, j] + m * f[j] (lower is better)."""
     return inst.c.sum(axis=0) + inst.m * inst.f
@@ -398,25 +378,12 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
     return Instance(f=f, c=c, p=p, name=name)
 
 
-def default_epsilon(ladder: CostLadder) -> float:
-    """Rung offset: half the smallest positive gap between consecutive sorted costs."""
-    diffs = np.diff(ladder.sorted_costs, axis=1)
-    pos = diffs[diffs > 0]
-    if pos.size:
-        return float(pos.min()) / 2.0
-    top = float(ladder.sorted_costs.max()) if ladder.sorted_costs.size else 0.0
-    return 1e-6 * (1.0 + top)
-
-
 __all__ = [
-    "CostLadder",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "GeneratorConfig",
     "Instance",
     "InstanceFormatError",
-    "cost_ladder",
-    "default_epsilon",
     "facility_sort_keys",
     "generate_instance",
     "parse_instance",

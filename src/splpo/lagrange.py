@@ -11,10 +11,10 @@ its subgradient in rank order: each customer's row lists its sites worst
 first, as ``Instance.flat_rank_index`` defines it, and those sums are plain
 row-wise cumsums. The subgradient method holds lam in rank order for its
 whole run, reuses one set of (m, n) buffers, and takes its best lam back to
-site order once, at the end. ``solve_lr`` and ``lr_subgradient`` take and
-return site-order arrays and convert at their edges. Column sums run over
-customers in order, so every float sum is the one site order would give.
-The relaxed assignment x is a bool array, like y.
+site order once, at the end. ``solve_lr`` takes and returns site-order
+arrays and converts at its edges. Column sums run over customers in order,
+so every float sum is the one site order would give. The relaxed
+assignment x is a bool array, like y.
 
 lam is mostly zero in a run: an all-zero row adds only +0.0 to its cumsum
 and to the column sums, so when fewer than half the rows hold a non-zero
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exact import check_count, is_number
 from .instance import Instance
 from .solution import heuristic_hc
 
@@ -153,21 +154,6 @@ class _RankRelaxation:
         return 1.0 - covered[:, 0], self.s_lam
 
 
-def cumulative_lambda(inst: Instance, lam: np.ndarray) -> np.ndarray:
-    """For each (i, j): the sum of lam[i, k] over every facility k that
-    customer i ranks no better than j, including j itself.
-
-    Computed as suffix sums along each customer's ranking, so row i sums to
-    sum_j p[i, j] * lam[i, j] (a useful checksum). lam must be finite,
-    nonnegative and of shape (m, n), else ValueError.
-    """
-    lam = np.asarray(lam, dtype=float)
-    _check_shape("lam", lam, (inst.m, inst.n))
-    _check_lam(lam)
-    to_rank, to_site = inst.flat_rank_index
-    return np.cumsum(lam.take(to_rank), axis=1).take(to_site)
-
-
 def solve_lr(inst: Instance, mult: LagrangeMultipliers) -> LrSolution:
     """Closed-form optimum of the relaxation at fixed multipliers.
 
@@ -182,21 +168,6 @@ def solve_lr(inst: Instance, mult: LagrangeMultipliers) -> LrSolution:
     rel = _RankRelaxation(inst)
     value, rho, y = rel.solve(mult.mu, mult.lam.take(rel.to_rank))
     return LrSolution(value=value, x=rel.x.take(rel.to_site), y=y, rho=rho)
-
-
-def lr_subgradient(inst: Instance, lr: LrSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Subgradient at the multipliers that produced lr.
-
-    Returns (s_mu, s_lam): s_mu[i] = 1 - (assignments of customer i), and
-    s_lam[i, j] = y_j - (assignments of i to facilities it weakly prefers
-    over j). A zero vector certifies dual optimality. x may be bool or any
-    0/1 integer array of shape (m, n), and y must have shape (n,).
-    """
-    _check_shape("x", lr.x, (inst.m, inst.n))
-    _check_shape("y", lr.y, (inst.n,))
-    rel = _RankRelaxation(inst)
-    s_mu, s_lam = rel.subgradient(lr.x.take(rel.to_rank), lr.y.take(rel.facility))
-    return s_mu, s_lam.take(rel.to_site)
 
 
 def default_start(inst: Instance) -> LagrangeMultipliers:
@@ -214,9 +185,9 @@ class SgConfig:
     beta_decrement per iteration. The run stops at beta <= 0, a zero
     subgradient, or max_iter updates. lr_aim is the target upper bound for
     the step size; None means take it from heuristic_hc. max_iter and
-    stall_window must be nonnegative, beta0 finite and above zero,
-    beta_decrement finite and nonnegative, and lr_aim None or finite;
-    anything else raises ValueError.
+    stall_window must be nonnegative integers, beta0 a finite number above
+    zero, beta_decrement a finite nonnegative number, and lr_aim None or a
+    finite number; anything else, a bool included, raises ValueError.
     """
 
     max_iter: int = 1500
@@ -226,17 +197,15 @@ class SgConfig:
     lr_aim: float | None = None
 
     def __post_init__(self):
+        check_count("max_iter", self.max_iter)
+        check_count("stall_window", self.stall_window)
         # Written so that NaN fails every comparison.
-        if not self.max_iter >= 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter!r}")
-        if not 0 < self.beta0 < math.inf:
+        if not (is_number(self.beta0) and 0 < self.beta0 < math.inf):
             raise ValueError(f"beta0 must be a finite number above zero, got {self.beta0!r}")
-        if not self.stall_window >= 0:
-            raise ValueError(f"stall_window must be nonnegative, got {self.stall_window!r}")
-        if not 0 <= self.beta_decrement < math.inf:
+        if not (is_number(self.beta_decrement) and 0 <= self.beta_decrement < math.inf):
             raise ValueError(
                 f"beta_decrement must be a finite nonnegative number, got {self.beta_decrement!r}")
-        if self.lr_aim is not None and not math.isfinite(self.lr_aim):
+        if self.lr_aim is not None and not (is_number(self.lr_aim) and math.isfinite(self.lr_aim)):
             raise ValueError(f"lr_aim must be None or finite, got {self.lr_aim!r}")
 
 
@@ -359,9 +328,7 @@ __all__ = [
     "SgConfig",
     "SgResult",
     "SgTraceRow",
-    "cumulative_lambda",
     "default_start",
-    "lr_subgradient",
     "solve_lr",
     "subgradient_method",
 ]

@@ -9,81 +9,27 @@ empty set, valued sum(gamma), or the splpo optimum. The dual is piecewise
 constant in each gamma component between consecutive sorted service costs,
 which reduces ascent to moving every multiplier one rung up its customer's
 cost ladder per step until the subproblem opens something; multipliers never
-need to exceed cp_i = max_j (c[i, j] + f[j]).
+need to exceed cp_i = max_j (c[i, j] + f[j]). ``DualAscent`` holds the ladder
+as a table of rungs and one rung index per customer, so gamma is read off the
+table and a step adds one to every index.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits
-from .instance import CostLadder, Instance, cost_ladder, default_epsilon
+from .exact import ExactResult, ProblemSpec, branch_and_bound, check_count, check_limits, is_number
+from .instance import Instance
 
 
 def check_epsilon(epsilon: float | None) -> None:
-    """Raise ValueError unless epsilon is None or a finite number above zero."""
-    if epsilon is not None and not 0 < epsilon < math.inf:
+    """Raise ValueError unless epsilon is None or a finite number above zero (not a bool)."""
+    if epsilon is not None and not (is_number(epsilon) and 0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be a finite number above zero, got {epsilon!r}")
-
-
-@dataclass(frozen=True)
-class GammaState:
-    """Multipliers pinned to ladder rungs.
-
-    rungs[i, r-1] is customer i's multiplier on rung r: sorted_costs[i, r-1]
-    + epsilon capped at cp[i] for rungs 1..n, and cp[i] on rung n+1.
-    interval_index[i] is the rung customer i sits on; gamma and at_ceiling
-    are read off the table, so every multiplier lies at or below cp and
-    climbing a rung never lowers it.
-    """
-
-    interval_index: np.ndarray
-    rungs: np.ndarray
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.rungs[np.arange(self.rungs.shape[0]), self.interval_index - 1]
-
-    @property
-    def at_ceiling(self) -> np.ndarray:
-        return self.gamma == self.rungs[:, -1]
-
-
-def place_gamma(ladder: CostLadder, gamma0, epsilon: float | None = None) -> GammaState:
-    """Put a raw multiplier vector on the rung it lies in.
-
-    A component at or below the cheapest cost takes rung 1; one above the
-    k-th cheapest cost but not the next takes rung k, just above that cost;
-    one at or above cp takes rung n+1, where the dual provably plateaus.
-    epsilon, None or a finite number above zero, is the rung offset; None
-    derives it from the ladder (see default_epsilon). gamma0 must hold one
-    number per customer, none of them NaN.
-    """
-    check_epsilon(epsilon)
-    if epsilon is None:
-        epsilon = default_epsilon(ladder)
-    costs, cp = ladder.sorted_costs, ladder.cp
-    m, n = costs.shape
-    gamma0 = np.asarray(gamma0, dtype=float)
-    if gamma0.shape != (m,):
-        raise ValueError(f"gamma0 must have shape ({m},), got {gamma0.shape}")
-    if np.isnan(gamma0).any():
-        raise ValueError("gamma0 must not contain NaN")
-    rungs = np.column_stack([np.minimum(costs + epsilon, cp[:, None]), cp])
-    # Per row, the count of costs below g is searchsorted(row, g, "left").
-    k = (costs < gamma0[:, None]).sum(axis=1)
-    rung = np.where(gamma0 >= cp, n + 1, np.maximum(k, 1))
-    return GammaState(interval_index=rung, rungs=rungs)
-
-
-def ascend(state: GammaState) -> GammaState:
-    """Move every multiplier up one rung; rung n+1 is the top."""
-    top = state.rungs.shape[1]
-    return replace(state, interval_index=np.minimum(state.interval_index + 1, top))
 
 
 def solve_slr(
@@ -112,14 +58,14 @@ def solve_slr(
 class DaConfig:
     """Dual-ascent settings.
 
-    max_iter None means run until a subproblem opens something. epsilon, the
-    rung offset, is None or a finite number above zero; None derives it from
-    the ladder (half the smallest positive cost gap). node_limit applies to
-    each subproblem solve; each step resumes the previous step's search, so
-    it counts only the nodes a step newly expands. time_limit, in seconds,
-    is one budget for the whole driver: its deadline is fixed when the
-    driver is built, and each step gets the time left. A negative or NaN
-    limit raises ValueError.
+    max_iter, None or a nonnegative integer, caps the steps; None means run
+    until a subproblem opens something. epsilon, the rung offset, is None or
+    a finite number above zero; None takes half the smallest positive gap
+    between a customer's sorted costs. node_limit applies to each subproblem
+    solve; each step resumes the previous step's search, so it counts only
+    the nodes a step newly expands. time_limit, in seconds, is one budget
+    for the whole driver: its deadline is fixed when the driver is built,
+    and each step gets the time left. Any other setting raises ValueError.
     """
 
     epsilon: float | None = None
@@ -129,6 +75,8 @@ class DaConfig:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
+        if self.max_iter is not None:
+            check_count("max_iter", self.max_iter)
         check_limits(self.node_limit, self.time_limit)
 
 
@@ -144,9 +92,18 @@ class DualAscent:
     """Stepwise driver: one step = solve the subproblem at the current gamma,
     record it, and climb every multiplier one rung if it opened nothing.
 
+    rungs[i, r-1] is customer i's multiplier on rung r: its r-th cheapest
+    service cost plus epsilon, capped at cp[i], for r <= n, and cp[i] on rung
+    n+1, where the dual provably plateaus. rung[i] is the rung customer i
+    sits on, so every multiplier lies at or below cp and a climb never lowers
+    it. gamma0 places each customer: at or below its cheapest cost on rung 1,
+    above its k-th cheapest cost but not the next on rung k, at or above cp
+    on rung n+1. gamma0 must hold one number per customer, none of them NaN.
+
     status is "optimal" once a step opens something, "incomplete" once a
     step hits an engine limit, "ceiling" when every multiplier equals its cp
-    and the subproblem still opens nothing, and "iter_limit" until then.
+    and the subproblem still opens nothing (the optimum then equals sum(cp),
+    and the empty set ties it), and "iter_limit" until then.
     last is the latest step's engine result and best_lower_bound the largest
     lower bound any step proved. A step only follows a step whose subproblem
     opened nothing, and gamma never falls, so every step after the first
@@ -157,7 +114,22 @@ class DualAscent:
     def __init__(self, inst: Instance, gamma0, cfg: DaConfig = DaConfig()):
         self.inst = inst
         self.cfg = cfg
-        self.state = place_gamma(cost_ladder(inst), gamma0, cfg.epsilon)
+        gamma0 = np.asarray(gamma0, dtype=float)
+        if gamma0.shape != (inst.m,):
+            raise ValueError(f"gamma0 must have shape ({inst.m},), got {gamma0.shape}")
+        if np.isnan(gamma0).any():
+            raise ValueError("gamma0 must not contain NaN")
+        costs = np.sort(inst.c, axis=1)
+        cp = (inst.c + inst.f).max(axis=1)
+        epsilon = cfg.epsilon
+        if epsilon is None:
+            gaps = np.diff(costs, axis=1)
+            gaps = gaps[gaps > 0]
+            epsilon = float(gaps.min()) / 2.0 if gaps.size else 1e-6 * (1.0 + float(costs.max()))
+        self.rungs = np.column_stack([np.minimum(costs + epsilon, cp[:, None]), cp])
+        # Per row, the count of costs below g is searchsorted(row, g, "left").
+        below = (costs < gamma0[:, None]).sum(axis=1)
+        self.rung = np.where(gamma0 >= cp, inst.n + 1, np.maximum(below, 1))
         self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         self.iterations = 0
         self.trace: list[DaTraceRow] = []
@@ -166,12 +138,17 @@ class DualAscent:
         self.done = False
         self.status = "iter_limit"
 
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.rungs[np.arange(self.inst.m), self.rung - 1]
+
     def step(self) -> ExactResult:
         """Run one iteration; sets done/status when no further progress is possible."""
         time_left = None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
+        gamma = self.gamma
         res = solve_slr(
             self.inst,
-            self.state.gamma,
+            gamma,
             node_limit=self.cfg.node_limit,
             time_limit=time_left,
             resume=self.last,
@@ -179,12 +156,13 @@ class DualAscent:
         self.last = res
         self.best_lower_bound = max(self.best_lower_bound, res.lower_bound)
         opened = bool(res.solution.open_facilities)
+        at_ceiling = gamma == self.rungs[:, -1]
         self.trace.append(
             DaTraceRow(
                 iteration=self.iterations,
                 value=res.value,
                 served=self.inst.m if opened else 0,
-                at_ceiling=int(self.state.at_ceiling.sum()),
+                at_ceiling=int(at_ceiling.sum()),
             )
         )
         self.iterations += 1
@@ -192,19 +170,20 @@ class DualAscent:
             self.done, self.status = True, "incomplete"
         elif opened:
             self.done, self.status = True, "optimal"
-        elif self.state.at_ceiling.all():
+        elif at_ceiling.all():
             self.done, self.status = True, "ceiling"
         else:
-            self.state = ascend(self.state)
+            self.rung = np.minimum(self.rung + 1, self.inst.n + 1)
         return res
 
 
 def dual_ascent(inst: Instance, gamma0, cfg: DaConfig = DaConfig()) -> DualAscent:
-    """Iterate ascent steps until optimality, a limit, or an engine timeout.
+    """Iterate ascent steps until optimality, the ceiling, a limit, or an
+    engine timeout.
 
-    Returns the driver. When its status is "optimal" the final value equals
-    the optimum of the original problem (the relaxation closes the duality
-    gap) and last.solution is feasible for it.
+    Returns the driver. When its status is "optimal" or "ceiling" the final
+    value equals the optimum of the original problem (the relaxation closes
+    the duality gap); at "optimal" last.solution is feasible for it.
     """
     driver = DualAscent(inst, gamma0, cfg)
     while not driver.done:
@@ -218,10 +197,7 @@ __all__ = [
     "DaConfig",
     "DaTraceRow",
     "DualAscent",
-    "GammaState",
-    "ascend",
     "check_epsilon",
     "dual_ascent",
-    "place_gamma",
     "solve_slr",
 ]

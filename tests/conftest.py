@@ -21,6 +21,11 @@ def toy() -> Instance:
     )
 
 
+def cost_ceiling(inst: Instance) -> np.ndarray:
+    """cp[i] = max_j (c[i, j] + f[j]): no multiplier of customer i need exceed it."""
+    return (inst.c + inst.f).max(axis=1)
+
+
 def random_instance(seed: int, m_max: int = 10, n_max: int = 10) -> Instance:
     """Seeded small instance with dimensions derived from the seed."""
     rng = np.random.default_rng(seed)

@@ -23,7 +23,6 @@ from splpo import (
     branch_and_bound,
     brute_force,
     check_feasible,
-    cost_ladder,
     dual_ascent,
     generate_instance,
     heuristic_hc,
@@ -35,6 +34,7 @@ from splpo import (
 )
 from splpo.lagrange import LagrangeMultipliers
 
+from conftest import cost_ceiling
 from test_lagrange import oracle_min_relaxed
 from test_semilagrange import tied_instance
 
@@ -47,10 +47,9 @@ def sized_instance(seed, lo=2, hi=10):
 
 
 def gamma_in_box(inst, rng):
-    lad = cost_ladder(inst)
-    low = lad.sorted_costs[:, 0]
+    low = inst.c.min(axis=1)
     u = rng.random(inst.m)
-    return low + np.maximum(u, 1e-9) * (lad.cp - low)
+    return low + np.maximum(u, 1e-9) * (cost_ceiling(inst) - low)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -133,7 +132,7 @@ def test_criterion_5_ceiling_start_terminates_immediately():
     """Starting at the cost ceiling ends at iteration 0 with the optimum."""
     for seed in range(50):
         inst = sized_instance(400 + seed)
-        cp = cost_ladder(inst).cp
+        cp = cost_ceiling(inst)
         res = dual_ascent(inst, cp, DaConfig())
         opt = brute_force(ProblemSpec.splpo(inst)).value
         assert res.status == "optimal", (seed, res.status)

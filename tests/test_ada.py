@@ -1,6 +1,7 @@
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +178,24 @@ def test_ada_config_validation():
     SgConfig(max_iter=0, stall_window=0, beta_decrement=0.0, lr_aim=-1e9)
     AdaConfig(epsilon=1e-9)
     DaConfig(epsilon=None)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (DaConfig, "max_iter", -1), (DaConfig, "max_iter", 1.5), (DaConfig, "max_iter", True),
+    (DaConfig, "epsilon", True), (DaConfig, "epsilon", "0.5"),
+    (AdaConfig, "sg_iter", True), (AdaConfig, "da_iter", np.float64(2.0)),
+    (AdaConfig, "vfh_iter", 1.5), (AdaConfig, "ps", True), (AdaConfig, "ps", "0.5"),
+    (AdaConfig, "epsilon", "0.5"),
+    (SgConfig, "max_iter", 2.5), (SgConfig, "stall_window", "3"), (SgConfig, "beta0", "2"),
+    (SgConfig, "beta_decrement", False), (SgConfig, "lr_aim", "1"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_configs_reject_malformed_settings(cls, name, value):
+    # Iteration budgets take nonnegative integers only, numbers take no bool
+    # and no string, and each fault is a ValueError naming its setting.
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
+    # numpy scalars of the right kind are accepted.
+    cls(**{name: np.int64(2) if "iter" in name or name == "stall_window" else np.float64(0.5)})
 
 
 @given(st.integers(0, 40))

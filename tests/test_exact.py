@@ -15,19 +15,17 @@ from splpo import (
     branch_and_bound,
     brute_force,
     check_feasible,
-    cost_ladder,
     generate_instance,
 )
 from splpo.exact import _DUAL_GRID, KIND_SLR, _Context, _Node, _savings_dual
 
-from conftest import cheap_open_instance, random_instance
+from conftest import cheap_open_instance, cost_ceiling, random_instance
 from test_semilagrange import tied_instance
 
 
 def random_gamma_in_box(inst, rng):
-    lad = cost_ladder(inst)
-    low = lad.sorted_costs[:, 0]
-    return low + rng.random(inst.m) * (lad.cp - low)
+    low = inst.c.min(axis=1)
+    return low + rng.random(inst.m) * (cost_ceiling(inst) - low)
 
 
 def test_splpo_toy(toy):
@@ -52,7 +50,7 @@ def test_splpo_forced_open(toy):
 
 def test_brute_force_toy(toy):
     assert brute_force(ProblemSpec.splpo(toy)).value == 8
-    assert brute_force(ProblemSpec.slr(toy, cost_ladder(toy).cp)).value == 8
+    assert brute_force(ProblemSpec.slr(toy, cost_ceiling(toy))).value == 8
 
 
 def test_brute_force_uniform_instance():
@@ -236,7 +234,7 @@ def test_splpo_always_returns_a_solution(limit):
     # greedy open set plus the forced facilities for splpo, the empty set for
     # slr), so even a search stopped at once hands back a feasible incumbent.
     inst = generate_instance(8, 6, 3)
-    gamma = cost_ladder(inst).cp
+    gamma = cost_ceiling(inst)
     cases = [
         (ProblemSpec.splpo(inst), 20684.0, {3}),
         (ProblemSpec.splpo(inst, forced_open=[2]), 32417.0, {2}),
@@ -258,7 +256,7 @@ def test_splpo_always_returns_a_solution(limit):
 def test_search_stopped_at_the_root_reports_the_root_bound(limit):
     # The root is never evaluated, yet its bound is one pass over the data.
     inst = generate_instance(8, 6, 3)
-    gamma = cost_ladder(inst).cp * 0.9
+    gamma = cost_ceiling(inst) * 0.9
     for spec in (ProblemSpec.splpo(inst), ProblemSpec.splpo(inst, forced_open=[2]),
                  ProblemSpec.slr(inst, gamma)):
         res = branch_and_bound(spec, **limit)
@@ -526,7 +524,7 @@ def test_incumbent_is_monotone():
 
 def _empty_slr_result(inst):
     """An optimal slr search that ends at the empty set."""
-    gamma = cost_ladder(inst).sorted_costs[:, 0] * 0.5
+    gamma = inst.c.min(axis=1) * 0.5
     res = branch_and_bound(ProblemSpec.slr(inst, gamma))
     assert res.solution.open_facilities == frozenset() and res.frontier is not None
     return res, gamma
@@ -535,7 +533,7 @@ def _empty_slr_result(inst):
 def test_resume_rejects_what_it_cannot_continue():
     inst = generate_instance(8, 6, 4)
     prev, gamma = _empty_slr_result(inst)
-    cp = cost_ladder(inst).cp
+    cp = cost_ceiling(inst)
     with pytest.raises(ValueError, match="sum"):
         branch_and_bound(ProblemSpec.slr(inst, gamma * 0.5), resume=prev)
     with pytest.raises(ValueError, match="another instance"):
@@ -555,10 +553,9 @@ def test_resume_rejects_what_it_cannot_continue():
 
 def _slr_chain(inst):
     """slr specs at gamma rising from the cheapest costs towards the ceiling."""
-    lad = cost_ladder(inst)
-    low = lad.sorted_costs[:, 0]
+    low, cp = inst.c.min(axis=1), cost_ceiling(inst)
     for t in np.linspace(0.0, 0.3, 31):
-        yield ProblemSpec.slr(inst, low + t * (lad.cp - low))
+        yield ProblemSpec.slr(inst, low + t * (cp - low))
 
 
 @pytest.mark.parametrize("case", ["float0", "float1", "float2", "float3", "int1", "int2", "int3"])

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    DaConfig,
     GeneratorConfig,
     Instance,
     InstanceFormatError,
-    cost_ladder,
-    default_epsilon,
     facility_sort_keys,
     generate_instance,
     parse_instance,
@@ -16,6 +15,7 @@ from splpo import (
 )
 
 import splpo.instance as instance_module
+from splpo.semilagrange import DualAscent
 from conftest import random_instance
 
 TOY_DOC = """SPLPO 1
@@ -34,10 +34,10 @@ def test_parse_toy_document():
     assert np.array_equal(inst.f, [3, 1])
     assert np.array_equal(inst.c, [[2, 5], [4, 2]])
     assert np.array_equal(inst.p, [[1, 2], [2, 1]])
-    # cp recomputed independently of cost_ladder
+    # cp recomputed independently of the ladder's top rung
     cp = [max(inst.c[i, j] + inst.f[j] for j in range(2)) for i in range(2)]
     assert cp == [6, 7]
-    assert np.array_equal(cost_ladder(inst).cp, cp)
+    assert np.array_equal(DualAscent(inst, np.zeros(2)).rungs[:, -1], cp)
 
 
 def test_parse_rejects_non_permutation_row():
@@ -216,10 +216,13 @@ def test_round_trip_property(seed):
     assert parse_instance(write_instance(inst)) == inst
 
 
+# The cost ladder dual ascent climbs: rungs[i, r-1] is customer i's r-th
+# cheapest cost plus epsilon, capped at cp[i], and cp[i] on the top rung.
+
+
 def test_cost_ladder_toy(toy):
-    lad = cost_ladder(toy)
-    assert np.array_equal(lad.sorted_costs, [[2, 5], [2, 4]])
-    assert np.array_equal(lad.cp, [6, 7])
+    rungs = DualAscent(toy, np.zeros(2), DaConfig(epsilon=0.5)).rungs
+    assert np.array_equal(rungs, [[2.5, 5.5, 6.0], [2.5, 4.5, 7.0]])
 
 
 def test_cost_ladder_uniform():
@@ -228,28 +231,27 @@ def test_cost_ladder_uniform():
         c=np.full((2, 3), 5.0),
         p=np.array([[1, 2, 3], [3, 1, 2]]),
     )
-    lad = cost_ladder(inst)
-    assert np.all(lad.sorted_costs == 5.0)
-    assert np.array_equal(lad.cp, [5.0, 5.0])
+    # Every rung is capped at cp = 5.
+    assert np.all(DualAscent(inst, np.zeros(2)).rungs == 5.0)
 
 
 def test_cost_ladder_dominates_costs():
     inst = generate_instance(5, 5, seed=3)
-    lad = cost_ladder(inst)
+    rungs = DualAscent(inst, np.zeros(5), DaConfig(epsilon=0.5)).rungs
     for i in range(5):
-        direct = sorted(inst.c[i])
-        assert np.array_equal(lad.sorted_costs[i], direct)
-        assert lad.cp[i] >= lad.sorted_costs[i, -1]
-        assert lad.cp[i] == max(inst.c[i, j] + inst.f[j] for j in range(5))
+        cp = max(inst.c[i, j] + inst.f[j] for j in range(5))
+        direct = [min(v + 0.5, cp) for v in sorted(inst.c[i])]
+        assert np.array_equal(rungs[i], direct + [cp])
+        assert cp >= max(inst.c[i])
 
 
 def test_default_epsilon():
     inst = parse_instance(TOY_DOC)
-    lad = cost_ladder(inst)
     # gaps: customer 0 has 3, customer 1 has 2 -> eps = 1
-    assert default_epsilon(lad) == 1.0
-    flat = Instance(f=np.zeros(2), c=np.zeros((1, 2)), p=np.array([[1, 2]]))
-    assert default_epsilon(cost_ladder(flat)) == pytest.approx(1e-6)
+    assert np.array_equal(DualAscent(inst, np.zeros(2)).rungs[:, 0], [3.0, 3.0])
+    # No gap at all: eps = 1e-6 (1 + the largest cost).
+    flat = Instance(f=np.full(2, 5.0), c=np.zeros((1, 2)), p=np.array([[1, 2]]))
+    assert DualAscent(flat, np.zeros(1)).rungs[0, 0] == pytest.approx(1e-6)
 
 
 def test_facility_sort_keys(toy):

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 
 import numpy as np
@@ -12,16 +13,15 @@ from splpo import (
     ProblemSpec,
     branch_and_bound,
     brute_force,
+    ada,
     check_feasible,
-    cost_ladder,
     dual_ascent,
     generate_instance,
-    place_gamma,
     solve_slr,
 )
-from splpo.semilagrange import DualAscent, ascend
+from splpo.semilagrange import DualAscent
 
-from conftest import cheap_open_instance, random_instance
+from conftest import cheap_open_instance, cost_ceiling, random_instance
 
 # Costs 1..4 give every customer tied rungs; cheap facilities keep optima open.
 TIED = GeneratorConfig(cost_range=(1, 4), open_range=(5, 20))
@@ -37,31 +37,34 @@ def tied_instance(seed):
 # --- placement -------------------------------------------------------------
 
 
+def placed(inst, gamma0, epsilon):
+    """An ascent whose multipliers start from gamma0 on rungs epsilon apart."""
+    return DualAscent(inst, gamma0, DaConfig(epsilon=epsilon))
+
+
 def test_place_gamma_below_ladder(toy):
-    st_ = place_gamma(cost_ladder(toy), [0.0, 0.0], 0.5)
-    assert np.array_equal(st_.gamma, [2.5, 2.5])
-    assert np.array_equal(st_.interval_index, [1, 1])
+    ascent = placed(toy, [0.0, 0.0], 0.5)
+    assert np.array_equal(ascent.gamma, [2.5, 2.5])
+    assert np.array_equal(ascent.rung, [1, 1])
 
 
 def test_place_gamma_inside_intervals(toy):
-    st_ = place_gamma(cost_ladder(toy), [4.0, 3.0], 0.5)
-    assert np.array_equal(st_.gamma, [2.5, 2.5])
+    assert np.array_equal(placed(toy, [4.0, 3.0], 0.5).gamma, [2.5, 2.5])
 
 
 def test_place_gamma_ceiling_top(toy):
-    lad = cost_ladder(toy)
-    st_ = place_gamma(lad, lad.cp, 0.5)
-    assert np.array_equal(st_.gamma, lad.cp)
-    assert np.array_equal(st_.interval_index, [3, 3])
+    cp = cost_ceiling(toy)
+    ascent = placed(toy, cp, 0.5)
+    assert np.array_equal(ascent.gamma, cp)
+    assert np.array_equal(ascent.rung, [3, 3])
     # strictly inside the top interval still snaps down
-    st2 = place_gamma(lad, [5.9, 6.9], 0.5)
-    assert np.array_equal(st2.gamma, [5.5, 4.5])
+    assert np.array_equal(placed(toy, [5.9, 6.9], 0.5).gamma, [5.5, 4.5])
 
 
 def test_place_gamma_requires_positive_epsilon(toy):
     for epsilon in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
-            place_gamma(cost_ladder(toy), [0.0, 0.0], epsilon)
+            placed(toy, [0.0, 0.0], epsilon)
 
 
 @pytest.mark.parametrize("gamma0", [
@@ -72,9 +75,10 @@ def test_place_gamma_requires_positive_epsilon(toy):
     [float("nan"), 0.0],  # NaN would pin to cp
 ], ids=["too_long", "too_short", "scalar", "two_dim", "nan"])
 def test_place_gamma_rejects_malformed_gamma0(toy, gamma0):
-    with pytest.raises(ValueError):
-        place_gamma(cost_ladder(toy), gamma0, 0.5)
-    with pytest.raises(ValueError):
+    match = "NaN" if np.ndim(gamma0) == 1 and len(gamma0) == 2 else "shape"
+    with pytest.raises(ValueError, match=match):
+        placed(toy, gamma0, 0.5)
+    with pytest.raises(ValueError, match=match):
         dual_ascent(toy, gamma0)
 
 
@@ -92,18 +96,18 @@ def _place_one(row, cp, g, epsilon):
 @given(st.integers(0, 300), st.sampled_from([0.25, 3.0]))
 def test_place_gamma_matches_the_per_customer_rule(seed, epsilon):
     inst = random_instance(seed, m_max=6, n_max=6)
-    lad = cost_ladder(inst)
+    costs, cp = np.sort(inst.c, axis=1), cost_ceiling(inst)
     rng = np.random.default_rng(seed)
     # Starts below, inside and above the ladder, on its costs and at cp.
-    gamma0 = rng.uniform(-1, lad.cp * 1.3)
+    gamma0 = rng.uniform(-1, cp * 1.3)
     on_cost = rng.random(inst.m) < 0.3
-    gamma0[on_cost] = lad.sorted_costs[on_cost, rng.integers(0, inst.n, on_cost.sum())]
+    gamma0[on_cost] = costs[on_cost, rng.integers(0, inst.n, on_cost.sum())]
     at_cp = rng.random(inst.m) < 0.2
-    gamma0[at_cp] = lad.cp[at_cp]
-    st_ = place_gamma(lad, gamma0, epsilon)
+    gamma0[at_cp] = cp[at_cp]
+    ascent = placed(inst, gamma0, epsilon)
     for i in range(inst.m):
-        expected = _place_one(lad.sorted_costs[i], lad.cp[i], gamma0[i], epsilon)
-        assert (st_.gamma[i], st_.interval_index[i]) == expected
+        expected = _place_one(costs[i], cp[i], gamma0[i], epsilon)
+        assert (ascent.gamma[i], ascent.rung[i]) == expected
 
 
 @given(st.integers(0, 300))
@@ -113,11 +117,10 @@ def test_place_gamma_lands_above_cheapest(seed):
     cases = [(random_instance(seed, m_max=6, n_max=6), 0.25),
              (generate_instance(6, 5, seed, low_open), 3.0)]
     for inst, epsilon in cases:
-        lad = cost_ladder(inst)
-        gamma0 = np.random.default_rng(seed).uniform(0, lad.cp * 1.2)
-        st_ = place_gamma(lad, gamma0, epsilon)
-        assert np.all(st_.gamma > lad.sorted_costs[:, 0])
-        assert np.all(st_.gamma <= lad.cp)
+        cp = cost_ceiling(inst)
+        gamma = placed(inst, np.random.default_rng(seed).uniform(0, cp * 1.2), epsilon).gamma
+        assert np.all(gamma > inst.c.min(axis=1))
+        assert np.all(gamma <= cp)
 
 
 # --- subproblem and subgradient ---------------------------------------------
@@ -146,34 +149,50 @@ def test_solve_slr_zero_gamma(toy):
 # --- ascent ------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def opening_nothing():
+    """Every subproblem solved at gamma = 0, so each step opens nothing and
+    the ascent climbs until it reaches the ceiling."""
+    semilagrange = importlib.import_module("splpo.semilagrange")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semilagrange, "solve_slr", lambda inst, gamma, **_: solve_slr(inst, 0 * gamma))
+        yield
+
+
 def test_ascend_moves_one_rung(toy):
-    st_ = place_gamma(cost_ladder(toy), [0.0, 0.0], 0.5)
-    st2 = ascend(st_)
-    assert np.array_equal(st2.gamma, [5.5, 4.5])
-    assert np.array_equal(st2.interval_index, [2, 2])
+    ascent = placed(toy, [0.0, 0.0], 0.5)
+    ascent.step()
+    assert np.array_equal(ascent.gamma, [5.5, 4.5])
+    assert np.array_equal(ascent.rung, [2, 2])
 
 
 @given(st.integers(0, 200), st.sampled_from([0.25, 3.0]))
 def test_ascend_moves_every_rung(seed, epsilon):
     inst = random_instance(seed, m_max=6, n_max=6)
-    lad = cost_ladder(inst)
-    n = inst.n
-    st_ = place_gamma(lad, np.random.default_rng(seed).uniform(0, lad.cp * 1.2), epsilon)
-    for _ in range(n + 1):
-        st2 = ascend(st_)
-        assert np.array_equal(st2.interval_index, np.minimum(st_.interval_index + 1, n + 1))
-        for i, rung in enumerate(st2.interval_index):
-            top = lad.cp[i] if rung > n else min(lad.sorted_costs[i, rung - 1] + epsilon, lad.cp[i])
-            assert st2.gamma[i] == top
-        st_ = st2
-    assert (st_.interval_index == n + 1).all()
+    n, costs, cp = inst.n, np.sort(inst.c, axis=1), cost_ceiling(inst)
+    with opening_nothing():
+        ascent = placed(inst, np.random.default_rng(seed).uniform(0, cp * 1.2), epsilon)
+        while not ascent.done:
+            rung = ascent.rung
+            ascent.step()
+            if ascent.done:
+                break
+            assert np.array_equal(ascent.rung, np.minimum(rung + 1, n + 1))
+            for i, r in enumerate(ascent.rung):
+                top = cp[i] if r > n else min(costs[i, r - 1] + epsilon, cp[i])
+                assert ascent.gamma[i] == top
+    assert ascent.status == "ceiling" and ascent.iterations <= n + 1
+    assert np.array_equal(ascent.gamma, cp)
 
 
 def test_ascend_sticks_at_ceiling(toy):
-    lad = cost_ladder(toy)
-    st_ = place_gamma(lad, lad.cp, 0.5)
-    st2 = ascend(st_)
-    assert np.array_equal(st2.gamma, lad.cp)
+    cp = cost_ceiling(toy)
+    with opening_nothing():
+        ascent = placed(toy, cp, 0.5)
+        ascent.step()
+    assert ascent.status == "ceiling"
+    assert np.array_equal(ascent.gamma, cp)
+    assert np.array_equal(ascent.rung, [3, 3])
 
 
 # --- dual ascent -------------------------------------------------------------
@@ -185,15 +204,30 @@ def test_dual_ascent_toy_trace(toy):
     assert [row.value for row in res.trace] == [5.0, 8.0]
     assert [row.served for row in res.trace] == [0, 2]
     assert res.best_lower_bound == 8.0
-    assert np.array_equal(res.state.gamma, [5.5, 4.5])
+    assert np.array_equal(res.gamma, [5.5, 4.5])
 
 
 def test_dual_ascent_from_ceiling_stops_immediately(toy):
-    cp = cost_ladder(toy).cp
+    cp = cost_ceiling(toy)
     res = dual_ascent(toy, cp, DaConfig(epsilon=0.5))
     assert res.status == "optimal"
     assert len(res.trace) == 1 and res.trace[0].iteration == 0
     assert res.best_lower_bound == 8.0
+
+
+def test_dual_ascent_ends_at_the_ceiling_when_the_optimum_ties_the_empty_set():
+    # Every rung is capped at cp, so the first step already runs at gamma =
+    # cp, where the optimum equals sum(cp) = 8: the root's cheapest-service
+    # bound ties the empty-set incumbent and prunes, so the step opens
+    # nothing. Without the "ceiling" status, max_iter=None would loop forever.
+    inst = Instance(f=[0, 0], c=[[5, 5], [3, 3]], p=[[1, 2], [2, 1]])
+    assert brute_force(ProblemSpec.splpo(inst)).value == 8.0
+    res = dual_ascent(inst, np.zeros(2))
+    assert (res.status, res.iterations, res.best_lower_bound) == ("ceiling", 1, 8.0)
+    assert res.last.solution.open_facilities == frozenset()
+    assert res.trace[0].at_ceiling == 2
+    out = ada(inst)
+    assert out.da_status == "ceiling" and out.best_ub == out.best_lb == 8.0
 
 
 def test_dual_ascent_climbs_past_tied_rungs():
@@ -246,7 +280,7 @@ def test_dual_ascent_closes_the_gap(seed):
 @given(st.integers(0, 60))
 def test_dual_ascent_from_ceiling_property(seed):
     inst = random_instance(seed)
-    cp = cost_ladder(inst).cp
+    cp = cost_ceiling(inst)
     res = dual_ascent(inst, cp, DaConfig())
     opt = brute_force(ProblemSpec.splpo(inst)).value
     assert res.status == "optimal"
@@ -257,8 +291,7 @@ def test_dual_ascent_from_ceiling_property(seed):
 @given(st.integers(0, 60))
 def test_gamma_below_cheapest_cost_serves_nobody(seed):
     inst = random_instance(seed, m_max=6, n_max=6)
-    lad = cost_ladder(inst)
-    gamma = lad.sorted_costs[:, 0] * 0.5  # strictly below every cheapest cost
+    gamma = inst.c.min(axis=1) * 0.5  # strictly below every cheapest cost
     slr = solve_slr(inst, gamma)
     assert slr.solution.open_facilities == frozenset()
     assert (slr.solution.assign == UNASSIGNED).all()
@@ -267,16 +300,16 @@ def test_gamma_below_cheapest_cost_serves_nobody(seed):
 @given(st.integers(0, 400))
 def test_gamma_trajectory_monotone_and_boxed(seed):
     for inst in (random_instance(seed, m_max=7, n_max=7), tied_instance(seed)):
-        cp = cost_ladder(inst).cp
-        driver = DualAscent(inst, np.zeros(inst.m), DaConfig())
-        prev = driver.state.gamma
-        while not driver.done and driver.iterations < 50:
-            driver.step()
-            cur = driver.state.gamma
+        cp = cost_ceiling(inst)
+        ascent = DualAscent(inst, np.zeros(inst.m), DaConfig())
+        prev = ascent.gamma
+        while not ascent.done and ascent.iterations < 50:
+            ascent.step()
+            cur = ascent.gamma
             assert np.all(cur >= prev)
             assert np.all(cur <= cp)
             prev = cur
-        assert driver.done and driver.status == "optimal", inst.name
+        assert ascent.done and ascent.status == "optimal", inst.name
 
 
 def test_dual_ascent_lower_bound_never_exceeds_the_optimum():
@@ -310,7 +343,7 @@ def test_resumed_dual_ascent_equals_fresh_steps(kind, monkeypatch):
     for seed in range(40):
         inst = cheap_open_instance(seed, integer=kind == "integer")
         rng = np.random.default_rng(seed)
-        gamma0 = np.zeros(inst.m) if seed % 2 else rng.uniform(0, cost_ladder(inst).cp)
+        gamma0 = np.zeros(inst.m) if seed % 2 else rng.uniform(0, cost_ceiling(inst))
         ascent, steps = _run_steps(inst, gamma0)
         with monkeypatch.context() as patch:
             patch.setattr(semilagrange, "solve_slr", solve_slr_fresh)
@@ -334,12 +367,12 @@ def test_every_step_serves_everyone_or_no_one(kind):
     # nothing at sum(gamma) or opens something and ends the ascent.
     for seed in range(30):
         inst = cheap_open_instance(seed, integer=kind == "integer")
-        cp = cost_ladder(inst).cp
+        cp = cost_ceiling(inst)
         starts = [np.zeros(inst.m), np.random.default_rng(seed).uniform(0, cp), cp * 1.5]
         for gamma0 in starts:
             ascent = DualAscent(inst, gamma0, DaConfig())
             while not ascent.done:
-                gamma = ascent.state.gamma
+                gamma = ascent.gamma
                 res = ascent.step()
                 assign = res.solution.assign
                 if res.solution.open_facilities:
