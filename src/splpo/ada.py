@@ -14,8 +14,8 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .exact import ProblemSpec, branch_and_bound, check_count, check_limits, is_number
-from .instance import Instance, facility_sort_keys
+from .exact import ProblemSpec, branch_and_bound, check_limits, is_number
+from .instance import Instance, check_count, facility_sort_keys
 from .lagrange import SgConfig, SgResult, default_start, subgradient_method
 from .semilagrange import DaConfig, check_epsilon, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
@@ -32,7 +32,7 @@ class AdaConfig:
     to each engine call. time_limit, in seconds, is one budget for the whole
     pipeline call: dual ascent and every fixing solve get the time left, so
     a stage that starts after it expires returns the engine's incumbent at
-    once.
+    once. The budgets and node_limit are stored as ints.
     """
 
     sg_iter: int = 50
@@ -45,11 +45,11 @@ class AdaConfig:
 
     def __post_init__(self):
         for name in ("sg_iter", "da_iter", "vfh_iter"):
-            check_count(name, getattr(self, name))
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if not (is_number(self.ps) and 0.0 <= self.ps <= 1.0):
             raise ValueError(f"ps must be a number in [0, 1], got {self.ps!r}")
         check_epsilon(self.epsilon)
-        check_limits(self.node_limit, self.time_limit)
+        object.__setattr__(self, "node_limit", check_limits(self.node_limit, self.time_limit))
 
 
 # Empirical budgets per (m, n) bucket; ps = 0.25 throughout.

@@ -94,28 +94,16 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, as_int, check_count
 from .solution import Solution, UNASSIGNED, assign_most_preferred, heuristic_hc, price
 
 KIND_SPLPO = "splpo"
 KIND_SLR = "slr"
-
-
-def _is_index(x) -> bool:
-    """Whether x is an integer (a Python or numpy one), not a bool or a float."""
-    if isinstance(x, bool):
-        return False
-    try:
-        operator.index(x)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -157,10 +145,10 @@ class ProblemSpec:
                 raise ValueError("gamma must be finite, and so must the sum of its magnitudes")
             g.setflags(write=False)
             object.__setattr__(self, "gamma", g)
-        bad = [j for j in self.forced_open if not _is_index(j) or not 0 <= j < self.inst.n]
+        bad = [j for j in self.forced_open if as_int(j) is None or not 0 <= j < self.inst.n]
         if bad:
             raise ValueError(f"forced_open contains invalid facilities {bad}")
-        object.__setattr__(self, "forced_open", frozenset(int(j) for j in self.forced_open))
+        object.__setattr__(self, "forced_open", frozenset(map(as_int, self.forced_open)))
 
     @staticmethod
     def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":
@@ -405,20 +393,16 @@ def is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless value is a nonnegative integer (not a bool)."""
-    if not (_is_index(value) and value >= 0):
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
-def check_limits(node_limit: int | None, time_limit: float | None) -> None:
-    """Raise ValueError unless node_limit is None or a nonnegative integer and
-    time_limit None or a nonnegative number (neither a bool)."""
+def check_limits(node_limit: int | None, time_limit: float | None) -> int | None:
+    """node_limit as an int, or None; ValueError unless node_limit is None or
+    a nonnegative integer and time_limit None or a nonnegative number
+    (neither a bool)."""
     if node_limit is not None:
-        check_count("node_limit", node_limit)
+        node_limit = check_count("node_limit", node_limit)
     # Written as "not >= 0" so that NaN fails too.
     if time_limit is not None and not (is_number(time_limit) and time_limit >= 0):
         raise ValueError(f"time_limit must be a nonnegative number, got {time_limit!r}")
+    return node_limit
 
 
 def branch_and_bound(

@@ -10,7 +10,7 @@ over its assigned server makes the assignment infeasible.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -274,7 +274,8 @@ class GeneratorConfig:
     (random tie-breaking), so cheaper sites are preferred. Costs are drawn
     from the inclusive integer ranges and multiplied by scale. A scale that
     is not a positive integer, or a range that is not a pair of integers
-    lo, hi with 0 <= lo <= hi, raises ValueError.
+    lo, hi with 0 <= lo <= hi, raises ValueError; integers are stored as
+    ints, and the ranges as tuples.
     """
 
     mode: str = "uniform"
@@ -285,18 +286,35 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.mode not in ("uniform", "cost-consistent"):
             raise ValueError(f"unknown generator mode {self.mode!r}")
-        if not (_is_int(self.scale) and self.scale >= 1):
-            raise ValueError(f"scale must be a positive integer, got {self.scale!r}")
+        object.__setattr__(self, "scale", check_count("scale", self.scale, 1))
         for name in ("cost_range", "open_range"):
             r = getattr(self, name)
-            if not (isinstance(r, (tuple, list)) and len(r) == 2 and all(map(_is_int, r))
-                    and 0 <= r[0] <= r[1]):
+            pair = tuple(map(as_int, r)) if isinstance(r, (tuple, list)) else ()
+            if not (len(pair) == 2 and None not in pair and 0 <= pair[0] <= pair[1]):
                 raise ValueError(
                     f"{name} must be a pair of integers lo, hi with 0 <= lo <= hi, got {r!r}")
+            object.__setattr__(self, name, pair)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def as_int(value) -> int | None:
+    """value as an int if it is an integer (a Python or numpy one, a 0-d
+    integer array included), else None; a bool is not an integer here."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def check_count(name: str, value, low: int = 0) -> int:
+    """value as an int; ValueError naming it unless it is an integer of at
+    least low, 0 (a nonnegative integer) or 1 (a positive one)."""
+    v = as_int(value)
+    if v is None or v < low:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return v
 
 
 def generate_instance(
@@ -306,10 +324,11 @@ def generate_instance(
 
     Costs are integers so that round-trips through the text format and
     equality tests are exact. Draw order is fixed: c, then f, then
-    preferences, one customer row at a time.
+    preferences, one customer row at a time. m and n must be integers of
+    at least 1 and seed a nonnegative integer, else ValueError.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    m, n = check_count("m", m, 1), check_count("n", n, 1)
+    seed = check_count("seed", seed)
     cfg = params or GeneratorConfig()
     rng = np.random.default_rng(seed)
     lo, hi = cfg.cost_range

@@ -22,6 +22,19 @@ entry, the kernel sums those rows alone, and otherwise the whole array. The
 subgradient's cover counts (at most n) accumulate in int8 when n < 128 and
 in int64 otherwise, and its entries, small integers, are held as floats.
 
+A step often changes little, so the loop redoes only the work whose inputs
+changed, and each skip leaves every float as it was:
+
+* when no row of lam is non-zero, the relaxation adds nothing for lam at
+  all, where every term would be +0.0 (a column sum starts at +0.0, so the
+  sums it would be added to are never -0.0);
+* the open set y is spread over the cells only when it differs, byte for
+  byte, from the y spread last time, which those cells still hold;
+* the subgradient and its squared norm are functions of (x, y) alone, so
+  they are recomputed only when that pair differs from the one they were
+  last computed from (kept as byte copies, since the kernel overwrites x
+  and y in place on every step).
+
 Multipliers are checked once, where ``LagrangeMultipliers`` is built, and
 their shapes where ``solve_lr`` reads them; the subgradient method checks
 its start, by relaxing it through ``solve_lr``, and builds its iterates,
@@ -35,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import check_count, is_number
-from .instance import Instance
+from .exact import is_number
+from .instance import Instance, check_count
 from .solution import heuristic_hc
 
 IMPROVEMENT_TOL = 1e-9  # how far a relaxation value must beat the incumbent
@@ -95,8 +108,10 @@ class _RankRelaxation:
     worst first. ``facility[i, q]`` is the site in cell (i, q). The buffers
     are reused, so each call overwrites what the last one returned in them.
     ``solve`` sums lam's non-zero rows alone when they are fewer than half
-    of them, and the whole array otherwise; ``subgradient`` counts covers in
-    an int8 counter when n < 128 and in an int64 one otherwise.
+    of them (none at all when there are none), and the whole array
+    otherwise, and spreads y over self.y only when it differs from
+    ``y_bytes``, the y spread last; ``subgradient`` counts covers in an int8
+    counter when n < 128 and in an int64 one otherwise.
     """
 
     def __init__(self, inst: Instance):
@@ -112,6 +127,7 @@ class _RankRelaxation:
         # A count never exceeds n, and y minus a count is at least -n.
         self.covered = np.empty(self.c.shape, dtype=np.int8 if self.f.size < 128 else np.int64)
         self.s_lam = np.empty(self.c.shape)
+        self.y_bytes = None  # the site-order y last spread over self.y
 
     def colsum(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per-site sums of a, the given rows of an (m, n) array, adding
@@ -128,18 +144,26 @@ class _RankRelaxation:
         # is nonnegative, so a row sums to zero exactly when it is all zeros
         # (and a NaN row counts as non-zero).
         rows = np.flatnonzero(lam @ self.ones)
-        if 2 * rows.size < len(lam):
-            part = lam[rows]
-            reduced[rows] -= np.cumsum(part, axis=1)
-            lam_sum = self.colsum(part, rows)
-        else:
+        if 2 * rows.size >= len(lam):
             np.cumsum(lam, axis=1, out=scratch)
             reduced -= scratch
             lam_sum = self.colsum(lam)
+        elif rows.size:
+            part = lam[rows]
+            reduced[rows] -= np.cumsum(part, axis=1)
+            lam_sum = self.colsum(part, rows)
         np.minimum(reduced, 0.0, out=scratch)
-        rho = self.colsum(scratch) + self.f + lam_sum
+        rho = self.colsum(scratch) + self.f
+        if rows.size:
+            # Without rows lam_sum is +0.0, which changes no sum here: a
+            # column sum starts at +0.0, so neither it nor its sum with f
+            # is -0.0.
+            rho += lam_sum
         y = rho < 0.0
-        np.take(y, self.facility, out=self.y)
+        y_bytes = y.tobytes()
+        if y_bytes != self.y_bytes:
+            np.take(y, self.facility, out=self.y)
+            self.y_bytes = y_bytes
         np.less(reduced, 0.0, out=self.x)
         self.x &= self.y
         return float(rho[y].sum() + mu.sum()), rho, y
@@ -188,6 +212,7 @@ class SgConfig:
     stall_window must be nonnegative integers, beta0 a finite number above
     zero, beta_decrement a finite nonnegative number, and lr_aim None or a
     finite number; anything else, a bool included, raises ValueError.
+    Integers are stored as ints.
     """
 
     max_iter: int = 1500
@@ -197,8 +222,8 @@ class SgConfig:
     lr_aim: float | None = None
 
     def __post_init__(self):
-        check_count("max_iter", self.max_iter)
-        check_count("stall_window", self.stall_window)
+        for name in ("max_iter", "stall_window"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         # Written so that NaN fails every comparison.
         if not (is_number(self.beta0) and 0 < self.beta0 < math.inf):
             raise ValueError(f"beta0 must be a finite number above zero, got {self.beta0!r}")
@@ -241,6 +266,7 @@ def subgradient_method(
     updates; the starting point is iteration 0. The start is checked once;
     the iterates, finite steps from it with lam clipped at zero, are not.
     lam is held in rank order during the run; best_lam is in site order.
+    The subgradient is recomputed only at an (x, y) other than the last.
     """
     if start is None:
         start = default_start(inst)
@@ -255,6 +281,10 @@ def subgradient_method(
     rel = _RankRelaxation(inst)
     lam = start.lam.take(rel.to_rank)
     value, x, y = lr.value, lr.x.take(rel.to_rank), lr.y.take(rel.facility)
+    # (x, y) as byte copies, since the kernel overwrites its x and y in place;
+    # the subgradient is recomputed only at a point other than the last.
+    point = (x.tobytes(), lr.y.tobytes())
+    last_point = None
     step = np.empty(lam.shape)
     best_value = value
     best_mu, best_lam = mu.copy(), lam.copy()
@@ -266,9 +296,11 @@ def subgradient_method(
     iteration = 0
 
     while True:
-        s_mu, s_lam = rel.subgradient(x, y)
-        # Subgradient entries are small integers, so these sums are exact in any order.
-        norm_sq = float(s_mu @ s_mu + s_lam.ravel() @ s_lam.ravel())
+        if point != last_point:
+            s_mu, s_lam = rel.subgradient(x, y)
+            # Subgradient entries are small integers, so these sums are exact in any order.
+            norm_sq = float(s_mu @ s_mu + s_lam.ravel() @ s_lam.ravel())
+            last_point = point
         if norm_sq == 0.0:
             trace.append(
                 SgTraceRow(iteration, value, best_value, beta, 0.0, 0.0)
@@ -294,6 +326,7 @@ def subgradient_method(
         np.maximum(0.0, lam, out=lam)
         value = rel.solve(mu, lam)[0]
         x, y = rel.x, rel.y
+        point = (x.tobytes(), rel.y_bytes)
         iteration += 1
         if value > best_value + IMPROVEMENT_TOL:
             best_value = value

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactResult, ProblemSpec, branch_and_bound, check_count, check_limits, is_number
-from .instance import Instance
+from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits, is_number
+from .instance import Instance, check_count
 
 
 def check_epsilon(epsilon: float | None) -> None:
@@ -65,7 +65,8 @@ class DaConfig:
     solve; each step resumes the previous step's search, so it counts only
     the nodes a step newly expands. time_limit, in seconds, is one budget
     for the whole driver: its deadline is fixed when the driver is built,
-    and each step gets the time left. Any other setting raises ValueError.
+    and each step gets the time left. Any other setting raises ValueError;
+    integers are stored as ints.
     """
 
     epsilon: float | None = None
@@ -76,8 +77,8 @@ class DaConfig:
     def __post_init__(self):
         check_epsilon(self.epsilon)
         if self.max_iter is not None:
-            check_count("max_iter", self.max_iter)
-        check_limits(self.node_limit, self.time_limit)
+            object.__setattr__(self, "max_iter", check_count("max_iter", self.max_iter))
+        object.__setattr__(self, "node_limit", check_limits(self.node_limit, self.time_limit))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    AdaConfig,
     DaConfig,
     GeneratorConfig,
     Instance,
     InstanceFormatError,
+    ProblemSpec,
+    SgConfig,
     facility_sort_keys,
     generate_instance,
     parse_instance,
@@ -191,6 +194,44 @@ def test_generator_cost_consistent_mode():
 def test_generator_rejects_bad_dims():
     with pytest.raises(ValueError):
         generate_instance(0, 5, seed=1)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((True, 3, 1), "m"), ((2.5, 3, 1), "m"), ((0, 3, 1), "m"), (("4", 3, 1), "m"),
+    ((3, False, 1), "n"), ((3, -1, 1), "n"), ((3, np.float64(2.0), 1), "n"),
+    ((3, 2, 1.5), "seed"), ((3, 2, True), "seed"), ((3, 2, -1), "seed"), ((3, 2, None), "seed"),
+])
+def test_generator_rejects_malformed_arguments(args, name):
+    # Each fault is a ValueError that names the argument, raised before any draw.
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        generate_instance(*args)
+
+
+def test_generator_takes_numpy_integers():
+    inst = generate_instance(np.int64(3), np.array(2), np.uint8(1))
+    assert inst == generate_instance(3, 2, 1) and inst.m == 3
+
+
+def test_integer_settings_take_one_rule_and_are_stored_as_ints():
+    # A 0-d integer array is an integer everywhere (operator.index accepts
+    # it), a bool nowhere, and every accepted value is kept as an int.
+    three = np.array(3)
+    gen = GeneratorConfig(scale=three, cost_range=[np.int8(1), three], open_range=(three, 4))
+    assert (gen.scale, gen.cost_range, gen.open_range) == (3, (1, 3), (3, 4))
+    da = DaConfig(max_iter=three, node_limit=np.int32(7))
+    sg = SgConfig(max_iter=three, stall_window=np.uint8(2))
+    ada_cfg = AdaConfig(sg_iter=three, da_iter=np.int16(1), vfh_iter=three, node_limit=three)
+    spec = ProblemSpec.splpo(generate_instance(3, 4, 1), forced_open=[np.int64(3), np.uint8(0)])
+    values = [gen.scale, *gen.cost_range, *gen.open_range, da.max_iter, da.node_limit,
+              sg.max_iter, sg.stall_window, ada_cfg.sg_iter, ada_cfg.da_iter, ada_cfg.vfh_iter,
+              ada_cfg.node_limit, *spec.forced_open]
+    assert {type(v) for v in values} == {int}
+    assert spec.forced_open == {0, 3}
+    for make in (lambda v: GeneratorConfig(scale=v), lambda v: DaConfig(max_iter=v)):
+        with pytest.raises(ValueError):
+            make(np.array(True))
+        with pytest.raises(ValueError):
+            make(np.array([3]))
 
 
 @pytest.mark.parametrize("settings", [

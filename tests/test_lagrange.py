@@ -468,3 +468,70 @@ def test_relaxation_steps_match_the_gather_based_reference():
             got, want = kernel_subgradient(inst, x, y), _reference_lr_subgradient(inst, point)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class _SkipSpy:
+    """Stands in for numpy in the lagrange module and records, per
+    relaxation, how many rows of lam were non-zero (the kernel's one
+    flatnonzero), and how often lam was summed (its float cumsums) and y
+    spread over the cells (its one np.take)."""
+
+    def __init__(self):
+        self.rows, self.lam_sums, self.spreads = [], 0, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, a, *args, **kwargs):
+        self.lam_sums += a.dtype == float
+        return np.cumsum(a, *args, **kwargs)
+
+    def flatnonzero(self, a):
+        out = np.flatnonzero(a)
+        self.rows.append(out.size)
+        return out
+
+    def take(self, *args, **kwargs):
+        self.spreads += 1
+        return np.take(*args, **kwargs)
+
+
+def test_sg_skips_exactly_the_work_whose_inputs_did_not_change(monkeypatch):
+    spy = _SkipSpy()
+    monkeypatch.setattr(lagrange, "np", spy)
+    subgradients = []
+    subgradient = lagrange._RankRelaxation.subgradient
+    monkeypatch.setattr(lagrange._RankRelaxation, "subgradient",
+                        lambda rel, x, y: subgradients.append(1) or subgradient(rel, x, y))
+    inst = generate_instance(75, 50, 1, GeneratorConfig(mode="cost-consistent"))
+    cfg, start = SgConfig(), default_start(inst)
+    res = subgradient_method(inst, cfg, start)
+    ref = _reference_subgradient_method(inst, cfg, start)
+    same_trace = repr(res.trace) == repr(ref.trace)  # no diff of two long reprs on failure
+    assert same_trace
+    assert (res.status, res.iterations, res.best_iteration, res.best_value) == (
+        ref.status, ref.iterations, ref.best_iteration, ref.best_value)
+    assert res.best_mu.tobytes() == ref.best_mu.tobytes()
+    assert res.best_lam.tobytes() == ref.best_lam.tobytes()
+    # One relaxation for the start, one per step; the subgradient is reused
+    # at a repeated (x, y), and y is spread only when it changed.
+    solves = len(spy.rows)
+    assert solves == res.iterations + 1
+    assert 0 < len(subgradients) < res.iterations
+    assert 0 < spy.spreads < solves
+    # lam starts with no non-zero row, and later gains some; it is summed
+    # only in the relaxations where it has some.
+    assert spy.rows[0] == 0 and any(a == 0 < b for a, b in zip(spy.rows, spy.rows[1:]))
+    assert spy.lam_sums == sum(r > 0 for r in spy.rows)
+
+
+def test_relaxation_without_lam_rows_keeps_signed_zeros():
+    # With lam all zero nothing is added for it; signed zeros in c, f and mu
+    # still give the reference's rho, x and y.
+    inst = Instance(f=np.array([-0.0, 0.0, 2.0]), c=np.array([[-0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]]),
+                    p=np.array([[1, 2, 3], [3, 2, 1]]))
+    lam = np.zeros((2, 3))
+    for mu in (np.zeros(2), -np.zeros(2), np.array([1.0, -0.0])):
+        lr, ref = solve_lr(inst, LagrangeMultipliers(mu, lam)), _reference_solve_lr(inst, mu, lam)
+        assert lr.rho.tobytes() == ref.rho.tobytes() and lr.value == ref.value
+        assert np.array_equal(lr.x, ref.x) and np.array_equal(lr.y, ref.y)
