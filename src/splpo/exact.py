@@ -152,11 +152,8 @@ class ProblemSpec:
 
     @staticmethod
     def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":
-        return ProblemSpec(
-            kind=KIND_SPLPO,
-            inst=inst,
-            forced_open=frozenset(forced_open),
-        )
+        # A tuple, not a set: __post_init__ checks the members before hashing.
+        return ProblemSpec(kind=KIND_SPLPO, inst=inst, forced_open=tuple(forced_open))
 
     @staticmethod
     def slr(inst: Instance, gamma) -> "ProblemSpec":

@@ -136,21 +136,30 @@ def facility_sort_keys(inst: Instance) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    fv = float(v)
-    if fv.is_integer() and abs(fv) < 2**53:
-        return str(int(fv))
-    return repr(fv)
+def _fmt(block: np.ndarray) -> str:
+    """A 1-d or 2-d block as text, one line per row, in one formatting pass.
+
+    Values that are integral and below 2**53 in magnitude become Python ints
+    (so -0.0 becomes 0), the rest Python floats; "%s" then writes an int as
+    integer text and a float as its repr.
+    """
+    a = np.atleast_2d(block)
+    whole = (a == np.trunc(a)) & (np.abs(a) < 2**53)
+    values = a.astype(object)
+    values[whole] = a[whole].astype(np.int64)
+    m, n = a.shape
+    return "\n".join([" ".join(["%s"] * n)] * m) % tuple(values.ravel().tolist())
 
 
 def write_instance(inst: Instance) -> str:
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"{inst.m} {inst.n}"]
-    lines.append(" ".join(_fmt(v) for v in inst.f))
-    for i in range(inst.m):
-        lines.append(" ".join(_fmt(v) for v in inst.c[i]))
-    for i in range(inst.m):
-        lines.append(" ".join(str(int(v)) for v in inst.p[i]))
-    return "\n".join(lines) + "\n"
+    """The canonical-format document for inst, ending in a newline.
+
+    Every cost and rank that is integral and below 2**53 in magnitude is
+    written as integer text (-0.0 as 0), every other value by repr, which
+    float() reads back exactly; so parse_instance returns an equal Instance.
+    """
+    header = f"{FORMAT_NAME} {FORMAT_VERSION}\n{inst.m} {inst.n}"
+    return "\n".join((header, _fmt(inst.f), _fmt(inst.c), _fmt(inst.p))) + "\n"
 
 
 def _parse_row(tokens: list[str], n: int, kind: str, row: int, ln: int) -> list[float]:
@@ -323,9 +332,13 @@ def generate_instance(
     """Deterministically generate an instance from (m, n, seed, params).
 
     Costs are integers so that round-trips through the text format and
-    equality tests are exact. Draw order is fixed: c, then f, then
-    preferences, one customer row at a time. m and n must be integers of
-    at least 1 and seed a nonnegative integer, else ValueError.
+    equality tests are exact. Draw order is fixed: c, then f, then the
+    preferences of every customer, row by row. The preferences are drawn
+    for all customers at once (one (m, n) block of tie-breakers, or one
+    permutation per row of an (m, n) block), which consumes the stream
+    exactly as one draw per customer row did, so a seed gives the same
+    instance as before. m and n must be integers of at least 1 and seed a
+    nonnegative integer, else ValueError.
     """
     m, n = check_count("m", m, 1), check_count("n", n, 1)
     seed = check_count("seed", seed)
@@ -335,13 +348,12 @@ def generate_instance(
     c = rng.integers(lo, hi + 1, size=(m, n)).astype(float) * cfg.scale
     lo, hi = cfg.open_range
     f = rng.integers(lo, hi + 1, size=n).astype(float) * cfg.scale
+    if cfg.mode == "uniform":
+        order = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    else:
+        order = np.lexsort((rng.random((m, n)), c), axis=1)
     p = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        if cfg.mode == "uniform":
-            perm = rng.permutation(n)
-        else:
-            perm = np.lexsort((rng.random(n), c[i]))
-        p[i, perm] = np.arange(1, n + 1)
+    np.put_along_axis(p, order, np.arange(1, n + 1), axis=1)
     return Instance(f=f, c=c, p=p, name=name)
 
 

@@ -219,6 +219,25 @@ def test_forced_open_takes_only_facility_indices(member):
         ProblemSpec.splpo(inst, forced_open=[member])
 
 
+@pytest.mark.parametrize("member, expected", [
+    (np.array(2), {2}), (np.int64(2), {2}), (np.uint8(2), {2}),
+    (np.array(True), None), (np.array(2.0), None), (False, None), (2.0, None),
+], ids=["0-d-int", "int64", "uint8", "0-d-bool", "0-d-float", "bool", "float"])
+def test_both_constructors_check_forced_open_members_before_hashing(member, expected):
+    # ProblemSpec.splpo used to build a frozenset first, so a 0-d array (which
+    # is not hashable) raised TypeError there but was accepted by ProblemSpec.
+    inst = generate_instance(5, 4, 1)
+    for make in (lambda: ProblemSpec.splpo(inst, forced_open=[member]),
+                 lambda: ProblemSpec(kind="splpo", inst=inst, forced_open=[member])):
+        if expected is None:
+            with pytest.raises(ValueError, match="forced_open"):
+                make()
+        else:
+            spec = make()
+            assert spec.forced_open == frozenset(expected)
+            assert {type(j) for j in spec.forced_open} == {int}
+
+
 def test_forced_open_takes_numpy_integers():
     inst = generate_instance(5, 4, 1)
     spec = ProblemSpec(kind="splpo", inst=inst, forced_open=frozenset({np.int64(1)}))

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splpo import (
     AdaConfig,
@@ -155,6 +157,92 @@ def test_fractional_costs_round_trip():
     again = parse_instance(write_instance(inst))
     assert np.allclose(again.f, inst.f, rtol=1e-12)
     assert np.allclose(again.c, inst.c, rtol=1e-12)
+
+
+def _reference_write(inst):
+    """The per-value writer that write_instance replaced, kept as its byte oracle."""
+    def fmt(v):
+        fv = float(v)
+        if fv.is_integer() and abs(fv) < 2**53:
+            return str(int(fv))
+        return repr(fv)
+    lines = ["SPLPO 1", f"{inst.m} {inst.n}", " ".join(fmt(v) for v in inst.f)]
+    lines += [" ".join(fmt(v) for v in row) for row in inst.c]
+    lines += [" ".join(str(int(v)) for v in row) for row in inst.p]
+    return "\n".join(lines) + "\n"
+
+
+# Integral values on both sides of 2**53, huge and subnormal ones, and -0.0.
+EDGE_COSTS = [0.0, -0.0, 1.0, 0.5, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**60, 1e300,
+              5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1e16, 1e22]
+_cost = st.one_of(st.sampled_from(EDGE_COSTS), st.integers(0, 2**53).map(float),
+                  st.floats(0, 1e300))
+
+
+@st.composite
+def _instances(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(_cost, min_size=n, max_size=n)
+    rows = st.lists(row, min_size=m, max_size=m)
+    ranks = st.lists(st.permutations(range(1, n + 1)), min_size=m, max_size=m)
+    return Instance(f=np.array(draw(row)), c=np.array(draw(rows)), p=np.array(draw(ranks)))
+
+
+@settings(max_examples=200)
+@given(_instances())
+def test_writer_matches_the_per_value_writer_byte_for_byte(inst):
+    assert write_instance(inst) == _reference_write(inst)
+
+
+def test_writer_edge_values():
+    n = len(EDGE_COSTS)
+    f = np.array(EDGE_COSTS)
+    inst = Instance(f=f, c=np.stack([f, f[::-1]]), p=np.stack([np.arange(1, n + 1)] * 2))
+    doc = write_instance(inst)
+    assert doc == _reference_write(inst)
+    assert doc.splitlines()[2].split()[:6] == ["0", "0", "1", "0.5", str(2**53 - 1),
+                                               "9007199254740992.0"]
+
+
+# sha256 of the c, f and p bytes, recorded from the per-row generator that
+# drew each customer's preferences in its own call; the whole-array draws
+# must consume the stream the same way.
+GENERATOR_DIGESTS = [
+    (1, 1, 0, dict(mode="uniform", scale=1),
+     "af1b907bbd9ca0486c63dd5ea0ced45b8fb2ea9df8a50b49a7c32d368c1ca7d7"),
+    (1, 1, 4, dict(mode="cost-consistent", scale=3),
+     "fa714e8c326df8d7f77b0d7f0c7778694fad2b18eb721a245922a60f851fe015"),
+    (1, 9, 2, dict(mode="uniform", scale=3),
+     "d3fe775f8d02f63d2c620908818f92cc69b1c5e4b15336c2e8d1f1c8592a6d39"),
+    (1, 9, 2, dict(mode="cost-consistent", scale=1),
+     "775c76c3cf2cb28ebc6e528d5384da6bcbe142064de34d88ebf20ff8301abccd"),
+    (9, 1, 5, dict(mode="uniform", scale=1),
+     "6eb24d6ea2110c1672610b2a957c54e9c0a1a62ee46a17750d716f09bf513cfc"),
+    (9, 1, 5, dict(mode="cost-consistent", scale=3),
+     "43ecfebe906ee5ef432b363e0aa5aab19bcd939b36d09c5eefb009f06ee30393"),
+    (2, 2, 1, dict(mode="uniform", scale=1),
+     "8e31a008e299b74a7c3d32dcce32dfda530e9f4144ec8be8051124d912219b8f"),
+    (7, 5, 3, dict(mode="cost-consistent", scale=1),
+     "cae2ef1c1eb44fd52df07645a7d4268945831b699537ecec058925d092d04115"),
+    (13, 17, 0, dict(mode="uniform", scale=3),
+     "438f981bda365afa689c584407cbec3f5bbb8ea6e96431b03a37b33be4f161ba"),
+    (17, 13, 4, dict(mode="cost-consistent", scale=3),
+     "bee50c03067d9b4a36a69d37eb3ec5b536ed4362744e9e45358ecd699058dfe8"),
+    (75, 50, 1, dict(mode="cost-consistent", scale=1),
+     "4d00dc38bf37e771a5d26397ae330893eef014f96a77b7c11b8ad8af03adfa90"),
+    (60, 40, 2, dict(mode="uniform", scale=1),
+     "f3c1541f23087ff6697c6fff128e9e1c19760ab9cf924f8e00914994d9ad5e6d"),
+    (30, 20, 3, dict(mode="cost-consistent", cost_range=(1, 3)),
+     "ed000f51ece3de8e9ae1343c84469cd0262c7d70cda5278a19b891f715637688"),
+]
+
+
+@pytest.mark.parametrize("m, n, seed, config, digest", GENERATOR_DIGESTS)
+def test_generator_output_is_pinned(m, n, seed, config, digest):
+    inst = generate_instance(m, n, seed, GeneratorConfig(**config))
+    data = inst.c.tobytes() + inst.f.tobytes() + inst.p.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert write_instance(inst) == _reference_write(inst)
 
 
 def test_constructor_validation():
