@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
 
 from .exact import ProblemSpec, branch_and_bound, check_limits, is_number
-from .instance import Instance, check_count, facility_sort_keys
+from .instance import FrozenRecord, Instance, Record, check_count, facility_sort_keys
 from .lagrange import SgConfig, SgResult, default_start, subgradient_method
 from .semilagrange import DaConfig, check_epsilon, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
-@dataclass(frozen=True)
-class AdaConfig:
+class AdaConfig(FrozenRecord):
     """Stage budgets and engine limits for the pipeline.
 
     sg_iter, da_iter, and vfh_iter are iteration budgets for the warm-up,
@@ -35,21 +33,19 @@ class AdaConfig:
     once. The budgets and node_limit are stored as ints.
     """
 
-    sg_iter: int = 50
-    da_iter: int = 3
-    vfh_iter: int = 2
-    ps: float = 0.25
-    epsilon: float | None = None
-    node_limit: int | None = None
-    time_limit: float | None = None
+    __slots__ = ("sg_iter", "da_iter", "vfh_iter", "ps", "epsilon", "node_limit", "time_limit")
 
-    def __post_init__(self):
-        for name in ("sg_iter", "da_iter", "vfh_iter"):
-            object.__setattr__(self, name, check_count(name, getattr(self, name)))
-        if not (is_number(self.ps) and 0.0 <= self.ps <= 1.0):
-            raise ValueError(f"ps must be a number in [0, 1], got {self.ps!r}")
-        check_epsilon(self.epsilon)
-        object.__setattr__(self, "node_limit", check_limits(self.node_limit, self.time_limit))
+    def __init__(self, sg_iter: int = 50, da_iter: int = 3, vfh_iter: int = 2, ps: float = 0.25,
+                 epsilon: float | None = None, node_limit: int | None = None,
+                 time_limit: float | None = None):
+        sg_iter = check_count("sg_iter", sg_iter)
+        da_iter = check_count("da_iter", da_iter)
+        vfh_iter = check_count("vfh_iter", vfh_iter)
+        if not (is_number(ps) and 0.0 <= ps <= 1.0):
+            raise ValueError(f"ps must be a number in [0, 1], got {ps!r}")
+        check_epsilon(epsilon)
+        node_limit = check_limits(node_limit, time_limit)
+        self._set(sg_iter, da_iter, vfh_iter, ps, epsilon, node_limit, time_limit)
 
 
 # Empirical budgets per (m, n) bucket; ps = 0.25 throughout.
@@ -107,21 +103,27 @@ def vfh(
         "engine_status": res.status,
         "heuristic": res.status != "optimal",
     }
-    return replace(res.solution, provenance=provenance)
+    sol = res.solution
+    return Solution(sol.open_facilities, sol.assign, sol.objective, provenance)
 
 
-@dataclass
-class AdaResult:
-    best_solution: Solution
-    best_ub: float
-    lb_sg: float
-    lb_da: float
-    sg: SgResult
-    da_trace: list
-    da_status: str
-    vfh_solutions: list = field(default_factory=list)
-    hc_solution: Solution | None = None
-    timings: dict = field(default_factory=dict)
+class AdaResult(Record):
+    __slots__ = ("best_solution", "best_ub", "lb_sg", "lb_da", "sg", "da_trace", "da_status",
+                 "vfh_solutions", "hc_solution", "timings")
+
+    def __init__(self, best_solution: Solution, best_ub: float, lb_sg: float, lb_da: float,
+                 sg: SgResult, da_trace: list, da_status: str, vfh_solutions: list | None = None,
+                 hc_solution: Solution | None = None, timings: dict | None = None):
+        self.best_solution = best_solution
+        self.best_ub = best_ub
+        self.lb_sg = lb_sg
+        self.lb_da = lb_da
+        self.sg = sg
+        self.da_trace = da_trace
+        self.da_status = da_status
+        self.vfh_solutions = [] if vfh_solutions is None else vfh_solutions
+        self.hc_solution = hc_solution
+        self.timings = {} if timings is None else timings
 
     @property
     def best_lb(self) -> float:
@@ -173,7 +175,8 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
         open_now = driver.last.solution.open_facilities
         if open_now == fixed_from:
             prev = vfh_solutions[-1]
-            sol = replace(prev, provenance={**prev.provenance, "round": round_no})
+            sol = Solution(prev.open_facilities, prev.assign, prev.objective,
+                           {**prev.provenance, "round": round_no})
         else:
             sol = vfh(inst, open_now, cfg.ps, node_limit=cfg.node_limit, time_limit=time_left())
             sol.provenance["round"] = round_no

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .instance import GeneratorConfig, Instance, generate_instance, parse_instan
 from .lagrange import SgConfig, subgradient_method
 from .report import ReportRow, RunReport, config_hash, gap_fields
 from .semilagrange import DaConfig, dual_ascent
-from .solution import heuristic_hc, heuristic_hs, solution_to_json
+from .solution import Solution, heuristic_hc, heuristic_hs, solution_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,7 +91,7 @@ def _ada_config(args, inst: Instance) -> AdaConfig:
     cfg = preset_config(args.preset) if args.preset else preset_config((inst.m, inst.n))
     names = ("sg_iter", "da_iter", "vfh_iter", "ps", "epsilon", "node_limit", "time_limit")
     updates = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    return replace(cfg, **updates)
+    return AdaConfig(**{**cfg.asdict(), **updates})
 
 
 def _sg_config(args, lr_aim=None) -> SgConfig:
@@ -151,7 +150,9 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
         res = dual_ascent(inst, np.zeros(inst.m), _da_config(args))
         lb, iterations, status = res.best_lower_bound, res.iterations, res.status
         if res.last is not None and res.last.solution.open_facilities:
-            solution = replace(res.last.solution, provenance={"algorithm": "dual_ascent"})
+            sol = res.last.solution
+            solution = Solution(sol.open_facilities, sol.assign, sol.objective,
+                                {"algorithm": "dual_ascent"})
             ub, y_count = solution.objective, len(solution.open_facilities)
     elif algorithm == "ada":
         res = ada(inst, _ada_config(args, inst))
@@ -252,7 +253,10 @@ def cmd_solve(args) -> int:
 
 def _append_report(path: Path, rows) -> None:
     if path.exists():
-        report = RunReport.from_csv(path.read_text())
+        try:
+            report = RunReport.from_csv(path.read_text())
+        except ValueError as exc:
+            raise CliError(f"cannot append to {path}: {exc}") from exc
         report.rows.extend(rows)
     else:
         report = RunReport(rows=list(rows))
@@ -316,7 +320,8 @@ def cmd_bench(args) -> int:
             fixed = []
             for row in per_instance:
                 gap_abs, gap_pct = gap_fields(row.best_ub, opt)
-                fixed.append(replace(row, opt=opt, gap_abs=gap_abs, gap_pct=gap_pct))
+                fixed.append(ReportRow(**{**row.asdict(), "opt": opt, "gap_abs": gap_abs,
+                                          "gap_pct": gap_pct}))
             per_instance = fixed
         rows.extend(per_instance)
 

@@ -95,19 +95,17 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, as_int, check_count
+from .instance import FrozenRecord, Instance, Record, as_int, check_count
 from .solution import Solution, UNASSIGNED, assign_most_preferred, heuristic_hc, price
 
 KIND_SPLPO = "splpo"
 KIND_SLR = "slr"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(FrozenRecord):
     """What to optimize: the original problem or its service-relaxed variant.
 
     gamma is only meaningful for kind "slr" (finite per-customer service
@@ -118,41 +116,38 @@ class ProblemSpec:
     set, and every search returns one.
     """
 
-    kind: str
-    inst: Instance
-    gamma: np.ndarray | None = None
-    forced_open: frozenset = frozenset()
+    __slots__ = ("kind", "inst", "gamma", "forced_open")
 
-    def __post_init__(self):
-        if self.kind not in (KIND_SPLPO, KIND_SLR):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == KIND_SPLPO:
-            if self.gamma is not None:
+    def __init__(self, kind: str, inst: Instance, gamma: np.ndarray | None = None,
+                 forced_open=frozenset()):
+        if kind not in (KIND_SPLPO, KIND_SLR):
+            raise ValueError(f"unknown problem kind {kind!r}")
+        if kind == KIND_SPLPO:
+            if gamma is not None:
                 raise ValueError("gamma is only valid for the slr kind")
         else:
-            if self.gamma is None:
+            if gamma is None:
                 raise ValueError("the slr kind requires gamma")
-            if self.forced_open:
+            if forced_open:
                 raise ValueError("forced_open is only valid for the splpo kind")
-            g = np.ascontiguousarray(self.gamma, dtype=float)
-            if g.shape != (self.inst.m,):
-                raise ValueError(f"gamma must have shape ({self.inst.m},)")
+            gamma = np.ascontiguousarray(gamma, dtype=float)
+            if gamma.shape != (inst.m,):
+                raise ValueError(f"gamma must have shape ({inst.m},)")
             # The engine sums gamma; a sum that overflows (or a NaN/inf entry)
             # would turn every slr value into inf or NaN.
             with np.errstate(over="ignore"):
-                magnitude = np.abs(g).sum()
+                magnitude = np.abs(gamma).sum()
             if not np.isfinite(magnitude):
                 raise ValueError("gamma must be finite, and so must the sum of its magnitudes")
-            g.setflags(write=False)
-            object.__setattr__(self, "gamma", g)
-        bad = [j for j in self.forced_open if as_int(j) is None or not 0 <= j < self.inst.n]
+            gamma.setflags(write=False)
+        bad = [j for j in forced_open if as_int(j) is None or not 0 <= j < inst.n]
         if bad:
             raise ValueError(f"forced_open contains invalid facilities {bad}")
-        object.__setattr__(self, "forced_open", frozenset(map(as_int, self.forced_open)))
+        self._set(kind, inst, gamma, frozenset(map(as_int, forced_open)))
 
     @staticmethod
     def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":
-        # A tuple, not a set: __post_init__ checks the members before hashing.
+        # A tuple, not a set: __init__ checks the members before hashing.
         return ProblemSpec(kind=KIND_SPLPO, inst=inst, forced_open=tuple(forced_open))
 
     @staticmethod
@@ -160,8 +155,7 @@ class ProblemSpec:
         return ProblemSpec(kind=KIND_SLR, inst=inst, gamma=np.asarray(gamma, dtype=float))
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(Record):
     """Where an slr search that ended at the empty set stopped.
 
     entries lists, in preorder, the nodes the search pruned, as (bound over
@@ -170,20 +164,35 @@ class Frontier:
     on gamma, so a search at a larger sum(gamma) can start from them.
     """
 
-    inst: Instance
-    gamma_sum: float
-    entries: list
+    __slots__ = ("inst", "gamma_sum", "entries")
+
+    def __init__(self, inst: Instance, gamma_sum: float, entries: list):
+        self.inst = inst
+        self.gamma_sum = gamma_sum
+        self.entries = entries
 
 
-@dataclass
-class ExactResult:
-    value: float
-    solution: Solution
-    status: str  # "optimal" or "incomplete"
-    lower_bound: float
-    nodes: int
-    # Set only for an optimal slr search that ended at the empty set.
-    frontier: Frontier | None = field(default=None, repr=False, compare=False)
+class ExactResult(Record):
+    """frontier, set only for an optimal slr search that ended at the empty
+    set, is left out of repr and ==."""
+
+    __slots__ = ("value", "solution", "status", "lower_bound", "nodes", "frontier")
+
+    def __init__(self, value: float, solution: Solution, status: str, lower_bound: float,
+                 nodes: int, frontier: Frontier | None = None):
+        self.value = value
+        self.solution = solution
+        self.status = status  # "optimal" or "incomplete"
+        self.lower_bound = lower_bound
+        self.nodes = nodes
+        self.frontier = frontier
+
+    def _key(self) -> tuple:
+        return self.value, self.solution, self.status, self.lower_bound, self.nodes
+
+    def __repr__(self) -> str:
+        return (f"ExactResult(value={self.value!r}, solution={self.solution!r}, "
+                f"status={self.status!r}, lower_bound={self.lower_bound!r}, nodes={self.nodes!r})")
 
 
 class _Context:

@@ -11,13 +11,66 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 FORMAT_NAME = "SPLPO"
 FORMAT_VERSION = 1
+
+
+class Record:
+    """Base of the package's record classes, whose fields are the names in
+    ``__slots__``, in constructor order.
+
+    A record's repr lists every field as ``Name(field=value, ...)``, and two
+    records of one class are == when the tuples of their compared fields are
+    (every field, unless a class narrows ``_key``). Plain classes with an
+    explicit ``__init__``, so defining one generates no code at import.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # mutable, so unhashable
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def asdict(self) -> dict:
+        """The fields by name, in constructor order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class FrozenRecord(Record):
+    """A Record set once, by ``__init__`` through ``_set``: assigning or
+    deleting a field afterwards raises AttributeError, and the record hashes
+    by its compared fields. Copies and pickles are rebuilt by ``__init__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), tuple(self.asdict().values())
 
 
 class InstanceFormatError(ValueError):
@@ -30,7 +83,6 @@ class InstanceFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(eq=False, repr=False)
 class Instance:
     """Immutable instance data.
 
@@ -38,17 +90,15 @@ class Instance:
     c: service costs, shape (m, n), all finite and >= 0.
     p: preference ranks, shape (m, n); every row is a permutation of 1..n
        with 1 marking the customer's most preferred site.
+
+    Not a Record: its derived arrays are cached in its ``__dict__``.
     """
 
-    f: np.ndarray
-    c: np.ndarray
-    p: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        self.f = np.ascontiguousarray(self.f, dtype=float)
-        self.c = np.ascontiguousarray(self.c, dtype=float)
-        self.p = np.ascontiguousarray(self.p, dtype=np.int64)
+    def __init__(self, f: np.ndarray, c: np.ndarray, p: np.ndarray, name: str = ""):
+        self.f = np.ascontiguousarray(f, dtype=float)
+        self.c = np.ascontiguousarray(c, dtype=float)
+        self.p = np.ascontiguousarray(p, dtype=np.int64)
+        self.name = name
         if self.c.ndim != 2:
             raise ValueError("c must be a 2-d cost matrix")
         m, n = self.c.shape
@@ -274,8 +324,7 @@ def parse_instance(text: str, name: str = "") -> Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(FrozenRecord):
     """Knobs for the seeded instance generator.
 
     mode "uniform" draws each preference row as a uniform random permutation;
@@ -287,22 +336,21 @@ class GeneratorConfig:
     ints, and the ranges as tuples.
     """
 
-    mode: str = "uniform"
-    cost_range: tuple[int, int] = (1000, 2000)
-    open_range: tuple[int, int] = (8000, 12000)
-    scale: int = 1
+    __slots__ = ("mode", "cost_range", "open_range", "scale")
 
-    def __post_init__(self):
-        if self.mode not in ("uniform", "cost-consistent"):
-            raise ValueError(f"unknown generator mode {self.mode!r}")
-        object.__setattr__(self, "scale", check_count("scale", self.scale, 1))
-        for name in ("cost_range", "open_range"):
-            r = getattr(self, name)
+    def __init__(self, mode: str = "uniform", cost_range: tuple[int, int] = (1000, 2000),
+                 open_range: tuple[int, int] = (8000, 12000), scale: int = 1):
+        if mode not in ("uniform", "cost-consistent"):
+            raise ValueError(f"unknown generator mode {mode!r}")
+        scale = check_count("scale", scale, 1)
+        pairs = []
+        for name, r in (("cost_range", cost_range), ("open_range", open_range)):
             pair = tuple(map(as_int, r)) if isinstance(r, (tuple, list)) else ()
             if not (len(pair) == 2 and None not in pair and 0 <= pair[0] <= pair[1]):
                 raise ValueError(
                     f"{name} must be a pair of integers lo, hi with 0 <= lo <= hi, got {r!r}")
-            object.__setattr__(self, name, pair)
+            pairs.append(pair)
+        self._set(mode, *pairs, scale)
 
 
 def as_int(value) -> int | None:
@@ -367,7 +415,10 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
 
     The main file lists n warehouses then m customers; capacity and demand
     fields are ignored. The sidecar holds m whitespace-separated permutation
-    rows of 1..n, in customer order.
+    rows of 1..n, in customer order. InstanceFormatError, naming the field,
+    for a count that is not a positive integer, a missing or non-numeric
+    value, a value left after the last customer, and a sidecar that does
+    not hold m * n integers in 1..n.
     """
     tokens = text.split()
     pos = 0
@@ -387,26 +438,43 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
         except ValueError:
             raise InstanceFormatError(f"bad number {tok!r} reading {what}") from None
 
-    n = int(take_float("warehouse count"))
-    m = int(take_float("customer count"))
-    f = np.empty(n)
+    def take_count(what: str) -> int:
+        v = take_float(what)
+        if not (1 <= v < math.inf and v == int(v)):
+            raise InstanceFormatError(f"{what} must be a positive integer, got {tokens[pos - 1]!r}")
+        return int(v)
+
+    def rank(k: int, tok: str) -> int:
+        try:
+            v = int(tok)
+        except ValueError:
+            v = 0
+        if not 1 <= v <= n:
+            raise InstanceFormatError(
+                f"preference sidecar value {k + 1} must be an integer in 1..{n}, got {tok!r}")
+        return v
+
+    n = take_count("warehouse count")
+    m = take_count("customer count")
+    f = []
     for j in range(n):
-        cap = take("capacity")  # may be the literal word "capacity"
-        del cap
-        f[j] = take_float(f"fixed cost of warehouse {j + 1}")
-    c = np.empty((m, n))
+        take("capacity")  # may be the literal word "capacity"
+        f.append(take_float(f"fixed cost of warehouse {j + 1}"))
+    c = []
     for i in range(m):
         take_float(f"demand of customer {i + 1}")
-        for j in range(n):
-            c[i, j] = take_float(f"allocation cost ({i + 1}, {j + 1})")
+        c.append([take_float(f"allocation cost ({i + 1}, {j + 1})") for j in range(n)])
+    if pos != len(tokens):
+        raise InstanceFormatError(
+            f"unexpected {tokens[pos]!r} after the allocation costs of customer {m}")
 
     prows = preferences.split()
     if len(prows) != m * n:
         raise InstanceFormatError(
             f"preference sidecar has {len(prows)} values, expected {m * n}"
         )
-    p = np.array([int(t) for t in prows], dtype=np.int64).reshape(m, n)
-    return Instance(f=f, c=c, p=p, name=name)
+    p = np.array([rank(k, t) for k, t in enumerate(prows)], dtype=np.int64).reshape(m, n)
+    return Instance(f=np.array(f), c=np.array(c), p=p, name=name)
 
 
 __all__ = [

@@ -44,34 +44,30 @@ finite steps from that start, unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import is_number
-from .instance import Instance, check_count
+from .instance import FrozenRecord, Instance, Record, check_count
 from .solution import heuristic_hc
 
 IMPROVEMENT_TOL = 1e-9  # how far a relaxation value must beat the incumbent
 
 
-@dataclass(frozen=True)
-class LagrangeMultipliers:
+class LagrangeMultipliers(FrozenRecord):
     """mu penalizes unassigned customers (free sign); lam penalizes preference
     violations and must stay componentwise nonnegative. An entry that is
     NaN or infinite, or a negative entry of lam, raises ValueError."""
 
-    mu: np.ndarray
-    lam: np.ndarray
+    __slots__ = ("mu", "lam")
 
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "lam", lam)
+    def __init__(self, mu: np.ndarray, lam: np.ndarray):
+        mu = np.asarray(mu, dtype=float)
+        lam = np.asarray(lam, dtype=float)
         if not np.isfinite(mu).all():
             raise ValueError("mu must be finite")
         _check_lam(lam)
+        self._set(mu, lam)
 
 
 def _check_lam(lam: np.ndarray) -> None:
@@ -80,8 +76,7 @@ def _check_lam(lam: np.ndarray) -> None:
         raise ValueError("lam must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class LrSolution:
+class LrSolution(Record):
     """Closed-form relaxation output; (x, y) need not be feasible upstream.
 
     x[i, j] says customer i is assigned to facility j and y[j] that j is
@@ -89,10 +84,13 @@ class LrSolution:
     is each facility's aggregated reduced cost.
     """
 
-    value: float
-    x: np.ndarray
-    y: np.ndarray
-    rho: np.ndarray
+    __slots__ = ("value", "x", "y", "rho")
+
+    def __init__(self, value: float, x: np.ndarray, y: np.ndarray, rho: np.ndarray):
+        self.value = value
+        self.x = x
+        self.y = y
+        self.rho = rho
 
 
 def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
@@ -200,8 +198,7 @@ def default_start(inst: Instance) -> LagrangeMultipliers:
     return LagrangeMultipliers(mu=mu, lam=np.zeros((inst.m, inst.n)))
 
 
-@dataclass(frozen=True)
-class SgConfig:
+class SgConfig(FrozenRecord):
     """Subgradient-method settings.
 
     The step multiplier beta starts at beta0 and, once the incumbent has not
@@ -215,44 +212,49 @@ class SgConfig:
     Integers are stored as ints.
     """
 
-    max_iter: int = 1500
-    beta0: float = 2.0
-    stall_window: int = 30
-    beta_decrement: float = 0.005
-    lr_aim: float | None = None
+    __slots__ = ("max_iter", "beta0", "stall_window", "beta_decrement", "lr_aim")
 
-    def __post_init__(self):
-        for name in ("max_iter", "stall_window"):
-            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+    def __init__(self, max_iter: int = 1500, beta0: float = 2.0, stall_window: int = 30,
+                 beta_decrement: float = 0.005, lr_aim: float | None = None):
+        max_iter = check_count("max_iter", max_iter)
+        stall_window = check_count("stall_window", stall_window)
         # Written so that NaN fails every comparison.
-        if not (is_number(self.beta0) and 0 < self.beta0 < math.inf):
-            raise ValueError(f"beta0 must be a finite number above zero, got {self.beta0!r}")
-        if not (is_number(self.beta_decrement) and 0 <= self.beta_decrement < math.inf):
+        if not (is_number(beta0) and 0 < beta0 < math.inf):
+            raise ValueError(f"beta0 must be a finite number above zero, got {beta0!r}")
+        if not (is_number(beta_decrement) and 0 <= beta_decrement < math.inf):
             raise ValueError(
-                f"beta_decrement must be a finite nonnegative number, got {self.beta_decrement!r}")
-        if self.lr_aim is not None and not (is_number(self.lr_aim) and math.isfinite(self.lr_aim)):
-            raise ValueError(f"lr_aim must be None or finite, got {self.lr_aim!r}")
+                f"beta_decrement must be a finite nonnegative number, got {beta_decrement!r}")
+        if lr_aim is not None and not (is_number(lr_aim) and math.isfinite(lr_aim)):
+            raise ValueError(f"lr_aim must be None or finite, got {lr_aim!r}")
+        self._set(max_iter, beta0, stall_window, beta_decrement, lr_aim)
 
 
-@dataclass(frozen=True)
-class SgTraceRow:
-    iteration: int
-    lr_value: float
-    lr_best: float
-    beta: float
-    alpha: float
-    s_norm_sq: float
+class SgTraceRow(Record):
+    __slots__ = ("iteration", "lr_value", "lr_best", "beta", "alpha", "s_norm_sq")
+
+    def __init__(self, iteration: int, lr_value: float, lr_best: float, beta: float,
+                 alpha: float, s_norm_sq: float):
+        self.iteration = iteration
+        self.lr_value = lr_value
+        self.lr_best = lr_best
+        self.beta = beta
+        self.alpha = alpha
+        self.s_norm_sq = s_norm_sq
 
 
-@dataclass
-class SgResult:
-    best_value: float
-    best_mu: np.ndarray
-    best_lam: np.ndarray
-    best_iteration: int
-    iterations: int
-    status: str  # "optimal", "beta_exhausted", "iter_limit", or "aim_exceeded"
-    trace: list = field(default_factory=list)
+class SgResult(Record):
+    __slots__ = ("best_value", "best_mu", "best_lam", "best_iteration", "iterations", "status",
+                 "trace")
+
+    def __init__(self, best_value: float, best_mu: np.ndarray, best_lam: np.ndarray,
+                 best_iteration: int, iterations: int, status: str, trace: list | None = None):
+        self.best_value = best_value
+        self.best_mu = best_mu
+        self.best_lam = best_lam
+        self.best_iteration = best_iteration
+        self.iterations = iterations
+        self.status = status  # "optimal", "beta_exhausted", "iter_limit", or "aim_exceeded"
+        self.trace = [] if trace is None else trace
 
 
 def subgradient_method(

@@ -7,26 +7,37 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+
+from .instance import Record
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    prob: str
-    algorithm: str
-    status: str
-    best_ub: float | None = None
-    lower_bound: float | None = None
-    opt: float | None = None
-    gap_abs: float | None = None
-    gap_pct: float | None = None
-    y_count: int | None = None
-    iterations: int | None = None
-    best_iteration: int | None = None
-    time_s: float | None = None
-    total_time_s: float | None = None
-    seed: int | None = None
-    config_hash: str = ""
+class ReportRow(Record):
+    __slots__ = ("prob", "algorithm", "status", "best_ub", "lower_bound", "opt", "gap_abs",
+                 "gap_pct", "y_count", "iterations", "best_iteration", "time_s", "total_time_s",
+                 "seed", "config_hash")
+
+    def __init__(self, prob: str, algorithm: str, status: str, best_ub: float | None = None,
+                 lower_bound: float | None = None, opt: float | None = None,
+                 gap_abs: float | None = None, gap_pct: float | None = None,
+                 y_count: int | None = None, iterations: int | None = None,
+                 best_iteration: int | None = None, time_s: float | None = None,
+                 total_time_s: float | None = None, seed: int | None = None,
+                 config_hash: str = ""):
+        self.prob = prob
+        self.algorithm = algorithm
+        self.status = status
+        self.best_ub = best_ub
+        self.lower_bound = lower_bound
+        self.opt = opt
+        self.gap_abs = gap_abs
+        self.gap_pct = gap_pct
+        self.y_count = y_count
+        self.iterations = iterations
+        self.best_iteration = best_iteration
+        self.time_s = time_s
+        self.total_time_s = total_time_s
+        self.seed = seed
+        self.config_hash = config_hash
 
 
 _FLOAT_FIELDS = {"best_ub", "lower_bound", "opt", "gap_abs", "gap_pct", "time_s", "total_time_s"}
@@ -48,24 +59,38 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-@dataclass
-class RunReport:
-    rows: list
+class RunReport(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
 
     def to_csv(self) -> str:
-        names = [f.name for f in fields(ReportRow)]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=ReportRow.__slots__, lineterminator="\n")
         writer.writeheader()
         for row in self.rows:
-            rec = asdict(row)
-            writer.writerow({k: ("" if v is None else v) for k, v in rec.items()})
+            writer.writerow({k: ("" if v is None else v) for k, v in row.asdict().items()})
         return buf.getvalue()
 
     @staticmethod
     def from_csv(text: str) -> "RunReport":
+        """Read to_csv's format. ValueError naming the columns for a header
+        with a column that a report does not have or without one it has, and
+        for a row with more cells than the header."""
+        reader = csv.DictReader(io.StringIO(text))
+        header = reader.fieldnames or []
+        unknown = [name for name in header if name not in ReportRow.__slots__]
+        missing = [name for name in ReportRow.__slots__ if name not in header]
+        if header and (unknown or missing):
+            raise ValueError(
+                f"not a report: unknown columns {unknown}, missing columns {missing}; "
+                f"a report has the columns {', '.join(ReportRow.__slots__)}")
         rows = []
-        for rec in csv.DictReader(io.StringIO(text)):
+        for rec in reader:
+            if None in rec:  # DictReader's key for cells past the header's
+                raise ValueError(f"report line {reader.line_num} has more cells than the "
+                                 f"{len(header)} columns of its header")
             kwargs = {}
             for key, raw in rec.items():
                 if raw == "" or raw is None:
@@ -82,7 +107,7 @@ class RunReport:
         return RunReport(rows=rows)
 
     def to_json(self) -> str:
-        return json.dumps([asdict(r) for r in self.rows], indent=2, sort_keys=True)
+        return json.dumps([r.asdict() for r in self.rows], indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "RunReport":

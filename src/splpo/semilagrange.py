@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits, is_number
-from .instance import Instance, check_count
+from .instance import FrozenRecord, Instance, Record, check_count
 
 
 def check_epsilon(epsilon: float | None) -> None:
@@ -54,8 +53,7 @@ def solve_slr(
     return branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit, resume=resume)
 
 
-@dataclass(frozen=True)
-class DaConfig:
+class DaConfig(FrozenRecord):
     """Dual-ascent settings.
 
     max_iter, None or a nonnegative integer, caps the steps; None means run
@@ -69,24 +67,24 @@ class DaConfig:
     integers are stored as ints.
     """
 
-    epsilon: float | None = None
-    max_iter: int | None = None
-    node_limit: int | None = None
-    time_limit: float | None = None
+    __slots__ = ("epsilon", "max_iter", "node_limit", "time_limit")
 
-    def __post_init__(self):
-        check_epsilon(self.epsilon)
-        if self.max_iter is not None:
-            object.__setattr__(self, "max_iter", check_count("max_iter", self.max_iter))
-        object.__setattr__(self, "node_limit", check_limits(self.node_limit, self.time_limit))
+    def __init__(self, epsilon: float | None = None, max_iter: int | None = None,
+                 node_limit: int | None = None, time_limit: float | None = None):
+        check_epsilon(epsilon)
+        if max_iter is not None:
+            max_iter = check_count("max_iter", max_iter)
+        self._set(epsilon, max_iter, check_limits(node_limit, time_limit), time_limit)
 
 
-@dataclass(frozen=True)
-class DaTraceRow:
-    iteration: int
-    value: float
-    served: int  # m when the step opened something, else 0
-    at_ceiling: int
+class DaTraceRow(Record):
+    __slots__ = ("iteration", "value", "served", "at_ceiling")
+
+    def __init__(self, iteration: int, value: float, served: int, at_ceiling: int):
+        self.iteration = iteration
+        self.value = value
+        self.served = served  # m when the step opened something, else 0
+        self.at_ceiling = at_ceiling
 
 
 class DualAscent:

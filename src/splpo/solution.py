@@ -4,36 +4,44 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, Record
 
 UNASSIGNED = -1
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """An open-facility set plus a customer assignment.
 
     assign[i] is the 0-based facility serving customer i, or UNASSIGNED.
     objective is the full cost: service costs of assigned customers plus
-    opening costs of every facility in open_facilities.
+    opening costs of every facility in open_facilities. provenance, a new
+    empty dict when not given, is left out of ==.
     """
 
-    open_facilities: frozenset
-    assign: np.ndarray
-    objective: float
-    provenance: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("open_facilities", "assign", "objective", "provenance")
+
+    def __init__(self, open_facilities: frozenset, assign: np.ndarray, objective: float,
+                 provenance: dict | None = None):
+        self.open_facilities = open_facilities
+        self.assign = assign
+        self.objective = objective
+        self.provenance = {} if provenance is None else provenance
+
+    def _key(self) -> tuple:
+        return self.open_facilities, self.assign, self.objective
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "assignment", "open_link", or "preference"
-    customer: int | None
-    facility: int | None
-    message: str
+class Violation(Record):
+    __slots__ = ("kind", "customer", "facility", "message")
+
+    def __init__(self, kind: str, customer: int | None, facility: int | None, message: str):
+        self.kind = kind  # "assignment", "open_link", or "preference"
+        self.customer = customer
+        self.facility = facility
+        self.message = message
 
 
 def open_mask(inst: Instance, open_facilities) -> np.ndarray:
@@ -176,14 +184,16 @@ def solution_from_json(text: str) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreedyRound:
+class GreedyRound(Record):
     """One accepted assignment during the greedy sweep."""
 
-    facility: int  # facility selected this round
-    service_cost: float  # sum of service costs of the accepted assignment
-    objective: float  # full objective, opening costs over facilities in use
-    used: tuple  # facilities actually serving someone
+    __slots__ = ("facility", "service_cost", "objective", "used")
+
+    def __init__(self, facility: int, service_cost: float, objective: float, used: tuple):
+        self.facility = facility  # facility selected this round
+        self.service_cost = service_cost  # sum of service costs of the accepted assignment
+        self.objective = objective  # full objective, opening costs over facilities in use
+        self.used = used  # facilities actually serving someone
 
 
 def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[GreedyRound]]:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +239,45 @@ def test_report_round_trips():
     report = RunReport(rows=rows)
     assert RunReport.from_csv(report.to_csv()) == report
     assert RunReport.from_json(report.to_json()) == report
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("config_hash", "config_hash,extra", 1),
+     "unknown columns ['extra'], missing columns []"),
+    (lambda t: t.replace(",config_hash", "", 1),
+     "unknown columns [], missing columns ['config_hash']"),
+    (lambda t: t.rstrip("\n") + ",surplus\n", "report line 3 has more cells than the 15 columns"),
+], ids=["unknown-column", "missing-column", "extra-cell"])
+def test_report_from_csv_rejects_what_is_not_a_report(edit, message):
+    rows = [ReportRow(prob="a", algorithm="hc", status="ok"), ReportRow("b", "sg", "ok")]
+    text = RunReport(rows=rows).to_csv()
+    with pytest.raises(ValueError) as info:
+        RunReport.from_csv(edit(text))
+    assert message in str(info.value)
+    if "columns [" in message:
+        assert "a report has the columns prob, algorithm, status, best_ub" in str(info.value)
+
+
+def test_solve_report_out_names_the_columns_of_a_file_that_is_not_a_report(toy_file, tmp_path,
+                                                                           capsys):
+    out = tmp_path / "other.csv"
+    out.write_text("name,value\nx,1\n")
+    code = main(["solve", str(toy_file), "--algorithm", "hc", "--report-out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot append to {out}: not a report: unknown columns ['name', 'value']" in err
+    assert out.read_text() == "name,value\nx,1\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # Record classes are plain classes: importing the package generates no code.
+    # -I keeps the environment and user site out; -B leaves no bytecode behind.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import splpo.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('dataclasses')))")
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_gap_arithmetic():

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -322,6 +324,22 @@ def test_integer_settings_take_one_rule_and_are_stored_as_ints():
             make(np.array([3]))
 
 
+def test_configs_and_specs_are_immutable_and_copy_through_their_constructors():
+    spec = ProblemSpec.splpo(generate_instance(3, 4, 1), forced_open=[1])
+    for obj in (GeneratorConfig(scale=2), DaConfig(max_iter=4), SgConfig(lr_aim=5.0),
+                AdaConfig(ps=0.5), spec):
+        for name in type(obj).__slots__:
+            with pytest.raises(AttributeError, match=name):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError, match=name):
+                delattr(obj, name)
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+            assert twin.asdict().keys() == obj.asdict().keys()
+    assert hash(SgConfig(lr_aim=5.0)) == hash(SgConfig(lr_aim=5.0))
+    assert {AdaConfig(), AdaConfig()} == {AdaConfig()}
+
+
 @pytest.mark.parametrize("settings", [
     {"scale": 0}, {"scale": -3}, {"scale": 1.5}, {"scale": True},
     {"cost_range": (5, 4)}, {"cost_range": (-1, 4)}, {"cost_range": (1.5, 4)},
@@ -408,6 +426,26 @@ capacity 95.5
 def test_orlib_rejects_short_sidecar():
     with pytest.raises(InstanceFormatError, match="sidecar"):
         parse_orlib("1 1\n10 20\n5\n7\n", "1 2")
+
+
+ORLIB_CORE = "3 2\n100 120\ncapacity 95.5\n50 110\n10\n4 6 8\n20\n9 7 5\n"
+ORLIB_PREF = "1 3 2\n2 1 3\n"
+
+
+@pytest.mark.parametrize("core, pref, message", [
+    (ORLIB_CORE.replace("3 2", "2.5 2", 1), ORLIB_PREF,
+     "warehouse count must be a positive integer, got '2.5'"),
+    (ORLIB_CORE + "7\n", ORLIB_PREF, "unexpected '7' after the allocation costs of customer 2"),
+    (ORLIB_CORE, ORLIB_PREF.replace("1 3 2", "1.5 3 2"),
+     "preference sidecar value 1 must be an integer in 1..3, got '1.5'"),
+    (ORLIB_CORE.replace("3 2", "3 -1", 1), ORLIB_PREF,
+     "customer count must be a positive integer, got '-1'"),
+], ids=["fractional-count", "trailing-values", "fractional-rank", "negative-count"])
+def test_orlib_names_the_malformed_field(core, pref, message):
+    parse_orlib(ORLIB_CORE, ORLIB_PREF)  # the unmodified files are well formed
+    with pytest.raises(InstanceFormatError) as info:
+        parse_orlib(core, pref)
+    assert str(info.value) == message
 
 
 def test_instance_arrays_are_read_only(toy):
