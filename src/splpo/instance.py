@@ -418,7 +418,7 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
     rows of 1..n, in customer order. InstanceFormatError, naming the field,
     for a count that is not a positive integer, a missing or non-numeric
     value, a value left after the last customer, and a sidecar that does
-    not hold m * n integers in 1..n.
+    not hold m permutations of 1..n.
     """
     tokens = text.split()
     pos = 0
@@ -474,6 +474,10 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
             f"preference sidecar has {len(prows)} values, expected {m * n}"
         )
     p = np.array([rank(k, t) for k, t in enumerate(prows)], dtype=np.int64).reshape(m, n)
+    bad = np.flatnonzero((np.sort(p, axis=1) != np.arange(1, n + 1)).any(axis=1))
+    if bad.size:
+        raise InstanceFormatError(
+            f"preference sidecar row {bad[0] + 1} is not a permutation of 1..{n}")
     return Instance(f=np.array(f), c=np.array(c), p=p, name=name)
 
 

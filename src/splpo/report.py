@@ -42,6 +42,7 @@ class ReportRow(Record):
 
 _FLOAT_FIELDS = {"best_ub", "lower_bound", "opt", "gap_abs", "gap_pct", "time_s", "total_time_s"}
 _INT_FIELDS = {"y_count", "iterations", "best_iteration", "seed"}
+_REQUIRED_FIELDS = ("prob", "algorithm", "status")  # the ones without a default
 
 
 def gap_fields(best_ub: float | None, opt: float | None) -> tuple[float | None, float | None]:
@@ -75,21 +76,21 @@ class RunReport(Record):
 
     @staticmethod
     def from_csv(text: str) -> "RunReport":
-        """Read to_csv's format. ValueError naming the columns for a header
-        with a column that a report does not have or without one it has, and
-        for a row with more cells than the header."""
+        """Read to_csv's format; an absent optional column takes its default.
+        ValueError naming the columns for a header with a column that a report
+        does not have or without a required one (prob, algorithm, status), and
+        for a row with more or fewer cells than the header."""
         reader = csv.DictReader(io.StringIO(text))
         header = reader.fieldnames or []
-        unknown = [name for name in header if name not in ReportRow.__slots__]
-        missing = [name for name in ReportRow.__slots__ if name not in header]
-        if header and (unknown or missing):
-            raise ValueError(
-                f"not a report: unknown columns {unknown}, missing columns {missing}; "
-                f"a report has the columns {', '.join(ReportRow.__slots__)}")
+        if header:
+            _check_columns(header)
         rows = []
         for rec in reader:
-            if None in rec:  # DictReader's key for cells past the header's
-                raise ValueError(f"report line {reader.line_num} has more cells than the "
+            # DictReader keys cells past the header's by None and fills a
+            # short row's missing cells with None; empty cells read as "".
+            if None in rec or None in rec.values():
+                raise ValueError(f"report line {reader.line_num} has "
+                                 f"{'more' if None in rec else 'fewer'} cells than the "
                                  f"{len(header)} columns of its header")
             kwargs = {}
             for key, raw in rec.items():
@@ -111,7 +112,23 @@ class RunReport(Record):
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
-        return RunReport(rows=[ReportRow(**rec) for rec in json.loads(text)])
+        """Read to_json's format; ValueError naming the keys, as from_csv's
+        for columns, for a record that cannot be a report row."""
+        records = json.loads(text)
+        for rec in records:
+            _check_columns(rec)
+        return RunReport(rows=[ReportRow(**rec) for rec in records])
+
+
+def _check_columns(names) -> None:
+    """ValueError naming the columns unless ``names`` are a report's: all
+    known, and the required ones (those without a default) present."""
+    unknown = [name for name in names if name not in ReportRow.__slots__]
+    missing = [name for name in _REQUIRED_FIELDS if name not in names]
+    if unknown or missing:
+        raise ValueError(
+            f"not a report: unknown columns {unknown}, missing required columns {missing}; "
+            f"a report has the columns {', '.join(ReportRow.__slots__)}")
 
 
 __all__ = ["ReportRow", "RunReport", "config_hash", "gap_fields"]

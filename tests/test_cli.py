@@ -243,11 +243,12 @@ def test_report_round_trips():
 
 @pytest.mark.parametrize("edit, message", [
     (lambda t: t.replace("config_hash", "config_hash,extra", 1),
-     "unknown columns ['extra'], missing columns []"),
-    (lambda t: t.replace(",config_hash", "", 1),
-     "unknown columns [], missing columns ['config_hash']"),
+     "unknown columns ['extra'], missing required columns []"),
+    (lambda t: t.replace(",status", "", 1),
+     "unknown columns [], missing required columns ['status']"),
     (lambda t: t.rstrip("\n") + ",surplus\n", "report line 3 has more cells than the 15 columns"),
-], ids=["unknown-column", "missing-column", "extra-cell"])
+    (lambda t: t + "c,hc\n", "report line 4 has fewer cells than the 15 columns"),
+], ids=["unknown-column", "missing-column", "extra-cell", "short-row"])
 def test_report_from_csv_rejects_what_is_not_a_report(edit, message):
     rows = [ReportRow(prob="a", algorithm="hc", status="ok"), ReportRow("b", "sg", "ok")]
     text = RunReport(rows=rows).to_csv()
@@ -256,6 +257,18 @@ def test_report_from_csv_rejects_what_is_not_a_report(edit, message):
     assert message in str(info.value)
     if "columns [" in message:
         assert "a report has the columns prob, algorithm, status, best_ub" in str(info.value)
+
+
+def test_report_from_json_names_the_keys_of_a_record_that_is_not_a_row():
+    with pytest.raises(ValueError, match=r"unknown columns \['extra'\], missing required "
+                                         r"columns \['status'\]"):
+        RunReport.from_json('[{"prob": "a", "algorithm": "hc", "extra": 1}]')
+
+
+def test_report_from_csv_fills_absent_optional_columns_with_defaults():
+    text = "prob,algorithm,status,best_ub\na,hc,ok,12.5\nb,sg,ok,\n"
+    assert RunReport.from_csv(text) == RunReport(rows=[
+        ReportRow("a", "hc", "ok", best_ub=12.5), ReportRow("b", "sg", "ok")])
 
 
 def test_solve_report_out_names_the_columns_of_a_file_that_is_not_a_report(toy_file, tmp_path,

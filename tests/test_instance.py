@@ -440,7 +440,9 @@ ORLIB_PREF = "1 3 2\n2 1 3\n"
      "preference sidecar value 1 must be an integer in 1..3, got '1.5'"),
     (ORLIB_CORE.replace("3 2", "3 -1", 1), ORLIB_PREF,
      "customer count must be a positive integer, got '-1'"),
-], ids=["fractional-count", "trailing-values", "fractional-rank", "negative-count"])
+    (ORLIB_CORE, "1 1 2\n2 1 3\n", "preference sidecar row 1 is not a permutation of 1..3"),
+], ids=["fractional-count", "trailing-values", "fractional-rank", "negative-count",
+        "repeated-rank"])
 def test_orlib_names_the_malformed_field(core, pref, message):
     parse_orlib(ORLIB_CORE, ORLIB_PREF)  # the unmodified files are well formed
     with pytest.raises(InstanceFormatError) as info:
