@@ -15,7 +15,7 @@ import time
 
 from .exact import ProblemSpec, branch_and_bound, check_limits, is_number
 from .instance import FrozenRecord, Instance, Record, check_count, facility_sort_keys
-from .lagrange import SgConfig, SgResult, default_start, subgradient_method
+from .lagrange import SgConfig, SgResult, subgradient_method
 from .semilagrange import DaConfig, check_epsilon, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
@@ -48,32 +48,21 @@ class AdaConfig(FrozenRecord):
         self._set(sg_iter, da_iter, vfh_iter, ps, epsilon, node_limit, time_limit)
 
 
-# Empirical budgets per (m, n) bucket; ps = 0.25 throughout.
+# Empirical budgets per (m, n) bucket; vfh_iter and ps keep their defaults.
 PRESETS = {
-    (75, 50): AdaConfig(sg_iter=50, da_iter=3, vfh_iter=2, ps=0.25),
-    (100, 75): AdaConfig(sg_iter=100, da_iter=7, vfh_iter=2, ps=0.25),
-    (125, 100): AdaConfig(sg_iter=170, da_iter=10, vfh_iter=2, ps=0.25),
-    (150, 100): AdaConfig(sg_iter=170, da_iter=12, vfh_iter=2, ps=0.25),
+    (75, 50): AdaConfig(sg_iter=50, da_iter=3),
+    (100, 75): AdaConfig(sg_iter=100, da_iter=7),
+    (125, 100): AdaConfig(sg_iter=170, da_iter=10),
+    (150, 100): AdaConfig(sg_iter=170, da_iter=12),
 }
 
 
-def preset_config(name_or_size) -> AdaConfig:
-    """Look up a preset by bucket name ("75_50", letter prefixes tolerated)
-    or by (m, n); unknown sizes map to the nearest bucket by m * n."""
-    if isinstance(name_or_size, str):
-        text = name_or_size.strip().lstrip("abc").strip("_")
-        parts = text.split("_")
-        if len(parts) < 2:
-            raise ValueError(f"cannot parse preset name {name_or_size!r}")
-        size = (int(parts[0]), int(parts[1]))
-        if size in PRESETS:
-            return PRESETS[size]
-        raise ValueError(f"unknown preset {name_or_size!r}")
-    m, n = name_or_size
+def preset_config(size: tuple[int, int]) -> AdaConfig:
+    """The preset of the (m, n) bucket, or else of the nearest one by m * n."""
+    m, n = size
     if (m, n) in PRESETS:
         return PRESETS[(m, n)]
-    area = m * n
-    return PRESETS[min(PRESETS, key=lambda s: abs(s[0] * s[1] - area))]
+    return PRESETS[min(PRESETS, key=lambda s: abs(s[0] * s[1] - m * n))]
 
 
 def vfh(
@@ -152,11 +141,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     timings["hc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sg = subgradient_method(
-        inst,
-        SgConfig(max_iter=cfg.sg_iter, lr_aim=hc_sol.objective),
-        start=default_start(inst),
-    )
+    sg = subgradient_method(inst, SgConfig(max_iter=cfg.sg_iter, lr_aim=hc_sol.objective))
     timings["sg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     splpo generate --m 75 --n 50 --seed 1 --count 4 --out-dir instances/
-    splpo solve instances/a75_50_1.splpo --algorithm ada --preset a75_50
+    splpo solve instances/a75_50_1.splpo --algorithm ada --sg-iter 100
     splpo bench "instances/*.splpo" --algorithms hc,hs,exact --out report.csv
 
 Exit codes: 0 success, 2 usage error, 4 stopped at a limit.
@@ -53,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--tag", default="a", help="filename family prefix")
     gen.add_argument("--mode", choices=("uniform", "cost-consistent"), default="uniform")
     gen.add_argument("--scale", type=int, default=1)
+    gen.set_defaults(run=cmd_generate)
 
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
     solve.add_argument("instance", type=Path)
@@ -60,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solution-out", type=Path, default=None)
     solve.add_argument("--report-out", type=Path, default=None, help="append a report row here")
     _add_solver_flags(solve)
+    solve.set_defaults(run=cmd_solve)
 
     bench = sub.add_parser("bench", help="compare algorithms across instances")
     bench.add_argument("instances", nargs="+", help="instance paths or globs")
@@ -69,63 +71,52 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--optima", type=Path, default=None,
                        help="JSON file mapping instance name to its optimal value")
     _add_solver_flags(bench)
+    bench.set_defaults(run=cmd_bench)
     return parser
 
 
+# Each solver flag: its type, and the config field it sets in each algorithm
+# that reads it. sg builds an SgConfig, da a DaConfig, ada an AdaConfig over
+# the instance's size preset, and exact passes its fields to
+# branch_and_bound; an algorithm not listed ignores the flag.
+SOLVER_FLAGS = {
+    "sg_iter": (int, {"sg": "max_iter", "ada": "sg_iter"}),
+    "da_iter": (int, {"da": "max_iter", "ada": "da_iter"}),
+    "vfh_iter": (int, {"ada": "vfh_iter"}),
+    "ps": (float, {"ada": "ps"}),
+    "epsilon": (float, {"da": "epsilon", "ada": "epsilon"}),
+    "beta0": (float, {"sg": "beta0"}),
+    "stall_k": (int, {"sg": "stall_window"}),
+    "beta_dec": (float, {"sg": "beta_decrement"}),
+    "node_limit": (int, {"da": "node_limit", "ada": "node_limit", "exact": "node_limit"}),
+    "time_limit": (float, {"da": "time_limit", "ada": "time_limit", "exact": "time_limit"}),
+}
+_DEFAULTS = {
+    "sg": SgConfig().asdict(),
+    "da": DaConfig().asdict(),
+    "exact": {"node_limit": None, "time_limit": None},
+}
+
+
 def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--preset", default=None)
-    cmd.add_argument("--sg-iter", type=int, default=None)
-    cmd.add_argument("--da-iter", type=int, default=None)
-    cmd.add_argument("--vfh-iter", type=int, default=None)
-    cmd.add_argument("--ps", type=float, default=None)
-    cmd.add_argument("--epsilon", type=float, default=None)
-    cmd.add_argument("--beta0", type=float, default=None)
-    cmd.add_argument("--stall-k", type=int, default=None)
-    cmd.add_argument("--beta-dec", type=float, default=None)
-    cmd.add_argument("--node-limit", type=int, default=None)
-    cmd.add_argument("--time-limit", type=float, default=None)
-    cmd.add_argument("--seed", type=int, default=None)
+    for name, (kind, _) in SOLVER_FLAGS.items():
+        cmd.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
+    cmd.add_argument("--seed", type=int, default=None, help="recorded in the report rows")
 
 
-def _ada_config(args, inst: Instance) -> AdaConfig:
-    cfg = preset_config(args.preset) if args.preset else preset_config((inst.m, inst.n))
-    names = ("sg_iter", "da_iter", "vfh_iter", "ps", "epsilon", "node_limit", "time_limit")
-    updates = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    return AdaConfig(**{**cfg.asdict(), **updates})
-
-
-def _sg_config(args, lr_aim=None) -> SgConfig:
-    kwargs = {}
-    if args.sg_iter is not None:
-        kwargs["max_iter"] = args.sg_iter
-    if args.beta0 is not None:
-        kwargs["beta0"] = args.beta0
-    if args.stall_k is not None:
-        kwargs["stall_window"] = args.stall_k
-    if args.beta_dec is not None:
-        kwargs["beta_decrement"] = args.beta_dec
-    if lr_aim is not None:
-        kwargs["lr_aim"] = lr_aim
-    return SgConfig(**kwargs)
-
-
-def _da_config(args) -> DaConfig:
-    return DaConfig(
-        epsilon=args.epsilon,
-        max_iter=args.da_iter,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-    )
-
-
-def _effective_config(args, algorithm: str) -> dict:
-    keys = (
-        "preset sg_iter da_iter vfh_iter ps epsilon beta0 stall_k beta_dec "
-        "node_limit time_limit seed"
-    ).split()
-    payload = {k: getattr(args, k, None) for k in keys}
-    payload["algorithm"] = algorithm
-    return payload
+def _settings(inst: Instance, algorithm: str, args) -> dict:
+    """Every setting the algorithm runs with, by config field: its defaults
+    (ada's from the instance's size preset), then the flags it reads. hc, hs
+    and brute have none."""
+    if algorithm == "ada":
+        fields = preset_config((inst.m, inst.n)).asdict()
+    else:
+        fields = dict(_DEFAULTS.get(algorithm, {}))
+    for name, (_, targets) in SOLVER_FLAGS.items():
+        value = getattr(args, name)
+        if value is not None and algorithm in targets:
+            fields[targets[algorithm]] = value
+    return fields
 
 
 def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
@@ -137,17 +128,18 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
     solution = None
     stage_time = None
 
+    fields = _settings(inst, algorithm, args)
     if algorithm == "hc" or algorithm == "hs":
         run = heuristic_hc if algorithm == "hc" else heuristic_hs
         sol, trace = run(inst)
         solution, ub = sol, sol.objective
         y_count, iterations = len(sol.open_facilities), len(trace)
     elif algorithm == "sg":
-        res = subgradient_method(inst, _sg_config(args))
+        res = subgradient_method(inst, SgConfig(**fields))
         lb, iterations, best_iteration = res.best_value, res.iterations, res.best_iteration
         status = res.status
     elif algorithm == "da":
-        res = dual_ascent(inst, np.zeros(inst.m), _da_config(args))
+        res = dual_ascent(inst, np.zeros(inst.m), DaConfig(**fields))
         lb, iterations, status = res.best_lower_bound, res.iterations, res.status
         if res.last is not None and res.last.solution.open_facilities:
             sol = res.last.solution
@@ -155,24 +147,19 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
                                 {"algorithm": "dual_ascent"})
             ub, y_count = solution.objective, len(solution.open_facilities)
     elif algorithm == "ada":
-        res = ada(inst, _ada_config(args, inst))
+        res = ada(inst, AdaConfig(**fields))
         solution, ub, lb = res.best_solution, res.best_ub, res.best_lb
         y_count = len(res.best_solution.open_facilities)
         iterations = res.sg.iterations + len(res.da_trace)
         status = res.da_status
         stage_time = res.timings.get("da", 0.0) + res.timings.get("vfh", 0.0)
-    elif algorithm in ("exact", "brute"):
+    else:  # exact or brute
         spec = ProblemSpec.splpo(inst)
-        if algorithm == "exact":
-            res = branch_and_bound(spec, node_limit=args.node_limit, time_limit=args.time_limit)
-        else:
-            res = brute_force(spec)
+        res = branch_and_bound(spec, **fields) if algorithm == "exact" else brute_force(spec)
         solution, ub, lb, status = res.solution, res.value, res.lower_bound, res.status
         opt = res.value if res.status == "optimal" else None
         y_count = len(res.solution.open_facilities)
         iterations = res.nodes
-    else:
-        raise CliError(f"unknown algorithm {algorithm!r}")
 
     gap_abs, gap_pct = gap_fields(ub, opt)
     total = time.perf_counter() - t0
@@ -191,7 +178,7 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
         time_s=round(total if stage_time is None else stage_time, 3),
         total_time_s=round(total, 3),
         seed=args.seed,
-        config_hash=config_hash(_effective_config(args, algorithm)),
+        config_hash=config_hash({"algorithm": algorithm, **fields}),
     )
     return row, solution
 
@@ -207,10 +194,9 @@ def cmd_generate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create {out_dir}: {exc}") from exc
-    base_seed = args.seed if args.seed is not None else 0
     for k in range(1, args.count + 1):
         name = f"{args.tag}{args.m}_{args.n}_{k}"
-        inst = generate_instance(args.m, args.n, base_seed + k - 1, cfg, name=name)
+        inst = generate_instance(args.m, args.n, args.seed + k - 1, cfg, name=name)
         path = out_dir / f"{name}.splpo"
         path.write_text(write_instance(inst))
         print(path)
@@ -317,12 +303,9 @@ def cmd_bench(args) -> int:
                 opt = row.opt
             per_instance.append(row)
         if opt is not None:
-            fixed = []
             for row in per_instance:
-                gap_abs, gap_pct = gap_fields(row.best_ub, opt)
-                fixed.append(ReportRow(**{**row.asdict(), "opt": opt, "gap_abs": gap_abs,
-                                          "gap_pct": gap_pct}))
-            per_instance = fixed
+                row.opt = opt
+                row.gap_abs, row.gap_pct = gap_fields(row.best_ub, opt)
         rows.extend(per_instance)
 
     report = RunReport(rows=rows)
@@ -342,13 +325,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -537,8 +537,6 @@ def branch_and_bound(
             if frontier is not None:
                 frontier.append((bound, depth, open_mask, closed_mask, best))
             continue
-        if depth == len(order):
-            continue
         j = order[depth] if best is None else best
         stack.append((bound, depth + 1, node.closed_child(ctx, j), False))
         stack.append((bound, depth + 1, node.open_child(ctx, j), True))
@@ -566,16 +564,19 @@ def branch_and_bound(
     )
 
 
-def brute_force(spec: ProblemSpec, max_sites: int = 20) -> ExactResult:
-    """Enumerate every open set (oracle; n capped to keep this tractable).
+BRUTE_FORCE_MAX_SITES = 20
+
+
+def brute_force(spec: ProblemSpec) -> ExactResult:
+    """Enumerate every open set (oracle; n capped at BRUTE_FORCE_MAX_SITES).
 
     Reported values go through the same evaluator as branch_and_bound. Ties
     resolve to the set whose indicator vector (facility order) is smallest.
     """
     inst = spec.inst
     n = inst.n
-    if n > max_sites:
-        raise ValueError(f"brute force limited to {max_sites} sites, got {n}")
+    if n > BRUTE_FORCE_MAX_SITES:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_SITES} sites, got {n}")
     ctx = _Context(spec)
     total = 1 << n
     shifts = n - 1 - np.arange(n)

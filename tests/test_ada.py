@@ -136,9 +136,8 @@ def test_ada_toy_reaches_optimum(toy):
 
 
 def test_preset_values():
-    cfg = preset_config("a75_50")
+    cfg = preset_config((75, 50))
     assert (cfg.sg_iter, cfg.da_iter, cfg.vfh_iter, cfg.ps) == (50, 3, 2, 0.25)
-    assert preset_config("75_50") == cfg
     assert preset_config((100, 75)).sg_iter == 100
     assert preset_config((125, 100)).da_iter == 10
     assert preset_config((150, 100)).da_iter == 12
@@ -149,8 +148,7 @@ def test_preset_values():
 def test_preset_nearest_bucket():
     assert preset_config((70, 50)) is PRESETS[(75, 50)]
     assert preset_config((160, 110)) is PRESETS[(150, 100)]
-    with pytest.raises(ValueError):
-        preset_config("nonsense")
+    assert preset_config([100, 75]) is PRESETS[(100, 75)]
 
 
 def test_ada_config_validation():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from splpo import (
-    GeneratorConfig, ProblemSpec, RunReport, branch_and_bound, brute_force, generate_instance,
-    parse_instance,
+    PRESETS, AdaConfig, DaConfig, GeneratorConfig, ProblemSpec, RunReport, SgConfig,
+    branch_and_bound, brute_force, generate_instance, parse_instance, preset_config,
 )
 from splpo.cli import (
     ALGORITHMS, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
@@ -84,15 +84,22 @@ def test_solve_hc(toy_file):
 
 
 def test_solve_ada_with_preset(toy_file, tmp_path):
+    """ada takes its budgets from the preset nearest the instance's size."""
     rep = tmp_path / "r.csv"
     code = main([
-        "solve", str(toy_file), "--algorithm", "ada", "--preset", "a75_50",
-        "--sg-iter", "5", "--report-out", str(rep),
+        "solve", str(toy_file), "--algorithm", "ada", "--sg-iter", "5", "--report-out", str(rep),
     ])
     assert code == EXIT_OK
     row = RunReport.from_csv(rep.read_text()).rows[0]
     assert row.best_ub == 8.0
     assert row.lower_bound <= 8.0 + 1e-9
+    ran = AdaConfig(**{**PRESETS[(75, 50)].asdict(), "sg_iter": 5})
+    assert row.config_hash == config_hash({"algorithm": "ada", **ran.asdict()})
+
+
+def test_preset_flag_is_gone(toy_file):
+    argv = ["solve", str(toy_file), "--algorithm", "ada", "--preset", "75_50"]
+    assert main(argv) == EXIT_USAGE
 
 
 def test_solve_sg_reports_bound(toy_file, tmp_path):
@@ -308,17 +315,53 @@ def test_config_hash_stable():
     assert config_hash({"x": 2}) != a
 
 
-def test_flags_override_preset(toy_file):
-    from splpo.cli import _ada_config, build_parser
+def _row_hash(inst, algorithm, *flags):
+    args = build_parser().parse_args(["solve", "unused", "--algorithm", algorithm, *flags])
+    return _run_algorithm(inst, algorithm, args)[0].config_hash
 
-    args = build_parser().parse_args(
-        ["solve", str(toy_file), "--algorithm", "ada", "--preset", "a75_50",
-         "--vfh-iter", "9", "--ps", "0.5"]
-    )
-    inst = parse_instance(TOY_DOC)
-    cfg = _ada_config(args, inst)
-    assert cfg.sg_iter == 50  # from the preset
-    assert cfg.vfh_iter == 9 and cfg.ps == 0.5  # flag wins over preset
+
+def test_flags_override_preset(toy):
+    ran = AdaConfig(sg_iter=50, da_iter=3, vfh_iter=9, ps=0.5)  # 75x50 preset, two flags
+    assert _row_hash(toy, "ada", "--vfh-iter", "9", "--ps", "0.5") == config_hash(
+        {"algorithm": "ada", **ran.asdict()})
+
+
+def test_config_hash_covers_every_field_run():
+    """A row hashes its algorithm and every setting it ran with, defaults included."""
+    inst = random_instance(3000, m_max=8, n_max=7)
+    assert _row_hash(inst, "sg") == config_hash({"algorithm": "sg", **SgConfig().asdict()})
+    assert _row_hash(inst, "da") == config_hash({"algorithm": "da", **DaConfig().asdict()})
+    assert _row_hash(inst, "exact", "--node-limit", "5") == config_hash(
+        {"algorithm": "exact", "node_limit": 5, "time_limit": None})
+    for algorithm in ("hc", "hs", "brute"):
+        assert _row_hash(inst, algorithm) == config_hash({"algorithm": algorithm})
+
+
+def test_config_hash_equal_runs_hash_equal():
+    inst = random_instance(3001, m_max=8, n_max=7)
+    preset = preset_config((inst.m, inst.n))
+    assert _row_hash(inst, "ada") == _row_hash(
+        inst, "ada", "--sg-iter", str(preset.sg_iter), "--da-iter", str(preset.da_iter))
+    assert _row_hash(inst, "sg") == _row_hash(inst, "sg", "--beta0", "2.0")
+
+
+@pytest.mark.parametrize("algorithm", ["hc", "sg", "exact"])
+def test_config_hash_ignores_flags_not_read(algorithm):
+    inst = random_instance(3002, m_max=8, n_max=7)
+    unread = [["--ps", "0.5"], ["--seed", "7"]]
+    if algorithm == "sg":
+        unread.append(["--node-limit", "5"])
+    for flags in unread:
+        assert _row_hash(inst, algorithm, *flags) == _row_hash(inst, algorithm), flags
+
+
+@pytest.mark.parametrize("algorithm, flags", [
+    ("sg", ["--beta0", "1.5"]), ("sg", ["--sg-iter", "7"]), ("da", ["--da-iter", "2"]),
+    ("ada", ["--ps", "0.5"]), ("ada", ["--sg-iter", "7"]), ("exact", ["--node-limit", "5"]),
+])
+def test_config_hash_changes_with_a_field_read(algorithm, flags):
+    inst = random_instance(3003, m_max=8, n_max=7)
+    assert _row_hash(inst, algorithm, *flags) != _row_hash(inst, algorithm)
 
 
 def test_solve_incomplete_exit_code(tmp_path):

@@ -65,9 +65,9 @@ def test_brute_force_uniform_instance():
 
 
 def test_brute_force_site_cap():
-    inst = random_instance(1, m_max=3, n_max=3)
+    inst = generate_instance(2, 21, 1)  # one site past the cap, so nothing is enumerated
     with pytest.raises(ValueError, match="limited"):
-        brute_force(ProblemSpec.splpo(inst), max_sites=2)
+        brute_force(ProblemSpec.splpo(inst))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
