@@ -280,9 +280,14 @@ def cmd_bench(args) -> int:
     if not paths:
         raise CliError("no instances match the given patterns")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise CliError("--algorithms names no algorithm")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise CliError(f"unknown algorithms: {', '.join(unknown)}")
+    repeated = [a for a in dict.fromkeys(algorithms) if algorithms.count(a) > 1]
+    if repeated:
+        raise CliError(f"--algorithms names {', '.join(repeated)} more than once")
 
     optima = _load_optima(args.optima) if args.optima else {}
 

@@ -28,6 +28,11 @@ changed, and each skip leaves every float as it was:
 * when no row of lam is non-zero, the relaxation adds nothing for lam at
   all, where every term would be +0.0 (a column sum starts at +0.0, so the
   sums it would be added to are never -0.0);
+* once a relaxation has found lam all zero, a step along a subgradient with
+  no positive entry leaves lam as it is, since max(0.0, 0.0 + alpha * s) is
+  +0.0 for s <= 0: that step is skipped, and the relaxation after it does
+  not look for non-zero rows; whether the subgradient has a positive entry
+  is found at most once per (x, y);
 * the open set y is spread over the cells only when it differs, byte for
   byte, from the y spread last time, which those cells still hold;
 * the subgradient and its squared norm are functions of (x, y) alone, so
@@ -106,10 +111,12 @@ class _RankRelaxation:
     worst first. ``facility[i, q]`` is the site in cell (i, q). The buffers
     are reused, so each call overwrites what the last one returned in them.
     ``solve`` sums lam's non-zero rows alone when they are fewer than half
-    of them (none at all when there are none), and the whole array
-    otherwise, and spreads y over self.y only when it differs from
-    ``y_bytes``, the y spread last; ``subgradient`` counts covers in an int8
-    counter when n < 128 and in an int64 one otherwise.
+    of them (none at all when there are none, and it does not look for them
+    when told that lam is all zero), and the whole array otherwise, and
+    records in self.live whether it found any; it spreads y over self.y
+    only when it differs from ``y_bytes``, the y spread last.
+    ``subgradient`` counts covers in an int8 counter when n < 128 and in an
+    int64 one otherwise.
     """
 
     def __init__(self, inst: Instance):
@@ -118,6 +125,7 @@ class _RankRelaxation:
         self.f = inst.f
         self.ones = np.ones(self.f.size)
         self.facility = np.ascontiguousarray(inst.facility_of_rank[:, ::-1])
+        self.sites = self.facility.ravel()
         self.reduced = np.empty(self.c.shape)
         self.scratch = np.empty(self.c.shape)
         self.x = np.empty(self.c.shape, dtype=bool)
@@ -126,33 +134,42 @@ class _RankRelaxation:
         self.covered = np.empty(self.c.shape, dtype=np.int8 if self.f.size < 128 else np.int64)
         self.s_lam = np.empty(self.c.shape)
         self.y_bytes = None  # the site-order y last spread over self.y
+        self.live = True  # whether lam held a non-zero row in the last solve
 
-    def colsum(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Per-site sums of a, the given rows of an (m, n) array, adding
-        customer after customer like sum(axis=0) in site order: the same
-        floats, up to the sign of a zero sum."""
-        return np.bincount(self.facility[rows].ravel(), weights=a.ravel(),
-                           minlength=self.f.size)
+    def colsum(self, a: np.ndarray, rows=None) -> np.ndarray:
+        """Per-site sums of a, the given rows of an (m, n) array (all of them
+        by default), adding customer after customer like sum(axis=0) in site
+        order: the same floats, up to the sign of a zero sum."""
+        sites = self.sites if rows is None else self.facility[rows].ravel()
+        return np.bincount(sites, weights=a.ravel(), minlength=self.f.size)
 
-    def solve(self, mu: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """(value, rho, y) in site order; self.x and self.y get x and y per cell."""
+    def solve(self, mu: np.ndarray, lam: np.ndarray,
+              live: bool = True) -> tuple[float, np.ndarray, np.ndarray]:
+        """(value, rho, y) in site order; self.x and self.y get x and y per cell.
+
+        live=False promises that lam is all zero, and its rows go unread.
+        self.live records whether lam held a non-zero row.
+        """
         reduced, scratch = self.reduced, self.scratch
         np.subtract(self.c, mu[:, None], out=reduced)
-        # An all-zero row adds +0.0 to the sums, which changes no float. lam
-        # is nonnegative, so a row sums to zero exactly when it is all zeros
-        # (and a NaN row counts as non-zero).
-        rows = np.flatnonzero(lam @ self.ones)
-        if 2 * rows.size >= len(lam):
-            np.cumsum(lam, axis=1, out=scratch)
-            reduced -= scratch
-            lam_sum = self.colsum(lam)
-        elif rows.size:
-            part = lam[rows]
-            reduced[rows] -= np.cumsum(part, axis=1)
-            lam_sum = self.colsum(part, rows)
+        self.live = False
+        if live:
+            # An all-zero row adds +0.0 to the sums, which changes no float.
+            # lam is nonnegative, so a row sums to zero exactly when it is
+            # all zeros (and a NaN row counts as non-zero).
+            rows = (lam @ self.ones).nonzero()[0]
+            self.live = rows.size > 0
+            if 2 * rows.size >= len(lam):
+                np.cumsum(lam, axis=1, out=scratch)
+                reduced -= scratch
+                lam_sum = self.colsum(lam)
+            elif rows.size:
+                part = lam[rows]
+                reduced[rows] -= np.cumsum(part, axis=1)
+                lam_sum = self.colsum(part, rows)
         np.minimum(reduced, 0.0, out=scratch)
         rho = self.colsum(scratch) + self.f
-        if rows.size:
+        if self.live:
             # Without rows lam_sum is +0.0, which changes no sum here: a
             # column sum starts at +0.0, so neither it nor its sum with f
             # is -0.0.
@@ -269,6 +286,9 @@ def subgradient_method(
     the iterates, finite steps from it with lam clipped at zero, are not.
     lam is held in rank order during the run; best_lam is in site order.
     The subgradient is recomputed only at an (x, y) other than the last.
+    Once a relaxation has found lam all zero, a step along a subgradient
+    with no positive entry would leave lam as it is, so it is skipped and
+    the next relaxation does not look for non-zero rows of lam.
     """
     if start is None:
         start = default_start(inst)
@@ -288,6 +308,9 @@ def subgradient_method(
     point = (x.tobytes(), lr.y.tobytes())
     last_point = None
     step = np.empty(lam.shape)
+    # Whether lam may hold a non-zero entry: true at the start, and then
+    # exactly when the last relaxation found a non-zero row.
+    live = True
     best_value = value
     best_mu, best_lam = mu.copy(), lam.copy()
     best_iteration = 0
@@ -302,6 +325,7 @@ def subgradient_method(
             s_mu, s_lam = rel.subgradient(x, y)
             # Subgradient entries are small integers, so these sums are exact in any order.
             norm_sq = float(s_mu @ s_mu + s_lam.ravel() @ s_lam.ravel())
+            rises = None  # whether s_lam has a positive entry, found when needed
             last_point = point
         if norm_sq == 0.0:
             trace.append(
@@ -323,10 +347,20 @@ def subgradient_method(
             break
 
         mu += alpha * s_mu
-        np.multiply(s_lam, alpha, out=step)
-        lam += step
-        np.maximum(0.0, lam, out=lam)
-        value = rel.solve(mu, lam)[0]
+        if not live:
+            # lam is all zero, and max(0.0, 0.0 + alpha * s) is +0.0 for s <= 0
+            # and a finite alpha (an overflow's inf or NaN alpha steps). A -0.0
+            # of the start outlives the first step only where alpha is 0, and
+            # then no step moves anything.
+            if rises is None:
+                rises = bool(s_lam.max() > 0)
+            live = rises or not alpha < math.inf
+        if live:
+            np.multiply(s_lam, alpha, out=step)
+            lam += step
+            np.maximum(0.0, lam, out=lam)
+        value = rel.solve(mu, lam, live)[0]
+        live = rel.live
         x, y = rel.x, rel.y
         point = (x.tobytes(), rel.y_bytes)
         iteration += 1

@@ -229,6 +229,22 @@ def test_bench_rejects_a_malformed_optima_file(toy_file, tmp_path, capsys, doc, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algorithms, fragment", [
+    ("", "--algorithms names no algorithm"),
+    (",,", "--algorithms names no algorithm"),
+    (" , ", "--algorithms names no algorithm"),
+    ("hc,hc", "--algorithms names hc more than once"),
+    ("sg,hc,sg,hc, hc", "--algorithms names sg, hc more than once"),
+])
+def test_bench_rejects_an_empty_or_repeated_algorithm_list(toy_file, tmp_path, capsys,
+                                                          algorithms, fragment):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", str(toy_file), "--algorithms", algorithms, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and fragment in captured.err
+    assert not out.exists() and captured.out == ""
+
+
 def test_non_finite_costs_are_bad_input_not_infeasible(tmp_path, capsys):
     path = tmp_path / "bad.splpo"
     path.write_text(TOY_DOC.replace("3 1", "1 inf").replace("2 5", "1 nan"))

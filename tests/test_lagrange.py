@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,14 @@ def _bit_identity_cases():
     lam = np.zeros((12, 8))
     lam[3] = rng.uniform(0.5, 3.0, 8)
     yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam)
+    # lam's non-zero rows all return to zero and later some are non-zero
+    # again; and a start whose zero rows hold -0.0 entries, which the first
+    # step makes +0.0 (best_lam is taken while lam is still all zero).
+    inst = _fractional_instance(1, 5, 4)
+    yield inst, SgConfig(max_iter=100), default_start(inst)
+    lam = np.zeros((5, 4))
+    lam[::2] = -0.0
+    yield inst, SgConfig(max_iter=5), LagrangeMultipliers(default_start(inst).mu, lam)
     # mu so large that every site opens and serves everyone: a count reaches
     # n = 127, the most the narrow counter holds, and n = 130 in the wide one.
     for n in (127, 130):
@@ -433,9 +442,17 @@ def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
     statuses = set()
     spy = _CumsumSpy()
     monkeypatch.setattr(lagrange, "np", spy)
+    lam_live = []  # per relaxation of a run: whether lam holds a non-zero entry
+    solve = lagrange._RankRelaxation.solve
+    monkeypatch.setattr(lagrange._RankRelaxation, "solve", lambda rel, mu, lam, live=True: (
+        lam_live.append("01"[bool(lam.any())]) or solve(rel, mu, lam, live)))
+    returns = set()  # the shapes whose runs took lam from non-zero to all zero and back
     for inst, cfg, start in _bit_identity_cases():
         spy.m = inst.m
+        lam_live.clear()
         res = subgradient_method(inst, cfg, start)
+        if re.search("10+1", "".join(lam_live)):
+            returns.add((inst.m, inst.n))
         ref = _reference_subgradient_method(inst, cfg, start)
         case = (inst, cfg)
         same_trace = repr(res.trace) == repr(ref.trace)  # no diff of two long reprs on failure
@@ -447,8 +464,24 @@ def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
         assert res.best_lam.tobytes() == ref.best_lam.tobytes(), case
         statuses.add(res.status)
     assert statuses == {"optimal", "aim_exceeded", "iter_limit", "beta_exhausted"}
+    assert returns == {(75, 50), (5, 4)}
     assert spy.paths == {"whole", "rows"}
     assert spy.counts[np.dtype(np.int8)] == 127 and spy.counts[np.dtype(np.int64)] == 130
+
+
+def test_sg_takes_an_inf_step_from_an_all_zero_lam():
+    # An aim so high that the first step, which leaves lam all zero, sends
+    # the relaxation value towards -1e308, so the second step's alpha is
+    # inf: inf * 0 is NaN, so that step must be taken.
+    inst = generate_instance(2, 2, 1)
+    cfg, start = SgConfig(lr_aim=8e307, max_iter=3), default_start(inst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = subgradient_method(inst, cfg, start)
+        ref = _reference_subgradient_method(inst, cfg, start)
+    assert math.isfinite(ref.trace[0].alpha) and ref.trace[1].alpha == math.inf
+    assert repr(res.trace) == repr(ref.trace)
+    assert res.best_mu.tobytes() == ref.best_mu.tobytes()
+    assert res.best_lam.tobytes() == ref.best_lam.tobytes()
 
 
 def test_relaxation_steps_match_the_gather_based_reference():
@@ -472,13 +505,12 @@ def test_relaxation_steps_match_the_gather_based_reference():
 
 
 class _SkipSpy:
-    """Stands in for numpy in the lagrange module and records, per
-    relaxation, how many rows of lam were non-zero (the kernel's one
-    flatnonzero), and how often lam was summed (its float cumsums) and y
+    """Stands in for numpy in the lagrange module and counts how often lam
+    was summed (its float cumsums) and stepped (its one np.maximum), and y
     spread over the cells (its one np.take)."""
 
     def __init__(self):
-        self.rows, self.lam_sums, self.spreads = [], 0, 0
+        self.lam_sums, self.lam_steps, self.spreads = 0, 0, 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -487,10 +519,9 @@ class _SkipSpy:
         self.lam_sums += a.dtype == float
         return np.cumsum(a, *args, **kwargs)
 
-    def flatnonzero(self, a):
-        out = np.flatnonzero(a)
-        self.rows.append(out.size)
-        return out
+    def maximum(self, *args, **kwargs):
+        self.lam_steps += 1
+        return np.maximum(*args, **kwargs)
 
     def take(self, *args, **kwargs):
         self.spreads += 1
@@ -500,10 +531,30 @@ class _SkipSpy:
 def test_sg_skips_exactly_the_work_whose_inputs_did_not_change(monkeypatch):
     spy = _SkipSpy()
     monkeypatch.setattr(lagrange, "np", spy)
-    subgradients = []
+    rises = []  # per subgradient: whether s_lam has a positive entry
     subgradient = lagrange._RankRelaxation.subgradient
-    monkeypatch.setattr(lagrange._RankRelaxation, "subgradient",
-                        lambda rel, x, y: subgradients.append(1) or subgradient(rel, x, y))
+
+    def spy_subgradient(rel, x, y):
+        s_mu, s_lam = subgradient(rel, x, y)
+        rises.append(bool(s_lam.max() > 0))
+        return s_mu, s_lam
+
+    # Per relaxation: whether it read lam's rows, how many were non-zero, the
+    # float cumsums it made, the lam steps since the last one, and whether
+    # the subgradient stepped along (if any) has a positive entry.
+    relaxations = []
+    solve = lagrange._RankRelaxation.solve
+
+    def spy_solve(rel, mu, lam, live=True):
+        sums, steps = spy.lam_sums, spy.lam_steps
+        out = solve(rel, mu, lam, live)
+        spy.lam_steps = 0
+        relaxations.append((live, int(lam.any(axis=1).sum()), spy.lam_sums - sums, steps,
+                            rises[-1] if rises else None))
+        return out
+
+    monkeypatch.setattr(lagrange._RankRelaxation, "subgradient", spy_subgradient)
+    monkeypatch.setattr(lagrange._RankRelaxation, "solve", spy_solve)
     inst = generate_instance(75, 50, 1, GeneratorConfig(mode="cost-consistent"))
     cfg, start = SgConfig(), default_start(inst)
     res = subgradient_method(inst, cfg, start)
@@ -516,14 +567,25 @@ def test_sg_skips_exactly_the_work_whose_inputs_did_not_change(monkeypatch):
     assert res.best_lam.tobytes() == ref.best_lam.tobytes()
     # One relaxation for the start, one per step; the subgradient is reused
     # at a repeated (x, y), and y is spread only when it changed.
-    solves = len(spy.rows)
+    solves = len(relaxations)
     assert solves == res.iterations + 1
-    assert 0 < len(subgradients) < res.iterations
+    assert 0 < len(rises) < res.iterations
     assert 0 < spy.spreads < solves
+    read, rows, sums, steps, rising = zip(*relaxations)
     # lam starts with no non-zero row, and later gains some; it is summed
     # only in the relaxations where it has some.
-    assert spy.rows[0] == 0 and any(a == 0 < b for a, b in zip(spy.rows, spy.rows[1:]))
-    assert spy.lam_sums == sum(r > 0 for r in spy.rows)
+    assert rows[0] == 0 and any(a == 0 < b for a, b in zip(rows, rows[1:]))
+    assert spy.lam_sums == sum(r > 0 for r in rows)
+    # The start is relaxed with its rows read, and the first step is always
+    # taken. After that, a step from a lam with no non-zero row along a
+    # subgradient with no positive entry leaves lam all +0.0: it is not
+    # taken, and the relaxation reads and sums no row of lam. Every other
+    # step is taken and its relaxation reads lam's rows.
+    idle = [k >= 2 and rows[k - 1] == 0 and not rising[k] for k in range(solves)]
+    assert read[0] and steps[0] == 0
+    assert all(read[k] == (not idle[k]) and steps[k] == (not idle[k]) for k in range(1, solves))
+    assert all(sums[k] == 0 for k in range(solves) if idle[k])
+    assert 0 < sum(idle) < solves
 
 
 def test_relaxation_without_lam_rows_keeps_signed_zeros():
