@@ -101,7 +101,6 @@ _DEFAULTS = {
 def _add_solver_flags(cmd: argparse.ArgumentParser) -> None:
     for name, (kind, _) in SOLVER_FLAGS.items():
         cmd.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
-    cmd.add_argument("--seed", type=int, default=None, help="recorded in the report rows")
 
 
 def _settings(inst: Instance, algorithm: str, args) -> dict:
@@ -177,7 +176,6 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
         best_iteration=best_iteration,
         time_s=round(total if stage_time is None else stage_time, 3),
         total_time_s=round(total, 3),
-        seed=args.seed,
         config_hash=config_hash({"algorithm": algorithm, **fields}),
     )
     return row, solution

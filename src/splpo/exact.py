@@ -80,10 +80,15 @@ the sums the bounds take of them. Opening j moves to j the customers that
 rank it above their current server, updating ``rank`` and ``a``
 elementwise, and recomputes ``savings`` and ``gain`` in one O(m*n) pass;
 closing j shares everything with the parent except ``cmin``, which is
-recomputed only for the customers whose minimum was attained at j. Minima
-and gathers are exact and every float sum keeps its operands and their
-order, so a node's state equals the one computed from its decisions alone,
-bit for bit, and its value is the price of its open set.
+recomputed only for the customers whose minimum was attained at j. Nodes with
+nothing open lie on one chain of closed children below the root, whose
+closed sets are the prefixes of one facility order; each closed child on it
+reads ``cmin`` and its sum from a chain table built once per search on first
+use, a suffix minimum over the facility-major cost rows of that order whose
+row d is the node that closed the first d facilities. Minima and gathers are exact and
+every float sum keeps its operands and their order, so a node's state equals
+the one computed from its decisions alone, bit for bit, and its value is the
+price of its open set.
 
 Branching follows the preference bound: once something is open, the engine
 branches on the undecided facility with the largest ``gain[k] - f[k]``, the
@@ -206,8 +211,9 @@ class _Context:
         self.p = inst.p
         self.rows = np.arange(self.m)
         # Facility-major copies: a facility's column is one contiguous row.
+        # Ranks fit int32, which halves the bytes each rank comparison reads.
         self.cT = np.ascontiguousarray(self.c.T)
-        self.pT = np.ascontiguousarray(self.p.T)
+        self.pT = np.ascontiguousarray(self.p.T, dtype=np.int32)
         self.big = self.n + 1
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
@@ -264,8 +270,26 @@ def _savings_dual(s, f, w) -> np.ndarray:
 
 
 def _served(cmin) -> float:
-    """Everyone served at cmin; inf when some customer has no facility left."""
-    return float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
+    """Everyone served at cmin; inf when some customer has no facility left.
+
+    Costs are finite and nonnegative, so cmin holds no NaN and no -inf, and
+    an inf entry makes the sum inf.
+    """
+    return float(np.add.reduce(cmin))
+
+
+def _chain(ctx: _Context, order: list) -> list:
+    """(cmin, served) of each node with nothing open, by the number of facilities it closed.
+
+    Entry d holds each customer's cheapest cost outside order[:d], row d of
+    one suffix-minimum table over the facility-major cost rows of order
+    (its last row, all inf, for the node that closed them all), and the
+    row's sum. A row's pairwise sum is the float its 1-D sum gives, so each
+    served is _served of its row.
+    """
+    table = np.full((len(order) + 1, ctx.m), np.inf)
+    np.minimum.accumulate(ctx.cT[order[::-1]], axis=0, out=table[-2::-1])
+    return list(zip(table, np.add.reduce(table, axis=1).tolist()))
 
 
 class _Node:
@@ -300,10 +324,10 @@ class _Node:
         for bit; from_masks and open_child both come here, so they agree on
         value, savings and gain whenever they agree on rank and a.
         """
-        fopen = float(ctx.f[open_mask].sum())
+        fopen = float(np.add.reduce(ctx.f[open_mask]))
         savings = _savings(a, rank, ctx.cT, ctx.pT)
         return _Node(open_mask, closed_mask, fopen, cmin, served, rank, a,
-                     fopen + float(a.sum()), savings, savings.sum(axis=1))
+                     fopen + float(np.add.reduce(a)), savings, np.add.reduce(savings, axis=1))
 
     @staticmethod
     def from_masks(ctx: _Context, open_mask, closed_mask) -> "_Node":
@@ -316,10 +340,10 @@ class _Node:
         cmin = np.where(closed_mask, np.inf, ctx.c).min(axis=1)
         served = _served(cmin)
         if not open_mask.any():
-            rank = np.full(ctx.m, ctx.big, dtype=np.int64)
+            rank = np.full(ctx.m, ctx.big, dtype=np.int32)
             return _Node(open_mask, closed_mask, 0.0, cmin, served, rank, np.full(ctx.m, np.inf),
                          None, None, None)
-        rank = ctx.p[:, open_mask].min(axis=1)
+        rank = ctx.pT[open_mask].min(axis=0)
         a = ctx.c[ctx.rows, ctx.inst.facility_of_rank[ctx.rows, rank - 1]]
         return _Node._opened(ctx, open_mask, closed_mask, cmin, served, rank, a)
 
@@ -330,15 +354,20 @@ class _Node:
         a = np.where(rank < self.rank, ctx.cT[j], self.a)  # the customers that move to j
         return _Node._opened(ctx, open_mask, self.closed, self.cmin, self.served, rank, a)
 
-    def closed_child(self, ctx: _Context, j) -> "_Node":
+    def closed_child(self, ctx: _Context, j, chained=None) -> "_Node":
+        """The child that closes j; chained, given when nothing is open, is
+        the child's (cmin, served) from the chain table (_chain)."""
         closed_mask = self.closed.copy()
         closed_mask[j] = True
-        cmin, served = self.cmin, self.served
-        hit = (ctx.cT[j] == cmin).nonzero()[0]
-        if hit.size:
-            cmin = cmin.copy()
-            cmin[hit] = np.where(closed_mask, np.inf, ctx.c[hit]).min(axis=1)
-            served = _served(cmin)
+        if chained is not None:
+            cmin, served = chained
+        else:
+            cmin, served = self.cmin, self.served
+            hit = (ctx.cT[j] == cmin).nonzero()[0]
+            if hit.size:
+                cmin = cmin.copy()
+                cmin[hit] = np.where(closed_mask, np.inf, ctx.c[hit]).min(axis=1)
+                served = _served(cmin)
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
                      self.value, self.savings, self.gain)
 
@@ -367,7 +396,7 @@ class _Node:
             k = int(net.argmax())
             if net[k] > -np.inf:
                 best = k
-            bound = max(bound, self.value - float(np.maximum(net, 0.0).sum()))
+            bound = max(bound, self.value - float(np.add.reduce(np.maximum(net, 0.0))))
             # D(w) >= net[k] for every w, so only here can the savings-dual
             # bound reach the incumbent.
             if bound < incumbent and net[k] > 0.0 and self.value - net[k] >= incumbent:
@@ -446,10 +475,13 @@ def branch_and_bound(
     ctx = _Context(spec)
     inst = spec.inst
     # Nodes with nothing open lie on the chain of closed children below the
-    # root, so their closed set is a prefix of this order.
+    # root, so their closed set is a prefix of this order. Only a search
+    # with nothing forced open has them; their state comes from the chain
+    # table, built when the first of them is expanded.
     alone = ctx.f + ctx.c.sum(axis=0)
     free = [j for j in range(inst.n) if not ctx.forced[j]]
     order = sorted(free, key=lambda j: (alone[j], j))
+    chain = None
 
     incumbent_value = math.inf
     incumbent_mask = None
@@ -537,8 +569,13 @@ def branch_and_bound(
             if frontier is not None:
                 frontier.append((bound, depth, open_mask, closed_mask, best))
             continue
-        j = order[depth] if best is None else best
-        stack.append((bound, depth + 1, node.closed_child(ctx, j), False))
+        if best is None:  # nothing is open: the closed child closes order[:depth + 1]
+            if chain is None:
+                chain = _chain(ctx, order)
+            j, chained = order[depth], chain[depth + 1]
+        else:
+            j, chained = best, None
+        stack.append((bound, depth + 1, node.closed_child(ctx, j, chained), False))
         stack.append((bound, depth + 1, node.open_child(ctx, j), True))
 
     if aborted:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .instance import Instance, Record
+from .instance import Instance, Record, as_int
 
 UNASSIGNED = -1
 
@@ -45,10 +45,26 @@ class Violation(Record):
 
 
 def open_mask(inst: Instance, open_facilities) -> np.ndarray:
-    """Boolean mask over the sites, true at each id in open_facilities."""
+    """Boolean mask over the sites, true at each id in open_facilities.
+
+    ValueError for an id that names no site: numpy would wrap a negative one
+    round to another site.
+    """
+    ids = list(open_facilities)
+    bad = [j for j in ids if as_int(j) is None or not 0 <= j < inst.n]
+    if bad:
+        raise ValueError(f"open facilities {bad} name no site of {inst.n}")
     mask = np.zeros(inst.n, dtype=bool)
-    mask[list(open_facilities)] = True
+    mask[ids] = True
     return mask
+
+
+def _linked(mask: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Whether each server in assign is a site open in mask; UNASSIGNED and
+    every other id of no site are not."""
+    linked = (assign >= 0) & (assign < mask.size)
+    linked[linked] = mask[assign[linked]]
+    return linked
 
 
 def price(inst: Instance, rows: np.ndarray, assign: np.ndarray, mask: np.ndarray) -> float:
@@ -76,14 +92,19 @@ def assign_most_preferred(inst: Instance, open_facilities) -> np.ndarray:
 
 
 def objective(inst: Instance, sol: Solution) -> float:
-    """Service cost of assigned customers plus opening cost of open facilities."""
+    """Service cost of assigned customers plus opening cost of open facilities.
+
+    ValueError for an open id that names no site, or a customer assigned to
+    a facility that is not open.
+    """
     assign = np.asarray(sol.assign)
+    mask = open_mask(inst, sol.open_facilities)
     rows = np.flatnonzero(assign != UNASSIGNED)
-    closed = rows[~np.isin(assign[rows], list(sol.open_facilities))]
+    closed = rows[~_linked(mask, assign[rows])]
     if closed.size:
         i = int(closed[0])
         raise ValueError(f"customer {i} assigned to closed facility {assign[i]}")
-    return price(inst, rows, assign[rows], open_mask(inst, sol.open_facilities))
+    return price(inst, rows, assign[rows], mask)
 
 
 def check_feasible(inst: Instance, sol: Solution) -> list[Violation]:
@@ -92,10 +113,12 @@ def check_feasible(inst: Instance, sol: Solution) -> list[Violation]:
     Checks, in indicator form: every customer is assigned, assignments point
     at open facilities, and no customer bypasses an open facility it prefers
     over its server; preference violations come by open facility, then customer.
+    An assignment to an id of no site is an open_link violation, but an open
+    id that names no site raises ValueError.
     """
     assign = np.asarray(sol.assign)
+    linked = _linked(open_mask(inst, sol.open_facilities), assign)
     open_ids = sorted(sol.open_facilities)
-    linked = (assign != UNASSIGNED) & np.isin(assign, open_ids)
     violations = []
     for i in np.flatnonzero(~linked).tolist():
         j = int(assign[i])
@@ -108,7 +131,7 @@ def check_feasible(inst: Instance, sol: Solution) -> list[Violation]:
     # covered[k, i]: customer i's server is open and ranked no worse than open_ids[k].
     covered = np.zeros((len(open_ids), inst.m), dtype=bool)
     served = np.flatnonzero(linked)
-    if served.size:  # p is indexed for linked customers only: an id of no site raises only then
+    if served.size:
         ranks = inst.p[served]
         covered[:, served] = (ranks[np.arange(served.size), assign[served]][:, None]
                               <= ranks[:, open_ids]).T
@@ -199,7 +222,8 @@ class GreedyRound(Record):
 def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[GreedyRound]]:
     """The sweep behind hc and hs: one whole-array pass over every site per round.
 
-    Facility-major copies make each site's column one contiguous row. A round
+    Facility-major copies make each site's column one contiguous row, and
+    ranks fit int32, which halves the bytes each rank comparison reads. A round
     carries every customer's current cost and rank; row j of ``cost`` is the
     assignment if j were added (the customers preferring j move to it), and
     its pairwise row sum is j's total service cost, the same float a 1-D sum
@@ -210,11 +234,12 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
     """
     m, n, f = inst.m, inst.n, inst.f
     c_t = np.ascontiguousarray(inst.c.T)
-    p_t = np.ascontiguousarray(inst.p.T)
+    p_t = np.ascontiguousarray(inst.p.T, dtype=np.int32)
 
     def record(j: int, service: np.float64, assign: np.ndarray) -> GreedyRound:
-        used = np.bincount(assign, minlength=n) > 0
-        return GreedyRound(j, float(service), float(service + f[used].sum()),
+        used = np.zeros(n, dtype=bool)
+        used[assign] = True
+        return GreedyRound(j, float(service), float(service + np.add.reduce(f[used])),
                            tuple(used.nonzero()[0].tolist()))
 
     j0 = int(np.argmin(inst.c.sum(axis=0)))  # ties resolved to the lowest index
@@ -228,7 +253,7 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
     for _ in range(n - 1):
         prefer = p_t < cur_p
         cost = np.where(prefer, c_t, cur_c)
-        tcs = cost.sum(axis=1)
+        tcs = np.add.reduce(cost, axis=1)
         tcs[taken] = np.inf
         k = int(tcs.argmin())
         if taken[k]:  # every untaken total overflowed to inf too

@@ -364,11 +364,17 @@ def test_config_hash_equal_runs_hash_equal():
 @pytest.mark.parametrize("algorithm", ["hc", "sg", "exact"])
 def test_config_hash_ignores_flags_not_read(algorithm):
     inst = random_instance(3002, m_max=8, n_max=7)
-    unread = [["--ps", "0.5"], ["--seed", "7"]]
+    unread = [["--ps", "0.5"]]
     if algorithm == "sg":
         unread.append(["--node-limit", "5"])
     for flags in unread:
         assert _row_hash(inst, algorithm, *flags) == _row_hash(inst, algorithm), flags
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_seed_is_not_a_solver_flag(toy_file, command):
+    # No algorithm reads a seed; only generate takes one.
+    assert main([command, str(toy_file), "--seed", "7"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("algorithm, flags", [

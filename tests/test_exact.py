@@ -479,6 +479,13 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
 
     monkeypatch.setattr(_Node, "bound", recording)
     specs = _float_specs(seed)
+    # Integer costs tie: facilities tie on the cost of opening each alone,
+    # which fixes the order of the nothing-open chain, and customers tie on
+    # their cheapest cost, so its rows must be read at the right depth.
+    tied = generate_instance(40, 16, seed, GeneratorConfig(cost_range=(1, 3), open_range=(1, 3)))
+    alone = tied.f + tied.c.sum(axis=0)
+    assert np.unique(alone).size < tied.n
+    specs["integer"] = ProblemSpec.splpo(tied)
     counts = {}
     for kind, spec in specs.items():
         branch_and_bound(spec)

@@ -112,9 +112,12 @@ def test_check_feasible_flags_closed_assignment(toy):
 
 
 def _reference_check_feasible(inst, sol):
-    """check_feasible as the plain double loop over open facilities and customers."""
+    """check_feasible as the plain double loop over open facilities and
+    customers, after refusing an open id that names no site."""
     violations = []
     open_set = sol.open_facilities
+    if any(not 0 <= j < inst.n for j in open_set):
+        raise ValueError("an open id names no site")
     for i in range(inst.m):
         j = int(sol.assign[i])
         if j == UNASSIGNED:
@@ -147,10 +150,10 @@ def _reference_check_feasible(inst, sol):
 
 
 def _outcome(fn, *args):
-    """The result of fn(*args), or the type of the exception it raised."""
+    """The result of fn(*args), or ValueError if it raised one."""
     try:
         return fn(*args)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         return type(exc)
 
 
@@ -192,6 +195,16 @@ def test_out_of_range_servers_are_open_link_violations():
                      ("preference", 0, 0), ("preference", 1, 0)]
     with pytest.raises(ValueError, match="closed facility 7"):
         objective(inst, sol)
+
+
+@pytest.mark.parametrize("n, open_id", [(3, -2), (3, -1), (4, 9), (4, 4)])
+def test_open_ids_of_no_site_raise(n, open_id):
+    # As an index, -2 would name site 1 of 3, and 9 would raise IndexError.
+    inst = Instance(f=np.ones(n), c=np.ones((5, n)), p=np.array([list(range(1, n + 1))] * 5))
+    sol = Solution(frozenset({open_id}), assign=np.full(5, open_id), objective=0.0)
+    for fn in (check_feasible, objective):
+        with pytest.raises(ValueError, match="name no site"):
+            fn(inst, sol)
 
 
 def _float_instance(seed):
