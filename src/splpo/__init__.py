@@ -34,7 +34,6 @@ from .solution import (
     heuristic_hc,
     heuristic_hs,
     objective,
-    solution_from_json,
     solution_to_json,
 )
 

@@ -137,7 +137,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     timings: dict = {}
 
     t0 = time.perf_counter()
-    hc_sol, _ = heuristic_hc(inst)
+    hc_sol = heuristic_hc(inst)
     timings["hc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

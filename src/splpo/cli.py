@@ -130,9 +130,9 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
     fields = _settings(inst, algorithm, args)
     if algorithm == "hc" or algorithm == "hs":
         run = heuristic_hc if algorithm == "hc" else heuristic_hs
-        sol, trace = run(inst)
-        solution, ub = sol, sol.objective
-        y_count, iterations = len(sol.open_facilities), len(trace)
+        solution = run(inst)
+        ub, y_count = solution.objective, len(solution.open_facilities)
+        iterations = solution.provenance["rounds"]
     elif algorithm == "sg":
         res = subgradient_method(inst, SgConfig(**fields))
         lb, iterations, best_iteration = res.best_value, res.iterations, res.best_iteration

@@ -502,7 +502,7 @@ def branch_and_bound(
     # valued sum(gamma) and never evaluated again, so node bounds need to
     # cover only the non-empty sets below a node.
     if spec.kind == KIND_SPLPO:
-        hc_sol, _ = heuristic_hc(inst)
+        hc_sol = heuristic_hc(inst)
         warm = ctx.forced.copy()
         for j in hc_sol.open_facilities:
             warm[j] = True

@@ -294,8 +294,7 @@ def subgradient_method(
         start = default_start(inst)
     lr_aim = cfg.lr_aim
     if lr_aim is None:
-        hc_sol, _ = heuristic_hc(inst)
-        lr_aim = hc_sol.objective
+        lr_aim = heuristic_hc(inst).objective
 
     mu = start.mu.copy()
     # The start's one check, shapes included, before any flat gather reads it.

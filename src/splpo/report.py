@@ -1,4 +1,4 @@
-"""Run reports: per-instance result rows with CSV and JSON round-trips."""
+"""Run reports: per-instance result rows, written as CSV or JSON and read back from CSV."""
 
 from __future__ import annotations
 
@@ -109,15 +109,6 @@ class RunReport(Record):
 
     def to_json(self) -> str:
         return json.dumps([r.asdict() for r in self.rows], indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "RunReport":
-        """Read to_json's format; ValueError naming the keys, as from_csv's
-        for columns, for a record that cannot be a report row."""
-        records = json.loads(text)
-        for rec in records:
-            _check_columns(rec)
-        return RunReport(rows=[ReportRow(**rec) for rec in records])
 
 
 def _check_columns(names) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -59,6 +58,19 @@ def open_mask(inst: Instance, open_facilities) -> np.ndarray:
     return mask
 
 
+def _assignment(inst: Instance, sol: Solution) -> np.ndarray:
+    """sol.assign as an array; ValueError naming its dtype, shape or length
+    unless it holds one integer entry per customer."""
+    assign = np.asarray(sol.assign)
+    if assign.dtype.kind not in "iu":
+        raise ValueError(f"assign must hold integer facility ids, got dtype {assign.dtype}")
+    if assign.ndim != 1:
+        raise ValueError(f"assign must be 1-D, got shape {assign.shape}")
+    if assign.size != inst.m:
+        raise ValueError(f"assign has {assign.size} entries for {inst.m} customers")
+    return assign
+
+
 def _linked(mask: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Whether each server in assign is a site open in mask; UNASSIGNED and
     every other id of no site are not."""
@@ -94,10 +106,11 @@ def assign_most_preferred(inst: Instance, open_facilities) -> np.ndarray:
 def objective(inst: Instance, sol: Solution) -> float:
     """Service cost of assigned customers plus opening cost of open facilities.
 
-    ValueError for an open id that names no site, or a customer assigned to
-    a facility that is not open.
+    ValueError for an assign that is not one integer per customer, an open
+    id that names no site, or a customer assigned to a facility that is not
+    open.
     """
-    assign = np.asarray(sol.assign)
+    assign = _assignment(inst, sol)
     mask = open_mask(inst, sol.open_facilities)
     rows = np.flatnonzero(assign != UNASSIGNED)
     closed = rows[~_linked(mask, assign[rows])]
@@ -114,9 +127,10 @@ def check_feasible(inst: Instance, sol: Solution) -> list[Violation]:
     at open facilities, and no customer bypasses an open facility it prefers
     over its server; preference violations come by open facility, then customer.
     An assignment to an id of no site is an open_link violation, but an open
-    id that names no site raises ValueError.
+    id that names no site, or an assign that is not one integer per
+    customer, raises ValueError.
     """
-    assign = np.asarray(sol.assign)
+    assign = _assignment(inst, sol)
     linked = _linked(open_mask(inst, sol.open_facilities), assign)
     open_ids = sorted(sol.open_facilities)
     violations = []
@@ -153,73 +167,12 @@ def solution_to_json(sol: Solution) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _site_from_json(value, key: str, position: int) -> int:
-    """A 1-based facility id read from disk, as a 0-based index."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key}[{position}]: facility ids are integers >= 1, got {value!r}")
-    return value - 1
-
-
-def _list_from_json(doc: dict, key: str) -> list:
-    value = doc.get(key)
-    if not isinstance(value, list):
-        raise ValueError(f"{key}: a list is required, got {value!r}")
-    return value
-
-
-def _objective_from_json(doc: dict) -> float:
-    """The objective read from disk: a JSON number that is finite as a float."""
-    value = doc.get("objective")
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer literal too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"objective: a finite number is required, got {value!r}")
-    return number
-
-
-def solution_from_json(text: str) -> Solution:
-    """Read solution_to_json's format. ValueError for a document that is not a
-    JSON object, an "open" or "assign" that is missing or not a list, a
-    facility id below 1 or not an integer, an objective that is missing or
-    not a finite number, and a "provenance" that is not an object."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a solution is a JSON object, got {type(doc).__name__}")
-    assign = np.array(
-        [UNASSIGNED if j is None else _site_from_json(j, "assign", i)
-         for i, j in enumerate(_list_from_json(doc, "assign"))],
-        dtype=np.int64,
-    )
-    open_facilities = frozenset(
-        _site_from_json(j, "open", k) for k, j in enumerate(_list_from_json(doc, "open")))
-    objective = _objective_from_json(doc)
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise ValueError(f"provenance: a JSON object is required, got {provenance!r}")
-    return Solution(open_facilities=open_facilities, assign=assign, objective=objective,
-                    provenance=provenance)
-
-
 # ---------------------------------------------------------------------------
 # Greedy upper-bound heuristics
 # ---------------------------------------------------------------------------
 
 
-class GreedyRound(Record):
-    """One accepted assignment during the greedy sweep."""
-
-    __slots__ = ("facility", "service_cost", "objective", "used")
-
-    def __init__(self, facility: int, service_cost: float, objective: float, used: tuple):
-        self.facility = facility  # facility selected this round
-        self.service_cost = service_cost  # sum of service costs of the accepted assignment
-        self.objective = objective  # full objective, opening costs over facilities in use
-        self.used = used  # facilities actually serving someone
-
-
-def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[GreedyRound]]:
+def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
     """The sweep behind hc and hs: one whole-array pass over every site per round.
 
     Facility-major copies make each site's column one contiguous row, and
@@ -228,27 +181,29 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
     assignment if j were added (the customers preferring j move to it), and
     its pairwise row sum is j's total service cost, the same float a 1-D sum
     of that assignment gives. Taken sites are masked to inf, so ``argmin``
-    picks the lowest-index minimum among the rest. The round's record reuses
-    that row sum: its objective adds the opening costs of the sites in use,
-    as ``price`` does.
+    picks the lowest-index minimum among the rest. A round's objective adds
+    that row sum to the opening costs of the sites in use, as ``price`` does.
+    The sweep keeps only its running best (objective, assignment, sites in
+    use) and counts its rounds, the seed round included, into the solution's
+    provenance.
     """
     m, n, f = inst.m, inst.n, inst.f
     c_t = np.ascontiguousarray(inst.c.T)
     p_t = np.ascontiguousarray(inst.p.T, dtype=np.int32)
 
-    def record(j: int, service: np.float64, assign: np.ndarray) -> GreedyRound:
+    def used_by(assign: np.ndarray) -> np.ndarray:
         used = np.zeros(n, dtype=bool)
         used[assign] = True
-        return GreedyRound(j, float(service), float(service + np.add.reduce(f[used])),
-                           tuple(used.nonzero()[0].tolist()))
+        return used
 
     j0 = int(np.argmin(inst.c.sum(axis=0)))  # ties resolved to the lowest index
     cur_c, cur_p = c_t[j0], p_t[j0]
     assign = np.full(m, j0, dtype=np.int64)
     taken = np.zeros(n, dtype=bool)
     taken[j0] = True
-    trace = [record(j0, cur_c.sum(), assign)]
-    best, best_assign = trace[0], assign
+    service = cur_c.sum()
+    best_used = used_by(assign)
+    best, best_assign = float(service + np.add.reduce(f[best_used])), assign
 
     for _ in range(n - 1):
         prefer = p_t < cur_p
@@ -261,27 +216,31 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> tuple[Solution, list[Gree
         taken[k] = True
         assign = np.where(prefer[k], k, assign)
         cur_c, cur_p = cost[k], np.minimum(p_t[k], cur_p)
-        trace.append(record(k, tcs[k], assign))
-        if trace[-1].objective < best.objective:
-            best, best_assign = trace[-1], assign
-        if early_stop and trace[-1].service_cost >= trace[-2].service_cost:
+        used = used_by(assign)
+        value = float(tcs[k] + np.add.reduce(f[used]))
+        if value < best:
+            best, best_assign, best_used = value, assign, used
+        if early_stop and tcs[k] >= service:
             break
+        service = tcs[k]
 
     # Customers sit at their most preferred selected facility: the forced assignment.
-    sol = Solution(
-        open_facilities=frozenset(best.used),
+    return Solution(
+        open_facilities=frozenset(best_used.nonzero()[0].tolist()),
         assign=best_assign,
-        objective=best.objective,
-        provenance={"algorithm": "hs" if early_stop else "hc"},
+        objective=best,
+        # Each round, the seed's included, takes one site.
+        provenance={"algorithm": "hs" if early_stop else "hc",
+                    "rounds": int(np.count_nonzero(taken))},
     )
-    return sol, trace
 
 
-def heuristic_hc(inst: Instance) -> tuple[Solution, list[GreedyRound]]:
+def heuristic_hc(inst: Instance) -> Solution:
     """Full greedy sweep: seed with the cheapest-total facility, then keep
     adding the facility whose preference-aware reassignment has the lowest
     total service cost until none remain. The returned solution is the
-    best full objective among all accepted assignments.
+    best full objective among all accepted assignments; its provenance
+    holds the number of rounds, the seed round included.
 
     Each round is one whole-array pass over every site (see _greedy_sweep),
     so a call costs n - 1 such passes over an (n, m) array.
@@ -289,17 +248,16 @@ def heuristic_hc(inst: Instance) -> tuple[Solution, list[GreedyRound]]:
     return _greedy_sweep(inst, early_stop=False)
 
 
-def heuristic_hs(inst: Instance) -> tuple[Solution, list[GreedyRound]]:
+def heuristic_hs(inst: Instance) -> Solution:
     """Greedy sweep that stops as soon as the round's best service cost
     fails to improve on the previous one (opening costs excluded from the
-    stopping comparison). Round 1 is compared with the seed round's recorded
+    stopping comparison). Round 1 is compared with the seed round's
     service cost, so a tie with the seed stops the sweep.
     """
     return _greedy_sweep(inst, early_stop=True)
 
 
 __all__ = [
-    "GreedyRound",
     "Solution",
     "UNASSIGNED",
     "Violation",
@@ -308,6 +266,5 @@ __all__ = [
     "heuristic_hc",
     "heuristic_hs",
     "objective",
-    "solution_from_json",
     "solution_to_json",
 ]

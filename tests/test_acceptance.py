@@ -151,8 +151,8 @@ def test_criterion_6_heuristic_dominance_and_validity():
         n = int(rng.integers(2, 13))
         inst = generate_instance(m, n, 600 + seed)
         opt = branch_and_bound(ProblemSpec.splpo(inst)).value
-        hc_val = heuristic_hc(inst)[0].objective
-        hs_val = heuristic_hs(inst)[0].objective
+        hc_val = heuristic_hc(inst).objective
+        hs_val = heuristic_hs(inst).objective
         assert opt <= hc_val + 1e-9, seed
         assert hc_val <= hs_val + 1e-9, seed
     print("CRITERION 6 (heuristic dominance, 100 instances): PASS")
@@ -199,7 +199,7 @@ def test_criterion_8_reference_values_when_files_present():
     inst = _load_benchmark_instance(directory, "131_1")
     if inst is None:
         pytest.skip("131_1 not found under SPLPO_BENCHMARK_DIR")
-    hc_val = heuristic_hc(inst)[0].objective
+    hc_val = heuristic_hc(inst).objective
     assert hc_val == 1001440
     inst = _load_benchmark_instance(directory, "a75_50_4")
     if inst is None:

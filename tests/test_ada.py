@@ -199,7 +199,7 @@ def test_configs_reject_malformed_settings(cls, name, value):
 @given(st.integers(0, 40))
 def test_ada_never_worse_than_hc(seed):
     inst = random_instance(seed, m_max=9, n_max=8)
-    hc_sol, _ = heuristic_hc(inst)
+    hc_sol = heuristic_hc(inst)
     res = ada(inst, AdaConfig(sg_iter=15, da_iter=2, vfh_iter=1))
     assert res.best_ub <= hc_sol.objective + 1e-9
 

@@ -317,7 +317,7 @@ def _reference_lr_subgradient(inst, lr):
 
 
 def _reference_subgradient_method(inst, cfg, start):
-    lr_aim = cfg.lr_aim if cfg.lr_aim is not None else heuristic_hc(inst)[0].objective
+    lr_aim = cfg.lr_aim if cfg.lr_aim is not None else heuristic_hc(inst).objective
     mu, lam = start.mu.copy(), start.lam.copy()
     lr = _reference_solve_lr(inst, mu, lam)
     best_value = lr.value
