@@ -79,9 +79,8 @@ def vfh(
     set degenerates to an unrestricted exact solve. If the engine hits its
     limits the incumbent is returned, flagged heuristic in its provenance.
     """
-    open_now = sorted(int(j) for j in y_gamma)
     keys = facility_sort_keys(inst)
-    open_now.sort(key=lambda j: (keys[j], j))
+    open_now = sorted((int(j) for j in y_gamma), key=lambda j: (keys[j], j))
     count = math.ceil(ps * len(open_now)) if open_now else 0
     fixed = open_now[:count]
     spec = ProblemSpec.splpo(inst, forced_open=fixed)

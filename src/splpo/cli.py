@@ -34,12 +34,6 @@ EXIT_INCOMPLETE = 4
 ALGORITHMS = ("hc", "hs", "sg", "da", "ada", "exact", "brute")
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="splpo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("instances", nargs="+", help="instance paths or globs")
     bench.add_argument("--algorithms", default="hc,hs,exact")
     bench.add_argument("--out", type=Path, default=None)
-    bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--optima", type=Path, default=None,
                        help="JSON file mapping instance name to its optimal value")
     _add_solver_flags(bench)
@@ -183,15 +176,15 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
 
 def cmd_generate(args) -> int:
     if args.m < 1 or args.n < 1:
-        raise CliError("m and n must be at least 1")
+        raise ValueError("m and n must be at least 1")
     if args.count < 1:
-        raise CliError("count must be at least 1")
+        raise ValueError("count must be at least 1")
     cfg = GeneratorConfig(mode=args.mode, scale=args.scale)
     out_dir = args.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot create {out_dir}: {exc}") from exc
+        raise OSError(f"cannot create {out_dir}: {exc}") from exc
     for k in range(1, args.count + 1):
         name = f"{args.tag}{args.m}_{args.n}_{k}"
         inst = generate_instance(args.m, args.n, args.seed + k - 1, cfg, name=name)
@@ -205,16 +198,13 @@ def _load_instance(path: Path) -> Instance:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
     return parse_instance(text, name=path.stem)
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        row, solution = _run_algorithm(inst, args.algorithm, args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    row, solution = _run_algorithm(inst, args.algorithm, args)
 
     if args.solution_out:
         if solution is None:
@@ -240,7 +230,7 @@ def _append_report(path: Path, rows) -> None:
         try:
             report = RunReport.from_csv(path.read_text())
         except ValueError as exc:
-            raise CliError(f"cannot append to {path}: {exc}") from exc
+            raise ValueError(f"cannot append to {path}: {exc}") from exc
         report.rows.extend(rows)
     else:
         report = RunReport(rows=list(rows))
@@ -248,22 +238,22 @@ def _append_report(path: Path, rows) -> None:
 
 
 def _load_optima(path: Path) -> dict:
-    """A JSON object mapping instance names to finite numbers, else CliError."""
+    """A JSON object mapping instance names to finite numbers, else ValueError."""
     try:
         optima = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read optima file {path}: {exc}") from exc
+        raise ValueError(f"cannot read optima file {path}: {exc}") from exc
     if not isinstance(optima, dict):
-        raise CliError(f"optima file {path} must hold a JSON object mapping instance names "
-                       f"to optimal values, got a {type(optima).__name__}")
+        raise ValueError(f"optima file {path} must hold a JSON object mapping instance "
+                         f"names to optimal values, got a {type(optima).__name__}")
     for name, value in optima.items():
         try:
             finite = not isinstance(value, bool) and math.isfinite(value)
         except (TypeError, OverflowError):  # not a number, or an int past float range
             finite = False
         if not finite:
-            raise CliError(f"optima file {path}: the value of {name!r} must be a finite "
-                           f"number, got {value!r}")
+            raise ValueError(f"optima file {path}: the value of {name!r} must be a finite "
+                             f"number, got {value!r}")
     return optima
 
 
@@ -276,16 +266,16 @@ def cmd_bench(args) -> int:
         paths.extend(hits)
     paths = list(dict.fromkeys(paths))  # in the order given, each glob's hits sorted
     if not paths:
-        raise CliError("no instances match the given patterns")
+        raise ValueError("no instances match the given patterns")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
-        raise CliError("--algorithms names no algorithm")
+        raise ValueError("--algorithms names no algorithm")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
-        raise CliError(f"unknown algorithms: {', '.join(unknown)}")
+        raise ValueError(f"unknown algorithms: {', '.join(unknown)}")
     repeated = [a for a in dict.fromkeys(algorithms) if algorithms.count(a) > 1]
     if repeated:
-        raise CliError(f"--algorithms names {', '.join(repeated)} more than once")
+        raise ValueError(f"--algorithms names {', '.join(repeated)} more than once")
 
     optima = _load_optima(args.optima) if args.optima else {}
 
@@ -311,8 +301,7 @@ def cmd_bench(args) -> int:
                 row.gap_abs, row.gap_pct = gap_fields(row.best_ub, opt)
         rows.extend(per_instance)
 
-    report = RunReport(rows=rows)
-    payload = report.to_csv() if args.format == "csv" else report.to_json()
+    payload = RunReport(rows=rows).to_csv()
     if args.out:
         args.out.write_text(payload)
         print(args.out)
@@ -329,10 +318,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except Exception as exc:  # malformed inputs and the like
+    except Exception as exc:  # malformed inputs, unreadable files and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -476,11 +476,11 @@ def branch_and_bound(
     inst = spec.inst
     # Nodes with nothing open lie on the chain of closed children below the
     # root, so their closed set is a prefix of this order. Only a search
-    # with nothing forced open has them; their state comes from the chain
-    # table, built when the first of them is expanded.
+    # with nothing forced open has them (and only it reads the order); their
+    # state comes from the chain table, built when the first of them is
+    # expanded.
     alone = ctx.f + ctx.c.sum(axis=0)
-    free = [j for j in range(inst.n) if not ctx.forced[j]]
-    order = sorted(free, key=lambda j: (alone[j], j))
+    order = sorted(range(inst.n), key=lambda j: (alone[j], j))
     chain = None
 
     incumbent_value = math.inf

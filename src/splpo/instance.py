@@ -24,9 +24,10 @@ class Record:
     ``__slots__``, in constructor order.
 
     A record's repr lists every field as ``Name(field=value, ...)``, and two
-    records of one class are == when the tuples of their compared fields are
-    (every field, unless a class narrows ``_key``). Plain classes with an
-    explicit ``__init__``, so defining one generates no code at import.
+    records of one class are == when their compared fields are (every field,
+    unless a class narrows ``_key``), array fields by value. Plain classes
+    with an explicit ``__init__``, so defining one generates no code at
+    import.
     """
 
     __slots__ = ()
@@ -38,7 +39,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return all(map(_same, self._key(), other._key()))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
@@ -47,6 +48,13 @@ class Record:
     def asdict(self) -> dict:
         """The fields by name, in constructor order."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+
+def _same(a, b) -> bool:
+    """Field equality as a tuple's ==, but arrays compare by value."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a is b or bool(a == b)
 
 
 class FrozenRecord(Record):

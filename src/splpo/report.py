@@ -1,4 +1,4 @@
-"""Run reports: per-instance result rows, written as CSV or JSON and read back from CSV."""
+"""Run reports: per-instance result rows, written as CSV and read back."""
 
 from __future__ import annotations
 
@@ -106,9 +106,6 @@ class RunReport(Record):
                 kwargs["config_hash"] = ""
             rows.append(ReportRow(**kwargs))
         return RunReport(rows=rows)
-
-    def to_json(self) -> str:
-        return json.dumps([r.asdict() for r in self.rows], indent=2, sort_keys=True)
 
 
 def _check_columns(names) -> None:

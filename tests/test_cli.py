@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from splpo import (
     branch_and_bound, brute_force, generate_instance, parse_instance, preset_config,
 )
 from splpo.cli import (
-    ALGORITHMS, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
+    ALGORITHMS, EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, _run_algorithm, build_parser, main,
 )
 from splpo.report import ReportRow, config_hash, gap_fields
 
@@ -193,15 +194,6 @@ def test_bench_ada_against_exact(tmp_path):
 
 def test_bench_empty_glob(tmp_path):
     assert main(["bench", str(tmp_path / "none*.splpo")]) == EXIT_USAGE
-
-
-def test_bench_json_format(toy_file, tmp_path):
-    out = tmp_path / "bench.json"
-    code = main(["bench", str(toy_file), "--algorithms", "hc", "--format", "json",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    rows = json.loads(out.read_text())
-    assert rows[0]["algorithm"] == "hc"
 
 
 def test_bench_with_optima_file(toy_file, tmp_path):
@@ -437,3 +429,94 @@ def test_every_algorithm_brackets_the_optimum():
                 assert row.lower_bound <= opt + 1e-9, (inst.name, algorithm)
             if row.best_ub is not None:
                 assert row.best_ub >= opt - 1e-9, (inst.name, algorithm)
+
+
+# Pinned runs of the CLI on generated instances. The preference bound proves
+# the 100x75 instance optimal well within 1000 nodes, and the savings-dual
+# bound the 75x50 cost-consistent one within 300; the 150x100 uniform tree is
+# 3,243 nodes, so its optimum is proven within 3300 nodes and not within 3000.
+# The subgradient bounds are pinned bit for bit (printed by repr), and the
+# bench rows by status, bounds, open count, iterations and best iteration.
+PINNED_FILES = {
+    "a8_6_1": ["--m", "8", "--n", "6"],
+    "a100_75_1": ["--m", "100", "--n", "75", "--seed", "1"],
+    "c75_50_1": ["--m", "75", "--n", "50", "--seed", "1", "--mode", "cost-consistent",
+                 "--tag", "c"],
+    "a150_100_1": ["--m", "150", "--n", "100", "--seed", "1"],
+}
+# Two customers whose every cost ties: dual ascent starts at the ceiling,
+# where the optimum equals the empty set's value.
+TIE_DOC = "SPLPO 1\n2 2\n0 0\n5 5\n3 3\n1 2\n2 1\n"
+
+CLI_PINS = [
+    pytest.param("solve a100_75_1 --algorithm exact --node-limit 1000", EXIT_OK,
+                 ["status=optimal"], [], id="exact-100x75-within-1000"),
+    pytest.param("solve c75_50_1 --algorithm exact --node-limit 300", EXIT_OK,
+                 ["status=optimal"], [], id="exact-c75x50-within-300"),
+    pytest.param("solve a150_100_1 --algorithm exact --node-limit 3300", EXIT_OK,
+                 ["status=optimal"], [], id="exact-150x100-within-3300"),
+    pytest.param("solve a150_100_1 --algorithm exact --node-limit 3000", EXIT_INCOMPLETE,
+                 ["status=incomplete"], [], id="exact-150x100-not-within-3000"),
+    pytest.param("solve c75_50_1 --algorithm sg", EXIT_OK,
+                 ["'LB': 109899.89378959322", "status=beta_exhausted"], [], id="sg-c75x50"),
+    pytest.param("bench c75_50_1 --algorithms sg", EXIT_OK,
+                 ["c75_50_1,sg,beta_exhausted,,109899.89378959322,,,,,704,509,"], [],
+                 id="sg-c75x50-row"),
+    pytest.param("solve a100_75_1 --algorithm sg", EXIT_OK, ["'LB': 139114.52469165678"], [],
+                 id="sg-100x75"),
+    # hs stops early, hc sweeps every site.
+    pytest.param("bench c75_50_1 a100_75_1 --algorithms hc,hs", EXIT_OK,
+                 ["c75_50_1,hc,ok,114892.0,,,,,2,50,", "c75_50_1,hs,ok,114892.0,,,,,2,44,",
+                  "a100_75_1,hc,ok,155504.0,,,,,1,75,", "a100_75_1,hs,ok,155504.0,,,,,1,7,"],
+                 [], id="greedy-rows"),
+    # The optimum, its two open facilities and the node counts (the engine's
+    # 143 pin its tree).
+    pytest.param("bench c75_50_1 --algorithms ada,exact", EXIT_OK,
+                 ["c75_50_1,ada,optimal,113462.0,113462.0,113462.0,0.0,0.0,2,51,",
+                  "c75_50_1,exact,optimal,113462.0,113462.0,113462.0,0.0,0.0,2,143,"],
+                 [], id="ada-exact-rows"),
+    *(pytest.param(f"solve a8_6_1 --algorithm {algorithm}", EXIT_OK, [f"a8_6_1 {algorithm}:"],
+                   ["error"], id=f"{algorithm}-8x6") for algorithm in ALGORITHMS),
+    # Stopped at the root, the engine still reports the root's finite bound.
+    pytest.param("solve a8_6_1 --algorithm exact --node-limit 0", EXIT_INCOMPLETE,
+                 ["status=incomplete"], ["-inf"], id="exact-8x6-no-nodes"),
+    pytest.param("solve a8_6_1 --algorithm sg --sg-iter 0", EXIT_OK, ["status=iter_limit"], [],
+                 id="sg-8x6-no-steps"),
+    pytest.param("solve tie --algorithm da", EXIT_OK, ["status=ceiling"], [], id="da-tie"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pinned")
+    for flags in PINNED_FILES.values():
+        assert main(["generate", *flags, "--out-dir", str(out)]) == EXIT_OK
+    (out / "tie.splpo").write_text(TIE_DOC)
+    return out
+
+
+@pytest.mark.parametrize("command, code, present, absent", CLI_PINS)
+def test_cli_pins(pinned_dir, capsys, command, code, present, absent):
+    """Each command's exit code, and the text its output must and must not hold;
+    a word naming a pinned file stands for that file's path."""
+    files = {*PINNED_FILES, "tie"}
+    argv = [str(pinned_dir / f"{word}.splpo") if word in files else word
+            for word in command.split()]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    shown = captured.out + captured.err
+    for text in present:
+        assert text in shown, (text, shown)
+    for text in absent:
+        assert text not in shown, (text, shown)
+
+
+def test_generated_files_are_pinned_by_digest(pinned_dir):
+    """Any drift in the generator's or the writer's bytes fails here."""
+    digests = {
+        "c75_50_1": "1de50adcb2ed10183b728925c5ebffb4c260819a400843aba4053fd875b100ed",
+        "a8_6_1": "7b86856d260b3824a314b982accf97933732983aaf36200ca88d49dfb06a5516",
+    }
+    for name, digest in digests.items():
+        data = (pinned_dir / f"{name}.splpo").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name

@@ -22,6 +22,7 @@ from splpo import (
     heuristic_hs,
     objective,
     solution_to_json,
+    subgradient_method,
 )
 from splpo.exact import _Context
 from splpo.solution import open_mask
@@ -435,3 +436,14 @@ def test_solution_json_handles_unassigned():
     assert json.loads(solution_to_json(sol)) == {
         "open": [1], "assign": [None, 1], "objective": 5.0,
         "provenance": {"algorithm": "hc", "rounds": 1}}
+
+
+def test_records_compare_array_fields_by_value():
+    sol = Solution(frozenset({0}), np.array([0, 0]), 1.0)
+    assert (sol == Solution(frozenset({0}), np.array([0, 0]), 1.0, {"algorithm": "hc"})) is True
+    assert (sol == Solution(frozenset({0}), np.array([0, 1]), 1.0)) is False
+    assert sol != Solution(frozenset({0}), np.array([0]), 1.0)
+    inst = generate_instance(12, 8, 4)
+    first, second = (branch_and_bound(ProblemSpec.splpo(inst)) for _ in range(2))
+    assert first.nodes > 1 and (first == second) is True
+    assert subgradient_method(inst) == subgradient_method(inst)
