@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 4 stopped at a limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import math
@@ -34,6 +35,7 @@ EXIT_INCOMPLETE = 4
 ALGORITHMS = ("hc", "hs", "sg", "da", "ada", "exact", "brute")
 
 
+@functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="splpo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,9 +313,8 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -9,20 +9,22 @@ valued at solution.price, the one price of a splpo solution: the search
 carries that exact sum in its nodes, and brute_force ranks its batches by
 its own sum but reports the value of evaluate.
 
-The slr kind is the splpo search plus the empty open set. Any non-empty set
-serves every customer, so its value does not depend on gamma; only the empty
-set does, at sum(gamma). An slr search therefore starts from the empty set as
-its incumbent and runs the splpo search below it, and its optimum is
-min(sum(gamma), splpo optimum). Node bounds cover the non-empty sets below a
-node; the bound reported for an slr node with nothing open is
-min(sum(gamma), bound), which covers the empty leaf too.
+The slr kind is the splpo search plus the empty open set, valued at a given
+threshold. Any non-empty set serves every customer, so its value is its
+splpo price; only the empty set takes the threshold. (The semi-Lagrangean
+subproblem is this kind, its threshold the sum of its multipliers.) An slr
+search therefore starts from the empty set as its incumbent and runs the
+splpo search below it, and its optimum is min(threshold, splpo optimum).
+Node bounds cover the non-empty sets below a node; the bound reported for an
+slr node with nothing open is min(threshold, bound), which covers the empty
+leaf too.
 
 When an slr search ends at the empty set, every set it evaluated and every
-node it pruned lies at or above sum(gamma). Its result keeps them, in
+node it pruned lies at or above the threshold. Its result keeps them, in
 preorder, as a Frontier: pruned nodes as their decisions, bound and branch
-facility, rejected sets as their value. A search at a larger sum(gamma)
+facility, rejected sets as their value. A search at a larger threshold
 resumes from that list instead of the root: it expands every node the
-earlier one expanded (their bounds lie below the old sum(gamma), so below
+earlier one expanded (their bounds lie below the old threshold, so below
 every later incumbent), so it only re-tests the pruned nodes against its
 incumbent, rebuilding a node's state from its decisions and bounding it
 again when its stored bound lies below, and re-considers the rejected sets
@@ -113,42 +115,34 @@ KIND_SLR = "slr"
 class ProblemSpec(FrozenRecord):
     """What to optimize: the original problem or its service-relaxed variant.
 
-    gamma is only meaningful for kind "slr" (finite per-customer service
-    credits); the slr kind also admits the empty open set, which serves no
-    one. forced_open facilities, valid for the splpo kind only, are charged
+    threshold, required for kind "slr" and invalid for "splpo", is the value
+    of the empty open set, which serves no one and which only the slr kind
+    admits; it must be a finite real number (not a bool) and is stored as a
+    float. forced_open facilities, valid for the splpo kind only, are charged
     and may not be closed; each must be an integer facility index (a bool or
     a float raises ValueError). Every spec therefore has a feasible open
     set, and every search returns one.
     """
 
-    __slots__ = ("kind", "inst", "gamma", "forced_open")
+    __slots__ = ("kind", "inst", "threshold", "forced_open")
 
-    def __init__(self, kind: str, inst: Instance, gamma: np.ndarray | None = None,
+    def __init__(self, kind: str, inst: Instance, threshold: float | None = None,
                  forced_open=frozenset()):
         if kind not in (KIND_SPLPO, KIND_SLR):
             raise ValueError(f"unknown problem kind {kind!r}")
         if kind == KIND_SPLPO:
-            if gamma is not None:
-                raise ValueError("gamma is only valid for the slr kind")
+            if threshold is not None:
+                raise ValueError("threshold is only valid for the slr kind")
         else:
-            if gamma is None:
-                raise ValueError("the slr kind requires gamma")
             if forced_open:
                 raise ValueError("forced_open is only valid for the splpo kind")
-            gamma = np.ascontiguousarray(gamma, dtype=float)
-            if gamma.shape != (inst.m,):
-                raise ValueError(f"gamma must have shape ({inst.m},)")
-            # The engine sums gamma; a sum that overflows (or a NaN/inf entry)
-            # would turn every slr value into inf or NaN.
-            with np.errstate(over="ignore"):
-                magnitude = np.abs(gamma).sum()
-            if not np.isfinite(magnitude):
-                raise ValueError("gamma must be finite, and so must the sum of its magnitudes")
-            gamma.setflags(write=False)
+            if not (is_number(threshold) and math.isfinite(threshold)):
+                raise ValueError(f"the slr kind requires a finite threshold, got {threshold!r}")
+            threshold = float(threshold)
         bad = [j for j in forced_open if as_int(j) is None or not 0 <= j < inst.n]
         if bad:
             raise ValueError(f"forced_open contains invalid facilities {bad}")
-        self._set(kind, inst, gamma, frozenset(map(as_int, forced_open)))
+        self._set(kind, inst, threshold, frozenset(map(as_int, forced_open)))
 
     @staticmethod
     def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":
@@ -156,8 +150,8 @@ class ProblemSpec(FrozenRecord):
         return ProblemSpec(kind=KIND_SPLPO, inst=inst, forced_open=tuple(forced_open))
 
     @staticmethod
-    def slr(inst: Instance, gamma) -> "ProblemSpec":
-        return ProblemSpec(kind=KIND_SLR, inst=inst, gamma=np.asarray(gamma, dtype=float))
+    def slr(inst: Instance, threshold: float) -> "ProblemSpec":
+        return ProblemSpec(kind=KIND_SLR, inst=inst, threshold=threshold)
 
 
 class Frontier(Record):
@@ -166,14 +160,14 @@ class Frontier(Record):
     entries lists, in preorder, the nodes the search pruned, as (bound over
     the non-empty sets below, depth, open mask, closed mask, branch facility),
     and the open sets it rejected, as (value, open mask). None of them depends
-    on gamma, so a search at a larger sum(gamma) can start from them.
+    on the threshold, so a search at a larger threshold can start from them.
     """
 
-    __slots__ = ("inst", "gamma_sum", "entries")
+    __slots__ = ("inst", "threshold", "entries")
 
-    def __init__(self, inst: Instance, gamma_sum: float, entries: list):
+    def __init__(self, inst: Instance, threshold: float, entries: list):
         self.inst = inst
-        self.gamma_sum = gamma_sum
+        self.threshold = threshold
         self.entries = entries
 
 
@@ -218,14 +212,14 @@ class _Context:
         self.forced = np.zeros(self.n, dtype=bool)
         for j in spec.forced_open:
             self.forced[j] = True
-        self.gamma_sum = float(spec.gamma.sum()) if spec.kind == KIND_SLR else 0.0
+        self.threshold = spec.threshold  # None for splpo, which never values the empty set
         # Only the slr kind may open nothing.
         self.empty_feasible = spec.kind == KIND_SLR
 
     def evaluate(self, open_mask: np.ndarray):
         """Value and forced assignment of a feasible open set."""
         if not open_mask.any():
-            return self.gamma_sum, np.full(self.m, UNASSIGNED, dtype=np.int64)
+            return self.threshold, np.full(self.m, UNASSIGNED, dtype=np.int64)
         assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
         return price(self.inst, self.rows, assign, open_mask), assign
 
@@ -417,9 +411,9 @@ def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
         raise ValueError("resume needs an slr search that ended at the empty set")
     if resume.frontier.inst is not ctx.inst:
         raise ValueError("resume belongs to a search on another instance")
-    if ctx.gamma_sum < resume.frontier.gamma_sum:
+    if ctx.threshold < resume.frontier.threshold:
         raise ValueError(
-            f"resume needs sum(gamma) >= {resume.frontier.gamma_sum!r}, got {ctx.gamma_sum!r}")
+            f"resume needs a threshold >= {resume.frontier.threshold!r}, got {ctx.threshold!r}")
     return resume.frontier.entries[::-1]
 
 
@@ -462,8 +456,8 @@ def branch_and_bound(
     negative or NaN limit raises ValueError.
 
     resume, an earlier result on the same instance whose frontier is set,
-    continues that search at this spec's gamma instead of starting from the
-    root; sum(gamma) must not be smaller. The result is the one a fresh
+    continues that search at this spec's threshold instead of starting from
+    the root; the threshold must not be smaller. The result is the one a fresh
     search would return, but nodes and node_limit count only the nodes this
     call newly evaluates.
 
@@ -499,7 +493,7 @@ def branch_and_bound(
         return True
 
     # The warm start: the greedy open set for splpo; for slr the empty set,
-    # valued sum(gamma) and never evaluated again, so node bounds need to
+    # valued at the threshold and never evaluated again, so node bounds need to
     # cover only the non-empty sets below a node.
     if spec.kind == KIND_SPLPO:
         hc_sol = heuristic_hc(inst)
@@ -508,7 +502,7 @@ def branch_and_bound(
             warm[j] = True
         consider(ctx.evaluate(warm)[0], warm)
     else:
-        consider(ctx.gamma_sum, np.zeros(inst.n, dtype=bool))
+        consider(ctx.threshold, np.zeros(inst.n, dtype=bool))
         frontier = []
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -557,7 +551,7 @@ def branch_and_bound(
             if on_node is not None:
                 shown = bound
                 if ctx.empty_feasible and node.value is None:
-                    shown = min(bound, ctx.gamma_sum)  # the empty set lies below too
+                    shown = min(bound, ctx.threshold)  # the empty set lies below too
                 on_node(depth, open_mask.copy(), closed_mask.copy(), shown, incumbent_value)
             if just_opened:
                 # Evaluate the current open set before the prune check so that a
@@ -597,7 +591,7 @@ def branch_and_bound(
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
-        frontier=None if frontier is None else Frontier(inst, ctx.gamma_sum, frontier),
+        frontier=None if frontier is None else Frontier(inst, ctx.threshold, frontier),
     )
 
 
@@ -639,7 +633,7 @@ def brute_force(spec: ProblemSpec) -> ExactResult:
         )[:, :, 0]
         values = service.sum(axis=1) + masks.astype(float) @ ctx.f
         if ctx.empty_feasible and start == 0:
-            values[0] = ctx.gamma_sum
+            values[0] = ctx.threshold
         values = np.where(ok, values, np.inf)
         k_local = int(np.argmin(values))
         if values[k_local] < best_value:

@@ -5,7 +5,8 @@ relaxed, with nonnegative multipliers gamma. The relaxed subproblems keep the
 preference constraints, so they stay combinatorial and are delegated to the
 exact engine. Because of those constraints any non-empty open set serves
 every customer, so a subproblem serves everyone or no one: its optimum is the
-empty set, valued sum(gamma), or the splpo optimum. The dual is piecewise
+empty set, valued sum(gamma), or the splpo optimum. The engine therefore
+takes the multipliers as one threshold, their sum. The dual is piecewise
 constant in each gamma component between consecutive sorted service costs,
 which reduces ascent to moving every multiplier one rung up its customer's
 cost ladder per step until the subproblem opens something; multipliers never
@@ -33,23 +34,23 @@ def check_epsilon(epsilon: float | None) -> None:
 
 def solve_slr(
     inst: Instance,
-    gamma,
+    threshold: float,
     node_limit: int | None = None,
     time_limit: float | None = None,
     resume: ExactResult | None = None,
 ) -> ExactResult:
-    """Optimize the relaxed subproblem at multipliers gamma via the exact engine.
+    """Optimize the relaxed subproblem at threshold sum(gamma) via the exact engine.
 
-    The result's solution is the empty set, valued sum(gamma) with every
+    The result's solution is the empty set, valued at the threshold with every
     customer UNASSIGNED, or a non-empty set that serves everyone at its
     splpo price. resume, an earlier optimal result of the same instance that
-    opened nothing at a sum(gamma) no larger than this one, continues that
+    opened nothing at a threshold no larger than this one, continues that
     search instead of starting again (see branch_and_bound). No assignment
     is fixed in advance: with preference-forced service, a pair whose cost
     exceeds gamma[i] can still be the optimum's, so reduced-cost pre-fixing
     from plain UFL would be unsafe here.
     """
-    spec = ProblemSpec.slr(inst, gamma)
+    spec = ProblemSpec.slr(inst, threshold)
     return branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit, resume=resume)
 
 
@@ -88,8 +89,9 @@ class DaTraceRow(Record):
 
 
 class DualAscent:
-    """Stepwise driver: one step = solve the subproblem at the current gamma,
-    record it, and climb every multiplier one rung if it opened nothing.
+    """Stepwise driver: one step = solve the subproblem at threshold
+    sum(gamma), record it, and climb every multiplier one rung if it opened
+    nothing.
 
     rungs[i, r-1] is customer i's multiplier on rung r: its r-th cheapest
     service cost plus epsilon, capped at cp[i], for r <= n, and cp[i] on rung
@@ -147,7 +149,7 @@ class DualAscent:
         gamma = self.gamma
         res = solve_slr(
             self.inst,
-            gamma,
+            float(gamma.sum()),
             node_limit=self.cfg.node_limit,
             time_limit=time_left,
             resume=self.last,

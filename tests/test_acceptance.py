@@ -64,9 +64,9 @@ def test_criterion_1_oracle_equivalence():
         assert check_feasible(inst, b.solution) == []
         rng = np.random.default_rng(10_000 + seed)
         for _ in range(5):
-            gamma = gamma_in_box(inst, rng)
-            x = branch_and_bound(ProblemSpec.slr(inst, gamma))
-            y = brute_force(ProblemSpec.slr(inst, gamma))
+            threshold = float(gamma_in_box(inst, rng).sum())
+            x = branch_and_bound(ProblemSpec.slr(inst, threshold))
+            y = brute_force(ProblemSpec.slr(inst, threshold))
             assert x.value == y.value, (seed, x.value, y.value)
     print("CRITERION 1 (exact-engine oracle equivalence, 200 instances): PASS")
 

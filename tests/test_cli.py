@@ -306,6 +306,20 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert done.stdout.strip() == "[]"
 
 
+def test_parser_is_built_on_first_use_and_reused(toy_file):
+    # Importing the CLI builds no parser; main builds one and every call reuses it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import splpo.cli; "
+             "print(splpo.cli.build_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "0"
+    assert main(["solve", str(toy_file), "--algorithm", "nope"]) == EXIT_USAGE
+    parser = build_parser()
+    assert main(["solve", str(toy_file), "--algorithm", "hc"]) == EXIT_OK
+    assert build_parser() is parser
+
+
 def test_gap_arithmetic():
     gap, pct = gap_fields(102.0, 100.0)
     assert gap == pytest.approx(2.0, abs=1e-9)

@@ -23,9 +23,10 @@ from conftest import cheap_open_instance, cost_ceiling, random_instance
 from test_semilagrange import tied_instance
 
 
-def random_gamma_in_box(inst, rng):
+def random_threshold_in_box(inst, rng):
+    """The slr threshold sum(gamma) at multipliers gamma drawn in the box."""
     low = inst.c.min(axis=1)
-    return low + rng.random(inst.m) * (cost_ceiling(inst) - low)
+    return float((low + rng.random(inst.m) * (cost_ceiling(inst) - low)).sum())
 
 
 def test_splpo_toy(toy):
@@ -37,7 +38,7 @@ def test_splpo_toy(toy):
 
 
 def test_slr_toy_prefers_empty(toy):
-    res = branch_and_bound(ProblemSpec.slr(toy, [2.5, 2.5]))
+    res = branch_and_bound(ProblemSpec.slr(toy, 5.0))
     assert res.value == 5.0
     assert res.solution.open_facilities == frozenset()
 
@@ -50,7 +51,7 @@ def test_splpo_forced_open(toy):
 
 def test_brute_force_toy(toy):
     assert brute_force(ProblemSpec.splpo(toy)).value == 8
-    assert brute_force(ProblemSpec.slr(toy, cost_ceiling(toy))).value == 8
+    assert brute_force(ProblemSpec.slr(toy, float(cost_ceiling(toy).sum()))).value == 8
 
 
 def test_brute_force_uniform_instance():
@@ -70,17 +71,22 @@ def test_brute_force_site_cap():
         brute_force(ProblemSpec.splpo(inst))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_slr_rejects_non_finite_gamma(value):
+@pytest.mark.parametrize("make, match", [
+    (lambda inst: ProblemSpec.slr(inst, math.nan), "finite threshold"),
+    (lambda inst: ProblemSpec.slr(inst, math.inf), "finite threshold"),
+    (lambda inst: ProblemSpec.slr(inst, -math.inf), "finite threshold"),
+    (lambda inst: ProblemSpec.slr(inst, True), "finite threshold"),
+    (lambda inst: ProblemSpec.slr(inst, "1.0"), "finite threshold"),
+    (lambda inst: ProblemSpec.slr(inst, np.full(inst.m, 2.5)), "finite threshold"),
+    (lambda inst: ProblemSpec(kind=KIND_SLR, inst=inst), "finite threshold"),
+    (lambda inst: ProblemSpec(kind="splpo", inst=inst, threshold=1.0), "only valid for the slr"),
+], ids=["nan", "inf", "-inf", "bool", "string", "array", "missing", "splpo"])
+def test_slr_threshold_is_one_finite_number(make, match):
     inst = generate_instance(5, 4, 1)
-    with pytest.raises(ValueError, match="finite"):
-        ProblemSpec.slr(inst, np.full(inst.m, value))
-
-
-def test_slr_rejects_gamma_whose_sum_overflows():
-    inst = generate_instance(5, 4, 1)
-    with pytest.raises(ValueError, match="sum"):
-        ProblemSpec.slr(inst, np.full(inst.m, 1e308))
+    with pytest.raises(ValueError, match=match):
+        make(inst)
+    spec = ProblemSpec.slr(inst, np.float64(2.5))
+    assert type(spec.threshold) is float and spec.threshold == 2.5
 
 
 @given(st.integers(0, 400))
@@ -96,9 +102,9 @@ def test_engines_agree_on_splpo(seed):
 def test_engines_agree_on_slr(seed):
     inst = random_instance(seed, m_max=7, n_max=7)
     rng = np.random.default_rng(seed + 9999)
-    gamma = random_gamma_in_box(inst, rng)
-    a = branch_and_bound(ProblemSpec.slr(inst, gamma))
-    b = brute_force(ProblemSpec.slr(inst, gamma))
+    threshold = random_threshold_in_box(inst, rng)
+    a = branch_and_bound(ProblemSpec.slr(inst, threshold))
+    b = brute_force(ProblemSpec.slr(inst, threshold))
     assert a.value == b.value
 
 
@@ -120,7 +126,7 @@ def _agree_with_brute_force(inst, seed):
     specs = (
         ProblemSpec.splpo(inst),
         ProblemSpec.splpo(inst, forced_open=forced.tolist()),
-        ProblemSpec.slr(inst, random_gamma_in_box(inst, rng)),
+        ProblemSpec.slr(inst, random_threshold_in_box(inst, rng)),
     )
     for spec in specs:
         a = branch_and_bound(spec)
@@ -192,7 +198,7 @@ def test_time_limit_trips():
 )
 def test_malformed_limits_are_rejected(limit):
     inst = random_instance(3)
-    for spec in (ProblemSpec.splpo(inst), ProblemSpec.slr(inst, np.ones(inst.m))):
+    for spec in (ProblemSpec.splpo(inst), ProblemSpec.slr(inst, float(np.ones(inst.m).sum()))):
         with pytest.raises(ValueError, match=next(iter(limit))):
             branch_and_bound(spec, **limit)
     for config in (AdaConfig, DaConfig):
@@ -253,11 +259,11 @@ def test_splpo_always_returns_a_solution(limit):
     # greedy open set plus the forced facilities for splpo, the empty set for
     # slr), so even a search stopped at once hands back a feasible incumbent.
     inst = generate_instance(8, 6, 3)
-    gamma = cost_ceiling(inst)
+    threshold = float(cost_ceiling(inst).sum())
     cases = [
         (ProblemSpec.splpo(inst), 20684.0, {3}),
         (ProblemSpec.splpo(inst, forced_open=[2]), 32417.0, {2}),
-        (ProblemSpec.slr(inst, gamma), float(gamma.sum()), set()),
+        (ProblemSpec.slr(inst, threshold), threshold, set()),
     ]
     for spec, value, opened in cases:
         res = branch_and_bound(spec, **limit)
@@ -275,15 +281,15 @@ def test_splpo_always_returns_a_solution(limit):
 def test_search_stopped_at_the_root_reports_the_root_bound(limit):
     # The root is never evaluated, yet its bound is one pass over the data.
     inst = generate_instance(8, 6, 3)
-    gamma = cost_ceiling(inst) * 0.9
+    threshold = float((cost_ceiling(inst) * 0.9).sum())
     for spec in (ProblemSpec.splpo(inst), ProblemSpec.splpo(inst, forced_open=[2]),
-                 ProblemSpec.slr(inst, gamma)):
+                 ProblemSpec.slr(inst, threshold)):
         res = branch_and_bound(spec, **limit)
         opt = brute_force(spec).value
         assert res.status == "incomplete" and res.nodes == 0
         assert math.isfinite(res.lower_bound) and 0 < res.lower_bound <= opt
         if spec.kind == KIND_SLR:
-            assert res.lower_bound <= gamma.sum()
+            assert res.lower_bound <= threshold
 
 
 def _subtree_minimum(spec, open_mask, closed_mask):
@@ -307,7 +313,7 @@ def test_node_bounds_are_valid(kind):
         inst = random_instance(seed, m_max=4, n_max=5)
         if kind == "slr":
             rng = np.random.default_rng(seed)
-            spec = ProblemSpec.slr(inst, random_gamma_in_box(inst, rng))
+            spec = ProblemSpec.slr(inst, random_threshold_in_box(inst, rng))
         else:
             spec = ProblemSpec.splpo(inst)
         records = []
@@ -385,8 +391,8 @@ def _reference_bound(ctx, open_mask, closed_mask, incumbent, guard=True) -> floa
     fopen = float(ctx.f[open_mask].sum())
     bound = fopen + float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
     if not open_mask.any():
-        # For slr the empty set, at sum(gamma), is one of the leaves below.
-        return min(ctx.gamma_sum, bound) if ctx.empty_feasible else bound
+        # For slr the empty set, at the threshold, is one of the leaves below.
+        return min(ctx.threshold, bound) if ctx.empty_feasible else bound
     a, savings, gain = _reference_savings(ctx, open_mask)
     value = fopen + float(a.sum())
     undecided = ~(open_mask | closed_mask)
@@ -418,11 +424,10 @@ def _float_specs(seed):
         name=f"float{seed}",
     )
     rng = np.random.default_rng(seed + 1)
-    gamma = random_gamma_in_box(inst, rng)
     return {
         "splpo": ProblemSpec.splpo(inst),
         "splpo_forced": ProblemSpec.splpo(inst, forced_open=[seed % inst.n]),
-        "slr": ProblemSpec.slr(inst, gamma),
+        "slr": ProblemSpec.slr(inst, random_threshold_in_box(inst, rng)),
     }
 
 
@@ -550,26 +555,26 @@ def test_incumbent_is_monotone():
 
 def _empty_slr_result(inst):
     """An optimal slr search that ends at the empty set."""
-    gamma = inst.c.min(axis=1) * 0.5
-    res = branch_and_bound(ProblemSpec.slr(inst, gamma))
+    threshold = float((inst.c.min(axis=1) * 0.5).sum())
+    res = branch_and_bound(ProblemSpec.slr(inst, threshold))
     assert res.solution.open_facilities == frozenset() and res.frontier is not None
-    return res, gamma
+    return res, threshold
 
 
 def test_resume_rejects_what_it_cannot_continue():
     inst = generate_instance(8, 6, 4)
-    prev, gamma = _empty_slr_result(inst)
-    cp = cost_ceiling(inst)
-    with pytest.raises(ValueError, match="sum"):
-        branch_and_bound(ProblemSpec.slr(inst, gamma * 0.5), resume=prev)
+    prev, threshold = _empty_slr_result(inst)
+    cp = float(cost_ceiling(inst).sum())
+    with pytest.raises(ValueError, match="threshold >="):
+        branch_and_bound(ProblemSpec.slr(inst, threshold * 0.5), resume=prev)
     with pytest.raises(ValueError, match="another instance"):
         other = generate_instance(8, 6, 5)
         branch_and_bound(ProblemSpec.slr(other, cp), resume=prev)
     with pytest.raises(ValueError, match="forced"):
-        ProblemSpec(kind=KIND_SLR, inst=inst, gamma=cp, forced_open=frozenset({0}))
+        ProblemSpec(kind=KIND_SLR, inst=inst, threshold=cp, forced_open=frozenset({0}))
     non_empty = branch_and_bound(ProblemSpec.slr(inst, cp))
     assert non_empty.solution.open_facilities and non_empty.frontier is None
-    incomplete = branch_and_bound(ProblemSpec.slr(inst, gamma), node_limit=0)
+    incomplete = branch_and_bound(ProblemSpec.slr(inst, threshold), node_limit=0)
     assert incomplete.status == "incomplete" and incomplete.frontier is None
     splpo = branch_and_bound(ProblemSpec.splpo(inst))
     for bad, match in ((non_empty, "empty set"), (incomplete, "incomplete"), (splpo, "empty set")):
@@ -578,10 +583,10 @@ def test_resume_rejects_what_it_cannot_continue():
 
 
 def _slr_chain(inst):
-    """slr specs at gamma rising from the cheapest costs towards the ceiling."""
+    """slr specs at sum(gamma), gamma rising from the cheapest costs towards the ceiling."""
     low, cp = inst.c.min(axis=1), cost_ceiling(inst)
     for t in np.linspace(0.0, 0.3, 31):
-        yield ProblemSpec.slr(inst, low + t * (cp - low))
+        yield ProblemSpec.slr(inst, float((low + t * (cp - low)).sum()))
 
 
 @pytest.mark.parametrize("case", ["float0", "float1", "float2", "float3", "int1", "int2", "int3"])

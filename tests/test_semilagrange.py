@@ -127,21 +127,21 @@ def test_place_gamma_lands_above_cheapest(seed):
 
 
 def test_solve_slr_at_ceiling_serves_all(toy):
-    slr = solve_slr(toy, [6.0, 7.0])
+    slr = solve_slr(toy, 13.0)
     assert slr.value == 8.0
     assert slr.solution.open_facilities
     assert not (slr.solution.assign == UNASSIGNED).any()
 
 
 def test_solve_slr_small_gamma_leaves_all_unserved(toy):
-    slr = solve_slr(toy, [2.5, 2.5])
+    slr = solve_slr(toy, 5.0)
     assert slr.value == 5.0
     assert slr.solution.open_facilities == frozenset()
     assert (slr.solution.assign == UNASSIGNED).all()
 
 
 def test_solve_slr_zero_gamma(toy):
-    slr = solve_slr(toy, [0.0, 0.0])
+    slr = solve_slr(toy, 0.0)
     assert slr.value == 0.0
     assert (slr.solution.assign == UNASSIGNED).all()
 
@@ -151,11 +151,11 @@ def test_solve_slr_zero_gamma(toy):
 
 @contextlib.contextmanager
 def opening_nothing():
-    """Every subproblem solved at gamma = 0, so each step opens nothing and
+    """Every subproblem solved at threshold 0, so each step opens nothing and
     the ascent climbs until it reaches the ceiling."""
     semilagrange = importlib.import_module("splpo.semilagrange")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semilagrange, "solve_slr", lambda inst, gamma, **_: solve_slr(inst, 0 * gamma))
+        patch.setattr(semilagrange, "solve_slr", lambda inst, threshold, **_: solve_slr(inst, 0.0))
         yield
 
 
@@ -292,7 +292,7 @@ def test_dual_ascent_from_ceiling_property(seed):
 def test_gamma_below_cheapest_cost_serves_nobody(seed):
     inst = random_instance(seed, m_max=6, n_max=6)
     gamma = inst.c.min(axis=1) * 0.5  # strictly below every cheapest cost
-    slr = solve_slr(inst, gamma)
+    slr = solve_slr(inst, float(gamma.sum()))
     assert slr.solution.open_facilities == frozenset()
     assert (slr.solution.assign == UNASSIGNED).all()
 
@@ -384,3 +384,27 @@ def test_every_step_serves_everyone_or_no_one(kind):
                     assert ascent.trace[-1].served == 0
             assert ascent.status == "optimal"
             assert ascent.trace[-1].served == inst.m
+
+
+def test_each_step_hands_the_engine_the_sum_of_its_multipliers(monkeypatch):
+    # The engine takes one threshold: the driver keeps its multipliers and
+    # passes their sum, so a step that opens nothing is valued at it exactly.
+    semilagrange = importlib.import_module("splpo.semilagrange")
+    handed = []
+
+    def recording(inst, threshold, **kwargs):
+        handed.append(threshold)
+        return solve_slr(inst, threshold, **kwargs)
+
+    monkeypatch.setattr(semilagrange, "solve_slr", recording)
+    for seed in range(20):
+        inst = cheap_open_instance(seed, integer=seed % 2 == 0)
+        ascent = DualAscent(inst, np.zeros(inst.m), DaConfig())
+        handed.clear()
+        while not ascent.done:
+            threshold = float(ascent.gamma.sum())
+            res = ascent.step()
+            assert type(handed[-1]) is float and handed[-1] == threshold
+            if not res.solution.open_facilities:
+                assert ascent.trace[-1].value == threshold
+        assert len(handed) == ascent.iterations > 1
