@@ -14,7 +14,7 @@ import math
 import time
 
 from .exact import ProblemSpec, branch_and_bound, check_limits, is_number
-from .instance import FrozenRecord, Instance, Record, check_count, facility_sort_keys
+from .instance import FrozenRecord, Instance, Record, as_int, check_count, facility_sort_keys
 from .lagrange import SgConfig, SgResult, subgradient_method
 from .semilagrange import DaConfig, check_epsilon, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
@@ -78,9 +78,15 @@ def vfh(
     index) and the first ceil(ps * |y_gamma|) are fixed open. An empty input
     set degenerates to an unrestricted exact solve. If the engine hits its
     limits the incumbent is returned, flagged heuristic in its provenance.
+    Each id in y_gamma must be an integer site index (a bool or a float
+    raises ValueError).
     """
+    ids = list(y_gamma)
+    bad = [j for j in ids if as_int(j) is None or not 0 <= j < inst.n]
+    if bad:
+        raise ValueError(f"y_gamma holds {bad}, which are not sites 0..{inst.n - 1}")
     keys = facility_sort_keys(inst)
-    open_now = sorted((int(j) for j in y_gamma), key=lambda j: (keys[j], j))
+    open_now = sorted(map(as_int, ids), key=lambda j: (keys[j], j))
     count = math.ceil(ps * len(open_now)) if open_now else 0
     fixed = open_now[:count]
     spec = ProblemSpec.splpo(inst, forced_open=fixed)

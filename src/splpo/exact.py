@@ -241,7 +241,9 @@ def _savings(a, rank, cT, pT) -> np.ndarray:
     """
     saving = a - cT
     np.maximum(saving, 0.0, out=saving)
-    np.putmask(saving, pT >= rank, 0.0)
+    # Every entry is now finite and at least +0.0 (np.maximum(-0.0, 0.0) is
+    # +0.0), so multiplying by the mask is exact and zeroes an entry to +0.0.
+    np.multiply(saving, pT < rank, out=saving)
     return saving
 
 
@@ -256,11 +258,16 @@ def _savings_dual(s, f, w) -> np.ndarray:
     s holds the savings rows of some facilities, f their opening costs, and
     each row of w a nonnegative weight per customer.
     """
-    excess = s - w[:, None, :]
+    # The weights tiled once into one contiguous (grid, facility, customer)
+    # block, so each elementwise pass below is one long loop; subtracting
+    # w[:, None, :] directly would loop once per (grid point, facility).
+    excess = w.repeat(len(s), axis=0).reshape(len(w), *s.shape)
+    np.subtract(s, excess, out=excess)
     np.maximum(excess, 0.0, out=excess)
-    credit = excess.sum(axis=2) - f
+    credit = np.add.reduce(excess, axis=2)
+    credit -= f
     np.maximum(credit, 0.0, out=credit)
-    return w.sum(axis=1) + credit.sum(axis=1)
+    return np.add.reduce(w, axis=1) + np.add.reduce(credit, axis=1)
 
 
 def _served(cmin) -> float:
@@ -388,18 +395,20 @@ class _Node:
         if self.gain is not None:
             net = np.where(self.closed | self.open, -np.inf, self.gain - ctx.f)
             k = int(net.argmax())
-            if net[k] > -np.inf:
+            top = float(net[k])
+            if top > -math.inf:
                 best = k
             bound = max(bound, self.value - float(np.add.reduce(np.maximum(net, 0.0))))
             # D(w) >= net[k] for every w, so only here can the savings-dual
             # bound reach the incumbent.
-            if bound < incumbent and net[k] > 0.0 and self.value - net[k] >= incumbent:
+            if bound < incumbent and top > 0.0 and self.value - top >= incumbent:
                 live = net > 0.0
                 s = self.savings[live]
-                cap = s.max(axis=0)
-                w = cap - _DUAL_GRID[:, None] * cap.max()
+                cap = np.maximum.reduce(s, axis=0)
+                w = cap - _DUAL_GRID[:, None] * np.maximum.reduce(cap)
                 np.maximum(w, 0.0, out=w)
-                bound = max(bound, self.value - float(_savings_dual(s, ctx.f[live], w).min()))
+                dual = np.minimum.reduce(_savings_dual(s, ctx.f[live], w))
+                bound = max(bound, self.value - float(dual))
         return bound, best
 
 

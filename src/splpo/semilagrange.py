@@ -144,7 +144,12 @@ class DualAscent:
         return self.rungs[np.arange(self.inst.m), self.rung - 1]
 
     def step(self) -> ExactResult:
-        """Run one iteration; sets done/status when no further progress is possible."""
+        """Run one iteration; sets done/status when no further progress is possible.
+
+        A driver that is done raises ValueError: its status is final.
+        """
+        if self.done:
+            raise ValueError(f"the ascent is done (status {self.status!r}); it takes no more steps")
         time_left = None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
         gamma = self.gamma
         res = solve_slr(

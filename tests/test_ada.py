@@ -49,6 +49,12 @@ def test_vfh_empty_input_solves_unrestricted(toy):
     assert sol.provenance["fixed_open"] == []
 
 
+@pytest.mark.parametrize("bad", [99, 1.5, True, -1])
+def test_vfh_rejects_ids_that_are_not_sites(toy, bad):
+    with pytest.raises(ValueError, match=rf"\[{bad!r}\].*not sites"):
+        vfh(toy, [0, bad], ps=0.5)
+
+
 def test_vfh_flags_incomplete_engine():
     # Cheap opening, so that the preference bound does not settle the search
     # at its first node.

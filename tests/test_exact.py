@@ -17,7 +17,7 @@ from splpo import (
     check_feasible,
     generate_instance,
 )
-from splpo.exact import _DUAL_GRID, KIND_SLR, _Context, _Node, _savings_dual
+from splpo.exact import _DUAL_GRID, KIND_SLR, _Context, _Node, _savings, _savings_dual
 
 from conftest import cheap_open_instance, cost_ceiling, random_instance
 from test_semilagrange import tied_instance
@@ -333,8 +333,9 @@ def test_savings_dual_covers_every_set_of_facilities(data):
     # The lemma behind the savings-dual bound: for savings rows s >= 0,
     # opening costs f > 0 and any weights w >= 0, D(w) is at least the net
     # saving of the best set S of facilities, sum_i max_{k in S} s[k, i] -
-    # f(S) (0 for the empty set).
-    K, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    # f(S) (0 for the empty set). m runs past 8, where numpy's sums switch
+    # from plain order to 8-way pairwise blocks.
+    K, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 70))
     s = np.array(data.draw(st.lists(st.lists(_SAVING, min_size=m, max_size=m),
                                     min_size=K, max_size=K)))
     f = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=K, max_size=K)))
@@ -347,7 +348,10 @@ def test_savings_dual_covers_every_set_of_facilities(data):
         for r in range(K + 1)
         for S in itertools.combinations(range(K), r)
     )
-    assert (_savings_dual(s, f, w) >= best - 1e-9 * (1.0 + abs(best))).all()
+    dual = _savings_dual(s, f, w)
+    # Each row is the D(w) of that weight vector alone, bit for bit.
+    assert dual.tobytes() == np.array([_reference_dual(s, f, row) for row in w]).tobytes()
+    assert (dual >= best - 1e-9 * (1.0 + abs(best))).all()
     # In particular D(w) is at least every single facility's net saving, the
     # premise on which the engine skips the bound where value minus the
     # largest of them lies below the incumbent.
@@ -378,6 +382,27 @@ def _reference_dual(s, f, w) -> float:
     credit = np.array([max(float(np.maximum(row - w, 0.0).sum()) - fk, 0.0)
                        for row, fk in zip(s, f)])
     return float(w.sum()) + float(credit.sum())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_savings_rows_equal_the_reference_byte_for_byte(seed):
+    # Few distinct costs give ties, and signed zeros check that every zero
+    # saving comes out as +0.0, from scratch and in an open child.
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 30)), int(rng.integers(2, 12))
+    base = generate_instance(m, n, seed)
+    c = rng.choice(np.array([-0.0, 0.0, 1.0, 2.5, 4.0]), size=(m, n))
+    ctx = _Context(ProblemSpec.splpo(Instance(f=base.f, c=c, p=base.p)))
+    closed = np.zeros(n, dtype=bool)
+    for _ in range(10):
+        open_mask = rng.random(n) < 0.3
+        open_mask[rng.integers(n)] = True
+        node = _Node.from_masks(ctx, open_mask, closed)
+        savings = _savings(node.a, node.rank, ctx.cT, ctx.pT)
+        assert savings.tobytes() == _reference_savings(ctx, open_mask)[1].tobytes()
+        for j in np.flatnonzero(~open_mask)[:1]:
+            child = node.open_child(ctx, j)
+            assert child.savings.tobytes() == _reference_savings(ctx, child.open)[1].tobytes()
 
 
 def _reference_bound(ctx, open_mask, closed_mask, incumbent, guard=True) -> float:

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -68,3 +69,13 @@ def test_run_benchmark_summary_is_read_from_the_bench_rows(tmp_path, monkeypatch
         assert float(row["t"]) == ada_row.time_s
         assert float(row["Tt"]) == ada_row.total_time_s
         assert float(row["exact_t"]) == bench[(name, "exact")].total_time_s
+
+
+def test_engine_digest_prints_one_repeatable_sha256(capsys):
+    engine_digest = load_script("engine_digest")
+    lines = []
+    for _ in range(2):
+        assert engine_digest.main(["--quick"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert re.fullmatch(r"[0-9a-f]{64}\n", lines[0])
+    assert lines[0] == lines[1]

@@ -245,6 +245,26 @@ def test_dual_ascent_climbs_past_tied_rungs():
     assert steps[2].nodes == 0
 
 
+def _finished_ascent(status):
+    if status == "ceiling":
+        inst = Instance(f=np.zeros(2), c=np.array([[5.0, 5.0], [3.0, 3.0]]),
+                        p=np.array([[1, 2], [2, 1]]))
+        return dual_ascent(inst, np.zeros(2))
+    inst = random_instance(9, m_max=8, n_max=8)
+    node_limit = 2 if status == "incomplete" else None
+    return dual_ascent(inst, np.zeros(inst.m), DaConfig(node_limit=node_limit))
+
+
+@pytest.mark.parametrize("status", ["optimal", "ceiling", "incomplete"])
+def test_a_finished_ascent_takes_no_more_steps(status):
+    ascent = _finished_ascent(status)
+    assert ascent.done and ascent.status == status
+    iterations, trace = ascent.iterations, list(ascent.trace)
+    with pytest.raises(ValueError, match=f"status {status!r}"):
+        ascent.step()
+    assert (ascent.status, ascent.iterations, ascent.trace) == (status, iterations, trace)
+
+
 def test_dual_ascent_iteration_cap(toy):
     res = dual_ascent(toy, np.zeros(2), DaConfig(epsilon=0.5, max_iter=1))
     assert res.status == "iter_limit"
