@@ -13,11 +13,18 @@ from __future__ import annotations
 import math
 import time
 
-from .exact import ProblemSpec, branch_and_bound, check_limits, is_number
-from .instance import FrozenRecord, Instance, Record, as_int, check_count, facility_sort_keys
+from .exact import ProblemSpec, branch_and_bound, check_limits
+from .instance import (FrozenRecord, Instance, Record, as_int, check_count, facility_sort_keys,
+                       is_number)
 from .lagrange import SgConfig, SgResult, subgradient_method
 from .semilagrange import DaConfig, check_epsilon, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
+
+
+def _check_ps(ps) -> None:
+    """Raise ValueError unless ps is a number in [0, 1] (not a bool)."""
+    if not (is_number(ps) and 0.0 <= ps <= 1.0):
+        raise ValueError(f"ps must be a number in [0, 1], got {ps!r}")
 
 
 class AdaConfig(FrozenRecord):
@@ -41,8 +48,7 @@ class AdaConfig(FrozenRecord):
         sg_iter = check_count("sg_iter", sg_iter)
         da_iter = check_count("da_iter", da_iter)
         vfh_iter = check_count("vfh_iter", vfh_iter)
-        if not (is_number(ps) and 0.0 <= ps <= 1.0):
-            raise ValueError(f"ps must be a number in [0, 1], got {ps!r}")
+        _check_ps(ps)
         check_epsilon(epsilon)
         node_limit = check_limits(node_limit, time_limit)
         self._set(sg_iter, da_iter, vfh_iter, ps, epsilon, node_limit, time_limit)
@@ -79,8 +85,9 @@ def vfh(
     set degenerates to an unrestricted exact solve. If the engine hits its
     limits the incumbent is returned, flagged heuristic in its provenance.
     Each id in y_gamma must be an integer site index (a bool or a float
-    raises ValueError).
+    raises ValueError), and ps a number in [0, 1] as in AdaConfig.
     """
+    _check_ps(ps)
     ids = list(y_gamma)
     bad = [j for j in ids if as_int(j) is None or not 0 <= j < inst.n]
     if bad:

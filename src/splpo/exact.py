@@ -7,7 +7,7 @@ depth-first branch and bound over facility open/close decisions, with a
 full-enumeration oracle for verification. Every non-empty open set is
 valued at solution.price, the one price of a splpo solution: the search
 carries that exact sum in its nodes, and brute_force ranks its batches by
-its own sum but reports the value of evaluate.
+its own sum but reports the value of _evaluate.
 
 The slr kind is the splpo search plus the empty open set, valued at a given
 threshold. Any non-empty set serves every customer, so its value is its
@@ -100,12 +100,11 @@ one whose closing raises that bound the most.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 
 import numpy as np
 
-from .instance import FrozenRecord, Instance, Record, as_int, check_count
+from .instance import FrozenRecord, Instance, Record, as_int, check_count, is_number
 from .solution import Solution, UNASSIGNED, assign_most_preferred, heuristic_hc, price
 
 KIND_SPLPO = "splpo"
@@ -194,56 +193,31 @@ class ExactResult(Record):
                 f"status={self.status!r}, lower_bound={self.lower_bound!r}, nodes={self.nodes!r})")
 
 
-class _Context:
-    """Precomputed arrays shared by the evaluator, bounds, and oracles."""
-
-    def __init__(self, spec: ProblemSpec):
-        self.inst = inst = spec.inst
-        self.m, self.n = inst.m, inst.n
-        self.c = inst.c
-        self.f = inst.f
-        self.p = inst.p
-        self.rows = np.arange(self.m)
-        # Facility-major copies: a facility's column is one contiguous row.
-        # Ranks fit int32, which halves the bytes each rank comparison reads.
-        self.cT = np.ascontiguousarray(self.c.T)
-        self.pT = np.ascontiguousarray(self.p.T, dtype=np.int32)
-        self.big = self.n + 1
-        self.forced = np.zeros(self.n, dtype=bool)
-        for j in spec.forced_open:
-            self.forced[j] = True
-        self.threshold = spec.threshold  # None for splpo, which never values the empty set
-        # Only the slr kind may open nothing.
-        self.empty_feasible = spec.kind == KIND_SLR
-
-    def evaluate(self, open_mask: np.ndarray):
-        """Value and forced assignment of a feasible open set."""
-        if not open_mask.any():
-            return self.threshold, np.full(self.m, UNASSIGNED, dtype=np.int64)
-        assign = assign_most_preferred(self.inst, np.flatnonzero(open_mask))
-        return price(self.inst, self.rows, assign, open_mask), assign
+def _evaluate(spec: ProblemSpec, mask: np.ndarray):
+    """Value and forced assignment of an open set feasible for spec (empty: the threshold)."""
+    inst = spec.inst
+    if not mask.any():
+        return spec.threshold, np.full(inst.m, UNASSIGNED, dtype=np.int64)
+    assign = assign_most_preferred(inst, np.flatnonzero(mask))
+    return price(inst, np.arange(inst.m), assign, mask), assign
 
 
-def _result_solution(value, open_mask, assign, provenance) -> Solution:
-    return Solution(
-        open_facilities=frozenset(int(j) for j in np.flatnonzero(open_mask)),
-        assign=assign.copy(),
-        objective=value,
-        provenance=provenance,
-    )
+def _solution(spec: ProblemSpec, mask: np.ndarray, provenance: dict) -> Solution:
+    """The Solution of an open set feasible for spec, valued by _evaluate."""
+    value, assign = _evaluate(spec, mask)
+    return Solution(frozenset(np.flatnonzero(mask).tolist()), assign, value, provenance)
 
 
-def _savings(a, rank, cT, pT) -> np.ndarray:
+def _savings(a, rank, inst: Instance) -> np.ndarray:
     """Savings rows: max(a[i] - c[i, k], 0) where customer i prefers k to its server, else 0.
 
-    cT and pT hold the facility-major cost and rank rows of the facilities k
-    in question; a and rank are each customer's cost and rank at its server.
+    a and rank are each customer's cost and rank at its server.
     """
-    saving = a - cT
+    saving = a - inst.cT
     np.maximum(saving, 0.0, out=saving)
     # Every entry is now finite and at least +0.0 (np.maximum(-0.0, 0.0) is
     # +0.0), so multiplying by the mask is exact and zeroes an entry to +0.0.
-    np.multiply(saving, pT < rank, out=saving)
+    np.multiply(saving, inst.pT < rank, out=saving)
     return saving
 
 
@@ -279,7 +253,7 @@ def _served(cmin) -> float:
     return float(np.add.reduce(cmin))
 
 
-def _chain(ctx: _Context, order: list) -> list:
+def _chain(inst: Instance, order: list) -> list:
     """(cmin, served) of each node with nothing open, by the number of facilities it closed.
 
     Entry d holds each customer's cheapest cost outside order[:d], row d of
@@ -288,8 +262,8 @@ def _chain(ctx: _Context, order: list) -> list:
     row's sum. A row's pairwise sum is the float its 1-D sum gives, so each
     served is _served of its row.
     """
-    table = np.full((len(order) + 1, ctx.m), np.inf)
-    np.minimum.accumulate(ctx.cT[order[::-1]], axis=0, out=table[-2::-1])
+    table = np.full((len(order) + 1, inst.m), np.inf)
+    np.minimum.accumulate(inst.cT[order[::-1]], axis=0, out=table[-2::-1])
     return list(zip(table, np.add.reduce(table, axis=1).tolist()))
 
 
@@ -318,44 +292,45 @@ class _Node:
         self.gain = gain  # savings.sum(axis=1); None while nothing is open
 
     @staticmethod
-    def _opened(ctx: _Context, open_mask, closed_mask, cmin, served, rank, a) -> "_Node":
+    def _opened(inst: Instance, open_mask, closed_mask, cmin, served, rank, a) -> "_Node":
         """The node of a non-empty open set, given each customer's rank and cost there.
 
         value takes the sums solution.price takes, so it is that price bit
         for bit; from_masks and open_child both come here, so they agree on
         value, savings and gain whenever they agree on rank and a.
         """
-        fopen = float(np.add.reduce(ctx.f[open_mask]))
-        savings = _savings(a, rank, ctx.cT, ctx.pT)
+        fopen = float(np.add.reduce(inst.f[open_mask]))
+        savings = _savings(a, rank, inst)
         return _Node(open_mask, closed_mask, fopen, cmin, served, rank, a,
                      fopen + float(np.add.reduce(a)), savings, np.add.reduce(savings, axis=1))
 
     @staticmethod
-    def from_masks(ctx: _Context, open_mask, closed_mask) -> "_Node":
+    def from_masks(inst: Instance, open_mask, closed_mask) -> "_Node":
         """The node with these decisions, its state computed from scratch.
 
         Minima and gathers are exact and the sums are those of open_child,
         so the state equals the one the node's ancestors would hand down, bit
         for bit.
         """
-        cmin = np.where(closed_mask, np.inf, ctx.c).min(axis=1)
+        cmin = np.where(closed_mask, np.inf, inst.c).min(axis=1)
         served = _served(cmin)
         if not open_mask.any():
-            rank = np.full(ctx.m, ctx.big, dtype=np.int32)
-            return _Node(open_mask, closed_mask, 0.0, cmin, served, rank, np.full(ctx.m, np.inf),
+            rank = np.full(inst.m, inst.n + 1, dtype=np.int32)
+            return _Node(open_mask, closed_mask, 0.0, cmin, served, rank, np.full(inst.m, np.inf),
                          None, None, None)
-        rank = ctx.pT[open_mask].min(axis=0)
-        a = ctx.c[ctx.rows, ctx.inst.facility_of_rank[ctx.rows, rank - 1]]
-        return _Node._opened(ctx, open_mask, closed_mask, cmin, served, rank, a)
+        rank = inst.pT[open_mask].min(axis=0)
+        rows = np.arange(inst.m)
+        a = inst.c[rows, inst.facility_of_rank[rows, rank - 1]]
+        return _Node._opened(inst, open_mask, closed_mask, cmin, served, rank, a)
 
-    def open_child(self, ctx: _Context, j) -> "_Node":
+    def open_child(self, inst: Instance, j) -> "_Node":
         open_mask = self.open.copy()
         open_mask[j] = True
-        rank = np.minimum(self.rank, ctx.pT[j])
-        a = np.where(rank < self.rank, ctx.cT[j], self.a)  # the customers that move to j
-        return _Node._opened(ctx, open_mask, self.closed, self.cmin, self.served, rank, a)
+        rank = np.minimum(self.rank, inst.pT[j])
+        a = np.where(rank < self.rank, inst.cT[j], self.a)  # the customers that move to j
+        return _Node._opened(inst, open_mask, self.closed, self.cmin, self.served, rank, a)
 
-    def closed_child(self, ctx: _Context, j, chained=None) -> "_Node":
+    def closed_child(self, inst: Instance, j, chained=None) -> "_Node":
         """The child that closes j; chained, given when nothing is open, is
         the child's (cmin, served) from the chain table (_chain)."""
         closed_mask = self.closed.copy()
@@ -364,15 +339,15 @@ class _Node:
             cmin, served = chained
         else:
             cmin, served = self.cmin, self.served
-            hit = (ctx.cT[j] == cmin).nonzero()[0]
+            hit = (inst.cT[j] == cmin).nonzero()[0]
             if hit.size:
                 cmin = cmin.copy()
-                cmin[hit] = np.where(closed_mask, np.inf, ctx.c[hit]).min(axis=1)
+                cmin[hit] = np.where(closed_mask, np.inf, inst.c[hit]).min(axis=1)
                 served = _served(cmin)
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
                      self.value, self.savings, self.gain)
 
-    def bound(self, ctx: _Context, incumbent: float) -> tuple[float, int | None]:
+    def bound(self, inst: Instance, incumbent: float) -> tuple[float, int | None]:
         """Lower bound on every non-empty open set below this node, and the facility to branch on.
 
         The bound is the largest of the cheapest-service bound and, once
@@ -393,7 +368,7 @@ class _Node:
         bound = self.fopen + self.served
         best = None
         if self.gain is not None:
-            net = np.where(self.closed | self.open, -np.inf, self.gain - ctx.f)
+            net = np.where(self.closed | self.open, -np.inf, self.gain - inst.f)
             k = int(net.argmax())
             top = float(net[k])
             if top > -math.inf:
@@ -407,28 +382,25 @@ class _Node:
                 cap = np.maximum.reduce(s, axis=0)
                 w = cap - _DUAL_GRID[:, None] * np.maximum.reduce(cap)
                 np.maximum(w, 0.0, out=w)
-                dual = np.minimum.reduce(_savings_dual(s, ctx.f[live], w))
+                dual = np.minimum.reduce(_savings_dual(s, inst.f[live], w))
                 bound = max(bound, self.value - float(dual))
         return bound, best
 
 
-def _resume_stack(ctx: _Context, resume: ExactResult) -> list:
+def _resume_stack(spec: ProblemSpec, resume: ExactResult) -> list:
     """The previous search's frontier as a stack that pops in preorder."""
+    if spec.kind != KIND_SLR:
+        raise ValueError(f"resume needs an slr spec, not one of kind {spec.kind!r}")
     if resume.status != "optimal":
         raise ValueError("resume needs a search that finished, not an incomplete one")
     if resume.frontier is None:
         raise ValueError("resume needs an slr search that ended at the empty set")
-    if resume.frontier.inst is not ctx.inst:
+    if resume.frontier.inst is not spec.inst:
         raise ValueError("resume belongs to a search on another instance")
-    if ctx.threshold < resume.frontier.threshold:
+    if spec.threshold < resume.frontier.threshold:
         raise ValueError(
-            f"resume needs a threshold >= {resume.frontier.threshold!r}, got {ctx.threshold!r}")
+            f"resume needs a threshold >= {resume.frontier.threshold!r}, got {spec.threshold!r}")
     return resume.frontier.entries[::-1]
-
-
-def is_number(x) -> bool:
-    """Whether x is a real number (a Python or numpy one), not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def check_limits(node_limit: int | None, time_limit: float | None) -> int | None:
@@ -465,24 +437,24 @@ def branch_and_bound(
     negative or NaN limit raises ValueError.
 
     resume, an earlier result on the same instance whose frontier is set,
-    continues that search at this spec's threshold instead of starting from
-    the root; the threshold must not be smaller. The result is the one a fresh
-    search would return, but nodes and node_limit count only the nodes this
-    call newly evaluates.
+    continues that search at this slr spec's threshold instead of starting
+    from the root; the threshold must not be smaller. The result is the one a
+    fresh search would return, but nodes and node_limit count only the nodes
+    this call newly evaluates.
 
     on_node, when given, is called as on_node(depth, open_mask, closed_mask,
     bound, incumbent_value) for every node this call evaluates
     (instrumentation only).
     """
     check_limits(node_limit, time_limit)
-    ctx = _Context(spec)
     inst = spec.inst
+    forced = np.zeros(inst.n, dtype=bool)
+    forced[list(spec.forced_open)] = True
     # Nodes with nothing open lie on the chain of closed children below the
-    # root, so their closed set is a prefix of this order. Only a search
-    # with nothing forced open has them (and only it reads the order); their
-    # state comes from the chain table, built when the first of them is
-    # expanded.
-    alone = ctx.f + ctx.c.sum(axis=0)
+    # root, so their closed set is a prefix of this order. Only a search with
+    # nothing forced open has them (and only it reads the order); their state
+    # comes from the chain table, built when the first of them is expanded.
+    alone = inst.f + inst.c.sum(axis=0)
     order = sorted(range(inst.n), key=lambda j: (alone[j], j))
     chain = None
 
@@ -505,13 +477,11 @@ def branch_and_bound(
     # valued at the threshold and never evaluated again, so node bounds need to
     # cover only the non-empty sets below a node.
     if spec.kind == KIND_SPLPO:
-        hc_sol = heuristic_hc(inst)
-        warm = ctx.forced.copy()
-        for j in hc_sol.open_facilities:
-            warm[j] = True
-        consider(ctx.evaluate(warm)[0], warm)
+        warm = forced.copy()
+        warm[list(heuristic_hc(inst).open_facilities)] = True
+        consider(_evaluate(spec, warm)[0], warm)
     else:
-        consider(ctx.threshold, np.zeros(inst.n, dtype=bool))
+        consider(spec.threshold, np.zeros(inst.n, dtype=bool))
         frontier = []
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -520,10 +490,10 @@ def branch_and_bound(
     #   (bound, depth, open, closed, branch facility)  a node an earlier call pruned
     #   (value, open)                                  a set an earlier call rejected
     if resume is None:
-        root = _Node.from_masks(ctx, ctx.forced.copy(), np.zeros(inst.n, dtype=bool))
-        stack = [(-math.inf, 0, root, bool(ctx.forced.any()))]
+        root = _Node.from_masks(inst, forced.copy(), np.zeros(inst.n, dtype=bool))
+        stack = [(-math.inf, 0, root, bool(forced.any()))]
     else:
-        stack = _resume_stack(ctx, resume)
+        stack = _resume_stack(spec, resume)
     nodes = 0
     aborted = False
     frontier_bound = math.inf
@@ -540,8 +510,8 @@ def branch_and_bound(
                 # The stored bound may lack the savings-dual part, which the
                 # earlier search skipped; bound the node against this
                 # incumbent, as a fresh search would.
-                node = _Node.from_masks(ctx, open_mask, closed_mask)
-                bound, best = node.bound(ctx, incumbent_value)
+                node = _Node.from_masks(inst, open_mask, closed_mask)
+                bound, best = node.bound(inst, incumbent_value)
         else:
             if (node_limit is not None and nodes >= node_limit) or (
                 deadline is not None and time.monotonic() >= deadline
@@ -551,16 +521,16 @@ def branch_and_bound(
                 if frontier_bound == -math.inf:
                     # Only the unevaluated root inherits -inf, and it is then
                     # the only entry: its own bound covers every set below it.
-                    frontier_bound = entry[2].bound(ctx, incumbent_value)[0]
+                    frontier_bound = entry[2].bound(inst, incumbent_value)[0]
                 break
             _, depth, node, just_opened = entry
             open_mask, closed_mask = node.open, node.closed
             nodes += 1
-            bound, best = node.bound(ctx, incumbent_value)
+            bound, best = node.bound(inst, incumbent_value)
             if on_node is not None:
                 shown = bound
-                if ctx.empty_feasible and node.value is None:
-                    shown = min(bound, ctx.threshold)  # the empty set lies below too
+                if spec.kind == KIND_SLR and node.value is None:
+                    shown = min(bound, spec.threshold)  # the empty set lies below too
                 on_node(depth, open_mask.copy(), closed_mask.copy(), shown, incumbent_value)
             if just_opened:
                 # Evaluate the current open set before the prune check so that a
@@ -574,12 +544,12 @@ def branch_and_bound(
             continue
         if best is None:  # nothing is open: the closed child closes order[:depth + 1]
             if chain is None:
-                chain = _chain(ctx, order)
+                chain = _chain(inst, order)
             j, chained = order[depth], chain[depth + 1]
         else:
             j, chained = best, None
-        stack.append((bound, depth + 1, node.closed_child(ctx, j, chained), False))
-        stack.append((bound, depth + 1, node.open_child(ctx, j), True))
+        stack.append((bound, depth + 1, node.closed_child(inst, j, chained), False))
+        stack.append((bound, depth + 1, node.open_child(inst, j), True))
 
     if aborted:
         status = "incomplete"
@@ -591,16 +561,15 @@ def branch_and_bound(
 
     return ExactResult(
         value=incumbent_value,
-        solution=_result_solution(
-            incumbent_value,
+        solution=_solution(
+            spec,
             incumbent_mask,
-            ctx.evaluate(incumbent_mask)[1],
             {"algorithm": "branch_and_bound", "kind": spec.kind, "status": status},
         ),
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
-        frontier=None if frontier is None else Frontier(inst, ctx.threshold, frontier),
+        frontier=None if frontier is None else Frontier(inst, spec.threshold, frontier),
     )
 
 
@@ -617,32 +586,28 @@ def brute_force(spec: ProblemSpec) -> ExactResult:
     n = inst.n
     if n > BRUTE_FORCE_MAX_SITES:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_SITES} sites, got {n}")
-    ctx = _Context(spec)
     total = 1 << n
     shifts = n - 1 - np.arange(n)
+    forced = sorted(spec.forced_open)
 
     best_k = -1
     best_value = math.inf
-    forced_idx = np.flatnonzero(ctx.forced)
     chunk = max(1, (1 << 22) // max(1, inst.m * n))
     for start in range(0, total, chunk):
         ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         masks = ((ks[:, None] >> shifts[None, :]) & 1).astype(bool)
         ok = masks.any(axis=1)
-        if ctx.empty_feasible:
+        if spec.kind == KIND_SLR:
             ok |= ks == 0
-        if forced_idx.size:
-            ok &= masks[:, forced_idx].all(axis=1)
+        ok &= masks[:, forced].all(axis=1)
         if not ok.any():
             continue
-        ranked = np.where(masks[:, None, :], ctx.p[None, :, :], ctx.big)
+        ranked = np.where(masks[:, None, :], inst.p[None, :, :], n + 1)
         assign = np.argmin(ranked, axis=2)
-        service = np.take_along_axis(
-            ctx.c[None, :, :], assign[:, :, None], axis=2
-        )[:, :, 0]
-        values = service.sum(axis=1) + masks.astype(float) @ ctx.f
-        if ctx.empty_feasible and start == 0:
-            values[0] = ctx.threshold
+        service = inst.c[np.arange(inst.m), assign]
+        values = service.sum(axis=1) + masks.astype(float) @ inst.f
+        if spec.kind == KIND_SLR and start == 0:
+            values[0] = spec.threshold
         values = np.where(ok, values, np.inf)
         k_local = int(np.argmin(values))
         if values[k_local] < best_value:
@@ -650,13 +615,9 @@ def brute_force(spec: ProblemSpec) -> ExactResult:
             best_k = start + k_local
 
     mask = ((best_k >> shifts) & 1).astype(bool)
-    value, assign = ctx.evaluate(mask)
-    solution = _result_solution(
-        value,
-        mask,
-        assign,
-        {"algorithm": "brute_force", "kind": spec.kind, "status": "optimal"},
-    )
+    solution = _solution(
+        spec, mask, {"algorithm": "brute_force", "kind": spec.kind, "status": "optimal"})
+    value = solution.objective
     return ExactResult(
         value=value, solution=solution, status="optimal", lower_bound=value, nodes=total
     )

@@ -10,6 +10,7 @@ over its assigned server makes the assignment infeasible.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import cached_property
 
@@ -97,15 +98,16 @@ class Instance:
     f: opening costs, shape (n,), all finite and >= 0.
     c: service costs, shape (m, n), all finite and >= 0.
     p: preference ranks, shape (m, n); every row is a permutation of 1..n
-       with 1 marking the customer's most preferred site.
+       with 1 marking the customer's most preferred site (a bool, or a float
+       that is not a whole number, raises ValueError).
 
-    Not a Record: its derived arrays are cached in its ``__dict__``.
+    Not a Record: derived arrays, the facility-major cT and pT among them, live in its ``__dict__``.
     """
 
     def __init__(self, f: np.ndarray, c: np.ndarray, p: np.ndarray, name: str = ""):
         self.f = np.ascontiguousarray(f, dtype=float)
         self.c = np.ascontiguousarray(c, dtype=float)
-        self.p = np.ascontiguousarray(p, dtype=np.int64)
+        self.p = _ranks(p)
         self.name = name
         if self.c.ndim != 2:
             raise ValueError("c must be a 2-d cost matrix")
@@ -143,8 +145,17 @@ class Instance:
         """facility_of_rank[i, r-1] is the facility customer i ranks r-th."""
         out = np.empty_like(self.p)
         out[np.arange(self.m)[:, None], self.p - 1] = np.arange(self.n)[None, :]
-        out.setflags(write=False)
-        return out
+        return _read_only(out)
+
+    @cached_property
+    def cT(self) -> np.ndarray:
+        """Facility-major costs: cT[j], column j of c, is one contiguous row."""
+        return _read_only(np.ascontiguousarray(self.c.T))
+
+    @cached_property
+    def pT(self) -> np.ndarray:
+        """Facility-major ranks as int32, which halves the bytes a rank comparison reads."""
+        return _read_only(np.ascontiguousarray(self.p.T, dtype=np.int32))
 
     @cached_property
     def flat_rank_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +171,7 @@ class Instance:
         base = (np.arange(self.m) * self.n)[:, None]
         to_rank = base + self.facility_of_rank[:, ::-1]
         to_site = base + (self.n - self.p)
-        for a in (to_rank, to_site):
-            a.setflags(write=False)
-        return to_rank, to_site
+        return _read_only(to_rank), _read_only(to_site)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -176,6 +185,23 @@ class Instance:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Instance(m={self.m}, n={self.n}{tag})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _ranks(p) -> np.ndarray:
+    """p as int64; ValueError naming p for a bool or a float that is not a whole number."""
+    a = np.asarray(p)
+    # numpy casts a bool among numbers without a trace, so a list is read entry by entry.
+    if a.dtype.kind == "b" or not isinstance(p, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(p, dtype=object).flat):
+        raise ValueError("p must hold integer ranks, got a bool")
+    if a.dtype.kind == "f" and not (np.trunc(a) == a).all():
+        raise ValueError("p must hold integer ranks, got a float that is not a whole number")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def facility_sort_keys(inst: Instance) -> np.ndarray:
@@ -370,6 +396,11 @@ def as_int(value) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def is_number(x) -> bool:
+    """Whether x is a real number (a Python or numpy one), not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def check_count(name: str, value, low: int = 0) -> int:

@@ -52,8 +52,7 @@ import math
 
 import numpy as np
 
-from .exact import is_number
-from .instance import FrozenRecord, Instance, Record, check_count
+from .instance import FrozenRecord, Instance, Record, check_count, is_number
 from .solution import heuristic_hc
 
 IMPROVEMENT_TOL = 1e-9  # how far a relaxation value must beat the incumbent

@@ -22,8 +22,8 @@ import time
 
 import numpy as np
 
-from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits, is_number
-from .instance import FrozenRecord, Instance, Record, check_count
+from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits
+from .instance import FrozenRecord, Instance, Record, check_count, is_number
 
 
 def check_epsilon(epsilon: float | None) -> None:
@@ -132,22 +132,26 @@ class DualAscent:
         below = (costs < gamma0[:, None]).sum(axis=1)
         self.rung = np.where(gamma0 >= cp, inst.n + 1, np.maximum(below, 1))
         self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
-        self.iterations = 0
         self.trace: list[DaTraceRow] = []
         self.last: ExactResult | None = None
         self.best_lower_bound = -math.inf
-        self.done = False
         self.status = "iter_limit"
 
     @property
     def gamma(self) -> np.ndarray:
         return self.rungs[np.arange(self.inst.m), self.rung - 1]
 
-    def step(self) -> ExactResult:
-        """Run one iteration; sets done/status when no further progress is possible.
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
-        A driver that is done raises ValueError: its status is final.
-        """
+    @property
+    def done(self) -> bool:  # the status is final
+        return self.status != "iter_limit"
+
+    def step(self) -> ExactResult:
+        """Run one iteration, and set a final status when no further progress
+        is possible; a driver that is done raises ValueError."""
         if self.done:
             raise ValueError(f"the ascent is done (status {self.status!r}); it takes no more steps")
         time_left = None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
@@ -171,13 +175,12 @@ class DualAscent:
                 at_ceiling=int(at_ceiling.sum()),
             )
         )
-        self.iterations += 1
         if res.status != "optimal":
-            self.done, self.status = True, "incomplete"
+            self.status = "incomplete"
         elif opened:
-            self.done, self.status = True, "optimal"
+            self.status = "optimal"
         elif at_ceiling.all():
-            self.done, self.status = True, "ceiling"
+            self.status = "ceiling"
         else:
             self.rung = np.minimum(self.rung + 1, self.inst.n + 1)
         return res

@@ -93,13 +93,13 @@ def assign_most_preferred(inst: Instance, open_facilities) -> np.ndarray:
 
     With a full strict ranking per customer this choice is unique, and it is
     the only assignment compatible with the preference constraints once the
-    open set is fixed. The best rank over the open set names it, as in the
-    exact engine.
+    open set is fixed. The best rank over the open set's rows of inst.pT
+    names it, as in the exact engine.
     """
     mask = open_mask(inst, open_facilities)
     if not mask.any():
         raise ValueError("open set is empty")
-    rank = np.where(mask, inst.p, inst.n + 1).min(axis=1)
+    rank = inst.pT[mask].min(axis=0)
     return inst.facility_of_rank[np.arange(inst.m), rank - 1]
 
 
@@ -175,21 +175,19 @@ def solution_to_json(sol: Solution) -> str:
 def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
     """The sweep behind hc and hs: one whole-array pass over every site per round.
 
-    Facility-major copies make each site's column one contiguous row, and
-    ranks fit int32, which halves the bytes each rank comparison reads. A round
-    carries every customer's current cost and rank; row j of ``cost`` is the
-    assignment if j were added (the customers preferring j move to it), and
-    its pairwise row sum is j's total service cost, the same float a 1-D sum
-    of that assignment gives. Taken sites are masked to inf, so ``argmin``
+    It reads the instance's facility-major layout (``inst.cT``, ``inst.pT``),
+    in which each site's column is one contiguous row. A round carries every
+    customer's current cost and rank; row j of ``cost`` is the assignment if
+    j were added (the customers preferring j move to it), and its pairwise
+    row sum is j's total service cost, the same float a 1-D sum of that
+    assignment gives. Taken sites are masked to inf, so ``argmin``
     picks the lowest-index minimum among the rest. A round's objective adds
     that row sum to the opening costs of the sites in use, as ``price`` does.
     The sweep keeps only its running best (objective, assignment, sites in
     use) and counts its rounds, the seed round included, into the solution's
     provenance.
     """
-    m, n, f = inst.m, inst.n, inst.f
-    c_t = np.ascontiguousarray(inst.c.T)
-    p_t = np.ascontiguousarray(inst.p.T, dtype=np.int32)
+    m, n, f, c_t, p_t = inst.m, inst.n, inst.f, inst.cT, inst.pT  # locals for the round loop
 
     def used_by(assign: np.ndarray) -> np.ndarray:
         used = np.zeros(n, dtype=bool)

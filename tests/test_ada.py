@@ -55,6 +55,16 @@ def test_vfh_rejects_ids_that_are_not_sites(toy, bad):
         vfh(toy, [0, bad], ps=0.5)
 
 
+@pytest.mark.parametrize("ps", [-0.5, 1.5, True, float("nan"), "0.5", None])
+def test_vfh_and_the_config_check_ps_alike(ps):
+    # Unchecked, vfh forced two of three sites open at ps=-0.5 and read True as 1.
+    inst = generate_instance(8, 6, 1)
+    with pytest.raises(ValueError, match=r"ps must be a number in \[0, 1\]"):
+        vfh(inst, [0, 1, 2], ps=ps)
+    with pytest.raises(ValueError, match=r"ps must be a number in \[0, 1\]"):
+        AdaConfig(ps=ps)
+
+
 def test_vfh_flags_incomplete_engine():
     # Cheap opening, so that the preference bound does not settle the search
     # at its first node.

@@ -17,7 +17,7 @@ from splpo import (
     check_feasible,
     generate_instance,
 )
-from splpo.exact import _DUAL_GRID, KIND_SLR, _Context, _Node, _savings, _savings_dual
+from splpo.exact import _DUAL_GRID, KIND_SLR, _evaluate, _Node, _savings, _savings_dual
 
 from conftest import cheap_open_instance, cost_ceiling, random_instance
 from test_semilagrange import tied_instance
@@ -294,7 +294,6 @@ def test_search_stopped_at_the_root_reports_the_root_bound(limit):
 
 def _subtree_minimum(spec, open_mask, closed_mask):
     """Exhaustively evaluate every completion of a node's partial decision."""
-    ctx = _Context(spec)
     n = spec.inst.n
     undecided = [j for j in range(n) if not open_mask[j] and not closed_mask[j]]
     best = math.inf
@@ -302,8 +301,8 @@ def _subtree_minimum(spec, open_mask, closed_mask):
         mask = open_mask.copy()
         for j, b in zip(undecided, bits):
             mask[j] = b
-        if mask.any() or ctx.empty_feasible:
-            best = min(best, ctx.evaluate(mask)[0])
+        if mask.any() or spec.kind == KIND_SLR:
+            best = min(best, _evaluate(spec, mask)[0])
     return best
 
 
@@ -362,17 +361,17 @@ def test_savings_dual_covers_every_set_of_facilities(data):
         assert (_savings_dual(s[[k]], f[[k]], w) == w.sum(axis=1)).all()
 
 
-def _reference_savings(ctx, open_mask):
+def _reference_savings(inst, open_mask):
     """Each customer's cost at its server, each facility's savings row and their sums
     (the preference gains), from scratch."""
-    p, c = ctx.p, ctx.c
+    p, c, rows = inst.p, inst.c, np.arange(inst.m)
     opened = np.flatnonzero(open_mask)
-    server = np.array([min(opened, key=lambda k: p[i, k]) for i in range(ctx.m)])
-    a = c[ctx.rows, server]
-    server_rank = p[ctx.rows, server]
+    server = np.array([min(opened, key=lambda k: p[i, k]) for i in range(inst.m)])
+    a = c[rows, server]
+    server_rank = p[rows, server]
     savings = np.array([
         np.where(p[:, k] < server_rank, np.maximum(a - c[:, k], 0.0), 0.0)
-        for k in range(ctx.n)
+        for k in range(inst.n)
     ])
     return a, savings, np.array([row.sum() for row in savings])
 
@@ -392,43 +391,44 @@ def test_savings_rows_equal_the_reference_byte_for_byte(seed):
     m, n = int(rng.integers(2, 30)), int(rng.integers(2, 12))
     base = generate_instance(m, n, seed)
     c = rng.choice(np.array([-0.0, 0.0, 1.0, 2.5, 4.0]), size=(m, n))
-    ctx = _Context(ProblemSpec.splpo(Instance(f=base.f, c=c, p=base.p)))
+    inst = Instance(f=base.f, c=c, p=base.p)
     closed = np.zeros(n, dtype=bool)
     for _ in range(10):
         open_mask = rng.random(n) < 0.3
         open_mask[rng.integers(n)] = True
-        node = _Node.from_masks(ctx, open_mask, closed)
-        savings = _savings(node.a, node.rank, ctx.cT, ctx.pT)
-        assert savings.tobytes() == _reference_savings(ctx, open_mask)[1].tobytes()
+        node = _Node.from_masks(inst, open_mask, closed)
+        savings = _savings(node.a, node.rank, inst)
+        assert savings.tobytes() == _reference_savings(inst, open_mask)[1].tobytes()
         for j in np.flatnonzero(~open_mask)[:1]:
-            child = node.open_child(ctx, j)
-            assert child.savings.tobytes() == _reference_savings(ctx, child.open)[1].tobytes()
+            child = node.open_child(inst, j)
+            assert child.savings.tobytes() == _reference_savings(inst, child.open)[1].tobytes()
 
 
-def _reference_bound(ctx, open_mask, closed_mask, incumbent, guard=True) -> float:
+def _reference_bound(spec, open_mask, closed_mask, incumbent, guard=True) -> float:
     """The engine's node bound, rebuilt from scratch out of the node's decisions.
 
     The savings-dual part is taken only while the other two lie below
     incumbent and, with guard, where value minus the largest net gain of an
     undecided facility reaches incumbent, as the engine takes it.
     """
-    cmin = np.min(np.where(closed_mask[None, :], np.inf, ctx.c), axis=1)
-    fopen = float(ctx.f[open_mask].sum())
+    inst = spec.inst
+    cmin = np.min(np.where(closed_mask[None, :], np.inf, inst.c), axis=1)
+    fopen = float(inst.f[open_mask].sum())
     bound = fopen + float(cmin.sum()) if np.isfinite(cmin).all() else math.inf
     if not open_mask.any():
         # For slr the empty set, at the threshold, is one of the leaves below.
-        return min(ctx.threshold, bound) if ctx.empty_feasible else bound
-    a, savings, gain = _reference_savings(ctx, open_mask)
+        return min(spec.threshold, bound) if spec.kind == KIND_SLR else bound
+    a, savings, gain = _reference_savings(inst, open_mask)
     value = fopen + float(a.sum())
     undecided = ~(open_mask | closed_mask)
-    credit = np.where(undecided, np.maximum(gain - ctx.f, 0.0), 0.0)
+    credit = np.where(undecided, np.maximum(gain - inst.f, 0.0), 0.0)
     bound = max(bound, value - float(credit.sum()))
-    net = gain - ctx.f
+    net = gain - inst.f
     live = undecided & (net > 0.0)
     if bound < incumbent and live.any() and (not guard or value - net[live].max() >= incumbent):
         s = savings[live]
         cap = s.max(axis=0)
-        dual = min(_reference_dual(s, ctx.f[live], np.maximum(cap - g / 9 * cap.max(), 0.0))
+        dual = min(_reference_dual(s, inst.f[live], np.maximum(cap - g / 9 * cap.max(), 0.0))
                    for g in range(1, 9))
         bound = max(bound, value - dual)
     return bound
@@ -471,15 +471,14 @@ RECORDED_NODES = {
 @pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
 def test_node_bounds_equal_reference(seed):
     for kind, spec in _float_specs(seed).items():
-        ctx = _Context(spec)
         mismatches, flips = [], []
 
         def check(depth, open_mask, closed_mask, bound, incumbent):
-            expected = _reference_bound(ctx, open_mask, closed_mask, incumbent)
+            expected = _reference_bound(spec, open_mask, closed_mask, incumbent)
             if bound != expected:
                 mismatches.append((depth, open_mask, closed_mask, bound, expected))
             # The guard skips the savings-dual bound only where it cannot prune.
-            full = _reference_bound(ctx, open_mask, closed_mask, incumbent, guard=False)
+            full = _reference_bound(spec, open_mask, closed_mask, incumbent, guard=False)
             if (bound >= incumbent) != (full >= incumbent):
                 flips.append((depth, open_mask, closed_mask, bound, full))
 
@@ -503,9 +502,9 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
     seen = []
     bound = _Node.bound
 
-    def recording(node, ctx, incumbent):
-        seen.append((ctx, node))
-        return bound(node, ctx, incumbent)
+    def recording(node, inst, incumbent):
+        seen.append((inst, node))
+        return bound(node, inst, incumbent)
 
     monkeypatch.setattr(_Node, "bound", recording)
     specs = _float_specs(seed)
@@ -531,29 +530,29 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
         prev = res
     counts["resumed"] = len(seen) - sum(counts.values())
     assert min(counts.values()) > 0, counts
-    for ctx, node in seen:
-        fresh = _Node.from_masks(ctx, node.open, node.closed)
+    for inst, node in seen:
+        fresh = _Node.from_masks(inst, node.open, node.closed)
         for name in ("a", "value", "rank", "savings", "gain", "fopen", "cmin", "served"):
             assert _same_bits(getattr(node, name), getattr(fresh, name)), name
         if node.value is not None:
-            assert _same_bits(node.value, ctx.evaluate(node.open)[0])  # the set's price
+            price = _evaluate(ProblemSpec.splpo(inst), node.open)[0]
+            assert _same_bits(node.value, price)  # the set's price
 
 
-def _rule_choice(ctx, open_mask, closed_mask) -> int:
+def _rule_choice(inst, open_mask, closed_mask) -> int:
     """The facility the branching rule picks at a node, from scratch."""
     undecided = ~(open_mask | closed_mask)
     if not open_mask.any():
-        alone = ctx.f + ctx.c.sum(axis=0)
+        alone = inst.f + inst.c.sum(axis=0)
         return min(np.flatnonzero(undecided), key=lambda j: (alone[j], j))
-    _, _, gain = _reference_savings(ctx, open_mask)
-    net = np.where(undecided, gain - ctx.f, -np.inf)
+    _, _, gain = _reference_savings(inst, open_mask)
+    net = np.where(undecided, gain - inst.f, -np.inf)
     return int(np.argmax(net))
 
 
 @pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
 def test_branching_follows_net_saving(seed):
     for kind, spec in _float_specs(seed).items():
-        ctx = _Context(spec)
         records = []
         branch_and_bound(spec, on_node=lambda *a: records.append(a))
         checked = 0
@@ -565,7 +564,7 @@ def test_branching_follows_net_saving(seed):
                 and child[1].sum() == parent[1].sum() + 1
                 and added.size == 1
             ):
-                assert added[0] == _rule_choice(ctx, parent[1], parent[2]), kind
+                assert added[0] == _rule_choice(spec.inst, parent[1], parent[2]), kind
                 checked += 1
         assert checked > 0, kind
 
@@ -605,6 +604,10 @@ def test_resume_rejects_what_it_cannot_continue():
     for bad, match in ((non_empty, "empty set"), (incomplete, "incomplete"), (splpo, "empty set")):
         with pytest.raises(ValueError, match=match):
             branch_and_bound(ProblemSpec.slr(inst, cp), resume=bad)
+    # Only an slr search has a threshold to continue at.
+    for spec in (ProblemSpec.splpo(inst), ProblemSpec.splpo(inst, forced_open=[0])):
+        with pytest.raises(ValueError, match="resume needs an slr spec"):
+            branch_and_bound(spec, resume=prev)
 
 
 def _slr_chain(inst):

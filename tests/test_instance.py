@@ -451,9 +451,34 @@ def test_orlib_names_the_malformed_field(core, pref, message):
 
 
 def test_instance_arrays_are_read_only(toy):
-    for array in (toy.f, toy.c, toy.p, toy.facility_of_rank, *toy.flat_rank_index):
+    for array in (toy.f, toy.c, toy.p, toy.facility_of_rank, *toy.flat_rank_index, toy.cT,
+                  toy.pT):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_facility_major_layout_is_built_once():
+    inst = generate_instance(7, 5, 3)
+    assert inst.cT is inst.cT and inst.pT is inst.pT
+    assert inst.cT.flags.c_contiguous and inst.pT.flags.c_contiguous
+    assert inst.cT.dtype == np.float64 and np.array_equal(inst.cT, inst.c.T)
+    assert inst.pT.dtype == np.int32 and np.array_equal(inst.pT, inst.p.T)
+
+
+@pytest.mark.parametrize("p", [
+    [[1.5, 2.9]], [[1.0, np.nan]], [[True, 2]], [[np.True_, 2]], np.array([[True, False]]),
+    np.array([[2.0, 1.5]]),
+])
+def test_constructor_rejects_ranks_a_cast_would_change(p):
+    # Cast to int64, [[1.5, 2.9]] would read as [[1, 2]] and True as rank 1.
+    with pytest.raises(ValueError, match="p must hold integer ranks"):
+        Instance(f=[1, 1], c=[[1, 2]], p=p)
+
+
+def test_constructor_takes_whole_float_ranks():
+    for p in ([[2.0, 1.0]], np.array([[2.0, 1.0]]), np.array([[2, 1]], dtype=np.int32)):
+        inst = Instance(f=[1, 1], c=[[1, 2]], p=p)
+        assert inst.p.dtype == np.int64 and inst.p.tolist() == [[2, 1]]
 
 
 def test_flat_rank_index_orders_worst_first_and_back():

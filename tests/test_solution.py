@@ -24,7 +24,7 @@ from splpo import (
     solution_to_json,
     subgradient_method,
 )
-from splpo.exact import _Context
+from splpo.exact import _evaluate
 from splpo.solution import open_mask
 
 from conftest import random_instance
@@ -240,7 +240,6 @@ def test_one_price_per_open_set():
     for seed in range(300):
         inst = _float_instance(seed)
         spec = ProblemSpec.splpo(inst)
-        ctx = _Context(spec)
         hc_sol, hs_sol = heuristic_hc(inst), heuristic_hs(inst)
         produced = [hc_sol, hs_sol]
         if seed < 5:
@@ -248,13 +247,13 @@ def test_one_price_per_open_set():
             assert da.status == "optimal"
             produced.append(da.last.solution)
         for sol in produced:
-            value, assign = ctx.evaluate(open_mask(inst, sol.open_facilities))
+            value, assign = _evaluate(spec, open_mask(inst, sol.open_facilities))
             assert np.array_equal(assign, sol.assign)
             assert sol.objective == value == objective(inst, sol)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             open_set = rng.choice(inst.n, size=int(rng.integers(1, inst.n + 1)), replace=False)
-            value, assign = ctx.evaluate(open_mask(inst, open_set))
+            value, assign = _evaluate(spec, open_mask(inst, open_set))
             assert objective(inst, make_solution(open_set, assign)) == value
         res = branch_and_bound(spec)
         assert res.value == objective(inst, res.solution)
