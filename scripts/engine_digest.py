@@ -3,10 +3,11 @@
 
 Runs splpo, forced-open, node-limited, slr and resumed slr searches, plus
 the full ada pipeline, on seeded instances, and hashes every on_node record,
-every ExactResult repr, every resumed frontier and the ada results. Floats
-enter the hash by their bits, so two checkouts that print the same line
-return the same values, bounds, node sequences and solutions, ties included.
-Timings are left out.
+every ExactResult repr, every resumed frontier and the ada results, and on
+each instance the greedy hs and hc solutions (open set, assignment,
+objective and provenance). Floats enter the hash by their bits, so two
+checkouts that print the same line return the same values, bounds, node
+sequences and solutions, ties included. Timings are left out.
 
     python scripts/engine_digest.py          # the full set, a few seconds
     python scripts/engine_digest.py --quick  # a small subset
@@ -27,6 +28,8 @@ from splpo import (
     ada,
     branch_and_bound,
     generate_instance,
+    heuristic_hc,
+    heuristic_hs,
     preset_config,
 )
 
@@ -80,6 +83,12 @@ def _slr_chain(h, inst, fractions) -> None:
                        resume=last if last is not None and last.frontier is not None else None)
 
 
+def _heuristics(h, inst) -> None:
+    for sol in (heuristic_hs(inst), heuristic_hc(inst)):
+        _feed(h, (sorted(sol.open_facilities), sol.assign, sol.objective,
+                  sorted(sol.provenance.items())))
+
+
 def _ada(h, inst) -> None:
     res = ada(inst, preset_config((inst.m, inst.n)))
     _feed(h, (res.best_ub, res.lb_sg, res.lb_da, res.da_status, repr(res.da_trace),
@@ -95,17 +104,23 @@ def digest(quick: bool = False) -> str:
         _search(h, ProblemSpec.splpo(inst, forced_open=[seed % inst.n, (7 * seed) % inst.n]))
         _search(h, ProblemSpec.splpo(inst), node_limit=150)
         _slr_chain(h, inst, (0.6, 0.9, 0.99, 1.05))
+        _heuristics(h, inst)
     for seed in range(1, 2 if quick else 4):
         inst = _non_integer(seed)
         _search(h, ProblemSpec.splpo(inst))
         _search(h, ProblemSpec.splpo(inst, forced_open=[seed % inst.n]))
         _slr_chain(h, inst, (0.5, 0.95, 1.2))
+        _heuristics(h, inst)
     if not quick:
         for seed in (1, 2):
-            _search(h, ProblemSpec.splpo(generate_instance(75, 50, seed, CONSISTENT)))
-            _search(h, ProblemSpec.splpo(generate_instance(40, 25, seed, CHEAP)), node_limit=4000)
+            for inst, limit in ((generate_instance(75, 50, seed, CONSISTENT), None),
+                                (generate_instance(40, 25, seed, CHEAP), 4000)):
+                _search(h, ProblemSpec.splpo(inst), node_limit=limit)
+                _heuristics(h, inst)
     for seed in range(1, 3 if quick else 13):
-        _ada(h, generate_instance(60, 40, seed))
+        inst = generate_instance(60, 40, seed)
+        _ada(h, inst)
+        _heuristics(h, inst)
     return h.hexdigest()
 
 

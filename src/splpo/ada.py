@@ -81,9 +81,10 @@ def vfh(
     """Force open a cheap fraction of the given facilities, then solve exactly.
 
     The facilities are sorted by sum_i c[i, j] + m * f[j] (ties to the lower
-    index) and the first ceil(ps * |y_gamma|) are fixed open. An empty input
-    set degenerates to an unrestricted exact solve. If the engine hits its
-    limits the incumbent is returned, flagged heuristic in its provenance.
+    index) and the first ceil(ps * k) are fixed open, k counting the distinct
+    ids in y_gamma. An empty input set degenerates to an unrestricted exact
+    solve. If the engine hits its limits the incumbent is returned, flagged
+    heuristic in its provenance.
     Each id in y_gamma must be an integer site index (a bool or a float
     raises ValueError), and ps a number in [0, 1] as in AdaConfig.
     """
@@ -93,7 +94,7 @@ def vfh(
     if bad:
         raise ValueError(f"y_gamma holds {bad}, which are not sites 0..{inst.n - 1}")
     keys = facility_sort_keys(inst)
-    open_now = sorted(map(as_int, ids), key=lambda j: (keys[j], j))
+    open_now = sorted(set(map(as_int, ids)), key=lambda j: (keys[j], j))
     count = math.ceil(ps * len(open_now)) if open_now else 0
     fixed = open_now[:count]
     spec = ProblemSpec.splpo(inst, forced_open=fixed)

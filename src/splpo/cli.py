@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 4 stopped at a limit.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import glob
 import json
@@ -288,7 +289,10 @@ def cmd_bench(args) -> int:
         per_instance = []
         for algorithm in algorithms:
             try:
-                row, _ = _run_algorithm(inst, algorithm, args)
+                # A copy carries none of the instance's derived data (layouts,
+                # greedy sweep), so each row times all the work its algorithm
+                # does, whatever ran before it.
+                row, _ = _run_algorithm(copy.copy(inst), algorithm, args)
             except ValueError as exc:
                 per_instance.append(
                     ReportRow(prob=inst.name, algorithm=algorithm, status=f"error: {exc}")

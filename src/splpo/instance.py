@@ -101,7 +101,10 @@ class Instance:
        with 1 marking the customer's most preferred site (a bool, or a float
        that is not a whole number, raises ValueError).
 
-    Not a Record: derived arrays, the facility-major cT and pT among them, live in its ``__dict__``.
+    Not a Record: derived data (the facility-major cT and pT, the greedy
+    sweep) lives in its ``__dict__``. Copies and pickles are rebuilt by
+    ``__init__`` from (f, c, p, name), so they hold read-only arrays and no
+    derived data.
     """
 
     def __init__(self, f: np.ndarray, c: np.ndarray, p: np.ndarray, name: str = ""):
@@ -172,6 +175,9 @@ class Instance:
         to_rank = base + self.facility_of_rank[:, ::-1]
         to_site = base + (self.n - self.p)
         return _read_only(to_rank), _read_only(to_site)
+
+    def __reduce__(self):
+        return type(self), (self.f, self.c, self.p, self.name)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):

@@ -172,7 +172,7 @@ def solution_to_json(sol: Solution) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
+def _greedy_sweep(inst: Instance, early_stop: bool) -> dict:
     """The sweep behind hc and hs: one whole-array pass over every site per round.
 
     It reads the instance's facility-major layout (``inst.cT``, ``inst.pT``),
@@ -184,8 +184,13 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
     picks the lowest-index minimum among the rest. A round's objective adds
     that row sum to the opening costs of the sites in use, as ``price`` does.
     The sweep keeps only its running best (objective, assignment, sites in
-    use) and counts its rounds, the seed round included, into the solution's
-    provenance.
+    use) and counts its rounds, the seed round included.
+
+    A whole pass answers both heuristics, by name: "hc" is the running best
+    over every round, and "hs" the same running best frozen at the first
+    round whose service cost fails to improve on the last (or at the end),
+    each as (open set, assignment, objective, rounds). With early_stop the
+    pass ends at that round and answers "hs" alone.
     """
     m, n, f, c_t, p_t = inst.m, inst.n, inst.f, inst.cT, inst.pT  # locals for the round loop
 
@@ -193,6 +198,9 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
         used = np.zeros(n, dtype=bool)
         used[assign] = True
         return used
+
+    def result(rounds: int) -> tuple:
+        return frozenset(best_used.nonzero()[0].tolist()), best_assign, best, rounds
 
     j0 = int(np.argmin(inst.c.sum(axis=0)))  # ties resolved to the lowest index
     cur_c, cur_p = c_t[j0], p_t[j0]
@@ -202,8 +210,9 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
     service = cur_c.sum()
     best_used = used_by(assign)
     best, best_assign = float(service + np.add.reduce(f[best_used])), assign
+    found = {}
 
-    for _ in range(n - 1):
+    for rounds in range(2, n + 1):  # each round, the seed's included, takes one site
         prefer = p_t < cur_p
         cost = np.where(prefer, c_t, cur_c)
         tcs = np.add.reduce(cost, axis=1)
@@ -218,19 +227,34 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> Solution:
         value = float(tcs[k] + np.add.reduce(f[used]))
         if value < best:
             best, best_assign, best_used = value, assign, used
-        if early_stop and tcs[k] >= service:
-            break
+        if "hs" not in found and tcs[k] >= service:
+            found["hs"] = result(rounds)
+            if early_stop:
+                return found
         service = tcs[k]
 
+    found["hc"] = result(n)
+    found.setdefault("hs", found["hc"])
+    return found
+
+
+def _greedy(inst: Instance, algorithm: str) -> Solution:
+    """A new Solution for hc or hs, read from the instance's greedy sweep.
+
+    The sweep's answers stay in the instance's ``__dict__`` with its other
+    derived data. A missing hc runs the whole pass, which answers hs too; a
+    missing hs runs the pass only up to hs's last round. Each call gets its
+    own provenance dict and copy of the assignment, so no caller sees
+    another's changes. Threads that both find an answer missing each run the
+    sweep and store equal results.
+    """
+    sweeps = inst.__dict__.setdefault("_greedy_sweep", {})
+    if algorithm not in sweeps:
+        sweeps.update(_greedy_sweep(inst, early_stop=algorithm == "hs"))
+    open_facilities, assign, objective, rounds = sweeps[algorithm]
     # Customers sit at their most preferred selected facility: the forced assignment.
-    return Solution(
-        open_facilities=frozenset(best_used.nonzero()[0].tolist()),
-        assign=best_assign,
-        objective=best,
-        # Each round, the seed's included, takes one site.
-        provenance={"algorithm": "hs" if early_stop else "hc",
-                    "rounds": int(np.count_nonzero(taken))},
-    )
+    return Solution(open_facilities, assign.copy(), objective,
+                    {"algorithm": algorithm, "rounds": rounds})
 
 
 def heuristic_hc(inst: Instance) -> Solution:
@@ -241,18 +265,21 @@ def heuristic_hc(inst: Instance) -> Solution:
     holds the number of rounds, the seed round included.
 
     Each round is one whole-array pass over every site (see _greedy_sweep),
-    so a call costs n - 1 such passes over an (n, m) array.
+    so the sweep costs n - 1 such passes over an (n, m) array. It runs once
+    per instance and answers hs too; later calls copy its result.
     """
-    return _greedy_sweep(inst, early_stop=False)
+    return _greedy(inst, "hc")
 
 
 def heuristic_hs(inst: Instance) -> Solution:
     """Greedy sweep that stops as soon as the round's best service cost
     fails to improve on the previous one (opening costs excluded from the
     stopping comparison). Round 1 is compared with the seed round's
-    service cost, so a tie with the seed stops the sweep.
+    service cost, so a tie with the seed stops the sweep. Its rounds are
+    the first rounds of hc's sweep: after hc it is read from that pass, and
+    otherwise its own pass stops there.
     """
-    return _greedy_sweep(inst, early_stop=True)
+    return _greedy(inst, "hs")
 
 
 __all__ = [

@@ -3,11 +3,27 @@ import numpy as np
 import pytest
 
 from splpo import Instance, generate_instance
+import splpo.solution as solution_module
 
 hypothesis.settings.register_profile(
     "solver", deadline=None, max_examples=25, derandomize=True
 )
 hypothesis.settings.load_profile("solver")
+
+
+@pytest.fixture
+def count_sweeps(monkeypatch):
+    """The greedy sweeps the package runs: by instance id, each sweep's early_stop."""
+    sweeps, swept = {}, []  # swept keeps each instance alive, so no id is reused
+    sweep = solution_module._greedy_sweep
+
+    def counting(inst, early_stop):
+        swept.append(inst)
+        sweeps.setdefault(id(inst), []).append(early_stop)
+        return sweep(inst, early_stop)
+
+    monkeypatch.setattr(solution_module, "_greedy_sweep", counting)
+    return sweeps
 
 
 @pytest.fixture

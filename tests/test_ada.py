@@ -43,6 +43,16 @@ def test_vfh_ps_extremes(toy):
     assert tight.open_facilities == frozenset({0, 1})
 
 
+def test_vfh_counts_each_site_once():
+    # ceil(0.5 * 2) = 1 site of {3, 5} is fixed, however often each is listed.
+    inst = generate_instance(60, 40, 1)
+    once = vfh(inst, [3, 5], ps=0.5)
+    assert once.provenance["fixed_open"] == [6]
+    repeated = vfh(inst, [3, 3, 3, 5], ps=0.5)
+    assert repeated == once
+    assert repeated.provenance == once.provenance
+
+
 def test_vfh_empty_input_solves_unrestricted(toy):
     sol = vfh(toy, [], ps=0.5)
     assert sol.objective == 8.0

@@ -154,6 +154,17 @@ def test_bench_table(toy_file, tmp_path):
     assert by_alg["exact"].gap_pct == 0.0
 
 
+def test_bench_runs_each_algorithm_on_its_own_instance(tmp_path, count_sweeps):
+    # No row reads a greedy sweep another row made, so a row's time does not
+    # depend on the algorithms listed before it: hs makes its own early-stopped
+    # sweep after hc, and sg its own for the step target.
+    main(["generate", "--m", "12", "--n", "9", "--seed", "2", "--out-dir", str(tmp_path)])
+    code = main(["bench", str(tmp_path / "*.splpo"), "--algorithms", "hc,hs,sg",
+                 "--out", str(tmp_path / "bench.csv")])
+    assert code == EXIT_OK
+    assert sorted(count_sweeps.values()) == [[False], [False], [True]]
+
+
 def test_bench_gaps_dominance(tmp_path):
     out_dir = tmp_path / "inst"
     main(["generate", "--m", "8", "--n", "6", "--seed", "3", "--count", "4",

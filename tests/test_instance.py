@@ -16,6 +16,7 @@ from splpo import (
     SgConfig,
     facility_sort_keys,
     generate_instance,
+    heuristic_hc,
     parse_instance,
     parse_orlib,
     write_instance,
@@ -455,6 +456,19 @@ def test_instance_arrays_are_read_only(toy):
                   toy.pT):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_instance_copies_and_pickles_rebuild_through_the_constructor():
+    inst = generate_instance(60, 40, 1, name="g")
+    fresh = pickle.dumps(inst)
+    heuristic_hc(inst)  # fills the derived data: the layouts and the greedy sweep
+    inst.flat_rank_index
+    assert pickle.dumps(inst) == fresh
+    for twin in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(fresh)):
+        assert type(twin) is Instance and twin == inst and twin.name == "g"
+        assert sorted(vars(twin)) == ["c", "f", "name", "p"]
+        for array in (twin.f, twin.c, twin.p, twin.cT):
+            assert not array.flags.writeable
 
 
 def test_facility_major_layout_is_built_once():

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splpo import (
+    AdaConfig,
     GeneratorConfig,
     Instance,
     ProblemSpec,
+    SgConfig,
     Solution,
     UNASSIGNED,
     Violation,
+    ada,
     assign_most_preferred,
     branch_and_bound,
     brute_force,
@@ -386,9 +389,59 @@ def _assert_same_sweep(sol, ref_sol):
 
 
 def test_greedy_sweep_matches_reference_loop():
+    # Either heuristic may come first on an instance: hc's whole pass then
+    # answers hs too, and hs first makes its own early-stopped pass.
     for inst in _sweep_instances():
-        for heuristic, early_stop in ((heuristic_hc, False), (heuristic_hs, True)):
-            _assert_same_sweep(heuristic(inst), _reference_sweep(inst, early_stop))
+        refs = {early_stop: _reference_sweep(inst, early_stop) for early_stop in (False, True)}
+        for order in ((heuristic_hc, heuristic_hs), (heuristic_hs, heuristic_hc)):
+            twin = Instance(f=inst.f, c=inst.c, p=inst.p)
+            for heuristic in order:
+                _assert_same_sweep(heuristic(twin), refs[heuristic is heuristic_hs])
+
+
+def test_greedy_results_do_not_share_state():
+    inst = generate_instance(30, 20, 4)
+    for heuristic in (heuristic_hc, heuristic_hs):
+        first = heuristic(inst)
+        provenance, assign = dict(first.provenance), first.assign.copy()
+        first.provenance["round"] = 3
+        first.assign[:] = UNASSIGNED
+        again = heuristic(inst)
+        assert again.provenance == provenance
+        assert np.array_equal(again.assign, assign)
+
+
+def test_ada_runs_one_greedy_sweep(count_sweeps):
+    # hc's bound, its step target for the subgradient method, and the warm
+    # start of every variable-fixing solve all read one sweep.
+    inst = generate_instance(60, 40, 1)
+    res = ada(inst, AdaConfig(sg_iter=20, da_iter=3, vfh_iter=2))
+    assert res.vfh_solutions
+    assert count_sweeps == {id(inst): [False]}
+
+
+def test_callers_sharing_an_instance_run_one_greedy_sweep(count_sweeps):
+    inst = generate_instance(30, 20, 2)
+    hc_sol = heuristic_hc(inst)
+    hs_sol = heuristic_hs(inst)
+    res = branch_and_bound(ProblemSpec.splpo(inst))
+    sg = subgradient_method(inst, SgConfig(max_iter=5))
+    assert count_sweeps == {id(inst): [False]}
+    assert res.value <= hc_sol.objective <= hs_sol.objective
+    assert sg.best_value <= res.value
+
+
+def test_hs_alone_stops_its_sweep_early(count_sweeps):
+    # Without hc's pass to read, hs's own pass ends at its last round; a
+    # later hc then makes the whole pass once.
+    inst = generate_instance(30, 20, 2)
+    hs_sol = heuristic_hs(inst)
+    assert count_sweeps == {id(inst): [True]}
+    assert hs_sol.provenance["rounds"] < inst.n
+    heuristic_hs(inst)
+    heuristic_hc(inst)
+    heuristic_hc(inst)
+    assert count_sweeps == {id(inst): [True, False]}
 
 
 def test_greedy_sweep_takes_each_site_once_when_totals_overflow():
