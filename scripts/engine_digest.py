@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""One sha256 over the exact engine's results on a fixed, seeded search set.
+"""One sha256 over the exact engine's and subgradient results on a fixed, seeded set.
 
 Runs splpo, forced-open, node-limited, slr and resumed slr searches, plus
-the full ada pipeline, on seeded instances, and hashes every on_node record,
-every ExactResult repr, every resumed frontier and the ada results, and on
-each instance the greedy hs and hc solutions (open set, assignment,
-objective and provenance). Floats enter the hash by their bits, so two
-checkouts that print the same line return the same values, bounds, node
-sequences and solutions, ties included. Timings are left out.
+the full ada pipeline and whole subgradient runs, on seeded instances, and
+hashes every on_node record, every ExactResult repr, every resumed frontier,
+the ada results and each subgradient run (trace rows, best multipliers,
+best value, status and iteration counts), and on each instance the greedy
+hs and hc solutions (open set, assignment, objective and provenance).
+Floats enter the hash by their bits, so two checkouts that print the same
+line return the same values, bounds, node sequences, multipliers and
+solutions, ties included. Timings are left out.
 
     python scripts/engine_digest.py          # the full set, a few seconds
     python scripts/engine_digest.py --quick  # a small subset
@@ -25,12 +27,14 @@ from splpo import (
     GeneratorConfig,
     Instance,
     ProblemSpec,
+    SgConfig,
     ada,
     branch_and_bound,
     generate_instance,
     heuristic_hc,
     heuristic_hs,
     preset_config,
+    subgradient_method,
 )
 
 MULTIOPEN = GeneratorConfig(mode="cost-consistent", open_range=(4000, 6000))
@@ -95,6 +99,12 @@ def _ada(h, inst) -> None:
               repr(res.best_solution), repr(res.hc_solution), repr(res.vfh_solutions)))
 
 
+def _sg(h, inst, cfg) -> None:
+    res = subgradient_method(inst, cfg)
+    _feed(h, (repr(res.trace), res.best_mu, res.best_lam, res.best_value, res.status,
+              res.iterations, res.best_iteration))
+
+
 def digest(quick: bool = False) -> str:
     """The sha256 of the full set, or with quick of a small subset of it."""
     h = hashlib.sha256()
@@ -117,6 +127,11 @@ def digest(quick: bool = False) -> str:
                                 (generate_instance(40, 25, seed, CHEAP), 4000)):
                 _search(h, ProblemSpec.splpo(inst), node_limit=limit)
                 _heuristics(h, inst)
+    for seed in range(1, 2 if quick else 3):
+        # The `splpo bench` sg row (lr_aim from hc), and ada's warm-up on 60x40.
+        _sg(h, generate_instance(75, 50, seed, CONSISTENT), SgConfig())
+        inst = generate_instance(60, 40, seed)
+        _sg(h, inst, SgConfig(max_iter=50, lr_aim=heuristic_hc(inst).objective))
     for seed in range(1, 3 if quick else 13):
         inst = generate_instance(60, 40, seed)
         _ada(h, inst)

@@ -9,18 +9,32 @@ The preference terms are suffix (and, in the subgradient, prefix) sums along
 each customer's ranking, so one private kernel evaluates the relaxation and
 its subgradient in rank order: each customer's row lists its sites worst
 first, as ``Instance.flat_rank_index`` defines it, and those sums are plain
-row-wise cumsums. The subgradient method holds lam in rank order for its
-whole run, reuses one set of (m, n) buffers, and takes its best lam back to
-site order once, at the end. ``solve_lr`` takes and returns site-order
-arrays and converts at its edges. Column sums run over customers in order,
-so every float sum is the one site order would give. The relaxed
-assignment x is a bool array, like y.
+row-wise running sums. The subgradient method holds lam in rank order for
+its whole run, reuses one set of (m, n) buffers, and takes its best lam back
+to site order once, at the end. ``solve_lr`` takes and returns site-order
+arrays and converts at its edges. The relaxed assignment x is a bool array,
+like y.
 
-lam is mostly zero in a run: an all-zero row adds only +0.0 to its cumsum
-and to the column sums, so when fewer than half the rows hold a non-zero
-entry, the kernel sums those rows alone, and otherwise the whole array. The
-subgradient's cover counts (at most n) accumulate in int8 when n < 128 and
-in int64 otherwise, and its entries, small integers, are held as floats.
+The kernel calls numpy's ufuncs directly, and every float it makes is the
+one a site-order loop would make:
+
+* running sums are ``np.add.accumulate`` along rows, the adds
+  ``np.cumsum`` makes, without its wrapper, and in the int8 cover counter
+  without its widening to int64;
+* rho is one ``np.bincount`` over the cells, customer after customer, then
+  a last row holding f: each site's sum starts at +0.0, adds its cells in
+  customer order and then f, the adds of a column sum followed by + f;
+* the value is ``np.add.reduce`` over rho's negative entries plus
+  ``np.add.reduce`` over mu, the reductions ``sum()`` makes;
+* the subgradient's squared norm is two dot products of small integers
+  held as floats, exact in any order.
+
+lam is mostly zero in a run: an all-zero row adds only +0.0 to its running
+sum and to the column sums, so when fewer than half the rows hold a non-zero
+entry, the kernel gathers those rows alone (``take``), sums them and writes
+them back, and otherwise sums the whole array. The subgradient's cover
+counts (at most n) accumulate in int8 when n < 128 and in int64 otherwise,
+and its entries, small integers, are held as floats.
 
 A step often changes little, so the loop redoes only the work whose inputs
 changed, and each skip leaves every float as it was:
@@ -33,12 +47,13 @@ changed, and each skip leaves every float as it was:
   +0.0 for s <= 0: that step is skipped, and the relaxation after it does
   not look for non-zero rows; whether the subgradient has a positive entry
   is found at most once per (x, y);
-* the open set y is spread over the cells only when it differs, byte for
-  byte, from the y spread last time, which those cells still hold;
+* the open set y is spread over the cells, into a new array, only when it
+  differs, byte for byte, from the y spread last time, which those cells
+  still hold;
 * the subgradient and its squared norm are functions of (x, y) alone, so
   they are recomputed only when that pair differs from the one they were
-  last computed from (kept as byte copies, since the kernel overwrites x
-  and y in place on every step).
+  last computed from (kept as byte copies, since the kernel overwrites x in
+  place on every step).
 
 Multipliers are checked once, where ``LagrangeMultipliers`` is built, and
 their shapes where ``solve_lr`` reads them; the subgradient method checks
@@ -109,29 +124,38 @@ class _RankRelaxation:
     Every (m, n) array here is in rank order: row i lists customer i's sites
     worst first. ``facility[i, q]`` is the site in cell (i, q). The buffers
     are reused, so each call overwrites what the last one returned in them.
-    ``solve`` sums lam's non-zero rows alone when they are fewer than half
-    of them (none at all when there are none, and it does not look for them
-    when told that lam is all zero), and the whole array otherwise, and
-    records in self.live whether it found any; it spreads y over self.y
-    only when it differs from ``y_bytes``, the y spread last.
-    ``subgradient`` counts covers in an int8 counter when n < 128 and in an
-    int64 one otherwise.
+    ``cells`` holds min(reduced, 0) above a last row holding f, and
+    ``sites_f`` the site of each of its entries, so one bincount gives rho
+    before lam's column sums. ``solve`` sums lam's non-zero rows alone when
+    they are fewer than half of them (none at all when there are none, and
+    it does not look for them when told that lam is all zero), and the
+    whole array otherwise, and records in self.live whether it found any;
+    it spreads y into a new self.y only when it differs from ``y_bytes``,
+    the y spread last. ``subgradient`` counts covers in an int8 counter
+    when n < 128 and in an int64 one otherwise, summing in the counter's
+    own type.
     """
 
     def __init__(self, inst: Instance):
         self.to_rank, self.to_site = inst.flat_rank_index
         self.c = inst.c.take(self.to_rank)
+        m, n = self.c.shape
         self.f = inst.f
-        self.ones = np.ones(self.f.size)
+        self.ones = np.ones(n)
         self.facility = np.ascontiguousarray(inst.facility_of_rank[:, ::-1])
-        self.sites = self.facility.ravel()
-        self.reduced = np.empty(self.c.shape)
-        self.scratch = np.empty(self.c.shape)
-        self.x = np.empty(self.c.shape, dtype=bool)
-        self.y = np.empty(self.c.shape, dtype=bool)
+        # Each cell's site, then each site once more for the row of f.
+        self.sites_f = np.concatenate((self.facility.ravel(), np.arange(n)))
+        self.sites = self.sites_f[:m * n]
+        self.reduced = np.empty((m, n))
+        # A bincount adds each site's cells customer after customer, then f.
+        self.cells = np.empty((m + 1, n))
+        self.cells[m] = self.f
+        self.scratch = self.cells[:m]
+        self.x = np.empty((m, n), dtype=bool)
+        self.y = None  # y per cell, a new array at each spread
         # A count never exceeds n, and y minus a count is at least -n.
-        self.covered = np.empty(self.c.shape, dtype=np.int8 if self.f.size < 128 else np.int64)
-        self.s_lam = np.empty(self.c.shape)
+        self.covered = np.empty((m, n), dtype=np.int8 if n < 128 else np.int64)
+        self.s_lam = np.empty((m, n))
         self.y_bytes = None  # the site-order y last spread over self.y
         self.live = True  # whether lam held a non-zero row in the last solve
 
@@ -139,7 +163,7 @@ class _RankRelaxation:
         """Per-site sums of a, the given rows of an (m, n) array (all of them
         by default), adding customer after customer like sum(axis=0) in site
         order: the same floats, up to the sign of a zero sum."""
-        sites = self.sites if rows is None else self.facility[rows].ravel()
+        sites = self.sites if rows is None else self.facility.take(rows, axis=0).ravel()
         return np.bincount(sites, weights=a.ravel(), minlength=self.f.size)
 
     def solve(self, mu: np.ndarray, lam: np.ndarray,
@@ -156,18 +180,19 @@ class _RankRelaxation:
             # An all-zero row adds +0.0 to the sums, which changes no float.
             # lam is nonnegative, so a row sums to zero exactly when it is
             # all zeros (and a NaN row counts as non-zero).
-            rows = (lam @ self.ones).nonzero()[0]
+            rows = lam.dot(self.ones).nonzero()[0]
             self.live = rows.size > 0
             if 2 * rows.size >= len(lam):
-                np.cumsum(lam, axis=1, out=scratch)
+                np.add.accumulate(lam, axis=1, out=scratch)
                 reduced -= scratch
                 lam_sum = self.colsum(lam)
             elif rows.size:
-                part = lam[rows]
-                reduced[rows] -= np.cumsum(part, axis=1)
+                part = lam.take(rows, axis=0)
                 lam_sum = self.colsum(part, rows)
+                np.add.accumulate(part, axis=1, out=part)
+                reduced[rows] = np.subtract(reduced.take(rows, axis=0), part, out=part)
         np.minimum(reduced, 0.0, out=scratch)
-        rho = self.colsum(scratch) + self.f
+        rho = np.bincount(self.sites_f, weights=self.cells.ravel())
         if self.live:
             # Without rows lam_sum is +0.0, which changes no sum here: a
             # column sum starts at +0.0, so neither it nor its sum with f
@@ -176,18 +201,19 @@ class _RankRelaxation:
         y = rho < 0.0
         y_bytes = y.tobytes()
         if y_bytes != self.y_bytes:
-            np.take(y, self.facility, out=self.y)
+            self.y = y[self.facility]
             self.y_bytes = y_bytes
         np.less(reduced, 0.0, out=self.x)
         self.x &= self.y
-        return float(rho[y].sum() + mu.sum()), rho, y
+        return float(np.add.reduce(rho[y]) + np.add.reduce(mu)), rho, y
 
     def subgradient(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(s_mu, s_lam) from x and y per cell; s_lam holds integers as floats."""
         covered = self.covered
         # Counts from each customer's favourite, stored worst first like x.
         np.copyto(covered, x)
-        np.cumsum(covered[:, ::-1], axis=1, out=covered[:, ::-1])
+        # In the counter's own type: cumsum would widen an int8 one to int64.
+        np.add.accumulate(covered[:, ::-1], axis=1, out=covered[:, ::-1])
         np.subtract(y, covered, out=self.s_lam)
         return 1.0 - covered[:, 0], self.s_lam
 
@@ -322,7 +348,8 @@ def subgradient_method(
         if point != last_point:
             s_mu, s_lam = rel.subgradient(x, y)
             # Subgradient entries are small integers, so these sums are exact in any order.
-            norm_sq = float(s_mu @ s_mu + s_lam.ravel() @ s_lam.ravel())
+            s = s_lam.ravel()
+            norm_sq = float(s_mu.dot(s_mu) + s.dot(s))
             rises = None  # whether s_lam has a positive entry, found when needed
             last_point = point
         if norm_sq == 0.0:

@@ -416,31 +416,48 @@ def _bit_identity_cases():
         yield inst, SgConfig(max_iter=40), LagrangeMultipliers(mu, np.zeros((3, n)))
 
 
-class _CumsumSpy:
-    """Stands in for numpy in the lagrange module and records its cumsums:
-    whether lam was summed whole, into the kernel's buffer, or as a gather
-    of fewer than half its rows, and the largest count per counter type."""
+class _AddSpy:
+    """Stands in for np.add and passes each accumulate call, with its
+    result, to record."""
+
+    def __init__(self, record):
+        self.record = record
+
+    def __getattr__(self, name):
+        return getattr(np.add, name)
+
+    def accumulate(self, a, *args, **kwargs):
+        out = np.add.accumulate(a, *args, **kwargs)
+        self.record(a, out, kwargs)
+        return out
+
+
+class _AccumulateSpy:
+    """Stands in for numpy in the lagrange module and records its running
+    sums (np.add.accumulate): whether lam was summed whole, into the
+    kernel's buffer, or as a gather of fewer than half its rows, and the
+    largest count per counter type."""
 
     def __init__(self):
         self.m, self.paths, self.counts = 0, set(), {}
+        self.add = _AddSpy(self.record)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def cumsum(self, a, *args, **kwargs):
-        out = np.cumsum(a, *args, **kwargs)
+    def record(self, a, out, kwargs):
         if a.dtype == float:
-            whole = "out" in kwargs and len(a) == self.m
+            # Whole: all of lam, written to another buffer, never to lam.
+            whole = len(a) == self.m and kwargs.get("out", a) is not a
             self.paths.add("whole" if whole else "rows" if 2 * len(a) < self.m else "other")
         elif out.size:
             self.counts[a.dtype] = max(self.counts.get(a.dtype, 0), int(out.max()))
-        return out
 
 
 def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
     # repr round-trips every float exactly and reads NaN as equal to itself.
     statuses = set()
-    spy = _CumsumSpy()
+    spy = _AccumulateSpy()
     monkeypatch.setattr(lagrange, "np", spy)
     lam_live = []  # per relaxation of a run: whether lam holds a non-zero entry
     solve = lagrange._RankRelaxation.solve
@@ -506,26 +523,23 @@ def test_relaxation_steps_match_the_gather_based_reference():
 
 class _SkipSpy:
     """Stands in for numpy in the lagrange module and counts how often lam
-    was summed (its float cumsums) and stepped (its one np.maximum), and y
-    spread over the cells (its one np.take)."""
+    was summed (its float running sums) and stepped (its one np.maximum);
+    the test's solve wrapper counts in spreads how often y was spread over
+    the cells (each spread builds a new rel.y)."""
 
     def __init__(self):
         self.lam_sums, self.lam_steps, self.spreads = 0, 0, 0
+        self.add = _AddSpy(self.record)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def cumsum(self, a, *args, **kwargs):
+    def record(self, a, out, kwargs):
         self.lam_sums += a.dtype == float
-        return np.cumsum(a, *args, **kwargs)
 
     def maximum(self, *args, **kwargs):
         self.lam_steps += 1
         return np.maximum(*args, **kwargs)
-
-    def take(self, *args, **kwargs):
-        self.spreads += 1
-        return np.take(*args, **kwargs)
 
 
 def test_sg_skips_exactly_the_work_whose_inputs_did_not_change(monkeypatch):
@@ -540,14 +554,15 @@ def test_sg_skips_exactly_the_work_whose_inputs_did_not_change(monkeypatch):
         return s_mu, s_lam
 
     # Per relaxation: whether it read lam's rows, how many were non-zero, the
-    # float cumsums it made, the lam steps since the last one, and whether
-    # the subgradient stepped along (if any) has a positive entry.
+    # float running sums it made, the lam steps since the last one, and
+    # whether the subgradient stepped along (if any) has a positive entry.
     relaxations = []
     solve = lagrange._RankRelaxation.solve
 
     def spy_solve(rel, mu, lam, live=True):
-        sums, steps = spy.lam_sums, spy.lam_steps
+        sums, steps, y = spy.lam_sums, spy.lam_steps, rel.y
         out = solve(rel, mu, lam, live)
+        spy.spreads += rel.y is not y
         spy.lam_steps = 0
         relaxations.append((live, int(lam.any(axis=1).sum()), spy.lam_sums - sums, steps,
                             rises[-1] if rises else None))

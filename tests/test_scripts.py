@@ -73,11 +73,11 @@ def test_run_benchmark_summary_is_read_from_the_bench_rows(tmp_path, monkeypatch
 
 def test_engine_digest_pins_the_engine_results():
     # Bit for bit: a change to any value, bound, node sequence, tie or
-    # frontier of the script's searches and ada runs, or to any of its hc
-    # and hs solutions, changes this line.
+    # frontier of the script's searches and ada runs, to any float of its
+    # subgradient runs, or to any of its hc and hs solutions, changes this line.
     engine_digest = load_script("engine_digest")
     assert engine_digest.digest() == (
-        "0cb3dea242f6c44728621f5f4a49faba112dac26b635c0ba14afb74a72f559ab")
+        "8ca370c76c738984370faf4d3d2fcdc25d3763397e6d7a4ed2e82b3e37e3b034")
 
 
 def test_engine_digest_prints_one_repeatable_sha256(capsys):
