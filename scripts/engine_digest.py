@@ -74,7 +74,7 @@ def _search(h, spec, **kwargs):
     _feed(h, repr(res))
     _feed(h, res.lower_bound)
     if res.frontier is not None:
-        _feed(h, (res.frontier.threshold, res.frontier.entries))
+        _feed(h, (res.value, res.frontier.entries))
     return res
 
 
@@ -128,10 +128,9 @@ def digest(quick: bool = False) -> str:
                 _search(h, ProblemSpec.splpo(inst), node_limit=limit)
                 _heuristics(h, inst)
     for seed in range(1, 2 if quick else 3):
-        # The `splpo bench` sg row (lr_aim from hc), and ada's warm-up on 60x40.
+        # The `splpo bench` sg row, and ada's warm-up on 60x40.
         _sg(h, generate_instance(75, 50, seed, CONSISTENT), SgConfig())
-        inst = generate_instance(60, 40, seed)
-        _sg(h, inst, SgConfig(max_iter=50, lr_aim=heuristic_hc(inst).objective))
+        _sg(h, generate_instance(60, 40, seed), SgConfig(max_iter=50))
     for seed in range(1, 3 if quick else 13):
         inst = generate_instance(60, 40, seed)
         _ada(h, inst)

@@ -17,7 +17,7 @@ from .exact import ProblemSpec, branch_and_bound, check_limits
 from .instance import (FrozenRecord, Instance, Record, as_int, check_count, facility_sort_keys,
                        is_number)
 from .lagrange import SgConfig, SgResult, subgradient_method
-from .semilagrange import DaConfig, check_epsilon, dual_ascent
+from .semilagrange import DaConfig, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
@@ -33,25 +33,24 @@ class AdaConfig(FrozenRecord):
     sg_iter, da_iter, and vfh_iter are iteration budgets for the warm-up,
     the plain ascent stage, and the ascent+fixing rounds. ps is the fraction
     of the currently open facilities forced open by each fixing pass.
-    epsilon is dual ascent's rung offset (see DaConfig). node_limit applies
-    to each engine call. time_limit, in seconds, is one budget for the whole
-    pipeline call: dual ascent and every fixing solve get the time left, so
-    a stage that starts after it expires returns the engine's incumbent at
-    once. The budgets and node_limit are stored as ints.
+    node_limit applies to each engine call. time_limit, in seconds, is one
+    budget for the whole pipeline call: dual ascent and every fixing solve
+    get the time left, so a stage that starts after it expires returns the
+    engine's incumbent at once. The budgets and node_limit are stored as
+    ints. Dual ascent derives its rung offset and the warm-up its step aim
+    from the instance (see DualAscent and SgConfig).
     """
 
-    __slots__ = ("sg_iter", "da_iter", "vfh_iter", "ps", "epsilon", "node_limit", "time_limit")
+    __slots__ = ("sg_iter", "da_iter", "vfh_iter", "ps", "node_limit", "time_limit")
 
     def __init__(self, sg_iter: int = 50, da_iter: int = 3, vfh_iter: int = 2, ps: float = 0.25,
-                 epsilon: float | None = None, node_limit: int | None = None,
-                 time_limit: float | None = None):
+                 node_limit: int | None = None, time_limit: float | None = None):
         sg_iter = check_count("sg_iter", sg_iter)
         da_iter = check_count("da_iter", da_iter)
         vfh_iter = check_count("vfh_iter", vfh_iter)
         _check_ps(ps)
-        check_epsilon(epsilon)
         node_limit = check_limits(node_limit, time_limit)
-        self._set(sg_iter, da_iter, vfh_iter, ps, epsilon, node_limit, time_limit)
+        self._set(sg_iter, da_iter, vfh_iter, ps, node_limit, time_limit)
 
 
 # Empirical budgets per (m, n) bucket; vfh_iter and ps keep their defaults.
@@ -154,13 +153,11 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     timings["hc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sg = subgradient_method(inst, SgConfig(max_iter=cfg.sg_iter, lr_aim=hc_sol.objective))
+    sg = subgradient_method(inst, SgConfig(max_iter=cfg.sg_iter))
     timings["sg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    da_cfg = DaConfig(
-        epsilon=cfg.epsilon, max_iter=cfg.da_iter, node_limit=cfg.node_limit, time_limit=time_left()
-    )
+    da_cfg = DaConfig(max_iter=cfg.da_iter, node_limit=cfg.node_limit, time_limit=time_left())
     driver = dual_ascent(inst, sg.best_mu, da_cfg)
     timings["da"] = time.perf_counter() - t0
 

@@ -80,7 +80,6 @@ SOLVER_FLAGS = {
     "da_iter": (int, {"da": "max_iter", "ada": "da_iter"}),
     "vfh_iter": (int, {"ada": "vfh_iter"}),
     "ps": (float, {"ada": "ps"}),
-    "epsilon": (float, {"da": "epsilon", "ada": "epsilon"}),
     "beta0": (float, {"sg": "beta0"}),
     "stall_k": (int, {"sg": "stall_window"}),
     "beta_dec": (float, {"sg": "beta_decrement"}),

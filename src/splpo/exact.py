@@ -160,13 +160,13 @@ class Frontier(Record):
     the non-empty sets below, depth, open mask, closed mask, branch facility),
     and the open sets it rejected, as (value, open mask). None of them depends
     on the threshold, so a search at a larger threshold can start from them.
+    The search's threshold is the result's value, that of the empty set.
     """
 
-    __slots__ = ("inst", "threshold", "entries")
+    __slots__ = ("inst", "entries")
 
-    def __init__(self, inst: Instance, threshold: float, entries: list):
+    def __init__(self, inst: Instance, entries: list):
         self.inst = inst
-        self.threshold = threshold
         self.entries = entries
 
 
@@ -397,9 +397,9 @@ def _resume_stack(spec: ProblemSpec, resume: ExactResult) -> list:
         raise ValueError("resume needs an slr search that ended at the empty set")
     if resume.frontier.inst is not spec.inst:
         raise ValueError("resume belongs to a search on another instance")
-    if spec.threshold < resume.frontier.threshold:
-        raise ValueError(
-            f"resume needs a threshold >= {resume.frontier.threshold!r}, got {spec.threshold!r}")
+    # A search ends at the empty set only with its value at its threshold.
+    if spec.threshold < resume.value:
+        raise ValueError(f"resume needs a threshold >= {resume.value!r}, got {spec.threshold!r}")
     return resume.frontier.entries[::-1]
 
 
@@ -455,7 +455,7 @@ def branch_and_bound(
     # nothing forced open has them (and only it reads the order); their state
     # comes from the chain table, built when the first of them is expanded.
     alone = inst.f + inst.c.sum(axis=0)
-    order = sorted(range(inst.n), key=lambda j: (alone[j], j))
+    order = np.argsort(alone, kind="stable").tolist()  # ties to the lower index
     chain = None
 
     incumbent_value = math.inf
@@ -569,7 +569,7 @@ def branch_and_bound(
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
-        frontier=None if frontier is None else Frontier(inst, spec.threshold, frontier),
+        frontier=None if frontier is None else Frontier(inst, frontier),
     )
 
 

@@ -246,18 +246,18 @@ class SgConfig(FrozenRecord):
     The step multiplier beta starts at beta0 and, once the incumbent has not
     improved for stall_window consecutive iterations, drops by
     beta_decrement per iteration. The run stops at beta <= 0, a zero
-    subgradient, or max_iter updates. lr_aim is the target upper bound for
-    the step size; None means take it from heuristic_hc. max_iter and
-    stall_window must be nonnegative integers, beta0 a finite number above
-    zero, beta_decrement a finite nonnegative number, and lr_aim None or a
-    finite number; anything else, a bool included, raises ValueError.
-    Integers are stored as ints.
+    subgradient, or max_iter updates. Steps aim at the greedy upper bound,
+    heuristic_hc's objective, which the method reads from the instance.
+    max_iter and stall_window must be nonnegative integers, beta0 a finite
+    number above zero, and beta_decrement a finite nonnegative number;
+    anything else, a bool included, raises ValueError. Integers are stored
+    as ints.
     """
 
-    __slots__ = ("max_iter", "beta0", "stall_window", "beta_decrement", "lr_aim")
+    __slots__ = ("max_iter", "beta0", "stall_window", "beta_decrement")
 
     def __init__(self, max_iter: int = 1500, beta0: float = 2.0, stall_window: int = 30,
-                 beta_decrement: float = 0.005, lr_aim: float | None = None):
+                 beta_decrement: float = 0.005):
         max_iter = check_count("max_iter", max_iter)
         stall_window = check_count("stall_window", stall_window)
         # Written so that NaN fails every comparison.
@@ -266,9 +266,7 @@ class SgConfig(FrozenRecord):
         if not (is_number(beta_decrement) and 0 <= beta_decrement < math.inf):
             raise ValueError(
                 f"beta_decrement must be a finite nonnegative number, got {beta_decrement!r}")
-        if lr_aim is not None and not (is_number(lr_aim) and math.isfinite(lr_aim)):
-            raise ValueError(f"lr_aim must be None or finite, got {lr_aim!r}")
-        self._set(max_iter, beta0, stall_window, beta_decrement, lr_aim)
+        self._set(max_iter, beta0, stall_window, beta_decrement)
 
 
 class SgTraceRow(Record):
@@ -304,11 +302,13 @@ def subgradient_method(
 ) -> SgResult:
     """Maximize the Lagrangean dual by projected subgradient steps.
 
-    Steps use alpha = beta * (lr_aim - value) / ||s||^2; mu moves freely while
-    lam is clipped at zero. The incumbent is the best relaxation value seen,
-    with the achieving multipliers retained. Iterations count multiplier
-    updates; the starting point is iteration 0. The start is checked once;
-    the iterates, finite steps from it with lam clipped at zero, are not.
+    Steps use alpha = beta * (lr_aim - value) / ||s||^2, where the aim
+    lr_aim is heuristic_hc's objective, and the run stops if a value exceeds
+    it; mu moves freely while lam is clipped at zero. The incumbent is the
+    best relaxation value seen, with the achieving multipliers retained.
+    Iterations count multiplier updates; the starting point is iteration 0.
+    The start is checked once; the iterates, finite steps from it with lam
+    clipped at zero, are not.
     lam is held in rank order during the run; best_lam is in site order.
     The subgradient is recomputed only at an (x, y) other than the last.
     Once a relaxation has found lam all zero, a step along a subgradient
@@ -317,9 +317,7 @@ def subgradient_method(
     """
     if start is None:
         start = default_start(inst)
-    lr_aim = cfg.lr_aim
-    if lr_aim is None:
-        lr_aim = heuristic_hc(inst).objective
+    lr_aim = heuristic_hc(inst).objective
 
     mu = start.mu.copy()
     # The start's one check, shapes included, before any flat gather reads it.

@@ -23,13 +23,7 @@ import time
 import numpy as np
 
 from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits
-from .instance import FrozenRecord, Instance, Record, check_count, is_number
-
-
-def check_epsilon(epsilon: float | None) -> None:
-    """Raise ValueError unless epsilon is None or a finite number above zero (not a bool)."""
-    if epsilon is not None and not (is_number(epsilon) and 0 < epsilon < math.inf):
-        raise ValueError(f"epsilon must be a finite number above zero, got {epsilon!r}")
+from .instance import FrozenRecord, Instance, Record, check_count
 
 
 def solve_slr(
@@ -58,9 +52,7 @@ class DaConfig(FrozenRecord):
     """Dual-ascent settings.
 
     max_iter, None or a nonnegative integer, caps the steps; None means run
-    until a subproblem opens something. epsilon, the rung offset, is None or
-    a finite number above zero; None takes half the smallest positive gap
-    between a customer's sorted costs. node_limit applies to each subproblem
+    until a subproblem opens something. node_limit applies to each subproblem
     solve; each step resumes the previous step's search, so it counts only
     the nodes a step newly expands. time_limit, in seconds, is one budget
     for the whole driver: its deadline is fixed when the driver is built,
@@ -68,14 +60,13 @@ class DaConfig(FrozenRecord):
     integers are stored as ints.
     """
 
-    __slots__ = ("epsilon", "max_iter", "node_limit", "time_limit")
+    __slots__ = ("max_iter", "node_limit", "time_limit")
 
-    def __init__(self, epsilon: float | None = None, max_iter: int | None = None,
-                 node_limit: int | None = None, time_limit: float | None = None):
-        check_epsilon(epsilon)
+    def __init__(self, max_iter: int | None = None, node_limit: int | None = None,
+                 time_limit: float | None = None):
         if max_iter is not None:
             max_iter = check_count("max_iter", max_iter)
-        self._set(epsilon, max_iter, check_limits(node_limit, time_limit), time_limit)
+        self._set(max_iter, check_limits(node_limit, time_limit), time_limit)
 
 
 class DaTraceRow(Record):
@@ -94,8 +85,11 @@ class DualAscent:
     nothing.
 
     rungs[i, r-1] is customer i's multiplier on rung r: its r-th cheapest
-    service cost plus epsilon, capped at cp[i], for r <= n, and cp[i] on rung
-    n+1, where the dual provably plateaus. rung[i] is the rung customer i
+    service cost plus an offset, capped at cp[i], for r <= n, and cp[i] on
+    rung n+1, where the dual provably plateaus. The offset is half the
+    smallest positive gap between two sorted costs of one customer, so no
+    rung reaches the customer's next larger cost; with no such gap it is
+    1e-6 * (1 + the largest cost). rung[i] is the rung customer i
     sits on, so every multiplier lies at or below cp and a climb never lowers
     it. gamma0 places each customer: at or below its cheapest cost on rung 1,
     above its k-th cheapest cost but not the next on rung k, at or above cp
@@ -122,12 +116,10 @@ class DualAscent:
             raise ValueError("gamma0 must not contain NaN")
         costs = np.sort(inst.c, axis=1)
         cp = (inst.c + inst.f).max(axis=1)
-        epsilon = cfg.epsilon
-        if epsilon is None:
-            gaps = np.diff(costs, axis=1)
-            gaps = gaps[gaps > 0]
-            epsilon = float(gaps.min()) / 2.0 if gaps.size else 1e-6 * (1.0 + float(costs.max()))
-        self.rungs = np.column_stack([np.minimum(costs + epsilon, cp[:, None]), cp])
+        gaps = np.diff(costs, axis=1)
+        gaps = gaps[gaps > 0]
+        offset = float(gaps.min()) / 2.0 if gaps.size else 1e-6 * (1.0 + float(costs.max()))
+        self.rungs = np.column_stack([np.minimum(costs + offset, cp[:, None]), cp])
         # Per row, the count of costs below g is searchsorted(row, g, "left").
         below = (costs < gamma0[:, None]).sum(axis=1)
         self.rung = np.where(gamma0 >= cp, inst.n + 1, np.maximum(below, 1))
@@ -206,7 +198,6 @@ __all__ = [
     "DaConfig",
     "DaTraceRow",
     "DualAscent",
-    "check_epsilon",
     "dual_ascent",
     "solve_slr",
 ]

@@ -50,6 +50,13 @@ def test_generate_names_and_determinism(tmp_path):
     assert inst.m == 7 and inst.n == 5
 
 
+def test_generate_rejects_a_count_below_one(tmp_path, capsys):
+    assert main(["generate", "--m", "3", "--n", "2", "--count", "0",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "count must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_rejects_bad_dims(tmp_path):
     assert main(["generate", "--m", "0", "--n", "5", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
@@ -205,6 +212,46 @@ def test_bench_ada_against_exact(tmp_path):
 
 def test_bench_empty_glob(tmp_path):
     assert main(["bench", str(tmp_path / "none*.splpo")]) == EXIT_USAGE
+
+
+def test_bench_reports_an_algorithm_error_in_its_row_and_keeps_the_others(tmp_path):
+    main(["generate", "--m", "5", "--n", "21", "--seed", "1", "--out-dir", str(tmp_path)])
+    out = tmp_path / "bench.csv"
+    code = main(["bench", str(tmp_path / "a5_21_1.splpo"), "--algorithms", "hc,brute,exact",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    rows = RunReport.from_csv(out.read_text()).rows
+    assert [row.algorithm for row in rows] == ["hc", "brute", "exact"]
+    assert rows[1].status == "error: brute force limited to 20 sites, got 21"
+    assert rows[1].best_ub is None
+    assert rows[2].status == "optimal" and rows[0].best_ub >= rows[2].best_ub == rows[2].opt
+
+
+def test_bench_takes_a_file_whose_name_no_glob_matches(tmp_path):
+    # As a pattern, "x[1].splpo" matches only x1.splpo; the file itself is still benched.
+    path = tmp_path / "x[1].splpo"
+    path.write_text(TOY_DOC)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(path), "--algorithms", "hc", "--out", str(out)]) == EXIT_OK
+    (row,) = RunReport.from_csv(out.read_text()).rows
+    assert (row.prob, row.best_ub) == ("x[1]", 8.0)
+
+
+def test_bench_rejects_an_unknown_algorithm(toy_file, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", str(toy_file), "--algorithms", "hc,foo", "--out", str(out)])
+    assert code == EXIT_USAGE and "unknown algorithms: foo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_report_out_appends_a_row_per_run(toy_file, tmp_path):
+    out = tmp_path / "rows.csv"
+    for algorithm in ("hc", "exact"):
+        assert main(["solve", str(toy_file), "--algorithm", algorithm,
+                     "--report-out", str(out)]) == EXIT_OK
+    rows = RunReport.from_csv(out.read_text()).rows
+    assert [(row.prob, row.algorithm, row.best_ub) for row in rows] == [
+        ("toy", "hc", 8.0), ("toy", "exact", 8.0)]
 
 
 def test_bench_with_optima_file(toy_file, tmp_path):
@@ -387,9 +434,15 @@ def test_config_hash_ignores_flags_not_read(algorithm):
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
-def test_seed_is_not_a_solver_flag(toy_file, command):
-    # No algorithm reads a seed; only generate takes one.
-    assert main([command, str(toy_file), "--seed", "7"]) == EXIT_USAGE
+def test_seed_is_not_a_solver_flag(toy_file, command, capsys):
+    # No algorithm reads a seed; only generate takes one. Dual ascent derives
+    # its rung offset from the costs, so no command takes an --epsilon.
+    run = [command, str(toy_file), "--algorithm" if command == "solve" else "--algorithms", "da"]
+    assert main(run) == EXIT_OK
+    for flag in ("--seed", "--epsilon"):
+        capsys.readouterr()
+        assert main([*run, flag, "7"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm, flags", [
@@ -435,8 +488,9 @@ MALFORMED_LIMITS = [("nan-time", "--time-limit", "nan"), ("negative-time", "--ti
     *(pytest.param(algorithm, flag, value, id=f"{name}-{algorithm}")
       for name, flag, value in MALFORMED_LIMITS for algorithm in ("exact", "da", "ada")),
     pytest.param("sg", "--beta0", "nan", id="nan-beta0-sg"),
-    pytest.param("da", "--epsilon", "nan", id="nan-epsilon-da"),
-    pytest.param("ada", "--epsilon", "nan", id="nan-epsilon-ada"),
+    # Dual ascent derives its rung offset, so --epsilon is no flag and is refused.
+    *(pytest.param(algorithm, "--epsilon", "nan", id=f"nan-epsilon-{algorithm}")
+      for algorithm in ("da", "ada")),
 ])
 def test_solve_rejects_malformed_limits(toy_file, algorithm, flag, value):
     assert main(["solve", str(toy_file), "--algorithm", algorithm, flag, value]) == EXIT_USAGE

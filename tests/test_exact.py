@@ -495,6 +495,16 @@ def _same_bits(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _tied_instance(seed):
+    """A 40x16 instance with integer costs 1..3, whose facilities tie on the
+    cost of opening each alone, which fixes the order of the nothing-open
+    chain."""
+    tied = generate_instance(40, 16, seed, GeneratorConfig(cost_range=(1, 3), open_range=(1, 3)))
+    alone = tied.f + tied.c.sum(axis=0)
+    assert np.unique(alone).size < tied.n
+    return tied
+
+
 @pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
 def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
     # A resumed search rebuilds pruned nodes from their masks, so the state a
@@ -508,13 +518,9 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
 
     monkeypatch.setattr(_Node, "bound", recording)
     specs = _float_specs(seed)
-    # Integer costs tie: facilities tie on the cost of opening each alone,
-    # which fixes the order of the nothing-open chain, and customers tie on
-    # their cheapest cost, so its rows must be read at the right depth.
-    tied = generate_instance(40, 16, seed, GeneratorConfig(cost_range=(1, 3), open_range=(1, 3)))
-    alone = tied.f + tied.c.sum(axis=0)
-    assert np.unique(alone).size < tied.n
-    specs["integer"] = ProblemSpec.splpo(tied)
+    # Customers tie on their cheapest cost, so the chain's rows must be read
+    # at the right depth.
+    specs["integer"] = ProblemSpec.splpo(_tied_instance(seed))
     counts = {}
     for kind, spec in specs.items():
         branch_and_bound(spec)
@@ -552,7 +558,9 @@ def _rule_choice(inst, open_mask, closed_mask) -> int:
 
 @pytest.mark.parametrize("seed", sorted(RECORDED_NODES))
 def test_branching_follows_net_saving(seed):
-    for kind, spec in _float_specs(seed).items():
+    specs = _float_specs(seed)
+    specs["integer"] = ProblemSpec.splpo(_tied_instance(seed))  # ties go to the lower index
+    for kind, spec in specs.items():
         records = []
         branch_and_bound(spec, on_node=lambda *a: records.append(a))
         checked = 0

@@ -327,7 +327,7 @@ def test_integer_settings_take_one_rule_and_are_stored_as_ints():
 
 def test_configs_and_specs_are_immutable_and_copy_through_their_constructors():
     spec = ProblemSpec.splpo(generate_instance(3, 4, 1), forced_open=[1])
-    for obj in (GeneratorConfig(scale=2), DaConfig(max_iter=4), SgConfig(lr_aim=5.0),
+    for obj in (GeneratorConfig(scale=2), DaConfig(max_iter=4), SgConfig(beta0=3.0),
                 AdaConfig(ps=0.5), spec):
         for name in type(obj).__slots__:
             with pytest.raises(AttributeError, match=name):
@@ -337,7 +337,7 @@ def test_configs_and_specs_are_immutable_and_copy_through_their_constructors():
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj
             assert twin.asdict().keys() == obj.asdict().keys()
-    assert hash(SgConfig(lr_aim=5.0)) == hash(SgConfig(lr_aim=5.0))
+    assert hash(SgConfig(beta0=3.0)) == hash(SgConfig(beta0=3.0))
     assert {AdaConfig(), AdaConfig()} == {AdaConfig()}
 
 
@@ -365,12 +365,15 @@ def test_round_trip_property(seed):
 
 
 # The cost ladder dual ascent climbs: rungs[i, r-1] is customer i's r-th
-# cheapest cost plus epsilon, capped at cp[i], and cp[i] on the top rung.
+# cheapest cost plus an offset, capped at cp[i], and cp[i] on the top rung.
+# The offset is half the smallest positive gap between two sorted costs of
+# one customer.
 
 
 def test_cost_ladder_toy(toy):
-    rungs = DualAscent(toy, np.zeros(2), DaConfig(epsilon=0.5)).rungs
-    assert np.array_equal(rungs, [[2.5, 5.5, 6.0], [2.5, 4.5, 7.0]])
+    # Sorted costs [2, 5] and [2, 4]: the offset is 1, and cp is [6, 7].
+    rungs = DualAscent(toy, np.zeros(2)).rungs
+    assert np.array_equal(rungs, [[3.0, 6.0, 6.0], [3.0, 5.0, 7.0]])
 
 
 def test_cost_ladder_uniform():
@@ -384,13 +387,19 @@ def test_cost_ladder_uniform():
 
 
 def test_cost_ladder_dominates_costs():
-    inst = generate_instance(5, 5, seed=3)
-    rungs = DualAscent(inst, np.zeros(5), DaConfig(epsilon=0.5)).rungs
-    for i in range(5):
-        cp = max(inst.c[i, j] + inst.f[j] for j in range(5))
-        direct = [min(v + 0.5, cp) for v in sorted(inst.c[i])]
-        assert np.array_equal(rungs[i], direct + [cp])
-        assert cp >= max(inst.c[i])
+    # The second instance opens its costliest site for free, so each
+    # customer's costliest rung is capped at its cp: offset 1.5, cp [4, 6].
+    capped = Instance(f=[2.0, 0.0], c=[[1.0, 4.0], [3.0, 6.0]], p=[[1, 2], [2, 1]])
+    assert np.array_equal(DualAscent(capped, np.zeros(2)).rungs, [[2.5, 4.0, 4.0],
+                                                                  [4.5, 6.0, 6.0]])
+    # On 5x5 seed 3 the smallest positive gap is 2, so the offset is 1.
+    for inst, offset in ((generate_instance(5, 5, seed=3), 1.0), (capped, 1.5)):
+        rungs = DualAscent(inst, np.zeros(inst.m)).rungs
+        for i in range(inst.m):
+            cp = max(inst.c[i, j] + inst.f[j] for j in range(inst.n))
+            direct = [min(v + offset, cp) for v in sorted(inst.c[i])]
+            assert np.array_equal(rungs[i], direct + [cp])
+            assert cp >= max(inst.c[i])
 
 
 def test_default_epsilon():
@@ -442,12 +451,35 @@ ORLIB_PREF = "1 3 2\n2 1 3\n"
     (ORLIB_CORE.replace("3 2", "3 -1", 1), ORLIB_PREF,
      "customer count must be a positive integer, got '-1'"),
     (ORLIB_CORE, "1 1 2\n2 1 3\n", "preference sidecar row 1 is not a permutation of 1..3"),
+    (ORLIB_CORE[:-2], ORLIB_PREF, "unexpected end of file reading allocation cost (2, 3)"),
+    (ORLIB_CORE.replace("9 7", "9 x"), ORLIB_PREF, "bad number 'x' reading allocation cost (2, 2)"),
 ], ids=["fractional-count", "trailing-values", "fractional-rank", "negative-count",
-        "repeated-rank"])
+        "repeated-rank", "cut-short", "non-numeric-cost"])
 def test_orlib_names_the_malformed_field(core, pref, message):
     parse_orlib(ORLIB_CORE, ORLIB_PREF)  # the unmodified files are well formed
     with pytest.raises(InstanceFormatError) as info:
         parse_orlib(core, pref)
+    assert str(info.value) == message
+
+
+TOY_F, TOY_C, TOY_P = [3.0, 1.0], [[2.0, 5.0], [4.0, 2.0]], [[1, 2], [2, 1]]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Instance(f=TOY_F, c=[2.0, 5.0], p=TOY_P), "c must be a 2-d cost matrix"),
+    (lambda: Instance(f=[3.0, 1.0, 2.0], c=TOY_C, p=TOY_P), "f must have shape (2,), got (3,)"),
+    (lambda: Instance(f=TOY_F, c=TOY_C, p=[[1, 2, 3], [3, 2, 1]]),
+     "p must have shape (2, 2), got (2, 3)"),
+    (lambda: Instance(f=TOY_F, c=[[2.0, -5.0], [4.0, 2.0]], p=TOY_P), "negative service cost"),
+    (lambda: parse_instance(""), "empty document"),
+    (lambda: parse_instance("SPLPO 1\n\n"), "line 1: missing dimension line"),
+    (lambda: parse_instance("SPLPO 1\n0 3\n"), "line 2: dimensions must be positive, got 0 3"),
+    (lambda: GeneratorConfig(mode="x"), "unknown generator mode 'x'"),
+], ids=["one-dim-c", "f-shape", "p-shape", "negative-service", "empty-document",
+        "no-dimension-line", "zero-dimension", "generator-mode"])
+def test_malformed_input_raises_its_message(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
     assert str(info.value) == message
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from splpo import (
     brute_force,
     default_start,
     generate_instance,
-    heuristic_hc,
     solve_lr,
     subgradient_method,
 )
@@ -189,9 +190,21 @@ def test_sg_iterates_below_optimum():
     assert res.best_value <= opt + 1e-9
 
 
+@contextlib.contextmanager
+def aiming_at(aim):
+    """Subgradient steps aim at aim in place of heuristic_hc's objective,
+    in subgradient_method and in its reference alike (None: unpatched)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if aim is not None:
+            patch.setattr(lagrange, "heuristic_hc",
+                          lambda inst: types.SimpleNamespace(objective=aim))
+        yield
+
+
 def test_sg_aim_exceeded():
     inst = random_instance(31, m_max=5, n_max=5)
-    res = subgradient_method(inst, SgConfig(max_iter=50, lr_aim=-1e9))
+    with aiming_at(-1e9):
+        res = subgradient_method(inst, SgConfig(max_iter=50))
     assert res.status == "aim_exceeded"
     assert res.iterations == 0
 
@@ -317,7 +330,7 @@ def _reference_lr_subgradient(inst, lr):
 
 
 def _reference_subgradient_method(inst, cfg, start):
-    lr_aim = cfg.lr_aim if cfg.lr_aim is not None else heuristic_hc(inst).objective
+    lr_aim = lagrange.heuristic_hc(inst).objective
     mu, lam = start.mu.copy(), start.lam.copy()
     lr = _reference_solve_lr(inst, mu, lam)
     best_value = lr.value
@@ -367,10 +380,11 @@ def _fractional_instance(seed, m, n):
 
 
 def _bit_identity_cases():
+    """(instance, config, start, the aim in place of heuristic_hc's or None)."""
     cost_consistent = GeneratorConfig(mode="cost-consistent")
     for seed in (1, 2):
         inst = generate_instance(75, 50, seed, cost_consistent)
-        yield inst, SgConfig(), default_start(inst)
+        yield inst, SgConfig(), default_start(inst), None
     shapes = [(1, 1), (1, 6), (7, 1), (2, 2), (5, 4), (8, 7)]
     for seed, (m, n) in enumerate(shapes * 3):
         rng = np.random.default_rng(seed)
@@ -381,39 +395,39 @@ def _bit_identity_cases():
         cfg = SgConfig(max_iter=int(rng.integers(0, 250)), stall_window=int(rng.integers(0, 15)),
                        beta_decrement=0.02)
         start = default_start(inst) if seed % 2 else random_multipliers(inst, rng)
-        yield inst, cfg, start
+        yield inst, cfg, start, None
     # A zero subgradient at the start, and one reached after 32 steps.
     for m, n, seed in ((2, 1, 0), (1, 2, 2)):
         inst = generate_instance(m, n, seed)
-        yield inst, SgConfig(), default_start(inst)
+        yield inst, SgConfig(), default_start(inst), None
     # An aim below the start's relaxation value.
     inst = generate_instance(5, 4, 3)
     start = default_start(inst)
-    yield inst, SgConfig(lr_aim=solve_lr(inst, start).value - 1.0), start
+    yield inst, SgConfig(), start, solve_lr(inst, start).value - 1.0
     # Every row of lam non-zero (the kernel sums whole rows), and exactly one
     # (it sums that row alone).
     rng = np.random.default_rng(7)
     inst = generate_instance(20, 9, 4)
     lam = rng.uniform(0.5, 3.0, (20, 9))
-    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam)
+    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam), None
     inst = _fractional_instance(5, 12, 8)
     lam = np.zeros((12, 8))
     lam[3] = rng.uniform(0.5, 3.0, 8)
-    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam)
+    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam), None
     # lam's non-zero rows all return to zero and later some are non-zero
     # again; and a start whose zero rows hold -0.0 entries, which the first
     # step makes +0.0 (best_lam is taken while lam is still all zero).
     inst = _fractional_instance(1, 5, 4)
-    yield inst, SgConfig(max_iter=100), default_start(inst)
+    yield inst, SgConfig(max_iter=100), default_start(inst), None
     lam = np.zeros((5, 4))
     lam[::2] = -0.0
-    yield inst, SgConfig(max_iter=5), LagrangeMultipliers(default_start(inst).mu, lam)
+    yield inst, SgConfig(max_iter=5), LagrangeMultipliers(default_start(inst).mu, lam), None
     # mu so large that every site opens and serves everyone: a count reaches
     # n = 127, the most the narrow counter holds, and n = 130 in the wide one.
     for n in (127, 130):
         inst = generate_instance(3, n, n)
         mu = np.full(3, inst.c.max() + inst.f.max() + 1.0)
-        yield inst, SgConfig(max_iter=40), LagrangeMultipliers(mu, np.zeros((3, n)))
+        yield inst, SgConfig(max_iter=40), LagrangeMultipliers(mu, np.zeros((3, n))), None
 
 
 class _AddSpy:
@@ -464,14 +478,15 @@ def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
     monkeypatch.setattr(lagrange._RankRelaxation, "solve", lambda rel, mu, lam, live=True: (
         lam_live.append("01"[bool(lam.any())]) or solve(rel, mu, lam, live)))
     returns = set()  # the shapes whose runs took lam from non-zero to all zero and back
-    for inst, cfg, start in _bit_identity_cases():
+    for inst, cfg, start, aim in _bit_identity_cases():
         spy.m = inst.m
         lam_live.clear()
-        res = subgradient_method(inst, cfg, start)
+        with aiming_at(aim):
+            res = subgradient_method(inst, cfg, start)
+            ref = _reference_subgradient_method(inst, cfg, start)
         if re.search("10+1", "".join(lam_live)):
             returns.add((inst.m, inst.n))
-        ref = _reference_subgradient_method(inst, cfg, start)
-        case = (inst, cfg)
+        case = (inst, cfg, aim)
         same_trace = repr(res.trace) == repr(ref.trace)  # no diff of two long reprs on failure
         assert same_trace, case
         assert (res.status, res.iterations, res.best_iteration) == (
@@ -491,8 +506,8 @@ def test_sg_takes_an_inf_step_from_an_all_zero_lam():
     # the relaxation value towards -1e308, so the second step's alpha is
     # inf: inf * 0 is NaN, so that step must be taken.
     inst = generate_instance(2, 2, 1)
-    cfg, start = SgConfig(lr_aim=8e307, max_iter=3), default_start(inst)
-    with np.errstate(over="ignore", invalid="ignore"):
+    cfg, start = SgConfig(max_iter=3), default_start(inst)
+    with np.errstate(over="ignore", invalid="ignore"), aiming_at(8e307):
         res = subgradient_method(inst, cfg, start)
         ref = _reference_subgradient_method(inst, cfg, start)
     assert math.isfinite(ref.trace[0].alpha) and ref.trace[1].alpha == math.inf

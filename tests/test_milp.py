@@ -15,7 +15,8 @@ high as any open one, that is, onto its most preferred open facility.
 import numpy as np
 import pytest
 
-from splpo import GeneratorConfig, ProblemSpec, branch_and_bound, generate_instance
+from splpo import (GeneratorConfig, ProblemSpec, ada, branch_and_bound, dual_ascent,
+                   generate_instance, subgradient_method)
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -80,3 +81,19 @@ def test_branch_and_bound_matches_milp(forced):
         opened.append(count)
     # The suite must include optima that open several facilities.
     assert max(opened) >= 2
+
+
+def test_the_bounds_bracket_the_milp_optimum():
+    # Uncapped dual ascent closes the duality gap, ada's bounds bracket the
+    # optimum, and the subgradient method's bound stays below it.
+    for seed in SEEDS:
+        inst = _instance(seed)
+        opt, _ = _milp_value(inst)
+        da = dual_ascent(inst, np.zeros(inst.m))
+        assert da.status in ("optimal", "ceiling"), seed
+        assert da.best_lower_bound == pytest.approx(opt, rel=0, abs=1e-6), seed
+        if da.status == "optimal":
+            assert da.last.value == pytest.approx(opt, rel=0, abs=1e-6), seed
+        res = ada(inst)
+        assert res.best_lb <= opt + 1e-6 and res.best_ub >= opt - 1e-6, seed
+        assert subgradient_method(inst).best_value <= opt + 1e-6, seed

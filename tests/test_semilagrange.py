@@ -34,37 +34,50 @@ def tied_instance(seed):
     return generate_instance(m, n, seed, TIED, name=f"tied{seed}")
 
 
+# Small instances whose rung offsets differ: random costs (offsets from 0.5
+# to over 100), tied costs 1..4 (0.5), and costs 1..9 with opening costs
+# 0..3, where a free site often caps a customer's costliest rungs at cp.
+LADDERS = {
+    "random": lambda seed: random_instance(seed, m_max=6, n_max=6),
+    "tied": tied_instance,
+    "capped": lambda seed: generate_instance(
+        6, 5, seed, GeneratorConfig(cost_range=(1, 9), open_range=(0, 3))),
+}
+
+
+def rung_offset(inst):
+    """The documented offset: half the smallest positive gap between two
+    sorted costs of one customer, else 1e-6 * (1 + the largest cost)."""
+    gaps = np.diff(np.sort(inst.c, axis=1), axis=1)
+    gaps = gaps[gaps > 0]
+    return gaps.min() / 2 if gaps.size else 1e-6 * (1 + inst.c.max())
+
+
 # --- placement -------------------------------------------------------------
-
-
-def placed(inst, gamma0, epsilon):
-    """An ascent whose multipliers start from gamma0 on rungs epsilon apart."""
-    return DualAscent(inst, gamma0, DaConfig(epsilon=epsilon))
+# On toy the sorted costs are [2, 5] and [2, 4], so the offset is 1, and cp
+# is [6, 7]: the rungs are [3, 6, 6] and [3, 5, 7].
 
 
 def test_place_gamma_below_ladder(toy):
-    ascent = placed(toy, [0.0, 0.0], 0.5)
-    assert np.array_equal(ascent.gamma, [2.5, 2.5])
+    ascent = DualAscent(toy, [0.0, 0.0])
+    assert np.array_equal(ascent.gamma, [3.0, 3.0])
     assert np.array_equal(ascent.rung, [1, 1])
 
 
 def test_place_gamma_inside_intervals(toy):
-    assert np.array_equal(placed(toy, [4.0, 3.0], 0.5).gamma, [2.5, 2.5])
+    assert np.array_equal(DualAscent(toy, [4.0, 3.0]).gamma, [3.0, 3.0])
 
 
 def test_place_gamma_ceiling_top(toy):
     cp = cost_ceiling(toy)
-    ascent = placed(toy, cp, 0.5)
+    ascent = DualAscent(toy, cp)
     assert np.array_equal(ascent.gamma, cp)
     assert np.array_equal(ascent.rung, [3, 3])
-    # strictly inside the top interval still snaps down
-    assert np.array_equal(placed(toy, [5.9, 6.9], 0.5).gamma, [5.5, 4.5])
-
-
-def test_place_gamma_requires_positive_epsilon(toy):
-    for epsilon in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="epsilon"):
-            placed(toy, [0.0, 0.0], epsilon)
+    # strictly inside the top interval still snaps down, to rung 2, which
+    # for customer 0 is capped at its cp
+    ascent = DualAscent(toy, [5.9, 6.9])
+    assert np.array_equal(ascent.gamma, [6.0, 5.0])
+    assert np.array_equal(ascent.rung, [2, 2])
 
 
 @pytest.mark.parametrize("gamma0", [
@@ -77,26 +90,26 @@ def test_place_gamma_requires_positive_epsilon(toy):
 def test_place_gamma_rejects_malformed_gamma0(toy, gamma0):
     match = "NaN" if np.ndim(gamma0) == 1 and len(gamma0) == 2 else "shape"
     with pytest.raises(ValueError, match=match):
-        placed(toy, gamma0, 0.5)
+        DualAscent(toy, gamma0)
     with pytest.raises(ValueError, match=match):
         dual_ascent(toy, gamma0)
 
 
-def _place_one(row, cp, g, epsilon):
+def _place_one(row, cp, g, offset):
     """The placement rule for one customer, written out case by case."""
     n = len(row)
     if g >= cp:
         return cp, n + 1
     k = int(np.searchsorted(row, g, side="left"))
     if k == 0:
-        return min(row[0] + epsilon, cp), 1
-    return min(row[k - 1] + epsilon, cp), k
+        return min(row[0] + offset, cp), 1
+    return min(row[k - 1] + offset, cp), k
 
 
-@given(st.integers(0, 300), st.sampled_from([0.25, 3.0]))
-def test_place_gamma_matches_the_per_customer_rule(seed, epsilon):
-    inst = random_instance(seed, m_max=6, n_max=6)
-    costs, cp = np.sort(inst.c, axis=1), cost_ceiling(inst)
+@given(st.integers(0, 300), st.sampled_from(sorted(LADDERS)))
+def test_place_gamma_matches_the_per_customer_rule(seed, family):
+    inst = LADDERS[family](seed)
+    costs, cp, offset = np.sort(inst.c, axis=1), cost_ceiling(inst), rung_offset(inst)
     rng = np.random.default_rng(seed)
     # Starts below, inside and above the ladder, on its costs and at cp.
     gamma0 = rng.uniform(-1, cp * 1.3)
@@ -104,21 +117,19 @@ def test_place_gamma_matches_the_per_customer_rule(seed, epsilon):
     gamma0[on_cost] = costs[on_cost, rng.integers(0, inst.n, on_cost.sum())]
     at_cp = rng.random(inst.m) < 0.2
     gamma0[at_cp] = cp[at_cp]
-    ascent = placed(inst, gamma0, epsilon)
+    ascent = DualAscent(inst, gamma0)
     for i in range(inst.m):
-        expected = _place_one(costs[i], cp[i], gamma0[i], epsilon)
+        expected = _place_one(costs[i], cp[i], gamma0[i], offset)
         assert (ascent.gamma[i], ascent.rung[i]) == expected
 
 
 @given(st.integers(0, 300))
 def test_place_gamma_lands_above_cheapest(seed):
-    # An epsilon wider than the cost gaps must not lift a rung above cp.
-    low_open = GeneratorConfig(cost_range=(1, 9), open_range=(0, 3))
-    cases = [(random_instance(seed, m_max=6, n_max=6), 0.25),
-             (generate_instance(6, 5, seed, low_open), 3.0)]
-    for inst, epsilon in cases:
+    # The offset must not lift a rung above cp, where a free site caps it.
+    for make in LADDERS.values():
+        inst = make(seed)
         cp = cost_ceiling(inst)
-        gamma = placed(inst, np.random.default_rng(seed).uniform(0, cp * 1.2), epsilon).gamma
+        gamma = DualAscent(inst, np.random.default_rng(seed).uniform(0, cp * 1.2)).gamma
         assert np.all(gamma > inst.c.min(axis=1))
         assert np.all(gamma <= cp)
 
@@ -160,18 +171,19 @@ def opening_nothing():
 
 
 def test_ascend_moves_one_rung(toy):
-    ascent = placed(toy, [0.0, 0.0], 0.5)
+    ascent = DualAscent(toy, [0.0, 0.0])
     ascent.step()
-    assert np.array_equal(ascent.gamma, [5.5, 4.5])
+    assert np.array_equal(ascent.gamma, [6.0, 5.0])
     assert np.array_equal(ascent.rung, [2, 2])
 
 
-@given(st.integers(0, 200), st.sampled_from([0.25, 3.0]))
-def test_ascend_moves_every_rung(seed, epsilon):
-    inst = random_instance(seed, m_max=6, n_max=6)
+@given(st.integers(0, 200), st.sampled_from(sorted(LADDERS)))
+def test_ascend_moves_every_rung(seed, family):
+    inst = LADDERS[family](seed)
     n, costs, cp = inst.n, np.sort(inst.c, axis=1), cost_ceiling(inst)
+    offset = rung_offset(inst)
     with opening_nothing():
-        ascent = placed(inst, np.random.default_rng(seed).uniform(0, cp * 1.2), epsilon)
+        ascent = DualAscent(inst, np.random.default_rng(seed).uniform(0, cp * 1.2))
         while not ascent.done:
             rung = ascent.rung
             ascent.step()
@@ -179,7 +191,7 @@ def test_ascend_moves_every_rung(seed, epsilon):
                 break
             assert np.array_equal(ascent.rung, np.minimum(rung + 1, n + 1))
             for i, r in enumerate(ascent.rung):
-                top = cp[i] if r > n else min(costs[i, r - 1] + epsilon, cp[i])
+                top = cp[i] if r > n else min(costs[i, r - 1] + offset, cp[i])
                 assert ascent.gamma[i] == top
     assert ascent.status == "ceiling" and ascent.iterations <= n + 1
     assert np.array_equal(ascent.gamma, cp)
@@ -188,7 +200,7 @@ def test_ascend_moves_every_rung(seed, epsilon):
 def test_ascend_sticks_at_ceiling(toy):
     cp = cost_ceiling(toy)
     with opening_nothing():
-        ascent = placed(toy, cp, 0.5)
+        ascent = DualAscent(toy, cp)
         ascent.step()
     assert ascent.status == "ceiling"
     assert np.array_equal(ascent.gamma, cp)
@@ -199,17 +211,17 @@ def test_ascend_sticks_at_ceiling(toy):
 
 
 def test_dual_ascent_toy_trace(toy):
-    res = dual_ascent(toy, np.zeros(2), DaConfig(epsilon=0.5))
+    res = dual_ascent(toy, np.zeros(2))
     assert res.status == "optimal"
-    assert [row.value for row in res.trace] == [5.0, 8.0]
+    assert [row.value for row in res.trace] == [6.0, 8.0]
     assert [row.served for row in res.trace] == [0, 2]
     assert res.best_lower_bound == 8.0
-    assert np.array_equal(res.gamma, [5.5, 4.5])
+    assert np.array_equal(res.gamma, [6.0, 5.0])
 
 
 def test_dual_ascent_from_ceiling_stops_immediately(toy):
     cp = cost_ceiling(toy)
-    res = dual_ascent(toy, cp, DaConfig(epsilon=0.5))
+    res = dual_ascent(toy, cp)
     assert res.status == "optimal"
     assert len(res.trace) == 1 and res.trace[0].iteration == 0
     assert res.best_lower_bound == 8.0
@@ -266,7 +278,7 @@ def test_a_finished_ascent_takes_no_more_steps(status):
 
 
 def test_dual_ascent_iteration_cap(toy):
-    res = dual_ascent(toy, np.zeros(2), DaConfig(epsilon=0.5, max_iter=1))
+    res = dual_ascent(toy, np.zeros(2), DaConfig(max_iter=1))
     assert res.status == "iter_limit"
     assert res.iterations == 1
 
@@ -280,7 +292,7 @@ def test_dual_ascent_propagates_engine_limits():
 
 
 def test_dual_ascent_solution_is_feasible_at_optimum(toy):
-    res = dual_ascent(toy, np.zeros(2), DaConfig(epsilon=0.5))
+    res = dual_ascent(toy, np.zeros(2))
     sol = res.last.solution
     assert check_feasible(toy, sol) == []
     assert sol.objective == 8.0
