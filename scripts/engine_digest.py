@@ -27,7 +27,6 @@ from splpo import (
     GeneratorConfig,
     Instance,
     ProblemSpec,
-    SgConfig,
     ada,
     branch_and_bound,
     generate_instance,
@@ -36,6 +35,7 @@ from splpo import (
     preset_config,
     subgradient_method,
 )
+from splpo.lagrange import SG_MAX_ITER
 
 MULTIOPEN = GeneratorConfig(mode="cost-consistent", open_range=(4000, 6000))
 CHEAP = GeneratorConfig(open_range=(500, 1000))
@@ -99,8 +99,8 @@ def _ada(h, inst) -> None:
               repr(res.best_solution), repr(res.hc_solution), repr(res.vfh_solutions)))
 
 
-def _sg(h, inst, cfg) -> None:
-    res = subgradient_method(inst, cfg)
+def _sg(h, inst, max_iter) -> None:
+    res = subgradient_method(inst, max_iter)
     _feed(h, (repr(res.trace), res.best_mu, res.best_lam, res.best_value, res.status,
               res.iterations, res.best_iteration))
 
@@ -129,8 +129,8 @@ def digest(quick: bool = False) -> str:
                 _heuristics(h, inst)
     for seed in range(1, 2 if quick else 3):
         # The `splpo bench` sg row, and ada's warm-up on 60x40.
-        _sg(h, generate_instance(75, 50, seed, CONSISTENT), SgConfig())
-        _sg(h, generate_instance(60, 40, seed), SgConfig(max_iter=50))
+        _sg(h, generate_instance(75, 50, seed, CONSISTENT), SG_MAX_ITER)
+        _sg(h, generate_instance(60, 40, seed), 50)
     for seed in range(1, 3 if quick else 13):
         inst = generate_instance(60, 40, seed)
         _ada(h, inst)

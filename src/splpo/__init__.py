@@ -17,7 +17,6 @@ from .instance import (
 from .lagrange import (
     LagrangeMultipliers,
     LrSolution,
-    SgConfig,
     SgResult,
     default_start,
     solve_lr,

@@ -14,46 +14,45 @@ import math
 import time
 
 from .exact import ProblemSpec, branch_and_bound, check_limits
-from .instance import (FrozenRecord, Instance, Record, as_int, check_count, facility_sort_keys,
-                       is_number)
-from .lagrange import SgConfig, SgResult, subgradient_method
+from .instance import FrozenRecord, Instance, Record, check_count, check_sites, facility_sort_keys
+from .lagrange import SgResult, subgradient_method
 from .semilagrange import DaConfig, dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
-def _check_ps(ps) -> None:
-    """Raise ValueError unless ps is a number in [0, 1] (not a bool)."""
-    if not (is_number(ps) and 0.0 <= ps <= 1.0):
-        raise ValueError(f"ps must be a number in [0, 1], got {ps!r}")
+# The paper's variable-fixing schedule: VFH_ITER rounds, each forcing open
+# ceil(PS * k) of the k sites open in the current relaxed solution.
+VFH_ITER = 2
+PS = 0.25
 
 
 class AdaConfig(FrozenRecord):
     """Stage budgets and engine limits for the pipeline.
 
-    sg_iter, da_iter, and vfh_iter are iteration budgets for the warm-up,
-    the plain ascent stage, and the ascent+fixing rounds. ps is the fraction
-    of the currently open facilities forced open by each fixing pass.
-    node_limit applies to each engine call. time_limit, in seconds, is one
-    budget for the whole pipeline call: dual ascent and every fixing solve
-    get the time left, so a stage that starts after it expires returns the
-    engine's incumbent at once. The budgets and node_limit are stored as
-    ints. Dual ascent derives its rung offset and the warm-up its step aim
-    from the instance (see DualAscent and SgConfig).
+    sg_iter and da_iter are iteration budgets for the warm-up and the plain
+    ascent stage; the ascent+fixing rounds follow the paper's schedule
+    (VFH_ITER rounds, each fixing a PS fraction). node_limit applies to each
+    engine call. time_limit, in seconds, is one budget for the whole
+    pipeline call: dual ascent and every fixing solve get the time left, so
+    a stage that starts after it expires returns the engine's incumbent at
+    once. The budgets and node_limit are stored as ints. Dual ascent derives
+    its rung offset and the warm-up its step aim from the instance, and the
+    warm-up's step schedule is the paper's (see DualAscent and
+    subgradient_method).
     """
 
-    __slots__ = ("sg_iter", "da_iter", "vfh_iter", "ps", "node_limit", "time_limit")
+    __slots__ = ("sg_iter", "da_iter", "node_limit", "time_limit")
 
-    def __init__(self, sg_iter: int = 50, da_iter: int = 3, vfh_iter: int = 2, ps: float = 0.25,
-                 node_limit: int | None = None, time_limit: float | None = None):
+    def __init__(self, sg_iter: int = 50, da_iter: int = 3, node_limit: int | None = None,
+                 time_limit: float | None = None):
         sg_iter = check_count("sg_iter", sg_iter)
         da_iter = check_count("da_iter", da_iter)
-        vfh_iter = check_count("vfh_iter", vfh_iter)
-        _check_ps(ps)
         node_limit = check_limits(node_limit, time_limit)
-        self._set(sg_iter, da_iter, vfh_iter, ps, node_limit, time_limit)
+        self._set(sg_iter, da_iter, node_limit, time_limit)
 
 
-# Empirical budgets per (m, n) bucket; vfh_iter and ps keep their defaults.
+# Empirical budgets per (m, n) bucket; the fixing rounds keep the paper's
+# schedule (VFH_ITER, PS) at every size.
 PRESETS = {
     (75, 50): AdaConfig(sg_iter=50, da_iter=3),
     (100, 75): AdaConfig(sg_iter=100, da_iter=7),
@@ -73,28 +72,23 @@ def preset_config(size: tuple[int, int]) -> AdaConfig:
 def vfh(
     inst: Instance,
     y_gamma,
-    ps: float,
     node_limit: int | None = None,
     time_limit: float | None = None,
 ) -> Solution:
     """Force open a cheap fraction of the given facilities, then solve exactly.
 
     The facilities are sorted by sum_i c[i, j] + m * f[j] (ties to the lower
-    index) and the first ceil(ps * k) are fixed open, k counting the distinct
-    ids in y_gamma. An empty input set degenerates to an unrestricted exact
-    solve. If the engine hits its limits the incumbent is returned, flagged
-    heuristic in its provenance.
+    index) and the first ceil(PS * k) are fixed open, k counting the distinct
+    ids in y_gamma, PS being the paper's fraction. An empty input set
+    degenerates to an unrestricted exact solve. If the engine hits its
+    limits the incumbent is returned, flagged heuristic in its provenance.
     Each id in y_gamma must be an integer site index (a bool or a float
-    raises ValueError), and ps a number in [0, 1] as in AdaConfig.
+    raises ValueError).
     """
-    _check_ps(ps)
-    ids = list(y_gamma)
-    bad = [j for j in ids if as_int(j) is None or not 0 <= j < inst.n]
-    if bad:
-        raise ValueError(f"y_gamma holds {bad}, which are not sites 0..{inst.n - 1}")
+    ids = check_sites("y_gamma", y_gamma, inst.n)
     keys = facility_sort_keys(inst)
-    open_now = sorted(set(map(as_int, ids)), key=lambda j: (keys[j], j))
-    count = math.ceil(ps * len(open_now)) if open_now else 0
+    open_now = sorted(set(ids), key=lambda j: (keys[j], j))
+    count = math.ceil(PS * len(open_now))
     fixed = open_now[:count]
     spec = ProblemSpec.splpo(inst, forced_open=fixed)
     res = branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit)
@@ -128,14 +122,16 @@ class AdaResult(Record):
 
     @property
     def best_lb(self) -> float:
-        return max(self.lb_sg, self.lb_da)
+        """The better of the two bounds, capped at best_ub: a bound can round
+        past the optimum, which is at most best_ub (lb_sg by a few ulps)."""
+        return min(max(self.lb_sg, self.lb_da), self.best_ub)
 
 
 def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     """Run the full pipeline and return the best feasible solution found.
 
     Stages: greedy bound, subgradient warm-up from mu_i = min_j (c[i,j]+f[j]),
-    dual ascent seeded with the warm-up's best multipliers, then vfh_iter
+    dual ascent seeded with the warm-up's best multipliers, then VFH_ITER
     rounds of one ascent iteration followed by a variable-fixing solve. A
     round whose input open set equals the latest solve's (the empty set
     while the ascent opens nothing, the final set once it is done) repeats
@@ -153,7 +149,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     timings["hc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sg = subgradient_method(inst, SgConfig(max_iter=cfg.sg_iter))
+    sg = subgradient_method(inst, cfg.sg_iter)
     timings["sg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -164,7 +160,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     vfh_solutions: list[Solution] = []
     fixed_from = None  # the input open set of the latest solve
     t0 = time.perf_counter()
-    for round_no in range(cfg.vfh_iter):
+    for round_no in range(VFH_ITER):
         if not driver.done:
             driver.step()
         open_now = driver.last.solution.open_facilities
@@ -173,7 +169,7 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
             sol = Solution(prev.open_facilities, prev.assign, prev.objective,
                            {**prev.provenance, "round": round_no})
         else:
-            sol = vfh(inst, open_now, cfg.ps, node_limit=cfg.node_limit, time_limit=time_left())
+            sol = vfh(inst, open_now, node_limit=cfg.node_limit, time_limit=time_left())
             sol.provenance["round"] = round_no
             fixed_from = open_now
         vfh_solutions.append(sol)

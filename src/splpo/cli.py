@@ -24,7 +24,7 @@ import numpy as np
 from .ada import AdaConfig, ada, preset_config
 from .exact import ProblemSpec, branch_and_bound, brute_force
 from .instance import GeneratorConfig, Instance, generate_instance, parse_instance, write_instance
-from .lagrange import SgConfig, subgradient_method
+from .lagrange import SG_MAX_ITER, subgradient_method
 from .report import ReportRow, RunReport, config_hash, gap_fields
 from .semilagrange import DaConfig, dual_ascent
 from .solution import Solution, heuristic_hc, heuristic_hs, solution_to_json
@@ -71,23 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each solver flag: its type, and the config field it sets in each algorithm
-# that reads it. sg builds an SgConfig, da a DaConfig, ada an AdaConfig over
-# the instance's size preset, and exact passes its fields to
-# branch_and_bound; an algorithm not listed ignores the flag.
+# Each solver flag: its type, and the setting it overrides in each algorithm
+# that reads it. sg passes its max_iter to subgradient_method, da builds a
+# DaConfig, ada an AdaConfig over the instance's size preset, and exact
+# passes its fields to branch_and_bound; an algorithm not listed ignores the
+# flag. The paper's fixed schedules (the subgradient step schedule and the
+# variable-fixing rounds) are constants, not flags.
 SOLVER_FLAGS = {
     "sg_iter": (int, {"sg": "max_iter", "ada": "sg_iter"}),
     "da_iter": (int, {"da": "max_iter", "ada": "da_iter"}),
-    "vfh_iter": (int, {"ada": "vfh_iter"}),
-    "ps": (float, {"ada": "ps"}),
-    "beta0": (float, {"sg": "beta0"}),
-    "stall_k": (int, {"sg": "stall_window"}),
-    "beta_dec": (float, {"sg": "beta_decrement"}),
     "node_limit": (int, {"da": "node_limit", "ada": "node_limit", "exact": "node_limit"}),
     "time_limit": (float, {"da": "time_limit", "ada": "time_limit", "exact": "time_limit"}),
 }
 _DEFAULTS = {
-    "sg": SgConfig().asdict(),
+    "sg": {"max_iter": SG_MAX_ITER},
     "da": DaConfig().asdict(),
     "exact": {"node_limit": None, "time_limit": None},
 }
@@ -129,7 +126,7 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
         ub, y_count = solution.objective, len(solution.open_facilities)
         iterations = solution.provenance["rounds"]
     elif algorithm == "sg":
-        res = subgradient_method(inst, SgConfig(**fields))
+        res = subgradient_method(inst, **fields)
         lb, iterations, best_iteration = res.best_value, res.iterations, res.best_iteration
         status = res.status
     elif algorithm == "da":

@@ -104,7 +104,7 @@ import time
 
 import numpy as np
 
-from .instance import FrozenRecord, Instance, Record, as_int, check_count, is_number
+from .instance import FrozenRecord, Instance, Record, check_count, check_sites, is_number
 from .solution import Solution, UNASSIGNED, assign_most_preferred, heuristic_hc, price
 
 KIND_SPLPO = "splpo"
@@ -138,10 +138,8 @@ class ProblemSpec(FrozenRecord):
             if not (is_number(threshold) and math.isfinite(threshold)):
                 raise ValueError(f"the slr kind requires a finite threshold, got {threshold!r}")
             threshold = float(threshold)
-        bad = [j for j in forced_open if as_int(j) is None or not 0 <= j < inst.n]
-        if bad:
-            raise ValueError(f"forced_open contains invalid facilities {bad}")
-        self._set(kind, inst, threshold, frozenset(map(as_int, forced_open)))
+        forced_open = frozenset(check_sites("forced_open", forced_open, inst.n))
+        self._set(kind, inst, threshold, forced_open)
 
     @staticmethod
     def splpo(inst: Instance, forced_open=()) -> "ProblemSpec":

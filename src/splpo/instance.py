@@ -419,6 +419,16 @@ def check_count(name: str, value, low: int = 0) -> int:
     return v
 
 
+def check_sites(name: str, ids, n: int) -> list[int]:
+    """ids as a list of ints; ValueError naming them unless each is an
+    integer site index 0..n-1 (a bool or a float is not one)."""
+    ids = list(ids)
+    bad = [j for j in ids if as_int(j) is None or not 0 <= j < n]
+    if bad:
+        raise ValueError(f"{name} holds {bad}, which are not sites 0..{n - 1}")
+    return [as_int(j) for j in ids]
+
+
 def generate_instance(
     m: int, n: int, seed: int, params: GeneratorConfig | None = None, name: str = ""
 ) -> Instance:

@@ -67,10 +67,18 @@ import math
 
 import numpy as np
 
-from .instance import FrozenRecord, Instance, Record, check_count, is_number
+from .instance import FrozenRecord, Instance, Record, check_count
 from .solution import heuristic_hc
 
 IMPROVEMENT_TOL = 1e-9  # how far a relaxation value must beat the incumbent
+
+# The paper's step schedule: beta starts at BETA0 and, once the incumbent has
+# not improved for STALL_WINDOW consecutive iterations, drops by
+# BETA_DECREMENT per iteration. SG_MAX_ITER is the default update budget.
+BETA0 = 2.0
+STALL_WINDOW = 30
+BETA_DECREMENT = 0.005
+SG_MAX_ITER = 1500
 
 
 class LagrangeMultipliers(FrozenRecord):
@@ -240,35 +248,6 @@ def default_start(inst: Instance) -> LagrangeMultipliers:
     return LagrangeMultipliers(mu=mu, lam=np.zeros((inst.m, inst.n)))
 
 
-class SgConfig(FrozenRecord):
-    """Subgradient-method settings.
-
-    The step multiplier beta starts at beta0 and, once the incumbent has not
-    improved for stall_window consecutive iterations, drops by
-    beta_decrement per iteration. The run stops at beta <= 0, a zero
-    subgradient, or max_iter updates. Steps aim at the greedy upper bound,
-    heuristic_hc's objective, which the method reads from the instance.
-    max_iter and stall_window must be nonnegative integers, beta0 a finite
-    number above zero, and beta_decrement a finite nonnegative number;
-    anything else, a bool included, raises ValueError. Integers are stored
-    as ints.
-    """
-
-    __slots__ = ("max_iter", "beta0", "stall_window", "beta_decrement")
-
-    def __init__(self, max_iter: int = 1500, beta0: float = 2.0, stall_window: int = 30,
-                 beta_decrement: float = 0.005):
-        max_iter = check_count("max_iter", max_iter)
-        stall_window = check_count("stall_window", stall_window)
-        # Written so that NaN fails every comparison.
-        if not (is_number(beta0) and 0 < beta0 < math.inf):
-            raise ValueError(f"beta0 must be a finite number above zero, got {beta0!r}")
-        if not (is_number(beta_decrement) and 0 <= beta_decrement < math.inf):
-            raise ValueError(
-                f"beta_decrement must be a finite nonnegative number, got {beta_decrement!r}")
-        self._set(max_iter, beta0, stall_window, beta_decrement)
-
-
 class SgTraceRow(Record):
     __slots__ = ("iteration", "lr_value", "lr_best", "beta", "alpha", "s_norm_sq")
 
@@ -298,15 +277,19 @@ class SgResult(Record):
 
 
 def subgradient_method(
-    inst: Instance, cfg: SgConfig = SgConfig(), start: LagrangeMultipliers | None = None
+    inst: Instance, max_iter: int = SG_MAX_ITER, start: LagrangeMultipliers | None = None
 ) -> SgResult:
     """Maximize the Lagrangean dual by projected subgradient steps.
 
     Steps use alpha = beta * (lr_aim - value) / ||s||^2, where the aim
     lr_aim is heuristic_hc's objective, and the run stops if a value exceeds
-    it; mu moves freely while lam is clipped at zero. The incumbent is the
-    best relaxation value seen, with the achieving multipliers retained.
-    Iterations count multiplier updates; the starting point is iteration 0.
+    it; mu moves freely while lam is clipped at zero. beta follows the
+    paper's schedule (BETA0, STALL_WINDOW, BETA_DECREMENT), and the run
+    stops at beta <= 0, a zero subgradient, or max_iter updates; max_iter
+    must be a nonnegative integer (a bool raises ValueError). The incumbent
+    is the best relaxation value seen, with the achieving multipliers
+    retained. Iterations count multiplier updates; the starting point is
+    iteration 0.
     The start is checked once; the iterates, finite steps from it with lam
     clipped at zero, are not.
     lam is held in rank order during the run; best_lam is in site order.
@@ -315,6 +298,7 @@ def subgradient_method(
     with no positive entry would leave lam as it is, so it is skipped and
     the next relaxation does not look for non-zero rows of lam.
     """
+    max_iter = check_count("max_iter", max_iter)
     if start is None:
         start = default_start(inst)
     lr_aim = heuristic_hc(inst).objective
@@ -336,7 +320,7 @@ def subgradient_method(
     best_value = value
     best_mu, best_lam = mu.copy(), lam.copy()
     best_iteration = 0
-    beta = cfg.beta0
+    beta = BETA0
     stall = 0
     status = "iter_limit"
     trace = []
@@ -365,7 +349,7 @@ def subgradient_method(
             break
         alpha = beta * gap / norm_sq
         trace.append(SgTraceRow(iteration, value, best_value, beta, alpha, norm_sq))
-        if iteration >= cfg.max_iter:
+        if iteration >= max_iter:
             status = "iter_limit"
             break
 
@@ -394,8 +378,8 @@ def subgradient_method(
             stall = 0
         else:
             stall += 1
-        if stall >= cfg.stall_window:
-            beta -= cfg.beta_decrement
+        if stall >= STALL_WINDOW:
+            beta -= BETA_DECREMENT
         if beta <= 0:
             trace.append(
                 SgTraceRow(iteration, value, best_value, beta, math.nan, math.nan)
@@ -417,7 +401,6 @@ def subgradient_method(
 __all__ = [
     "LagrangeMultipliers",
     "LrSolution",
-    "SgConfig",
     "SgResult",
     "SgTraceRow",
     "default_start",

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .instance import Instance, Record, as_int
+from .instance import Instance, Record, check_sites
 
 UNASSIGNED = -1
 
@@ -49,12 +49,8 @@ def open_mask(inst: Instance, open_facilities) -> np.ndarray:
     ValueError for an id that names no site: numpy would wrap a negative one
     round to another site.
     """
-    ids = list(open_facilities)
-    bad = [j for j in ids if as_int(j) is None or not 0 <= j < inst.n]
-    if bad:
-        raise ValueError(f"open facilities {bad} name no site of {inst.n}")
     mask = np.zeros(inst.n, dtype=bool)
-    mask[ids] = True
+    mask[check_sites("open facilities", open_facilities, inst.n)] = True
     return mask
 
 

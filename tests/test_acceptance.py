@@ -18,7 +18,6 @@ from splpo import (
     DaConfig,
     GeneratorConfig,
     ProblemSpec,
-    SgConfig,
     ada,
     branch_and_bound,
     brute_force,
@@ -102,7 +101,7 @@ def test_criterion_3_weak_duality_along_sg():
     for seed in range(20):
         inst = sized_instance(300 + seed)
         opt = brute_force(ProblemSpec.splpo(inst)).value
-        res = subgradient_method(inst, SgConfig())
+        res = subgradient_method(inst)
         for row in res.trace:
             assert row.lr_value <= opt + 1e-9, (seed, row.iteration)
         bests = [row.lr_best for row in res.trace]
@@ -160,7 +159,7 @@ def test_criterion_6_heuristic_dominance_and_validity():
 
 def test_criterion_7_pipeline_quality_desk_scale():
     """Pipeline mean optimality gap stays within 2 percent of exact."""
-    cfg = AdaConfig(sg_iter=50, da_iter=3, vfh_iter=2, ps=0.25)
+    cfg = AdaConfig(sg_iter=50, da_iter=3)
     gaps = []
     for k in range(30):
         m = (40, 60)[k % 2]
@@ -205,6 +204,6 @@ def test_criterion_8_reference_values_when_files_present():
     if inst is None:
         pytest.skip("a75_50_4 not found under SPLPO_BENCHMARK_DIR")
     opt = branch_and_bound(ProblemSpec.splpo(inst)).value
-    res = ada(inst, AdaConfig(sg_iter=50, da_iter=3, vfh_iter=2, ps=0.25))
+    res = ada(inst, AdaConfig(sg_iter=50, da_iter=3))
     assert 100.0 * (res.best_ub - opt) / opt <= 0.5
     print("CRITERION 8 (reference value reproduction): PASS")

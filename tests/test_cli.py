@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from splpo import (
-    PRESETS, AdaConfig, DaConfig, GeneratorConfig, ProblemSpec, RunReport, SgConfig,
+    PRESETS, AdaConfig, DaConfig, GeneratorConfig, ProblemSpec, RunReport,
     branch_and_bound, brute_force, generate_instance, parse_instance, preset_config,
 )
 from splpo.cli import (
@@ -198,7 +198,7 @@ def test_bench_ada_against_exact(tmp_path):
     out = tmp_path / "bench.csv"
     code = main([
         "bench", str(out_dir / "*.splpo"), "--algorithms", "ada,exact",
-        "--sg-iter", "10", "--da-iter", "2", "--vfh-iter", "1",
+        "--sg-iter", "10", "--da-iter", "2",
         "--out", str(out),
     ])
     assert code == EXIT_OK
@@ -399,15 +399,15 @@ def _row_hash(inst, algorithm, *flags):
 
 
 def test_flags_override_preset(toy):
-    ran = AdaConfig(sg_iter=50, da_iter=3, vfh_iter=9, ps=0.5)  # 75x50 preset, two flags
-    assert _row_hash(toy, "ada", "--vfh-iter", "9", "--ps", "0.5") == config_hash(
+    ran = AdaConfig(sg_iter=50, da_iter=9, node_limit=5)  # 75x50 preset, two flags
+    assert _row_hash(toy, "ada", "--da-iter", "9", "--node-limit", "5") == config_hash(
         {"algorithm": "ada", **ran.asdict()})
 
 
 def test_config_hash_covers_every_field_run():
     """A row hashes its algorithm and every setting it ran with, defaults included."""
     inst = random_instance(3000, m_max=8, n_max=7)
-    assert _row_hash(inst, "sg") == config_hash({"algorithm": "sg", **SgConfig().asdict()})
+    assert _row_hash(inst, "sg") == config_hash({"algorithm": "sg", "max_iter": 1500})
     assert _row_hash(inst, "da") == config_hash({"algorithm": "da", **DaConfig().asdict()})
     assert _row_hash(inst, "exact", "--node-limit", "5") == config_hash(
         {"algorithm": "exact", "node_limit": 5, "time_limit": None})
@@ -420,13 +420,13 @@ def test_config_hash_equal_runs_hash_equal():
     preset = preset_config((inst.m, inst.n))
     assert _row_hash(inst, "ada") == _row_hash(
         inst, "ada", "--sg-iter", str(preset.sg_iter), "--da-iter", str(preset.da_iter))
-    assert _row_hash(inst, "sg") == _row_hash(inst, "sg", "--beta0", "2.0")
+    assert _row_hash(inst, "sg") == _row_hash(inst, "sg", "--sg-iter", "1500")
 
 
 @pytest.mark.parametrize("algorithm", ["hc", "sg", "exact"])
 def test_config_hash_ignores_flags_not_read(algorithm):
     inst = random_instance(3002, m_max=8, n_max=7)
-    unread = [["--ps", "0.5"]]
+    unread = [["--da-iter", "2"]]
     if algorithm == "sg":
         unread.append(["--node-limit", "5"])
     for flags in unread:
@@ -436,18 +436,21 @@ def test_config_hash_ignores_flags_not_read(algorithm):
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_seed_is_not_a_solver_flag(toy_file, command, capsys):
     # No algorithm reads a seed; only generate takes one. Dual ascent derives
-    # its rung offset from the costs, so no command takes an --epsilon.
+    # its rung offset from the costs, so no command takes an --epsilon, and
+    # the paper's subgradient step schedule and variable-fixing rounds are
+    # constants, so no command takes their old flags either.
     run = [command, str(toy_file), "--algorithm" if command == "solve" else "--algorithms", "da"]
     assert main(run) == EXIT_OK
-    for flag in ("--seed", "--epsilon"):
+    for flag in ("--seed", "--epsilon", "--beta0", "--stall-k", "--beta-dec", "--vfh-iter",
+                 "--ps"):
         capsys.readouterr()
         assert main([*run, flag, "7"]) == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm, flags", [
-    ("sg", ["--beta0", "1.5"]), ("sg", ["--sg-iter", "7"]), ("da", ["--da-iter", "2"]),
-    ("ada", ["--ps", "0.5"]), ("ada", ["--sg-iter", "7"]), ("exact", ["--node-limit", "5"]),
+    ("sg", ["--sg-iter", "3"]), ("sg", ["--sg-iter", "7"]), ("da", ["--da-iter", "2"]),
+    ("ada", ["--node-limit", "5"]), ("ada", ["--sg-iter", "7"]), ("exact", ["--node-limit", "5"]),
 ])
 def test_config_hash_changes_with_a_field_read(algorithm, flags):
     inst = random_instance(3003, m_max=8, n_max=7)
@@ -480,20 +483,25 @@ def test_node_limited_da_brackets_the_optimum():
                 assert opt <= row.best_ub == sol.objective, (seed, limit, row.best_ub, opt)
 
 
-MALFORMED_LIMITS = [("nan-time", "--time-limit", "nan"), ("negative-time", "--time-limit", "-1"),
-                    ("negative-nodes", "--node-limit", "-1")]
+MALFORMED_LIMITS = [
+    ("nan-time", "--time-limit", "nan", "time_limit must be a nonnegative number"),
+    ("negative-time", "--time-limit", "-1", "time_limit must be a nonnegative number"),
+    ("negative-nodes", "--node-limit", "-1", "node_limit must be a nonnegative integer"),
+]
 
 
-@pytest.mark.parametrize("algorithm, flag, value", [
-    *(pytest.param(algorithm, flag, value, id=f"{name}-{algorithm}")
-      for name, flag, value in MALFORMED_LIMITS for algorithm in ("exact", "da", "ada")),
-    pytest.param("sg", "--beta0", "nan", id="nan-beta0-sg"),
-    # Dual ascent derives its rung offset, so --epsilon is no flag and is refused.
-    *(pytest.param(algorithm, "--epsilon", "nan", id=f"nan-epsilon-{algorithm}")
-      for algorithm in ("da", "ada")),
+@pytest.mark.parametrize("algorithm, flag, value, message", [
+    *(pytest.param(algorithm, flag, value, message, id=f"{name}-{algorithm}")
+      for name, flag, value, message in MALFORMED_LIMITS for algorithm in ("exact", "da", "ada")),
+    # The paper's step schedule is a constant and dual ascent derives its
+    # rung offset, so these are no flags: refused as unrecognized, not read.
+    pytest.param("sg", "--beta0", "nan", "unrecognized arguments: --beta0 nan", id="nan-beta0-sg"),
+    *(pytest.param(algorithm, "--epsilon", "nan", "unrecognized arguments: --epsilon nan",
+                   id=f"nan-epsilon-{algorithm}") for algorithm in ("da", "ada")),
 ])
-def test_solve_rejects_malformed_limits(toy_file, algorithm, flag, value):
+def test_solve_rejects_malformed_limits(toy_file, algorithm, flag, value, message, capsys):
     assert main(["solve", str(toy_file), "--algorithm", algorithm, flag, value]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_every_algorithm_brackets_the_optimum():

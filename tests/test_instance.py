@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,17 +14,18 @@ from splpo import (
     Instance,
     InstanceFormatError,
     ProblemSpec,
-    SgConfig,
     facility_sort_keys,
     generate_instance,
     heuristic_hc,
     parse_instance,
     parse_orlib,
+    vfh,
     write_instance,
 )
 
 import splpo.instance as instance_module
 from splpo.semilagrange import DualAscent
+from splpo.solution import open_mask
 from conftest import random_instance
 
 TOY_DOC = """SPLPO 1
@@ -310,12 +312,10 @@ def test_integer_settings_take_one_rule_and_are_stored_as_ints():
     gen = GeneratorConfig(scale=three, cost_range=[np.int8(1), three], open_range=(three, 4))
     assert (gen.scale, gen.cost_range, gen.open_range) == (3, (1, 3), (3, 4))
     da = DaConfig(max_iter=three, node_limit=np.int32(7))
-    sg = SgConfig(max_iter=three, stall_window=np.uint8(2))
-    ada_cfg = AdaConfig(sg_iter=three, da_iter=np.int16(1), vfh_iter=three, node_limit=three)
+    ada_cfg = AdaConfig(sg_iter=three, da_iter=np.int16(1), node_limit=three)
     spec = ProblemSpec.splpo(generate_instance(3, 4, 1), forced_open=[np.int64(3), np.uint8(0)])
     values = [gen.scale, *gen.cost_range, *gen.open_range, da.max_iter, da.node_limit,
-              sg.max_iter, sg.stall_window, ada_cfg.sg_iter, ada_cfg.da_iter, ada_cfg.vfh_iter,
-              ada_cfg.node_limit, *spec.forced_open]
+              ada_cfg.sg_iter, ada_cfg.da_iter, ada_cfg.node_limit, *spec.forced_open]
     assert {type(v) for v in values} == {int}
     assert spec.forced_open == {0, 3}
     for make in (lambda v: GeneratorConfig(scale=v), lambda v: DaConfig(max_iter=v)):
@@ -325,10 +325,24 @@ def test_integer_settings_take_one_rule_and_are_stored_as_ints():
             make(np.array([3]))
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 1.0, True, "2"])
+def test_every_list_of_site_ids_takes_one_check(bad):
+    # An open set, a fixing input and a forced-open set name their sites
+    # alike, and a fault in any reads the same.
+    inst = generate_instance(3, 4, 1)
+    for name, use in (("open facilities", lambda ids: open_mask(inst, ids)),
+                      ("y_gamma", lambda ids: vfh(inst, ids)),
+                      ("forced_open", lambda ids: ProblemSpec.splpo(inst, forced_open=ids))):
+        message = f"{name} holds [{bad!r}], which are not sites 0..3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            use([0, bad])
+    ids = instance_module.check_sites("ids", [np.int64(3), 0], 4)
+    assert ids == [3, 0] and {type(j) for j in ids} == {int}
+
+
 def test_configs_and_specs_are_immutable_and_copy_through_their_constructors():
     spec = ProblemSpec.splpo(generate_instance(3, 4, 1), forced_open=[1])
-    for obj in (GeneratorConfig(scale=2), DaConfig(max_iter=4), SgConfig(beta0=3.0),
-                AdaConfig(ps=0.5), spec):
+    for obj in (GeneratorConfig(scale=2), DaConfig(max_iter=4), AdaConfig(da_iter=5), spec):
         for name in type(obj).__slots__:
             with pytest.raises(AttributeError, match=name):
                 setattr(obj, name, None)
@@ -337,7 +351,7 @@ def test_configs_and_specs_are_immutable_and_copy_through_their_constructors():
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj
             assert twin.asdict().keys() == obj.asdict().keys()
-    assert hash(SgConfig(beta0=3.0)) == hash(SgConfig(beta0=3.0))
+    assert hash(DaConfig(max_iter=4)) == hash(DaConfig(max_iter=4))
     assert {AdaConfig(), AdaConfig()} == {AdaConfig()}
 
 

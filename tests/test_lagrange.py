@@ -13,7 +13,6 @@ from splpo import (
     Instance,
     LagrangeMultipliers,
     ProblemSpec,
-    SgConfig,
     brute_force,
     default_start,
     generate_instance,
@@ -174,7 +173,7 @@ def test_default_start_toy(toy):
 
 def test_sg_incumbent_non_decreasing_and_lambda_nonnegative():
     inst = random_instance(11, m_max=8, n_max=8)
-    res = subgradient_method(inst, SgConfig(max_iter=120))
+    res = subgradient_method(inst, 120)
     bests = [row.lr_best for row in res.trace]
     assert all(b <= a + 1e-12 for b, a in zip(bests, bests[1:]))
     assert res.best_value >= bests[0]
@@ -184,7 +183,7 @@ def test_sg_incumbent_non_decreasing_and_lambda_nonnegative():
 def test_sg_iterates_below_optimum():
     inst = random_instance(21, m_max=6, n_max=6)
     opt = brute_force(ProblemSpec.splpo(inst)).value
-    res = subgradient_method(inst, SgConfig(max_iter=200))
+    res = subgradient_method(inst, 200)
     for row in res.trace:
         assert row.lr_value <= opt + 1e-9
     assert res.best_value <= opt + 1e-9
@@ -204,22 +203,36 @@ def aiming_at(aim):
 def test_sg_aim_exceeded():
     inst = random_instance(31, m_max=5, n_max=5)
     with aiming_at(-1e9):
-        res = subgradient_method(inst, SgConfig(max_iter=50))
+        res = subgradient_method(inst, 50)
     assert res.status == "aim_exceeded"
     assert res.iterations == 0
 
 
 def test_sg_beta_exhaustion():
+    # The paper's schedule: beta drops from 2 by 0.005 per stalled
+    # iteration, so it runs out at least 30 + 400 iterations in.
+    assert (lagrange.BETA0, lagrange.STALL_WINDOW, lagrange.BETA_DECREMENT) == (2.0, 30, 0.005)
+    assert lagrange.SG_MAX_ITER == 1500
     inst = random_instance(41, m_max=5, n_max=5)
-    cfg = SgConfig(max_iter=100000, beta0=0.01, stall_window=1, beta_decrement=0.005)
-    res = subgradient_method(inst, cfg)
-    assert res.status in ("beta_exhausted", "optimal")
-    assert res.iterations < 100000
+    res = subgradient_method(inst, 100000)
+    assert res.status == "beta_exhausted"
+    assert 430 <= res.iterations < 100000
+    assert res.trace[-1].beta <= 0 < res.trace[-2].beta
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+def test_sg_budget_is_a_count(bad):
+    # A nonnegative integer, a numpy one included; anything else is a
+    # ValueError naming max_iter.
+    inst = random_instance(51, m_max=5, n_max=5)
+    with pytest.raises(ValueError, match="max_iter"):
+        subgradient_method(inst, bad)
+    assert subgradient_method(inst, np.int64(2)).iterations <= 2
 
 
 def test_sg_iteration_budget():
     inst = random_instance(51, m_max=5, n_max=5)
-    res = subgradient_method(inst, SgConfig(max_iter=7))
+    res = subgradient_method(inst, 7)
     assert res.iterations <= 7
     assert res.trace[0].iteration == 0
 
@@ -231,7 +244,7 @@ def test_sg_checks_its_start_once(monkeypatch):
     check = lagrange._check_lam
     monkeypatch.setattr(lagrange, "_check_lam", lambda lam: (checks.append(1), check(lam)))
     inst = generate_instance(12, 8, 3)
-    res = subgradient_method(inst, SgConfig(max_iter=40))
+    res = subgradient_method(inst, 40)
     assert res.iterations == 40 and len(checks) == 2  # default_start, then the start's copy
     with pytest.raises(ValueError, match="lam"):
         LagrangeMultipliers(mu=np.zeros(2), lam=-np.ones((2, 2)))
@@ -239,7 +252,7 @@ def test_sg_checks_its_start_once(monkeypatch):
 
 def test_sg_trace_is_csv_friendly():
     inst = random_instance(71, m_max=4, n_max=4)
-    res = subgradient_method(inst, SgConfig(max_iter=5))
+    res = subgradient_method(inst, 5)
     for row in res.trace:
         for field in ("iteration", "lr_value", "lr_best", "beta", "alpha", "s_norm_sq"):
             assert getattr(row, field) is not None
@@ -247,7 +260,7 @@ def test_sg_trace_is_csv_friendly():
 
 def test_sg_best_multipliers_reproduce_best_value():
     inst = random_instance(81, m_max=7, n_max=7)
-    res = subgradient_method(inst, SgConfig(max_iter=80))
+    res = subgradient_method(inst, 80)
     lr = solve_lr(inst, LagrangeMultipliers(mu=res.best_mu, lam=res.best_lam))
     assert lr.value == pytest.approx(res.best_value, abs=1e-9)
 
@@ -295,7 +308,7 @@ def test_relaxation_rejects_multipliers_of_the_wrong_shape():
         with pytest.raises(ValueError, match=name):
             solve_lr(inst, mult)
         with pytest.raises(ValueError, match=name):
-            subgradient_method(inst, SgConfig(max_iter=5), start=mult)
+            subgradient_method(inst, 5, start=mult)
 
 
 # The relaxation and subgradient method as they stood when every step gathered
@@ -329,13 +342,13 @@ def _reference_lr_subgradient(inst, lr):
     return s_mu, s_lam
 
 
-def _reference_subgradient_method(inst, cfg, start):
+def _reference_subgradient_method(inst, max_iter, start):
     lr_aim = lagrange.heuristic_hc(inst).objective
     mu, lam = start.mu.copy(), start.lam.copy()
     lr = _reference_solve_lr(inst, mu, lam)
     best_value = lr.value
     best_mu, best_lam = mu.copy(), lam.copy()
-    best_iteration, beta, stall, iteration, trace = 0, cfg.beta0, 0, 0, []
+    best_iteration, beta, stall, iteration, trace = 0, lagrange.BETA0, 0, 0, []
     while True:
         s_mu, s_lam = _reference_lr_subgradient(inst, lr)
         norm_sq = float((s_mu**2).sum() + (s_lam**2).sum())
@@ -350,7 +363,7 @@ def _reference_subgradient_method(inst, cfg, start):
             break
         alpha = beta * gap / norm_sq
         trace.append(SgTraceRow(iteration, lr.value, best_value, beta, alpha, norm_sq))
-        if iteration >= cfg.max_iter:
+        if iteration >= max_iter:
             status = "iter_limit"
             break
         mu = mu + alpha * s_mu
@@ -364,8 +377,8 @@ def _reference_subgradient_method(inst, cfg, start):
             stall = 0
         else:
             stall += 1
-        if stall >= cfg.stall_window:
-            beta -= cfg.beta_decrement
+        if stall >= lagrange.STALL_WINDOW:
+            beta -= lagrange.BETA_DECREMENT
         if beta <= 0:
             trace.append(SgTraceRow(iteration, lr.value, best_value, beta, math.nan, math.nan))
             status = "beta_exhausted"
@@ -380,11 +393,11 @@ def _fractional_instance(seed, m, n):
 
 
 def _bit_identity_cases():
-    """(instance, config, start, the aim in place of heuristic_hc's or None)."""
+    """(instance, max_iter, start, the aim in place of heuristic_hc's or None)."""
     cost_consistent = GeneratorConfig(mode="cost-consistent")
     for seed in (1, 2):
         inst = generate_instance(75, 50, seed, cost_consistent)
-        yield inst, SgConfig(), default_start(inst), None
+        yield inst, lagrange.SG_MAX_ITER, default_start(inst), None
     shapes = [(1, 1), (1, 6), (7, 1), (2, 2), (5, 4), (8, 7)]
     for seed, (m, n) in enumerate(shapes * 3):
         rng = np.random.default_rng(seed)
@@ -392,42 +405,43 @@ def _bit_identity_cases():
             inst = generate_instance(m, n, seed)
         else:
             inst = _fractional_instance(seed, m, n)
-        cfg = SgConfig(max_iter=int(rng.integers(0, 250)), stall_window=int(rng.integers(0, 15)),
-                       beta_decrement=0.02)
+        # Budgets up to 1000 reach the end of beta's schedule (30 stalled
+        # iterations, then 400 decrements) in some runs and cut others short.
+        max_iter = int(rng.integers(0, 1000))
         start = default_start(inst) if seed % 2 else random_multipliers(inst, rng)
-        yield inst, cfg, start, None
+        yield inst, max_iter, start, None
     # A zero subgradient at the start, and one reached after 32 steps.
     for m, n, seed in ((2, 1, 0), (1, 2, 2)):
         inst = generate_instance(m, n, seed)
-        yield inst, SgConfig(), default_start(inst), None
+        yield inst, lagrange.SG_MAX_ITER, default_start(inst), None
     # An aim below the start's relaxation value.
     inst = generate_instance(5, 4, 3)
     start = default_start(inst)
-    yield inst, SgConfig(), start, solve_lr(inst, start).value - 1.0
+    yield inst, lagrange.SG_MAX_ITER, start, solve_lr(inst, start).value - 1.0
     # Every row of lam non-zero (the kernel sums whole rows), and exactly one
     # (it sums that row alone).
     rng = np.random.default_rng(7)
     inst = generate_instance(20, 9, 4)
     lam = rng.uniform(0.5, 3.0, (20, 9))
-    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam), None
+    yield inst, 150, LagrangeMultipliers(default_start(inst).mu, lam), None
     inst = _fractional_instance(5, 12, 8)
     lam = np.zeros((12, 8))
     lam[3] = rng.uniform(0.5, 3.0, 8)
-    yield inst, SgConfig(max_iter=150), LagrangeMultipliers(default_start(inst).mu, lam), None
+    yield inst, 150, LagrangeMultipliers(default_start(inst).mu, lam), None
     # lam's non-zero rows all return to zero and later some are non-zero
     # again; and a start whose zero rows hold -0.0 entries, which the first
     # step makes +0.0 (best_lam is taken while lam is still all zero).
     inst = _fractional_instance(1, 5, 4)
-    yield inst, SgConfig(max_iter=100), default_start(inst), None
+    yield inst, 100, default_start(inst), None
     lam = np.zeros((5, 4))
     lam[::2] = -0.0
-    yield inst, SgConfig(max_iter=5), LagrangeMultipliers(default_start(inst).mu, lam), None
+    yield inst, 5, LagrangeMultipliers(default_start(inst).mu, lam), None
     # mu so large that every site opens and serves everyone: a count reaches
     # n = 127, the most the narrow counter holds, and n = 130 in the wide one.
     for n in (127, 130):
         inst = generate_instance(3, n, n)
         mu = np.full(3, inst.c.max() + inst.f.max() + 1.0)
-        yield inst, SgConfig(max_iter=40), LagrangeMultipliers(mu, np.zeros((3, n))), None
+        yield inst, 40, LagrangeMultipliers(mu, np.zeros((3, n))), None
 
 
 class _AddSpy:
@@ -478,15 +492,15 @@ def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
     monkeypatch.setattr(lagrange._RankRelaxation, "solve", lambda rel, mu, lam, live=True: (
         lam_live.append("01"[bool(lam.any())]) or solve(rel, mu, lam, live)))
     returns = set()  # the shapes whose runs took lam from non-zero to all zero and back
-    for inst, cfg, start, aim in _bit_identity_cases():
+    for inst, max_iter, start, aim in _bit_identity_cases():
         spy.m = inst.m
         lam_live.clear()
         with aiming_at(aim):
-            res = subgradient_method(inst, cfg, start)
-            ref = _reference_subgradient_method(inst, cfg, start)
+            res = subgradient_method(inst, max_iter, start)
+            ref = _reference_subgradient_method(inst, max_iter, start)
         if re.search("10+1", "".join(lam_live)):
             returns.add((inst.m, inst.n))
-        case = (inst, cfg, aim)
+        case = (inst, max_iter, aim)
         same_trace = repr(res.trace) == repr(ref.trace)  # no diff of two long reprs on failure
         assert same_trace, case
         assert (res.status, res.iterations, res.best_iteration) == (
@@ -495,6 +509,7 @@ def test_sg_is_bit_identical_to_the_gather_based_reference(monkeypatch):
         assert res.best_mu.tobytes() == ref.best_mu.tobytes(), case
         assert res.best_lam.tobytes() == ref.best_lam.tobytes(), case
         statuses.add(res.status)
+    # beta_exhausted among them: some runs reach the end of beta's schedule.
     assert statuses == {"optimal", "aim_exceeded", "iter_limit", "beta_exhausted"}
     assert returns == {(75, 50), (5, 4)}
     assert spy.paths == {"whole", "rows"}
@@ -506,10 +521,10 @@ def test_sg_takes_an_inf_step_from_an_all_zero_lam():
     # the relaxation value towards -1e308, so the second step's alpha is
     # inf: inf * 0 is NaN, so that step must be taken.
     inst = generate_instance(2, 2, 1)
-    cfg, start = SgConfig(max_iter=3), default_start(inst)
+    max_iter, start = 3, default_start(inst)
     with np.errstate(over="ignore", invalid="ignore"), aiming_at(8e307):
-        res = subgradient_method(inst, cfg, start)
-        ref = _reference_subgradient_method(inst, cfg, start)
+        res = subgradient_method(inst, max_iter, start)
+        ref = _reference_subgradient_method(inst, max_iter, start)
     assert math.isfinite(ref.trace[0].alpha) and ref.trace[1].alpha == math.inf
     assert repr(res.trace) == repr(ref.trace)
     assert res.best_mu.tobytes() == ref.best_mu.tobytes()
@@ -586,9 +601,9 @@ def test_sg_skips_exactly_the_work_whose_inputs_did_not_change(monkeypatch):
     monkeypatch.setattr(lagrange._RankRelaxation, "subgradient", spy_subgradient)
     monkeypatch.setattr(lagrange._RankRelaxation, "solve", spy_solve)
     inst = generate_instance(75, 50, 1, GeneratorConfig(mode="cost-consistent"))
-    cfg, start = SgConfig(), default_start(inst)
-    res = subgradient_method(inst, cfg, start)
-    ref = _reference_subgradient_method(inst, cfg, start)
+    start = default_start(inst)
+    res = subgradient_method(inst, start=start)
+    ref = _reference_subgradient_method(inst, lagrange.SG_MAX_ITER, start)
     same_trace = repr(res.trace) == repr(ref.trace)  # no diff of two long reprs on failure
     assert same_trace
     assert (res.status, res.iterations, res.best_iteration, res.best_value) == (

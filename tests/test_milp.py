@@ -95,5 +95,5 @@ def test_the_bounds_bracket_the_milp_optimum():
         if da.status == "optimal":
             assert da.last.value == pytest.approx(opt, rel=0, abs=1e-6), seed
         res = ada(inst)
-        assert res.best_lb <= opt + 1e-6 and res.best_ub >= opt - 1e-6, seed
+        assert max(res.lb_sg, res.lb_da) <= opt + 1e-6 and res.best_ub >= opt - 1e-6, seed
         assert subgradient_method(inst).best_value <= opt + 1e-6, seed

@@ -10,7 +10,6 @@ from splpo import (
     GeneratorConfig,
     Instance,
     ProblemSpec,
-    SgConfig,
     Solution,
     UNASSIGNED,
     Violation,
@@ -206,7 +205,8 @@ def test_open_ids_of_no_site_raise(n, open_id):
     inst = Instance(f=np.ones(n), c=np.ones((5, n)), p=np.array([list(range(1, n + 1))] * 5))
     sol = Solution(frozenset({open_id}), assign=np.full(5, open_id), objective=0.0)
     for fn in (check_feasible, objective):
-        with pytest.raises(ValueError, match="name no site"):
+        with pytest.raises(ValueError, match=rf"open facilities holds \[{open_id}\], which are "
+                                             rf"not sites 0\.\.{n - 1}"):
             fn(inst, sol)
 
 
@@ -415,7 +415,7 @@ def test_ada_runs_one_greedy_sweep(count_sweeps):
     # hc's bound, its step target for the subgradient method, and the warm
     # start of every variable-fixing solve all read one sweep.
     inst = generate_instance(60, 40, 1)
-    res = ada(inst, AdaConfig(sg_iter=20, da_iter=3, vfh_iter=2))
+    res = ada(inst, AdaConfig(sg_iter=20, da_iter=3))
     assert res.vfh_solutions
     assert count_sweeps == {id(inst): [False]}
 
@@ -425,7 +425,7 @@ def test_callers_sharing_an_instance_run_one_greedy_sweep(count_sweeps):
     hc_sol = heuristic_hc(inst)
     hs_sol = heuristic_hs(inst)
     res = branch_and_bound(ProblemSpec.splpo(inst))
-    sg = subgradient_method(inst, SgConfig(max_iter=5))
+    sg = subgradient_method(inst, 5)
     assert count_sweeps == {id(inst): [False]}
     assert res.value <= hc_sol.objective <= hs_sol.objective
     assert sg.best_value <= res.value
