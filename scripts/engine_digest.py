@@ -127,6 +127,8 @@ def digest(quick: bool = False) -> str:
                                 (generate_instance(40, 25, seed, CHEAP), 4000)):
                 _search(h, ProblemSpec.splpo(inst), node_limit=limit)
                 _heuristics(h, inst)
+            # The scale where the savings-dual grid decides most prunes.
+            _search(h, ProblemSpec.splpo(generate_instance(100, 75, seed, CONSISTENT)))
     for seed in range(1, 2 if quick else 3):
         # The `splpo bench` sg row, and ada's warm-up on 60x40.
         _sg(h, generate_instance(75, 50, seed, CONSISTENT), SG_MAX_ITER)

@@ -45,8 +45,12 @@ Lower bounds used at a node (open set O forced, C forced closed, U undecided):
     of weights w >= 0, where
     D(w) = sum_i w[i] + sum over k in L of max(sum_i max(s[k, i] - w[i], 0) - f[k], 0)
     and L holds the facilities of U with gain[k] - f[k] > 0. The grid is
-    w = max(cap - t * max(cap), 0) for t = 1/9, ..., 8/9, where cap[i] is
-    the largest s[k, i] over L; all eight are evaluated in one pass.
+    w = max(cap - t * max(cap), 0) for eight t spread evenly over [0.2, 0.7],
+    where cap[i] is the largest s[k, i] over L; all eight are evaluated in
+    one pass. The grid sits where the minimising t falls: on the generator's
+    families it lies in [0.2, 0.8] at the 1st-99th percentiles, and most
+    often near 0.45, so no point is spent at a t that never attains the
+    minimum, and stopping at 0.7 keeps the points denser near the mode.
 The first is valid because preference-forced assignments never cost less
 than cost-minimal ones. The second because opening a set S of undecided
 facilities can move a customer only to a facility it prefers to its current
@@ -220,8 +224,10 @@ def _savings(a, rank, inst: Instance) -> np.ndarray:
 
 
 # The savings-dual weights tried at a node: w = max(cap - t * max(cap), 0)
-# for each t here (module docstring).
-_DUAL_GRID = np.arange(1, 9) / 9.0
+# for each t here, eight points spread evenly over [0.2, 0.7], where the
+# minimum of D falls (module docstring). Written as integers over one
+# divisor, so the floats do not depend on how numpy implements linspace.
+_DUAL_GRID = np.arange(14, 50, 5) / 70.0
 
 
 def _savings_dual(s, f, w) -> np.ndarray:
@@ -351,8 +357,9 @@ class _Node:
         The bound is the largest of the cheapest-service bound and, once
         something is open, the preference bound value - sum over undecided k
         of max(gain[k] - f[k], 0) and the savings-dual bound value - min D(w)
-        over the weight grid (module docstring); it is +inf when no such set
-        exists in the subtree. The savings-dual bound, taken from the rows of
+        over the weight grid, eight t in [0.2, 0.7] where the minimum of D
+        falls (module docstring); it is +inf when no such set exists in the
+        subtree. The savings-dual bound, taken from the rows of
         savings, is computed only when the other two lie below incumbent and
         value - max over undecided k of (gain[k] - f[k]) does not, since it
         never exceeds that value; so whether the bound reaches incumbent does

@@ -521,7 +521,7 @@ def test_every_algorithm_brackets_the_optimum():
 # Pinned runs of the CLI on generated instances. The preference bound proves
 # the 100x75 instance optimal well within 1000 nodes, and the savings-dual
 # bound the 75x50 cost-consistent one within 300; the 150x100 uniform tree is
-# 3,243 nodes, so its optimum is proven within 3300 nodes and not within 3000.
+# 3,185 nodes, so its optimum is proven within 3300 nodes and not within 3000.
 # The subgradient bounds are pinned bit for bit (printed by repr), and the
 # bench rows by status, bounds, open count, iterations and best iteration.
 PINNED_FILES = {
@@ -557,10 +557,10 @@ CLI_PINS = [
                   "a100_75_1,hc,ok,155504.0,,,,,1,75,", "a100_75_1,hs,ok,155504.0,,,,,1,7,"],
                  [], id="greedy-rows"),
     # The optimum, its two open facilities and the node counts (the engine's
-    # 143 pin its tree).
+    # 127 pin its tree).
     pytest.param("bench c75_50_1 --algorithms ada,exact", EXIT_OK,
                  ["c75_50_1,ada,optimal,113462.0,113462.0,113462.0,0.0,0.0,2,51,",
-                  "c75_50_1,exact,optimal,113462.0,113462.0,113462.0,0.0,0.0,2,143,"],
+                  "c75_50_1,exact,optimal,113462.0,113462.0,113462.0,0.0,0.0,2,127,"],
                  [], id="ada-exact-rows"),
     *(pytest.param(f"solve a8_6_1 --algorithm {algorithm}", EXIT_OK, [f"a8_6_1 {algorithm}:"],
                    ["error"], id=f"{algorithm}-8x6") for algorithm in ALGORITHMS),

@@ -164,12 +164,21 @@ def test_closes_100x75_within_a_thousand_nodes():
 
 def test_savings_dual_closes_a_three_facility_cost_consistent_instance():
     # The optimum opens three facilities; the preference bound alone needs
-    # 1,445 nodes, the savings-dual bound 263.
+    # 1,445 nodes, the savings-dual bound 227.
     cfg = GeneratorConfig(mode="cost-consistent", open_range=(4000, 6000))
     inst = generate_instance(60, 40, 1, cfg)
     res = branch_and_bound(ProblemSpec.splpo(inst), node_limit=400)
     assert (res.status, res.value) == ("optimal", 84622.0)
     assert len(res.solution.open_facilities) == 3
+
+
+def test_savings_dual_grid_closes_the_largest_paper_class_within_2000_nodes():
+    # The grid sits where the minimum of D falls: with t = 1/9 ... 8/9 this
+    # search needed 3,301 nodes, with t spread over [0.2, 0.7] it needs 1,639.
+    inst = generate_instance(150, 100, 1, GeneratorConfig(mode="cost-consistent"))
+    full = branch_and_bound(ProblemSpec.splpo(inst))
+    capped = branch_and_bound(ProblemSpec.splpo(inst), node_limit=2000)
+    assert (capped.status, capped.value) == ("optimal", full.value)
 
 
 def test_node_limit_keeps_bound_valid():
@@ -428,8 +437,9 @@ def _reference_bound(spec, open_mask, closed_mask, incumbent, guard=True) -> flo
     if bound < incumbent and live.any() and (not guard or value - net[live].max() >= incumbent):
         s = savings[live]
         cap = s.max(axis=0)
-        dual = min(_reference_dual(s, inst.f[live], np.maximum(cap - g / 9 * cap.max(), 0.0))
-                   for g in range(1, 9))
+        dual = min(_reference_dual(s, inst.f[live],
+                                   np.maximum(cap - (14 + 5 * g) / 70 * cap.max(), 0.0))
+                   for g in range(8))
         bound = max(bound, value - dual)
     return bound
 
@@ -461,10 +471,10 @@ def _float_specs(seed):
 # same rule and an identical bound sequence must give an identical search
 # tree.
 RECORDED_NODES = {
-    0: {"splpo": 411, "splpo_forced": 137, "slr": 411},
-    1: {"splpo": 373, "splpo_forced": 149, "slr": 501},
+    0: {"splpo": 415, "splpo_forced": 137, "slr": 415},
+    1: {"splpo": 367, "splpo_forced": 151, "slr": 501},
     2: {"splpo": 363, "splpo_forced": 123, "slr": 363},
-    3: {"splpo": 411, "splpo_forced": 347, "slr": 411},
+    3: {"splpo": 409, "splpo_forced": 339, "slr": 409},
 }
 
 

@@ -77,7 +77,7 @@ def test_engine_digest_pins_the_engine_results():
     # subgradient runs, or to any of its hc and hs solutions, changes this line.
     engine_digest = load_script("engine_digest")
     assert engine_digest.digest() == (
-        "8ca370c76c738984370faf4d3d2fcdc25d3763397e6d7a4ed2e82b3e37e3b034")
+        "d33ae8cebc27f5ef57be273bcd88213f3b86d37443943124e5b5903542e81bd0")
 
 
 def test_engine_digest_prints_one_repeatable_sha256(capsys):
