@@ -23,7 +23,7 @@ from .lagrange import (
     subgradient_method,
 )
 from .report import ReportRow, RunReport, config_hash, gap_fields
-from .semilagrange import DaConfig, DualAscent, dual_ascent, solve_slr
+from .semilagrange import DualAscent, dual_ascent, solve_slr
 from .solution import (
     Solution,
     UNASSIGNED,

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import time
 
-from .exact import ProblemSpec, branch_and_bound, check_limits
-from .instance import FrozenRecord, Instance, Record, check_count, check_sites, facility_sort_keys
+from .exact import ProblemSpec, branch_and_bound
+from .instance import (FrozenRecord, Instance, Record, check_count, check_limits, check_sites,
+                       facility_sort_keys)
 from .lagrange import SgResult, subgradient_method
-from .semilagrange import DaConfig, dual_ascent
+from .semilagrange import dual_ascent
 from .solution import Solution, check_feasible, heuristic_hc
 
 
@@ -30,9 +31,10 @@ class AdaConfig(FrozenRecord):
     """Stage budgets and engine limits for the pipeline.
 
     sg_iter and da_iter are iteration budgets for the warm-up and the plain
-    ascent stage; the ascent+fixing rounds follow the paper's schedule
-    (VFH_ITER rounds, each fixing a PS fraction). node_limit applies to each
-    engine call. time_limit, in seconds, is one budget for the whole
+    ascent stage, the max_iter of subgradient_method and of dual_ascent; the
+    ascent+fixing rounds follow the paper's schedule (VFH_ITER rounds, each
+    fixing a PS fraction). node_limit applies to each engine call.
+    time_limit, in seconds, is one budget for the whole
     pipeline call: dual ascent and every fixing solve get the time left, so
     a stage that starts after it expires returns the engine's incumbent at
     once. The budgets and node_limit are stored as ints. Dual ascent derives
@@ -153,8 +155,8 @@ def ada(inst: Instance, cfg: AdaConfig = AdaConfig()) -> AdaResult:
     timings["sg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    da_cfg = DaConfig(max_iter=cfg.da_iter, node_limit=cfg.node_limit, time_limit=time_left())
-    driver = dual_ascent(inst, sg.best_mu, da_cfg)
+    driver = dual_ascent(inst, sg.best_mu, max_iter=cfg.da_iter, node_limit=cfg.node_limit,
+                         time_limit=time_left())
     timings["da"] = time.perf_counter() - t0
 
     vfh_solutions: list[Solution] = []

@@ -26,7 +26,7 @@ from .exact import ProblemSpec, branch_and_bound, brute_force
 from .instance import GeneratorConfig, Instance, generate_instance, parse_instance, write_instance
 from .lagrange import SG_MAX_ITER, subgradient_method
 from .report import ReportRow, RunReport, config_hash, gap_fields
-from .semilagrange import DaConfig, dual_ascent
+from .semilagrange import dual_ascent
 from .solution import Solution, heuristic_hc, heuristic_hs, solution_to_json
 
 EXIT_OK = 0
@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-dir", type=Path, required=True)
     gen.add_argument("--tag", default="a", help="filename family prefix")
     gen.add_argument("--mode", choices=("uniform", "cost-consistent"), default="uniform")
-    gen.add_argument("--scale", type=int, default=1)
     gen.set_defaults(run=cmd_generate)
 
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
@@ -72,11 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Each solver flag: its type, and the setting it overrides in each algorithm
-# that reads it. sg passes its max_iter to subgradient_method, da builds a
-# DaConfig, ada an AdaConfig over the instance's size preset, and exact
-# passes its fields to branch_and_bound; an algorithm not listed ignores the
-# flag. The paper's fixed schedules (the subgradient step schedule and the
-# variable-fixing rounds) are constants, not flags.
+# that reads it. sg passes its max_iter to subgradient_method, da its fields
+# to dual_ascent and exact its fields to branch_and_bound; ada builds an
+# AdaConfig over the instance's size preset. An algorithm not listed ignores
+# the flag. The paper's fixed schedules (the subgradient step schedule and
+# the variable-fixing rounds) are constants, not flags.
 SOLVER_FLAGS = {
     "sg_iter": (int, {"sg": "max_iter", "ada": "sg_iter"}),
     "da_iter": (int, {"da": "max_iter", "ada": "da_iter"}),
@@ -85,7 +84,7 @@ SOLVER_FLAGS = {
 }
 _DEFAULTS = {
     "sg": {"max_iter": SG_MAX_ITER},
-    "da": DaConfig().asdict(),
+    "da": {"max_iter": None, "node_limit": None, "time_limit": None},
     "exact": {"node_limit": None, "time_limit": None},
 }
 
@@ -130,7 +129,7 @@ def _run_algorithm(inst: Instance, algorithm: str, args) -> tuple:
         lb, iterations, best_iteration = res.best_value, res.iterations, res.best_iteration
         status = res.status
     elif algorithm == "da":
-        res = dual_ascent(inst, np.zeros(inst.m), DaConfig(**fields))
+        res = dual_ascent(inst, np.zeros(inst.m), **fields)
         lb, iterations, status = res.best_lower_bound, res.iterations, res.status
         if res.last is not None and res.last.solution.open_facilities:
             sol = res.last.solution
@@ -178,7 +177,7 @@ def cmd_generate(args) -> int:
         raise ValueError("m and n must be at least 1")
     if args.count < 1:
         raise ValueError("count must be at least 1")
-    cfg = GeneratorConfig(mode=args.mode, scale=args.scale)
+    cfg = GeneratorConfig(mode=args.mode)
     out_dir = args.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

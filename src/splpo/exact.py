@@ -108,7 +108,7 @@ import time
 
 import numpy as np
 
-from .instance import FrozenRecord, Instance, Record, check_count, check_sites, is_number
+from .instance import FrozenRecord, Instance, Record, check_limits, check_sites, is_number
 from .solution import Solution, UNASSIGNED, assign_most_preferred, heuristic_hc, price
 
 KIND_SPLPO = "splpo"
@@ -408,18 +408,6 @@ def _resume_stack(spec: ProblemSpec, resume: ExactResult) -> list:
     return resume.frontier.entries[::-1]
 
 
-def check_limits(node_limit: int | None, time_limit: float | None) -> int | None:
-    """node_limit as an int, or None; ValueError unless node_limit is None or
-    a nonnegative integer and time_limit None or a nonnegative number
-    (neither a bool)."""
-    if node_limit is not None:
-        node_limit = check_count("node_limit", node_limit)
-    # Written as "not >= 0" so that NaN fails too.
-    if time_limit is not None and not (is_number(time_limit) and time_limit >= 0):
-        raise ValueError(f"time_limit must be a nonnegative number, got {time_limit!r}")
-    return node_limit
-
-
 def branch_and_bound(
     spec: ProblemSpec,
     node_limit: int | None = None,
@@ -635,5 +623,4 @@ __all__ = [
     "ProblemSpec",
     "branch_and_bound",
     "brute_force",
-    "check_limits",
 ]

@@ -370,19 +370,17 @@ class GeneratorConfig(FrozenRecord):
     mode "uniform" draws each preference row as a uniform random permutation;
     mode "cost-consistent" ranks facilities by the generated service costs
     (random tie-breaking), so cheaper sites are preferred. Costs are drawn
-    from the inclusive integer ranges and multiplied by scale. A scale that
-    is not a positive integer, or a range that is not a pair of integers
-    lo, hi with 0 <= lo <= hi, raises ValueError; integers are stored as
-    ints, and the ranges as tuples.
+    from the inclusive integer ranges. A range that is not a pair of
+    integers lo, hi with 0 <= lo <= hi raises ValueError; the ranges are
+    stored as tuples of ints.
     """
 
-    __slots__ = ("mode", "cost_range", "open_range", "scale")
+    __slots__ = ("mode", "cost_range", "open_range")
 
     def __init__(self, mode: str = "uniform", cost_range: tuple[int, int] = (1000, 2000),
-                 open_range: tuple[int, int] = (8000, 12000), scale: int = 1):
+                 open_range: tuple[int, int] = (8000, 12000)):
         if mode not in ("uniform", "cost-consistent"):
             raise ValueError(f"unknown generator mode {mode!r}")
-        scale = check_count("scale", scale, 1)
         pairs = []
         for name, r in (("cost_range", cost_range), ("open_range", open_range)):
             pair = tuple(map(as_int, r)) if isinstance(r, (tuple, list)) else ()
@@ -390,7 +388,7 @@ class GeneratorConfig(FrozenRecord):
                 raise ValueError(
                     f"{name} must be a pair of integers lo, hi with 0 <= lo <= hi, got {r!r}")
             pairs.append(pair)
-        self._set(mode, *pairs, scale)
+        self._set(mode, *pairs)
 
 
 def as_int(value) -> int | None:
@@ -417,6 +415,18 @@ def check_count(name: str, value, low: int = 0) -> int:
         kind = "positive" if low else "nonnegative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return v
+
+
+def check_limits(node_limit: int | None, time_limit: float | None) -> int | None:
+    """node_limit as an int, or None; ValueError unless node_limit is None or
+    a nonnegative integer and time_limit None or a nonnegative number
+    (neither a bool)."""
+    if node_limit is not None:
+        node_limit = check_count("node_limit", node_limit)
+    # Written as "not >= 0" so that NaN fails too.
+    if time_limit is not None and not (is_number(time_limit) and time_limit >= 0):
+        raise ValueError(f"time_limit must be a nonnegative number, got {time_limit!r}")
+    return node_limit
 
 
 def check_sites(name: str, ids, n: int) -> list[int]:
@@ -448,9 +458,9 @@ def generate_instance(
     cfg = params or GeneratorConfig()
     rng = np.random.default_rng(seed)
     lo, hi = cfg.cost_range
-    c = rng.integers(lo, hi + 1, size=(m, n)).astype(float) * cfg.scale
+    c = rng.integers(lo, hi + 1, size=(m, n)).astype(float)
     lo, hi = cfg.open_range
-    f = rng.integers(lo, hi + 1, size=n).astype(float) * cfg.scale
+    f = rng.integers(lo, hi + 1, size=n).astype(float)
     if cfg.mode == "uniform":
         order = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
     else:

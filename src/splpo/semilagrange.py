@@ -22,8 +22,8 @@ import time
 
 import numpy as np
 
-from .exact import ExactResult, ProblemSpec, branch_and_bound, check_limits
-from .instance import FrozenRecord, Instance, Record, check_count
+from .exact import ExactResult, ProblemSpec, branch_and_bound
+from .instance import Instance, Record, check_count, check_limits
 
 
 def solve_slr(
@@ -46,27 +46,6 @@ def solve_slr(
     """
     spec = ProblemSpec.slr(inst, threshold)
     return branch_and_bound(spec, node_limit=node_limit, time_limit=time_limit, resume=resume)
-
-
-class DaConfig(FrozenRecord):
-    """Dual-ascent settings.
-
-    max_iter, None or a nonnegative integer, caps the steps; None means run
-    until a subproblem opens something. node_limit applies to each subproblem
-    solve; each step resumes the previous step's search, so it counts only
-    the nodes a step newly expands. time_limit, in seconds, is one budget
-    for the whole driver: its deadline is fixed when the driver is built,
-    and each step gets the time left. Any other setting raises ValueError;
-    integers are stored as ints.
-    """
-
-    __slots__ = ("max_iter", "node_limit", "time_limit")
-
-    def __init__(self, max_iter: int | None = None, node_limit: int | None = None,
-                 time_limit: float | None = None):
-        if max_iter is not None:
-            max_iter = check_count("max_iter", max_iter)
-        self._set(max_iter, check_limits(node_limit, time_limit), time_limit)
 
 
 class DaTraceRow(Record):
@@ -95,6 +74,13 @@ class DualAscent:
     above its k-th cheapest cost but not the next on rung k, at or above cp
     on rung n+1. gamma0 must hold one number per customer, none of them NaN.
 
+    node_limit, None or a nonnegative integer stored as an int, applies to
+    each subproblem solve; each step resumes the previous step's search, so
+    it counts only the nodes a step newly expands. time_limit, in seconds, is
+    one budget for the whole driver: its deadline is fixed here, and each
+    step gets the time left. A malformed limit raises ValueError naming it.
+    The driver takes no step budget; dual_ascent and ada set one.
+
     status is "optimal" once a step opens something, "incomplete" once a
     step hits an engine limit, "ceiling" when every multiplier equals its cp
     and the subproblem still opens nothing (the optimum then equals sum(cp),
@@ -106,9 +92,10 @@ class DualAscent:
     (tied costs, or rungs capped at cp) resumes without a new node.
     """
 
-    def __init__(self, inst: Instance, gamma0, cfg: DaConfig = DaConfig()):
+    def __init__(self, inst: Instance, gamma0, node_limit: int | None = None,
+                 time_limit: float | None = None):
         self.inst = inst
-        self.cfg = cfg
+        self.node_limit = check_limits(node_limit, time_limit)
         gamma0 = np.asarray(gamma0, dtype=float)
         if gamma0.shape != (inst.m,):
             raise ValueError(f"gamma0 must have shape ({inst.m},), got {gamma0.shape}")
@@ -123,7 +110,7 @@ class DualAscent:
         # Per row, the count of costs below g is searchsorted(row, g, "left").
         below = (costs < gamma0[:, None]).sum(axis=1)
         self.rung = np.where(gamma0 >= cp, inst.n + 1, np.maximum(below, 1))
-        self.deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
+        self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.trace: list[DaTraceRow] = []
         self.last: ExactResult | None = None
         self.best_lower_bound = -math.inf
@@ -151,7 +138,7 @@ class DualAscent:
         res = solve_slr(
             self.inst,
             float(gamma.sum()),
-            node_limit=self.cfg.node_limit,
+            node_limit=self.node_limit,
             time_limit=time_left,
             resume=self.last,
         )
@@ -178,24 +165,29 @@ class DualAscent:
         return res
 
 
-def dual_ascent(inst: Instance, gamma0, cfg: DaConfig = DaConfig()) -> DualAscent:
+def dual_ascent(inst: Instance, gamma0, max_iter: int | None = None,
+                node_limit: int | None = None, time_limit: float | None = None) -> DualAscent:
     """Iterate ascent steps until optimality, the ceiling, a limit, or an
     engine timeout.
+
+    max_iter, None or a nonnegative integer, caps the steps; None means run
+    until a subproblem opens something. node_limit and time_limit go to the
+    driver (see DualAscent). A malformed setting raises ValueError naming it
+    before any step.
 
     Returns the driver. When its status is "optimal" or "ceiling" the final
     value equals the optimum of the original problem (the relaxation closes
     the duality gap); at "optimal" last.solution is feasible for it.
     """
-    driver = DualAscent(inst, gamma0, cfg)
-    while not driver.done:
-        if cfg.max_iter is not None and driver.iterations >= cfg.max_iter:
-            break
+    if max_iter is not None:
+        max_iter = check_count("max_iter", max_iter)
+    driver = DualAscent(inst, gamma0, node_limit, time_limit)
+    while not driver.done and (max_iter is None or driver.iterations < max_iter):
         driver.step()
     return driver
 
 
 __all__ = [
-    "DaConfig",
     "DaTraceRow",
     "DualAscent",
     "dual_ascent",

@@ -15,7 +15,6 @@ import pytest
 from splpo import (
     UNASSIGNED,
     AdaConfig,
-    DaConfig,
     GeneratorConfig,
     ProblemSpec,
     ada,
@@ -118,7 +117,7 @@ def test_criterion_4_duality_gap_closure():
     wide_open = GeneratorConfig(cost_range=(1, 4), open_range=(0, 5000))
     instances.append(generate_instance(3, 3, 34, wide_open, name="tied_wide34"))
     for inst in instances:
-        res = dual_ascent(inst, np.zeros(inst.m), DaConfig())
+        res = dual_ascent(inst, np.zeros(inst.m))
         opt = brute_force(ProblemSpec.splpo(inst)).value
         assert res.status == "optimal", (inst.name, res.status)
         assert abs(res.best_lower_bound - opt) <= 1e-9, (inst.name, res.best_lower_bound, opt)
@@ -132,7 +131,7 @@ def test_criterion_5_ceiling_start_terminates_immediately():
     for seed in range(50):
         inst = sized_instance(400 + seed)
         cp = cost_ceiling(inst)
-        res = dual_ascent(inst, cp, DaConfig())
+        res = dual_ascent(inst, cp)
         opt = brute_force(ProblemSpec.splpo(inst)).value
         assert res.status == "optimal", (seed, res.status)
         assert len(res.trace) == 1 and res.trace[0].iteration == 0

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from splpo import (
     AdaConfig,
-    DaConfig,
     PRESETS,
     ProblemSpec,
     ada,
     branch_and_bound,
     brute_force,
     check_feasible,
+    dual_ascent,
     generate_instance,
     heuristic_hc,
     preset_config,
@@ -158,7 +158,7 @@ def test_preset_nearest_bucket():
     assert preset_config([100, 75]) is PRESETS[(100, 75)]
 
 
-def test_ada_config_validation():
+def test_ada_config_validation(toy):
     with pytest.raises(ValueError):
         AdaConfig(sg_iter=-1)
     with pytest.raises(ValueError):
@@ -167,20 +167,28 @@ def test_ada_config_validation():
         AdaConfig(node_limit=-1)
     # The boundary values stay valid.
     AdaConfig(sg_iter=0, da_iter=0)
-    DaConfig(max_iter=0)
+    assert dual_ascent(toy, np.zeros(toy.m), max_iter=0).iterations == 0
 
 
-@pytest.mark.parametrize("cls, name, value", [
-    (DaConfig, "max_iter", -1), (DaConfig, "max_iter", 1.5), (DaConfig, "max_iter", True),
+def _no_engine(*args, **kwargs):
+    raise AssertionError("the engine ran before the settings were checked")
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (dual_ascent, "max_iter", -1), (dual_ascent, "max_iter", 1.5),
+    (dual_ascent, "max_iter", True),
     (AdaConfig, "sg_iter", True), (AdaConfig, "da_iter", np.float64(2.0)),
-], ids=lambda v: v.__name__ if isinstance(v, type) else None)
-def test_configs_reject_malformed_settings(cls, name, value):
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_configs_reject_malformed_settings(make, name, value, toy, monkeypatch):
     # Iteration budgets take nonnegative integers only, and each fault is a
-    # ValueError naming its setting.
-    with pytest.raises(ValueError, match=name):
-        cls(**{name: value})
+    # ValueError naming its setting, raised before any engine call.
+    args = (toy, np.zeros(toy.m)) if make is dual_ascent else ()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["splpo.semilagrange"], "branch_and_bound", _no_engine)
+        with pytest.raises(ValueError, match=name):
+            make(*args, **{name: value})
     # numpy integers are accepted.
-    cls(**{name: np.int64(2)})
+    make(*args, **{name: np.int64(2)})
 
 
 @given(st.integers(0, 40))

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from splpo import (
     UNASSIGNED,
     AdaConfig,
-    DaConfig,
+    DualAscent,
     GeneratorConfig,
     Instance,
     ProblemSpec,
     branch_and_bound,
     brute_force,
     check_feasible,
+    dual_ascent,
     generate_instance,
 )
 from splpo.exact import _DUAL_GRID, KIND_SLR, _evaluate, _Node, _savings, _savings_dual
@@ -210,9 +211,11 @@ def test_malformed_limits_are_rejected(limit):
     for spec in (ProblemSpec.splpo(inst), ProblemSpec.slr(inst, float(np.ones(inst.m).sum()))):
         with pytest.raises(ValueError, match=next(iter(limit))):
             branch_and_bound(spec, **limit)
-    for config in (AdaConfig, DaConfig):
+    zeros = np.zeros(inst.m)
+    for make in (AdaConfig, lambda **kw: dual_ascent(inst, zeros, **kw),
+                 lambda **kw: DualAscent(inst, zeros, **kw)):
         with pytest.raises(ValueError, match=next(iter(limit))):
-            config(**limit)
+            make(**limit)
 
 
 def test_numpy_limits_are_accepted():

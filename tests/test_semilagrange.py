@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from splpo import (
     UNASSIGNED,
-    DaConfig,
     GeneratorConfig,
     Instance,
     ProblemSpec,
@@ -264,7 +263,7 @@ def _finished_ascent(status):
         return dual_ascent(inst, np.zeros(2))
     inst = random_instance(9, m_max=8, n_max=8)
     node_limit = 2 if status == "incomplete" else None
-    return dual_ascent(inst, np.zeros(inst.m), DaConfig(node_limit=node_limit))
+    return dual_ascent(inst, np.zeros(inst.m), node_limit=node_limit)
 
 
 @pytest.mark.parametrize("status", ["optimal", "ceiling", "incomplete"])
@@ -278,14 +277,14 @@ def test_a_finished_ascent_takes_no_more_steps(status):
 
 
 def test_dual_ascent_iteration_cap(toy):
-    res = dual_ascent(toy, np.zeros(2), DaConfig(max_iter=1))
+    res = dual_ascent(toy, np.zeros(2), max_iter=1)
     assert res.status == "iter_limit"
     assert res.iterations == 1
 
 
 def test_dual_ascent_propagates_engine_limits():
     inst = random_instance(9, m_max=8, n_max=8)
-    res = dual_ascent(inst, np.zeros(inst.m), DaConfig(node_limit=2))
+    res = dual_ascent(inst, np.zeros(inst.m), node_limit=2)
     assert res.status == "incomplete"
     opt = brute_force(ProblemSpec.splpo(inst)).value
     assert res.best_lower_bound <= opt + 1e-9
@@ -301,7 +300,7 @@ def test_dual_ascent_solution_is_feasible_at_optimum(toy):
 @given(st.integers(0, 400))
 def test_dual_ascent_closes_the_gap(seed):
     for inst in (random_instance(seed), tied_instance(seed)):
-        res = dual_ascent(inst, np.zeros(inst.m), DaConfig())
+        res = dual_ascent(inst, np.zeros(inst.m))
         opt = brute_force(ProblemSpec.splpo(inst)).value
         assert res.status == "optimal", inst.name
         assert res.best_lower_bound == pytest.approx(opt, abs=1e-9)
@@ -313,7 +312,7 @@ def test_dual_ascent_closes_the_gap(seed):
 def test_dual_ascent_from_ceiling_property(seed):
     inst = random_instance(seed)
     cp = cost_ceiling(inst)
-    res = dual_ascent(inst, cp, DaConfig())
+    res = dual_ascent(inst, cp)
     opt = brute_force(ProblemSpec.splpo(inst)).value
     assert res.status == "optimal"
     assert len(res.trace) == 1
@@ -333,7 +332,7 @@ def test_gamma_below_cheapest_cost_serves_nobody(seed):
 def test_gamma_trajectory_monotone_and_boxed(seed):
     for inst in (random_instance(seed, m_max=7, n_max=7), tied_instance(seed)):
         cp = cost_ceiling(inst)
-        ascent = DualAscent(inst, np.zeros(inst.m), DaConfig())
+        ascent = DualAscent(inst, np.zeros(inst.m))
         prev = ascent.gamma
         while not ascent.done and ascent.iterations < 50:
             ascent.step()
@@ -357,7 +356,7 @@ def test_dual_ascent_lower_bound_never_exceeds_the_optimum():
 
 
 def _run_steps(inst, gamma0):
-    ascent = DualAscent(inst, gamma0, DaConfig())
+    ascent = DualAscent(inst, gamma0)
     steps = []
     while not ascent.done:
         steps.append(ascent.step())
@@ -402,7 +401,7 @@ def test_every_step_serves_everyone_or_no_one(kind):
         cp = cost_ceiling(inst)
         starts = [np.zeros(inst.m), np.random.default_rng(seed).uniform(0, cp), cp * 1.5]
         for gamma0 in starts:
-            ascent = DualAscent(inst, gamma0, DaConfig())
+            ascent = DualAscent(inst, gamma0)
             while not ascent.done:
                 gamma = ascent.gamma
                 res = ascent.step()
@@ -431,7 +430,7 @@ def test_each_step_hands_the_engine_the_sum_of_its_multipliers(monkeypatch):
     monkeypatch.setattr(semilagrange, "solve_slr", recording)
     for seed in range(20):
         inst = cheap_open_instance(seed, integer=seed % 2 == 0)
-        ascent = DualAscent(inst, np.zeros(inst.m), DaConfig())
+        ascent = DualAscent(inst, np.zeros(inst.m))
         handed.clear()
         while not ascent.done:
             threshold = float(ascent.gamma.sum())
