@@ -23,7 +23,8 @@ import numpy as np
 
 from .ada import AdaConfig, ada, preset_config
 from .exact import ProblemSpec, branch_and_bound, brute_force
-from .instance import GeneratorConfig, Instance, generate_instance, parse_instance, write_instance
+from .instance import (GeneratorConfig, Instance, check_count, generate_instance, parse_instance,
+                       write_instance)
 from .lagrange import SG_MAX_ITER, subgradient_method
 from .report import ReportRow, RunReport, config_hash, gap_fields
 from .semilagrange import dual_ascent
@@ -177,6 +178,7 @@ def cmd_generate(args) -> int:
         raise ValueError("m and n must be at least 1")
     if args.count < 1:
         raise ValueError("count must be at least 1")
+    check_count("seed", args.seed)  # before mkdir, so a bad seed leaves no directory
     cfg = GeneratorConfig(mode=args.mode)
     out_dir = args.out_dir
     try:

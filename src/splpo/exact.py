@@ -26,11 +26,14 @@ facility, rejected sets as their value. A search at a larger threshold
 resumes from that list instead of the root: it expands every node the
 earlier one expanded (their bounds lie below the old threshold, so below
 every later incumbent), so it only re-tests the pruned nodes against its
-incumbent, rebuilding a node's state from its decisions and bounding it
-again when its stored bound lies below, and re-considers the rejected sets
-in their place. The replay meets every set and every prune decision of a
-fresh search in the same order, so it returns the same incumbent, ties
-included.
+incumbent and re-considers the rejected sets in their place. A pruned node
+whose stored bound lies below the incumbent is rebuilt from its decisions,
+to be expanded; it is bounded again first only when its stored bound lacks
+a part that a larger incumbent would take (below). The replay meets every
+set and every prune decision of a fresh search in the same order, so it
+returns the same incumbent, ties included. The frontier also keeps the
+chain order and chain table (below), so a run of resumed searches builds
+the table once.
 
 Lower bounds used at a node (open set O forced, C forced closed, U undecided):
   * every customer priced at its cheapest facility outside C, plus opening
@@ -72,11 +75,21 @@ on D(w) >= gain[k] - f[k] for every w >= 0 and every k in L (the lemma above
 for S = {k}, as w[i] + max(s[k, i] - w[i], 0) >= s[k, i]), so value minus
 the largest net gain caps the savings-dual bound. Every prune decision is
 thus the one the full bound would take, but a node's stored bound may lack
-the savings-dual part. A search resuming a frontier bounds each pruned node
-it rebuilds again, against its own incumbent, before expanding it, so the
-replay meets every prune decision of a fresh search; the bound an expanded
+the savings-dual part. Where it was skipped only because the first two
+bounds reach the incumbent, a larger incumbent may take it and prune the
+node; the frontier marks such nodes stale, and a resumed search bounds a
+stale node again, against its own incumbent, before expanding it. Every
+other stored bound is the one a larger incumbent gives: the savings-dual
+part depends only on the node's savings rows, and where it was skipped
+because no undecided facility has a positive net gain, or because the cap
+value - max (gain[k] - f[k]) lies below the incumbent, it is skipped at
+every larger incumbent too. So the replay meets every prune decision of a
+fresh search. The bound an expanded
 node hands its children, which a stopped search reports as its lower bound,
-stays valid but may lie below the full bound.
+stays valid but may lie below the full bound; an unstale node a resumed
+search expands hands down its stored bound, which may lie above the one a
+fresh search would hand down, so a resumed search stopped by a limit may
+report a higher lower bound than a fresh one.
 
 Each node carries the per-customer state these bounds need, derived from its
 parent's rather than rebuilt: ``cmin`` (cheapest cost outside C), ``rank``
@@ -85,16 +98,18 @@ parent's rather than rebuilt: ``cmin`` (cheapest cost outside C), ``rank``
 the sums the bounds take of them. Opening j moves to j the customers that
 rank it above their current server, updating ``rank`` and ``a``
 elementwise, and recomputes ``savings`` and ``gain`` in one O(m*n) pass;
+opening j where nothing is open moves every customer, so ``rank`` and ``a``
+are j's own rows of the facility-major ranks and costs, shared, not copied;
 closing j shares everything with the parent except ``cmin``, which is
 recomputed only for the customers whose minimum was attained at j. Nodes with
 nothing open lie on one chain of closed children below the root, whose
 closed sets are the prefixes of one facility order; each closed child on it
-reads ``cmin`` and its sum from a chain table built once per search on first
-use, a suffix minimum over the facility-major cost rows of that order whose
-row d is the node that closed the first d facilities. Minima and gathers are exact and
-every float sum keeps its operands and their order, so a node's state equals
-the one computed from its decisions alone, bit for bit, and its value is the
-price of its open set.
+reads ``cmin`` and its sum from a chain table built on first use, once per
+search or run of resumed searches: a suffix minimum over the facility-major
+cost rows of that order, whose row d is the node that closed the first d
+facilities. Minima and gathers are exact and every float sum keeps its
+operands and their order, so a node's state equals the one computed from its
+decisions alone, bit for bit, and its value is the price of its open set.
 
 Branching follows the preference bound: once something is open, the engine
 branches on the undecided facility with the largest ``gain[k] - f[k]``, the
@@ -163,29 +178,39 @@ class Frontier(Record):
     and the open sets it rejected, as (value, open mask). None of them depends
     on the threshold, so a search at a larger threshold can start from them.
     The search's threshold is the result's value, that of the empty set.
+    stale[i] is 1 where entry i is a pruned node whose bound skipped the
+    savings-dual part that a larger incumbent would take (_Node.bound), 0
+    elsewhere. order is the facility order of the chain of nodes with
+    nothing open, and chain its table (_chain), None until a search built it.
     """
 
-    __slots__ = ("inst", "entries")
+    __slots__ = ("inst", "entries", "stale", "order", "chain")
 
-    def __init__(self, inst: Instance, entries: list):
+    def __init__(self, inst: Instance, entries: list, stale: bytearray, order: list,
+                 chain: list | None):
         self.inst = inst
         self.entries = entries
+        self.stale = stale
+        self.order = order
+        self.chain = chain
 
 
 class ExactResult(Record):
     """frontier, set only for an optimal slr search that ended at the empty
-    set, is left out of repr and ==."""
+    set, and rebuilt, the number of frontier entries a resumed search rebuilt
+    from their masks, are left out of repr and ==."""
 
-    __slots__ = ("value", "solution", "status", "lower_bound", "nodes", "frontier")
+    __slots__ = ("value", "solution", "status", "lower_bound", "nodes", "frontier", "rebuilt")
 
     def __init__(self, value: float, solution: Solution, status: str, lower_bound: float,
-                 nodes: int, frontier: Frontier | None = None):
+                 nodes: int, frontier: Frontier | None = None, rebuilt: int = 0):
         self.value = value
         self.solution = solution
         self.status = status  # "optimal" or "incomplete"
         self.lower_bound = lower_bound
         self.nodes = nodes
         self.frontier = frontier
+        self.rebuilt = rebuilt
 
     def _key(self) -> tuple:
         return self.value, self.solution, self.status, self.lower_bound, self.nodes
@@ -296,14 +321,17 @@ class _Node:
         self.gain = gain  # savings.sum(axis=1); None while nothing is open
 
     @staticmethod
-    def _opened(inst: Instance, open_mask, closed_mask, cmin, served, rank, a) -> "_Node":
+    def _opened(inst: Instance, open_mask, closed_mask, cmin, served, rank, a,
+                fopen=None) -> "_Node":
         """The node of a non-empty open set, given each customer's rank and cost there.
 
         value takes the sums solution.price takes, so it is that price bit
         for bit; from_masks and open_child both come here, so they agree on
-        value, savings and gain whenever they agree on rank and a.
+        value, savings and gain whenever they agree on rank and a. fopen,
+        the opening costs of the set, is summed here unless given.
         """
-        fopen = float(np.add.reduce(inst.f[open_mask]))
+        if fopen is None:
+            fopen = float(np.add.reduce(inst.f[open_mask]))
         savings = _savings(a, rank, inst)
         return _Node(open_mask, closed_mask, fopen, cmin, served, rank, a,
                      fopen + float(np.add.reduce(a)), savings, np.add.reduce(savings, axis=1))
@@ -330,6 +358,12 @@ class _Node:
     def open_child(self, inst: Instance, j) -> "_Node":
         open_mask = self.open.copy()
         open_mask[j] = True
+        if self.value is None:
+            # Nothing was open, so every customer moves to j: rank and a are
+            # j's own rows and the set costs f[j], bit for bit what the
+            # minimum, the where and the sum over the mask give below.
+            return _Node._opened(inst, open_mask, self.closed, self.cmin, self.served,
+                                 inst.pT[j], inst.cT[j], float(inst.f[j]))
         rank = np.minimum(self.rank, inst.pT[j])
         a = np.where(rank < self.rank, inst.cT[j], self.a)  # the customers that move to j
         return _Node._opened(inst, open_mask, self.closed, self.cmin, self.served, rank, a)
@@ -351,8 +385,9 @@ class _Node:
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
                      self.value, self.savings, self.gain)
 
-    def bound(self, inst: Instance, incumbent: float) -> tuple[float, int | None]:
-        """Lower bound on every non-empty open set below this node, and the facility to branch on.
+    def bound(self, inst: Instance, incumbent: float) -> tuple[float, int | None, bool]:
+        """Lower bound on every non-empty open set below this node, the facility
+        to branch on, and whether a larger incumbent could raise the bound.
 
         The bound is the largest of the cheapest-service bound and, once
         something is open, the preference bound value - sum over undecided k
@@ -363,15 +398,18 @@ class _Node:
         savings, is computed only when the other two lie below incumbent and
         value - max over undecided k of (gain[k] - f[k]) does not, since it
         never exceeds that value; so whether the bound reaches incumbent does
-        not depend on it being skipped. The facility is the undecided one
+        not depend on it being skipped. The flag is set when it was skipped
+        only because the other two reach incumbent: bounded again at a
+        larger incumbent, the node may take it. The facility is the undecided one
         with the largest gain[k] - f[k] (ties to the lowest index); it is
         None while nothing is open, when nothing is undecided, or when the
         bound is +inf.
         """
         if self.served == math.inf:
-            return math.inf, None  # someone cannot be served, yet service is forced
+            return math.inf, None, False  # someone cannot be served, yet service is forced
         bound = self.fopen + self.served
         best = None
+        stale = False
         if self.gain is not None:
             net = np.where(self.closed | self.open, -np.inf, self.gain - inst.f)
             k = int(net.argmax())
@@ -381,19 +419,22 @@ class _Node:
             bound = max(bound, self.value - float(np.add.reduce(np.maximum(net, 0.0))))
             # D(w) >= net[k] for every w, so only here can the savings-dual
             # bound reach the incumbent.
-            if bound < incumbent and top > 0.0 and self.value - top >= incumbent:
-                live = net > 0.0
-                s = self.savings[live]
-                cap = np.maximum.reduce(s, axis=0)
-                w = cap - _DUAL_GRID[:, None] * np.maximum.reduce(cap)
-                np.maximum(w, 0.0, out=w)
-                dual = np.minimum.reduce(_savings_dual(s, inst.f[live], w))
-                bound = max(bound, self.value - float(dual))
-        return bound, best
+            if top > 0.0 and self.value - top >= incumbent:
+                if bound < incumbent:
+                    live = net > 0.0
+                    s = self.savings[live]
+                    cap = np.maximum.reduce(s, axis=0)
+                    w = cap - _DUAL_GRID[:, None] * np.maximum.reduce(cap)
+                    np.maximum(w, 0.0, out=w)
+                    dual = np.minimum.reduce(_savings_dual(s, inst.f[live], w))
+                    bound = max(bound, self.value - float(dual))
+                else:
+                    stale = True
+        return bound, best, stale
 
 
-def _resume_stack(spec: ProblemSpec, resume: ExactResult) -> list:
-    """The previous search's frontier as a stack that pops in preorder."""
+def _resumed(spec: ProblemSpec, resume: ExactResult) -> Frontier:
+    """The previous search's frontier, once checked that this search can continue it."""
     if spec.kind != KIND_SLR:
         raise ValueError(f"resume needs an slr spec, not one of kind {spec.kind!r}")
     if resume.status != "optimal":
@@ -405,7 +446,7 @@ def _resume_stack(spec: ProblemSpec, resume: ExactResult) -> list:
     # A search ends at the empty set only with its value at its threshold.
     if spec.threshold < resume.value:
         raise ValueError(f"resume needs a threshold >= {resume.value!r}, got {spec.threshold!r}")
-    return resume.frontier.entries[::-1]
+    return resume.frontier
 
 
 def branch_and_bound(
@@ -433,7 +474,8 @@ def branch_and_bound(
     continues that search at this slr spec's threshold instead of starting
     from the root; the threshold must not be smaller. The result is the one a
     fresh search would return, but nodes and node_limit count only the nodes
-    this call newly evaluates.
+    this call newly evaluates, and rebuilt the frontier entries it rebuilt
+    from their masks to expand or to bound again.
 
     on_node, when given, is called as on_node(depth, open_mask, closed_mask,
     bound, incumbent_value) for every node this call evaluates
@@ -443,19 +485,29 @@ def branch_and_bound(
     inst = spec.inst
     forced = np.zeros(inst.n, dtype=bool)
     forced[list(spec.forced_open)] = True
-    # Nodes with nothing open lie on the chain of closed children below the
-    # root, so their closed set is a prefix of this order. Only a search with
-    # nothing forced open has them (and only it reads the order); their state
-    # comes from the chain table, built when the first of them is expanded.
-    alone = inst.f + inst.c.sum(axis=0)
-    order = np.argsort(alone, kind="stable").tolist()  # ties to the lower index
-    chain = None
+    if resume is None:
+        root = _Node.from_masks(inst, forced.copy(), np.zeros(inst.n, dtype=bool))
+        stack = [(-math.inf, 0, root, bool(forced.any()))]
+        replay, replay_stale = [], b""
+        # Nodes with nothing open lie on the chain of closed children below
+        # the root, so their closed set is a prefix of this order. Only a
+        # search with nothing forced open has them (and only it reads the
+        # order); their state comes from the chain table, built when the
+        # first of them is expanded.
+        alone = inst.f + inst.c.sum(axis=0)
+        order = np.argsort(alone, kind="stable").tolist()  # ties to the lower index
+        chain = None
+    else:
+        earlier = _resumed(spec, resume)
+        stack = []
+        replay, replay_stale = earlier.entries, earlier.stale
+        order, chain = earlier.order, earlier.chain
 
     incumbent_value = math.inf
     incumbent_mask = None
     # What a later call needs to resume this one; kept while the incumbent is
     # the empty set, which only the slr kind admits.
-    frontier = None
+    frontier = stale = None
 
     def consider(value, mask) -> bool:
         """Take the open set as incumbent unless it is worse; say whether it was taken."""
@@ -475,42 +527,50 @@ def branch_and_bound(
         consider(_evaluate(spec, warm)[0], warm)
     else:
         consider(spec.threshold, np.zeros(inst.n, dtype=bool))
-        frontier = []
+        frontier, stale = [], bytearray()
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    # Stack entries, each led by a lower bound on the leaves it stands for:
-    #   (inherited bound, depth, node, just_opened)    a node to evaluate
+    # Entries, each led by a lower bound on the leaves it stands for:
+    #   (inherited bound, depth, node, just_opened)    a node to evaluate, on the stack
     #   (bound, depth, open, closed, branch facility)  a node an earlier call pruned
     #   (value, open)                                  a set an earlier call rejected
-    if resume is None:
-        root = _Node.from_masks(inst, forced.copy(), np.zeros(inst.n, dtype=bool))
-        stack = [(-math.inf, 0, root, bool(forced.any()))]
-    else:
-        stack = _resume_stack(spec, resume)
-    nodes = 0
+    # Whenever the stack is empty, a resumed search takes the next entry of
+    # the earlier frontier, so the replay keeps its preorder.
+    cursor = 0
+    nodes = rebuilt = 0
     aborted = False
     frontier_bound = math.inf
 
-    while stack:
-        entry = stack.pop()
+    while True:
+        if stack:
+            entry = stack.pop()
+        elif cursor < len(replay):
+            entry = replay[cursor]
+            cursor += 1
+        else:
+            break
         if len(entry) == 2:
             if not consider(*entry) and frontier is not None:
                 frontier.append(entry)
+                stale.append(0)
             continue
         if len(entry) == 5:
             bound, depth, open_mask, closed_mask, best = entry
+            is_stale = replay_stale[cursor - 1]
             if bound < incumbent_value:
-                # The stored bound may lack the savings-dual part, which the
-                # earlier search skipped; bound the node against this
-                # incumbent, as a fresh search would.
                 node = _Node.from_masks(inst, open_mask, closed_mask)
-                bound, best = node.bound(inst, incumbent_value)
+                rebuilt += 1
+                if is_stale:
+                    # The stored bound skipped the savings-dual part, which
+                    # this incumbent may take; bound the node against it, as
+                    # a fresh search would.
+                    bound, best, is_stale = node.bound(inst, incumbent_value)
         else:
             if (node_limit is not None and nodes >= node_limit) or (
                 deadline is not None and time.monotonic() >= deadline
             ):
                 aborted = True
-                frontier_bound = min(e[0] for e in (entry, *stack))
+                frontier_bound = min(e[0] for e in (entry, *stack, *replay[cursor:]))
                 if frontier_bound == -math.inf:
                     # Only the unevaluated root inherits -inf, and it is then
                     # the only entry: its own bound covers every set below it.
@@ -519,7 +579,7 @@ def branch_and_bound(
             _, depth, node, just_opened = entry
             open_mask, closed_mask = node.open, node.closed
             nodes += 1
-            bound, best = node.bound(inst, incumbent_value)
+            bound, best, is_stale = node.bound(inst, incumbent_value)
             if on_node is not None:
                 shown = bound
                 if spec.kind == KIND_SLR and node.value is None:
@@ -531,9 +591,11 @@ def branch_and_bound(
                 # equal-valued solution (deterministic tie-breaking).
                 if not consider(node.value, open_mask) and frontier is not None:
                     frontier.append((node.value, open_mask))
+                    stale.append(0)
         if bound >= incumbent_value:
             if frontier is not None:
                 frontier.append((bound, depth, open_mask, closed_mask, best))
+                stale.append(is_stale)
             continue
         if best is None:  # nothing is open: the closed child closes order[:depth + 1]
             if chain is None:
@@ -562,7 +624,8 @@ def branch_and_bound(
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
-        frontier=None if frontier is None else Frontier(inst, frontier),
+        frontier=None if frontier is None else Frontier(inst, frontier, stale, order, chain),
+        rebuilt=rebuilt,
     )
 
 

@@ -72,6 +72,14 @@ def test_generate_rejects_a_bad_scale(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+def test_generate_rejects_a_bad_seed_before_making_the_directory(tmp_path, capsys):
+    out = tmp_path / "inst"
+    args = ["generate", "--m", "3", "--n", "2", "--seed", "-1", "--out-dir", str(out)]
+    assert main(args) == EXIT_USAGE
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exact(toy_file, tmp_path):
     sol_path = tmp_path / "sol.json"
     rep_path = tmp_path / "rows.csv"

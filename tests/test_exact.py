@@ -18,6 +18,7 @@ from splpo import (
     dual_ascent,
     generate_instance,
 )
+from splpo import exact
 from splpo.exact import _DUAL_GRID, KIND_SLR, _evaluate, _Node, _savings, _savings_dual
 
 from conftest import cheap_open_instance, cost_ceiling, random_instance
@@ -662,6 +663,75 @@ def test_resumed_search_equals_a_fresh_one(case):
             break
         prev = res
     assert res.solution.open_facilities and steps > 5
+
+
+@pytest.mark.parametrize("case", ["float0", "float1", "int3"])
+def test_resumed_searches_bound_only_what_they_evaluate_or_find_stale(monkeypatch, case):
+    # A resumed search rebuilds a frontier entry only to expand it, and bounds
+    # it again only where its stored bound skipped the savings-dual part; the
+    # chain table is built once for a whole chain of resumed searches.
+    if case.startswith("float"):
+        inst = _float_specs(int(case[-1]))["slr"].inst
+    else:
+        inst = cheap_open_instance(3, integer=True, m_range=(30, 30), n_range=(14, 14))
+    calls = {"bound": 0, "chain": 0}
+    rebuilt = []
+    bound, from_masks, chain = _Node.bound, _Node.from_masks, exact._chain
+
+    def counted_bound(node, inst, incumbent):
+        calls["bound"] += 1
+        return bound(node, inst, incumbent)
+
+    def counted_from_masks(inst, open_mask, closed_mask):
+        rebuilt.append((open_mask.tobytes(), closed_mask.tobytes()))
+        return from_masks(inst, open_mask, closed_mask)
+
+    def counted_chain(inst, order):
+        calls["chain"] += 1
+        return chain(inst, order)
+
+    monkeypatch.setattr(_Node, "bound", counted_bound)
+    monkeypatch.setattr(_Node, "from_masks", staticmethod(counted_from_masks))
+    monkeypatch.setattr(exact, "_chain", counted_chain)
+    prev, totals = None, {"rebuilt": 0, "stale": 0}
+    for spec in _slr_chain(inst):
+        bounded = calls["bound"]
+        del rebuilt[:]
+        res = branch_and_bound(spec, resume=prev)
+        if prev is None:
+            assert res.rebuilt == 0 and len(rebuilt) == 1  # the root
+            assert calls["bound"] - bounded == res.nodes
+        else:
+            frontier = prev.frontier
+            assert len(frontier.stale) == len(frontier.entries)
+            stale = {(e[2].tobytes(), e[3].tobytes())
+                     for e, flag in zip(frontier.entries, frontier.stale) if flag}
+            assert all(len(e) == 5 for e, flag in zip(frontier.entries, frontier.stale) if flag)
+            rebounded = sum(key in stale for key in rebuilt)
+            assert res.rebuilt == len(rebuilt)
+            assert calls["bound"] - bounded == res.nodes + rebounded
+            totals["rebuilt"] += res.rebuilt
+            totals["stale"] += rebounded
+        if res.frontier is None:
+            break
+        prev = res
+    assert res.solution.open_facilities
+    assert calls["chain"] == 1
+    # Both kinds of rebuilt entry occur: some bounded again, most not.
+    assert 0 < totals["stale"] < totals["rebuilt"], totals
+
+
+def test_rebuilt_is_left_out_of_repr_and_equality():
+    inst = cheap_open_instance(3, integer=True, m_range=(30, 30), n_range=(14, 14))
+    prev = None
+    for spec in _slr_chain(inst):
+        res = branch_and_bound(spec, resume=prev)
+        if res.rebuilt:
+            break
+        prev = res
+    assert res.rebuilt > 0 and "rebuilt" not in repr(res)
+    same = exact.ExactResult(res.value, res.solution, res.status, res.lower_bound, res.nodes)
+    assert same == res and repr(same) == repr(res)
 
 
 def test_node_limit_in_a_resumed_search_keeps_bound_valid():

@@ -88,3 +88,17 @@ def test_engine_digest_prints_one_repeatable_sha256(capsys):
         lines.append(capsys.readouterr().out)
     assert re.fullmatch(r"[0-9a-f]{64}\n", lines[0])
     assert lines[0] == lines[1]
+
+
+def test_threshold_search_smoke(capsys):
+    threshold_search = load_script("threshold_search")
+    assert threshold_search.main(["--m", "20", "--n", "12", "--step", "2"]) == 0
+    out = capsys.readouterr().out
+    line = r"^{} +steps=(\d+) nodes=(\d+) rebuilt=(\d+) seconds=\S+ value=(\S+)$"
+    resumed = re.search(line.format("resumed"), out, re.M)
+    fresh = re.search(line.format("fresh"), out, re.M)
+    assert resumed and fresh, out
+    assert int(resumed[1]) > 1 and int(resumed[3]) > 0 and fresh[1] == "1" and fresh[3] == "0"
+    # The chain evaluates exactly the nodes of one fresh search, and ends at its value.
+    assert resumed[2] == fresh[2] and resumed[4] == fresh[4]
+    assert re.search(r"^ratio +\d+\.\d\d$", out, re.M)
