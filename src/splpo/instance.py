@@ -252,55 +252,49 @@ def write_instance(inst: Instance) -> str:
     return "\n".join((header, _fmt(inst.f), _fmt(inst.c), _fmt(inst.p))) + "\n"
 
 
-def _parse_row(tokens: list[str], n: int, kind: str, row: int, ln: int) -> list[float]:
-    if len(tokens) != n:
-        raise InstanceFormatError(
-            f"{kind} row {row} has {len(tokens)} values, expected {n}", ln
-        )
-    out = []
-    for t in tokens:
-        try:
-            v = float(t)
-        except ValueError:
-            raise InstanceFormatError(f"bad number {t!r} in {kind} row {row}", ln) from None
-        if not math.isfinite(v):
-            raise InstanceFormatError(f"non-finite number {t!r} in {kind} row {row}", ln)
-        out.append(v)
-    return out
-
-
-def _block(rows: list[tuple[int, str]], n: int) -> np.ndarray | None:
-    """The rows' numbers as one float array, or None if a row has other than
-    n tokens, a token that float() rejects, or a non-finite number."""
-    tokens = [ln.split() for _, ln in rows]
-    if any(len(t) != n for t in tokens):
-        return None
+def _token_fault(token: str) -> str | None:
+    """What float() makes of a token that is not a finite number, else None."""
     try:
-        a = np.array(tokens, dtype=float)
+        return None if math.isfinite(float(token)) else "non-finite number"
     except ValueError:
-        return None
-    return a if np.isfinite(a).all() else None
+        return "bad number"
 
 
-def _parse_blocks(lines: list[tuple[int, str]], m: int, n: int) -> tuple | None:
-    """(f, c, p) converted block by block, or None if any check fails; the
-    row-by-row parse then finds the first fault and its line."""
-    f, c, p = _block(lines[2:3], n), _block(lines[3:3 + m], n), _block(lines[3 + m:], n)
-    if f is None or c is None or p is None or (f < 0).any() or (c < 0).any():
-        return None
-    if not ((p >= 1).all() and (p <= n).all()):  # in range before the cast to int
-        return None
-    ranks = p.astype(np.int64)
-    if not (np.array_equal(ranks, p) and (np.sort(ranks, axis=1) == np.arange(1, n + 1)).all()):
-        return None
-    return f[0], c, ranks
+def _block(rows: list[tuple[int, str]], n: int, kind: str) -> tuple:
+    """(numbers, fault): the rows' numbers as one float array, converted in
+    one pass, and None; or, if a row has other than n tokens, a token that
+    float() rejects or a non-finite number, the numbers of the rows before
+    the first such row, read by float() one row at a time, and its fault."""
+    tokens = [ln.split() for _, ln in rows]
+    try:
+        a = np.array(tokens, dtype=float)  # ragged rows raise ValueError too
+        if a.shape == (len(rows), n) and np.isfinite(a).all():
+            return a, None
+    except ValueError:
+        pass
+    values = []
+    for k, ((no, _), row) in enumerate(zip(rows, tokens)):
+        where = f"{kind} row {k + 1}"
+        if len(row) != n:
+            fault = f"{where} has {len(row)} values, expected {n}"
+        else:
+            fault = next((f"{what} {t!r} in {where}" for t in row
+                          if (what := _token_fault(t))), None)
+        if fault:
+            return np.array(values).reshape(k, n), InstanceFormatError(fault, no)
+        values.append([float(t) for t in row])
+    return np.array(values), None
 
 
 def parse_instance(text: str, name: str = "") -> Instance:
     """Parse a canonical-format document into a validated Instance.
 
-    The number blocks are converted whole; if any check fails there, the
-    rows are parsed one by one to report the first fault with its line.
+    Each number block is converted in one pass, and its value rules (no
+    negative cost; each preference row, sorted, equals 1..n) are checked on
+    the whole block. Only a block that fails to convert is read row by row,
+    up to the first row with a text fault; the value rules then run on the
+    rows before it. So a fault is reported as the first one in document
+    order, by its row and line.
     """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln]
@@ -329,34 +323,23 @@ def parse_instance(text: str, name: str = "") -> Instance:
             lines[-1][0],
         )
 
-    blocks = _parse_blocks(lines, m, n)
-    if blocks is not None:
-        f, c, p = blocks
-        return Instance(f=f, c=c, p=p, name=name)
-
-    no, frow = lines[2]
-    f = _parse_row(frow.split(), n, "opening-cost", 1, no)
-    if any(v < 0 for v in f):
-        raise InstanceFormatError("negative cost in opening-cost row", no)
-
-    c = []
-    for i in range(m):
-        no, crow = lines[3 + i]
-        vals = _parse_row(crow.split(), n, "service-cost", i + 1, no)
-        if any(v < 0 for v in vals):
-            raise InstanceFormatError(f"negative cost in service-cost row {i + 1}", no)
-        c.append(vals)
-
-    p = []
-    for i in range(m):
-        no, prow = lines[3 + m + i]
-        vals = _parse_row(prow.split(), n, "preference", i + 1, no)
-        ints = [int(v) for v in vals]
-        if any(iv != v for iv, v in zip(ints, vals)) or sorted(ints) != list(range(1, n + 1)):
-            raise InstanceFormatError(f"preference row {i + 1} is not a permutation of 1..{n}", no)
-        p.append(ints)
-
-    return Instance(f=np.array(f), c=np.array(c), p=np.array(p), name=name)
+    ranks = np.arange(1, n + 1)
+    blocks = []
+    for rows, kind, broken, message in (
+        (lines[2:3], "opening-cost", lambda a: a < 0, "negative cost in opening-cost row"),
+        (lines[3:3 + m], "service-cost", lambda a: a < 0, "negative cost in service-cost row {}"),
+        (lines[3 + m:], "preference", lambda a: np.sort(a, axis=1) != ranks,
+         f"preference row {{}} is not a permutation of 1..{n}"),
+    ):
+        a, fault = _block(rows, n, kind)
+        bad = np.flatnonzero(broken(a).any(axis=1))
+        if bad.size:
+            raise InstanceFormatError(message.format(bad[0] + 1), rows[bad[0]][0])
+        if fault:
+            raise fault
+        blocks.append(a)
+    f, c, p = blocks
+    return Instance(f=f[0], c=c, p=p.astype(np.int64), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +465,9 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
     fields are ignored. The sidecar holds m whitespace-separated permutation
     rows of 1..n, in customer order. InstanceFormatError, naming the field,
     for a count that is not a positive integer, a missing or non-numeric
-    value, a value left after the last customer, and a sidecar that does
-    not hold m permutations of 1..n.
+    value, a fixed or allocation cost that is negative or not finite, a
+    value left after the last customer, and a sidecar that does not hold m
+    permutations of 1..n.
     """
     tokens = text.split()
     pos = 0
@@ -502,6 +486,13 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
             return float(tok)
         except ValueError:
             raise InstanceFormatError(f"bad number {tok!r} reading {what}") from None
+
+    def take_cost(what: str) -> float:
+        v = take_float(what)
+        if not 0 <= v < math.inf:  # NaN fails too
+            raise InstanceFormatError(
+                f"{what} must be a finite nonnegative number, got {tokens[pos - 1]!r}")
+        return v
 
     def take_count(what: str) -> int:
         v = take_float(what)
@@ -524,11 +515,11 @@ def parse_orlib(text: str, preferences: str, name: str = "") -> Instance:
     f = []
     for j in range(n):
         take("capacity")  # may be the literal word "capacity"
-        f.append(take_float(f"fixed cost of warehouse {j + 1}"))
+        f.append(take_cost(f"fixed cost of warehouse {j + 1}"))
     c = []
     for i in range(m):
         take_float(f"demand of customer {i + 1}")
-        c.append([take_float(f"allocation cost ({i + 1}, {j + 1})") for j in range(n)])
+        c.append([take_cost(f"allocation cost ({i + 1}, {j + 1})") for j in range(n)])
     if pos != len(tokens):
         raise InstanceFormatError(
             f"unexpected {tokens[pos]!r} after the allocation costs of customer {m}")

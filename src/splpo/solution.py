@@ -168,7 +168,7 @@ def solution_to_json(sol: Solution) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_sweep(inst: Instance, early_stop: bool) -> dict:
+def _greedy_sweep(inst: Instance) -> dict:
     """The sweep behind hc and hs: one whole-array pass over every site per round.
 
     It reads the instance's facility-major layout (``inst.cT``, ``inst.pT``),
@@ -182,11 +182,10 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> dict:
     The sweep keeps only its running best (objective, assignment, sites in
     use) and counts its rounds, the seed round included.
 
-    A whole pass answers both heuristics, by name: "hc" is the running best
-    over every round, and "hs" the same running best frozen at the first
-    round whose service cost fails to improve on the last (or at the end),
-    each as (open set, assignment, objective, rounds). With early_stop the
-    pass ends at that round and answers "hs" alone.
+    One whole pass answers both heuristics, by name: "hc" is the running
+    best over every round, and "hs" the same running best frozen at the
+    first round whose service cost fails to improve on the last (or at the
+    end), each as (open set, assignment, objective, rounds).
     """
     m, n, f, c_t, p_t = inst.m, inst.n, inst.f, inst.cT, inst.pT  # locals for the round loop
 
@@ -225,8 +224,6 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> dict:
             best, best_assign, best_used = value, assign, used
         if "hs" not in found and tcs[k] >= service:
             found["hs"] = result(rounds)
-            if early_stop:
-                return found
         service = tcs[k]
 
     found["hc"] = result(n)
@@ -235,19 +232,19 @@ def _greedy_sweep(inst: Instance, early_stop: bool) -> dict:
 
 
 def _greedy(inst: Instance, algorithm: str) -> Solution:
-    """A new Solution for hc or hs, read from the instance's greedy sweep.
+    """A new Solution for hc or hs, read from the instance's one greedy sweep.
 
     The sweep's answers stay in the instance's ``__dict__`` with its other
-    derived data. A missing hc runs the whole pass, which answers hs too; a
-    missing hs runs the pass only up to hs's last round. Each call gets its
+    derived data: the first call for either heuristic runs the whole pass,
+    which answers both, and every later call reads it. Each call gets its
     own provenance dict and copy of the assignment, so no caller sees
-    another's changes. Threads that both find an answer missing each run the
-    sweep and store equal results.
+    another's changes. Threads that both find the sweep missing each run it
+    and store equal results.
     """
-    sweeps = inst.__dict__.setdefault("_greedy_sweep", {})
-    if algorithm not in sweeps:
-        sweeps.update(_greedy_sweep(inst, early_stop=algorithm == "hs"))
-    open_facilities, assign, objective, rounds = sweeps[algorithm]
+    sweep = inst.__dict__.get("_greedy_sweep")
+    if sweep is None:
+        sweep = inst.__dict__["_greedy_sweep"] = _greedy_sweep(inst)
+    open_facilities, assign, objective, rounds = sweep[algorithm]
     # Customers sit at their most preferred selected facility: the forced assignment.
     return Solution(open_facilities, assign.copy(), objective,
                     {"algorithm": algorithm, "rounds": rounds})
@@ -272,8 +269,8 @@ def heuristic_hs(inst: Instance) -> Solution:
     fails to improve on the previous one (opening costs excluded from the
     stopping comparison). Round 1 is compared with the seed round's
     service cost, so a tie with the seed stops the sweep. Its rounds are
-    the first rounds of hc's sweep: after hc it is read from that pass, and
-    otherwise its own pass stops there.
+    the first rounds of hc's sweep, so it is read from that one pass, which
+    the first of hc and hs to be asked for runs in full.
     """
     return _greedy(inst, "hs")
 

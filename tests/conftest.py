@@ -13,14 +13,14 @@ hypothesis.settings.load_profile("solver")
 
 @pytest.fixture
 def count_sweeps(monkeypatch):
-    """The greedy sweeps the package runs: by instance id, each sweep's early_stop."""
+    """The greedy sweeps the package runs: by instance id, how many."""
     sweeps, swept = {}, []  # swept keeps each instance alive, so no id is reused
     sweep = solution_module._greedy_sweep
 
-    def counting(inst, early_stop):
+    def counting(inst):
         swept.append(inst)
-        sweeps.setdefault(id(inst), []).append(early_stop)
-        return sweep(inst, early_stop)
+        sweeps[id(inst)] = sweeps.get(id(inst), 0) + 1
+        return sweep(inst)
 
     monkeypatch.setattr(solution_module, "_greedy_sweep", counting)
     return sweeps

@@ -90,19 +90,20 @@ def test_parse_errors_carry_line_numbers(mangle, fragment):
     assert err.value.line is not None
 
 
-def _parse_row_by_row(doc, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(instance_module, "_parse_blocks", lambda lines, m, n: None)
-        return parse_instance(doc)
-
-
 def _token_docs():
     # Tokens float() accepts besides plain integers, in every block.
     yield TOY_DOC.replace("3 1", "1e3 +5").replace("2 5", "1_000 -0").replace("1 2\n", "1.0 2e0\n")
     yield TOY_DOC.replace("4 2", "4.5e-3 .25").replace("2 1\n", "+2 0001\n")
 
 
-def test_parse_blocks_match_the_row_by_row_parse(monkeypatch):
+def _float_instance(doc):
+    """The document's Instance, built from float() of each token after the header."""
+    rows = [[float(t) for t in ln.split()] for ln in doc.splitlines()[1:] if ln.strip()]
+    m = int(rows[0][0])
+    return Instance(f=np.array(rows[1]), c=np.array(rows[2:2 + m]), p=np.array(rows[2 + m:]))
+
+
+def test_parse_reads_every_valid_document_as_float_does():
     docs = [TOY_DOC, *_token_docs()]
     for mode in ("uniform", "cost-consistent"):
         docs += [write_instance(generate_instance(m, n, seed, GeneratorConfig(mode=mode)))
@@ -111,26 +112,61 @@ def test_parse_blocks_match_the_row_by_row_parse(monkeypatch):
     docs.append(write_instance(Instance(f=rng.uniform(0, 9, 6), c=rng.uniform(0, 9, (5, 6)),
                                         p=np.array([rng.permutation(6) + 1 for _ in range(5)]))))
     for doc in docs:
-        lines = [(k + 1, ln.strip()) for k, ln in enumerate(doc.splitlines()) if ln.strip()]
-        m, n = (int(t) for t in lines[1][1].split())
-        assert instance_module._parse_blocks(lines, m, n) is not None  # the block path ran
-        fast, slow = parse_instance(doc), _parse_row_by_row(doc, monkeypatch)
-        for a, b in ((fast.f, slow.f), (fast.c, slow.c), (fast.p, slow.p)):
+        parsed, ref = parse_instance(doc), _float_instance(doc)
+        for a, b in ((parsed.f, ref.f), (parsed.c, ref.c), (parsed.p, ref.p)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("old, new", [
-    ("1 2\n", "1 1\n"), ("1 2\n", "1 2.5\n"), ("2 1\n", "0 2\n"), ("2 1\n", "1e300 1\n"),
-    ("2 1\n", "2 1 3\n"), ("3 1", "-3 1"), ("4 2", "4 -0.5"), ("2 5", "2 nan"),
-    ("2 5", "2 1e999"), ("4 2", "4 0x10"), ("2 1\n", "2 one\n"),
-])
-def test_parse_errors_match_the_row_by_row_parse(old, new, monkeypatch):
-    doc = TOY_DOC.replace(old, new, 1)
-    with pytest.raises(InstanceFormatError) as fast:
+# Each document is TOY_DOC with every (old, new) replaced once; a fault is
+# reported as the first in document order, with the line it sits on. Row by
+# row, a row's text (its token count, then each token in turn) is checked
+# before its values.
+PARSE_FAULTS = [
+    ("repeated-rank", [("1 2\n", "1 1\n")], "preference row 1 is not a permutation of 1..2", 6),
+    ("fractional-rank", [("1 2\n", "1 2.5\n")],
+     "preference row 1 is not a permutation of 1..2", 6),
+    ("zero-rank", [("2 1\n", "0 2\n")], "preference row 2 is not a permutation of 1..2", 7),
+    ("huge-rank", [("2 1\n", "1e300 1\n")], "preference row 2 is not a permutation of 1..2", 7),
+    ("long-preference-row", [("2 1\n", "2 1 3\n")], "preference row 2 has 3 values, expected 2", 7),
+    ("negative-opening-cost", [("3 1", "-3 1")], "negative cost in opening-cost row", 3),
+    ("negative-service-cost", [("4 2", "4 -0.5")], "negative cost in service-cost row 2", 5),
+    ("nan-service-cost", [("2 5", "2 nan")], "non-finite number 'nan' in service-cost row 1", 4),
+    ("overflowing-service-cost", [("2 5", "2 1e999")],
+     "non-finite number '1e999' in service-cost row 1", 4),
+    ("hex-service-cost", [("4 2", "4 0x10")], "bad number '0x10' in service-cost row 2", 5),
+    ("word-rank", [("2 1\n", "2 one\n")], "bad number 'one' in preference row 2", 7),
+    ("long-opening-row", [("3 1", "3 1 7")], "opening-cost row 1 has 3 values, expected 2", 3),
+    ("word-opening-cost", [("3 1", "3 x")], "bad number 'x' in opening-cost row 1", 3),
+    ("infinite-opening-cost", [("3 1", "3 inf")],
+     "non-finite number 'inf' in opening-cost row 1", 3),
+    ("short-service-row", [("2 5", "2")], "service-cost row 1 has 1 values, expected 2", 4),
+    ("infinite-rank", [("2 1\n", "2 inf\n")], "non-finite number 'inf' in preference row 2", 7),
+    ("negative-rank", [("1 2\n", "-1 2\n")], "preference row 1 is not a permutation of 1..2", 6),
+    ("negative-then-word-service-cost", [("2 5", "-2 5"), ("4 2", "4 x")],
+     "negative cost in service-cost row 1", 4),
+    ("negative-opening-cost-then-word-rank", [("3 1", "-3 1"), ("2 1\n", "2 one\n")],
+     "negative cost in opening-cost row", 3),
+    ("repeated-then-word-rank", [("1 2\n", "1 1\n"), ("2 1\n", "2 x\n")],
+     "preference row 1 is not a permutation of 1..2", 6),
+    ("word-then-negative-service-cost", [("2 5", "x 5"), ("4 2", "-4 2")],
+     "bad number 'x' in service-cost row 1", 4),
+    ("negative-and-word-in-one-row", [("3 1", "-3 x")], "bad number 'x' in opening-cost row 1", 3),
+    ("infinite-then-word", [("3 1", "inf x")], "non-finite number 'inf' in opening-cost row 1", 3),
+    ("negative-row-too-long", [("2 5", "-1 -1 -1")],
+     "service-cost row 1 has 3 values, expected 2", 4),
+]
+
+
+@pytest.mark.parametrize("edits, message, line", [case[1:] for case in PARSE_FAULTS],
+                         ids=[case[0] for case in PARSE_FAULTS])
+def test_parse_reports_the_first_fault_and_its_line(edits, message, line):
+    doc = TOY_DOC
+    for old, new in edits:
+        assert old in doc
+        doc = doc.replace(old, new, 1)
+    with pytest.raises(InstanceFormatError) as err:
         parse_instance(doc)
-    with pytest.raises(InstanceFormatError) as slow:
-        _parse_row_by_row(doc, monkeypatch)
-    assert str(fast.value) == str(slow.value) and fast.value.line == slow.value.line
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line
 
 
 def test_write_parse_round_trip_toy():
@@ -471,8 +507,13 @@ ORLIB_PREF = "1 3 2\n2 1 3\n"
     (ORLIB_CORE, "1 1 2\n2 1 3\n", "preference sidecar row 1 is not a permutation of 1..3"),
     (ORLIB_CORE[:-2], ORLIB_PREF, "unexpected end of file reading allocation cost (2, 3)"),
     (ORLIB_CORE.replace("9 7", "9 x"), ORLIB_PREF, "bad number 'x' reading allocation cost (2, 2)"),
+    (ORLIB_CORE.replace("100 120", "100 -120", 1), ORLIB_PREF,
+     "fixed cost of warehouse 1 must be a finite nonnegative number, got '-120'"),
+    (ORLIB_CORE.replace("4 6 8", "4 inf 8"), ORLIB_PREF,
+     "allocation cost (1, 2) must be a finite nonnegative number, got 'inf'"),
 ], ids=["fractional-count", "trailing-values", "fractional-rank", "negative-count",
-        "repeated-rank", "cut-short", "non-numeric-cost"])
+        "repeated-rank", "cut-short", "non-numeric-cost", "negative-fixed-cost",
+        "non-finite-allocation-cost"])
 def test_orlib_names_the_malformed_field(core, pref, message):
     parse_orlib(ORLIB_CORE, ORLIB_PREF)  # the unmodified files are well formed
     with pytest.raises(InstanceFormatError) as info:

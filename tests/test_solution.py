@@ -389,8 +389,8 @@ def _assert_same_sweep(sol, ref_sol):
 
 
 def test_greedy_sweep_matches_reference_loop():
-    # Either heuristic may come first on an instance: hc's whole pass then
-    # answers hs too, and hs first makes its own early-stopped pass.
+    # Either heuristic may come first on an instance; the one pass it runs
+    # answers the other too.
     for inst in _sweep_instances():
         refs = {early_stop: _reference_sweep(inst, early_stop) for early_stop in (False, True)}
         for order in ((heuristic_hc, heuristic_hs), (heuristic_hs, heuristic_hc)):
@@ -417,7 +417,7 @@ def test_ada_runs_one_greedy_sweep(count_sweeps):
     inst = generate_instance(60, 40, 1)
     res = ada(inst, AdaConfig(sg_iter=20, da_iter=3))
     assert res.vfh_solutions
-    assert count_sweeps == {id(inst): [False]}
+    assert count_sweeps == {id(inst): 1}
 
 
 def test_callers_sharing_an_instance_run_one_greedy_sweep(count_sweeps):
@@ -426,22 +426,24 @@ def test_callers_sharing_an_instance_run_one_greedy_sweep(count_sweeps):
     hs_sol = heuristic_hs(inst)
     res = branch_and_bound(ProblemSpec.splpo(inst))
     sg = subgradient_method(inst, 5)
-    assert count_sweeps == {id(inst): [False]}
+    assert count_sweeps == {id(inst): 1}
     assert res.value <= hc_sol.objective <= hs_sol.objective
     assert sg.best_value <= res.value
 
 
-def test_hs_alone_stops_its_sweep_early(count_sweeps):
-    # Without hc's pass to read, hs's own pass ends at its last round; a
-    # later hc then makes the whole pass once.
+def test_hs_alone_runs_the_one_pass_a_later_hc_reads(count_sweeps):
+    # hs asked for first runs the whole pass, though its answer stops at an
+    # earlier round; a later hc reads that pass and runs no sweep of its own.
     inst = generate_instance(30, 20, 2)
     hs_sol = heuristic_hs(inst)
-    assert count_sweeps == {id(inst): [True]}
+    assert count_sweeps == {id(inst): 1}
     assert hs_sol.provenance["rounds"] < inst.n
     heuristic_hs(inst)
+    hc_sol = heuristic_hc(inst)
     heuristic_hc(inst)
-    heuristic_hc(inst)
-    assert count_sweeps == {id(inst): [True, False]}
+    assert count_sweeps == {id(inst): 1}
+    assert hc_sol.provenance["rounds"] == inst.n
+    _assert_same_sweep(hc_sol, _reference_sweep(inst, early_stop=False))
 
 
 def test_greedy_sweep_takes_each_site_once_when_totals_overflow():
