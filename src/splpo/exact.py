@@ -26,14 +26,12 @@ facility, rejected sets as their value. A search at a larger threshold
 resumes from that list instead of the root: it expands every node the
 earlier one expanded (their bounds lie below the old threshold, so below
 every later incumbent), so it only re-tests the pruned nodes against its
-incumbent and re-considers the rejected sets in their place. A pruned node
-whose stored bound lies below the incumbent is rebuilt from its decisions,
-to be expanded; it is bounded again first only when its stored bound lacks
-a part that a larger incumbent would take (below). The replay meets every
-set and every prune decision of a fresh search in the same order, so it
-returns the same incumbent, ties included. The frontier also keeps the
-chain order and chain table (below), so a run of resumed searches builds
-the table once.
+incumbent and re-considers the rejected sets in their place. Each stored
+bound is the one any larger incumbent gives (below), so a pruned node is
+never bounded again: one whose stored bound lies below the incumbent is
+rebuilt from its decisions and expanded. The replay meets every set and
+every prune decision of a fresh search in the same order, so it returns the
+same incumbent, ties included.
 
 Lower bounds used at a node (open set O forced, C forced closed, U undecided):
   * every customer priced at its cheapest facility outside C, plus opening
@@ -74,22 +72,20 @@ value - max over k in U of (gain[k] - f[k]) does not. The second test rests
 on D(w) >= gain[k] - f[k] for every w >= 0 and every k in L (the lemma above
 for S = {k}, as w[i] + max(s[k, i] - w[i], 0) >= s[k, i]), so value minus
 the largest net gain caps the savings-dual bound. Every prune decision is
-thus the one the full bound would take, but a node's stored bound may lack
-the savings-dual part. Where it was skipped only because the first two
-bounds reach the incumbent, a larger incumbent may take it and prune the
-node; the frontier marks such nodes stale, and a resumed search bounds a
-stale node again, against its own incumbent, before expanding it. Every
-other stored bound is the one a larger incumbent gives: the savings-dual
-part depends only on the node's savings rows, and where it was skipped
-because no undecided facility has a positive net gain, or because the cap
-value - max (gain[k] - f[k]) lies below the incumbent, it is skipped at
-every larger incumbent too. So the replay meets every prune decision of a
-fresh search. The bound an expanded
-node hands its children, which a stopped search reports as its lower bound,
-stays valid but may lie below the full bound; an unstale node a resumed
-search expands hands down its stored bound, which may lie above the one a
-fresh search would hand down, so a resumed search stopped by a limit may
-report a higher lower bound than a fresh one.
+thus the one the full bound would take, but a node's bound may lack the
+savings-dual part. While an slr search keeps its frontier, a node whose
+first two bounds already reach the incumbent also takes the savings-dual
+part, where the cap reaches the incumbent and lies above them. Its stored
+bound is then the one any larger incumbent gives: the savings-dual part
+depends only on the node's savings rows, and where it is skipped because no
+undecided facility has a positive net gain, or because the cap lies below
+the incumbent, it is skipped at every larger incumbent too. So the replay
+meets every prune decision of a fresh search. The bound an expanded node
+hands its children, which a stopped search reports as its lower bound,
+stays valid but may lie below the full bound; a node a resumed search
+expands from the frontier hands down its stored bound, which may lie above
+the one a fresh search would hand down, so a resumed search stopped by a
+limit may report a higher lower bound than a fresh one.
 
 Each node carries the per-customer state these bounds need, derived from its
 parent's rather than rebuilt: ``cmin`` (cheapest cost outside C), ``rank``
@@ -104,12 +100,12 @@ closing j shares everything with the parent except ``cmin``, which is
 recomputed only for the customers whose minimum was attained at j. Nodes with
 nothing open lie on one chain of closed children below the root, whose
 closed sets are the prefixes of one facility order; each closed child on it
-reads ``cmin`` and its sum from a chain table built on first use, once per
-search or run of resumed searches: a suffix minimum over the facility-major
-cost rows of that order, whose row d is the node that closed the first d
-facilities. Minima and gathers are exact and every float sum keeps its
-operands and their order, so a node's state equals the one computed from its
-decisions alone, bit for bit, and its value is the price of its open set.
+reads ``cmin`` and its sum from a chain table that each search builds on
+first use: a suffix minimum over the facility-major cost rows of that order,
+whose row d is the node that closed the first d facilities. Minima and
+gathers are exact and every float sum keeps its operands and their order, so
+a node's state equals the one computed from its decisions alone, bit for
+bit, and its value is the price of its open set.
 
 Branching follows the preference bound: once something is open, the engine
 branches on the undecided facility with the largest ``gain[k] - f[k]``, the
@@ -176,29 +172,23 @@ class Frontier(Record):
     entries lists, in preorder, the nodes the search pruned, as (bound over
     the non-empty sets below, depth, open mask, closed mask, branch facility),
     and the open sets it rejected, as (value, open mask). None of them depends
-    on the threshold, so a search at a larger threshold can start from them.
-    The search's threshold is the result's value, that of the empty set.
-    stale[i] is 1 where entry i is a pruned node whose bound skipped the
-    savings-dual part that a larger incumbent would take (_Node.bound), 0
-    elsewhere. order is the facility order of the chain of nodes with
-    nothing open, and chain its table (_chain), None until a search built it.
+    on the threshold, and each stored bound is the one any larger incumbent
+    gives (_Node.bound with keep), so a search at a larger threshold can start
+    from them. The search's threshold is the result's value, that of the
+    empty set.
     """
 
-    __slots__ = ("inst", "entries", "stale", "order", "chain")
+    __slots__ = ("inst", "entries")
 
-    def __init__(self, inst: Instance, entries: list, stale: bytearray, order: list,
-                 chain: list | None):
+    def __init__(self, inst: Instance, entries: list):
         self.inst = inst
         self.entries = entries
-        self.stale = stale
-        self.order = order
-        self.chain = chain
 
 
 class ExactResult(Record):
     """frontier, set only for an optimal slr search that ended at the empty
     set, and rebuilt, the number of frontier entries a resumed search rebuilt
-    from their masks, are left out of repr and ==."""
+    from their masks to expand, are left out of repr and ==."""
 
     __slots__ = ("value", "solution", "status", "lower_bound", "nodes", "frontier", "rebuilt")
 
@@ -385,31 +375,29 @@ class _Node:
         return _Node(self.open, closed_mask, self.fopen, cmin, served, self.rank, self.a,
                      self.value, self.savings, self.gain)
 
-    def bound(self, inst: Instance, incumbent: float) -> tuple[float, int | None, bool]:
-        """Lower bound on every non-empty open set below this node, the facility
-        to branch on, and whether a larger incumbent could raise the bound.
+    def bound(self, inst: Instance, incumbent: float, keep=False) -> tuple[float, int | None]:
+        """Lower bound on every non-empty open set below this node, and the
+        facility to branch on.
 
         The bound is the largest of the cheapest-service bound and, once
         something is open, the preference bound value - sum over undecided k
         of max(gain[k] - f[k], 0) and the savings-dual bound value - min D(w)
         over the weight grid, eight t in [0.2, 0.7] where the minimum of D
         falls (module docstring); it is +inf when no such set exists in the
-        subtree. The savings-dual bound, taken from the rows of
-        savings, is computed only when the other two lie below incumbent and
-        value - max over undecided k of (gain[k] - f[k]) does not, since it
-        never exceeds that value; so whether the bound reaches incumbent does
-        not depend on it being skipped. The flag is set when it was skipped
-        only because the other two reach incumbent: bounded again at a
-        larger incumbent, the node may take it. The facility is the undecided one
-        with the largest gain[k] - f[k] (ties to the lowest index); it is
-        None while nothing is open, when nothing is undecided, or when the
-        bound is +inf.
+        subtree. The savings-dual bound, taken from the rows of savings, never
+        exceeds the ceiling value - max over undecided k of (gain[k] - f[k]),
+        so it is computed only where the ceiling reaches incumbent and the
+        other two lie below incumbent or, with keep, below the ceiling.
+        Whether the bound reaches incumbent therefore does not depend on it
+        being skipped, and with keep the bound is the one any larger
+        incumbent gives. The facility is the undecided one with the largest
+        gain[k] - f[k] (ties to the lowest index); it is None while nothing is
+        open, when nothing is undecided, or when the bound is +inf.
         """
         if self.served == math.inf:
-            return math.inf, None, False  # someone cannot be served, yet service is forced
+            return math.inf, None  # someone cannot be served, yet service is forced
         bound = self.fopen + self.served
         best = None
-        stale = False
         if self.gain is not None:
             net = np.where(self.closed | self.open, -np.inf, self.gain - inst.f)
             k = int(net.argmax())
@@ -417,20 +405,17 @@ class _Node:
             if top > -math.inf:
                 best = k
             bound = max(bound, self.value - float(np.add.reduce(np.maximum(net, 0.0))))
-            # D(w) >= net[k] for every w, so only here can the savings-dual
-            # bound reach the incumbent.
-            if top > 0.0 and self.value - top >= incumbent:
-                if bound < incumbent:
-                    live = net > 0.0
-                    s = self.savings[live]
-                    cap = np.maximum.reduce(s, axis=0)
-                    w = cap - _DUAL_GRID[:, None] * np.maximum.reduce(cap)
-                    np.maximum(w, 0.0, out=w)
-                    dual = np.minimum.reduce(_savings_dual(s, inst.f[live], w))
-                    bound = max(bound, self.value - float(dual))
-                else:
-                    stale = True
-        return bound, best, stale
+            # D(w) >= net[k] for every w, so the savings-dual bound is at most ceiling.
+            ceiling = self.value - top
+            if top > 0.0 and ceiling >= incumbent and bound < (ceiling if keep else incumbent):
+                live = net > 0.0
+                s = self.savings[live]
+                cap = np.maximum.reduce(s, axis=0)
+                w = cap - _DUAL_GRID[:, None] * np.maximum.reduce(cap)
+                np.maximum(w, 0.0, out=w)
+                dual = np.minimum.reduce(_savings_dual(s, inst.f[live], w))
+                bound = max(bound, self.value - float(dual))
+        return bound, best
 
 
 def _resumed(spec: ProblemSpec, resume: ExactResult) -> Frontier:
@@ -475,7 +460,7 @@ def branch_and_bound(
     from the root; the threshold must not be smaller. The result is the one a
     fresh search would return, but nodes and node_limit count only the nodes
     this call newly evaluates, and rebuilt the frontier entries it rebuilt
-    from their masks to expand or to bound again.
+    from their masks to expand; no frontier entry is bounded again.
 
     on_node, when given, is called as on_node(depth, open_mask, closed_mask,
     bound, incumbent_value) for every node this call evaluates
@@ -487,27 +472,24 @@ def branch_and_bound(
     forced[list(spec.forced_open)] = True
     if resume is None:
         root = _Node.from_masks(inst, forced.copy(), np.zeros(inst.n, dtype=bool))
-        stack = [(-math.inf, 0, root, bool(forced.any()))]
-        replay, replay_stale = [], b""
-        # Nodes with nothing open lie on the chain of closed children below
-        # the root, so their closed set is a prefix of this order. Only a
-        # search with nothing forced open has them (and only it reads the
-        # order); their state comes from the chain table, built when the
-        # first of them is expanded.
-        alone = inst.f + inst.c.sum(axis=0)
-        order = np.argsort(alone, kind="stable").tolist()  # ties to the lower index
-        chain = None
+        stack, replay = [(-math.inf, 0, root, bool(forced.any()))], []
     else:
-        earlier = _resumed(spec, resume)
-        stack = []
-        replay, replay_stale = earlier.entries, earlier.stale
-        order, chain = earlier.order, earlier.chain
+        stack, replay = [], _resumed(spec, resume).entries
+    # Nodes with nothing open lie on the chain of closed children below the
+    # root, so their closed set is a prefix of this order. Only a search with
+    # nothing forced open has them (and only it reads the order); their state
+    # comes from the chain table, built when the first of them is expanded.
+    alone = inst.f + inst.c.sum(axis=0)
+    order = np.argsort(alone, kind="stable").tolist()  # ties to the lower index
+    chain = None
 
     incumbent_value = math.inf
     incumbent_mask = None
     # What a later call needs to resume this one; kept while the incumbent is
-    # the empty set, which only the slr kind admits.
-    frontier = stale = None
+    # the empty set, which only the slr kind admits. While it is kept, nodes
+    # are bounded with keep, so the bounds it stores hold at any larger
+    # incumbent.
+    frontier = None
 
     def consider(value, mask) -> bool:
         """Take the open set as incumbent unless it is worse; say whether it was taken."""
@@ -527,7 +509,7 @@ def branch_and_bound(
         consider(_evaluate(spec, warm)[0], warm)
     else:
         consider(spec.threshold, np.zeros(inst.n, dtype=bool))
-        frontier, stale = [], bytearray()
+        frontier = []
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     # Entries, each led by a lower bound on the leaves it stands for:
@@ -552,19 +534,15 @@ def branch_and_bound(
         if len(entry) == 2:
             if not consider(*entry) and frontier is not None:
                 frontier.append(entry)
-                stale.append(0)
             continue
         if len(entry) == 5:
+            # Its stored bound is the one this incumbent gives, so the node is
+            # pruned or expanded as a fresh search would; only an expanded one
+            # is rebuilt.
             bound, depth, open_mask, closed_mask, best = entry
-            is_stale = replay_stale[cursor - 1]
             if bound < incumbent_value:
                 node = _Node.from_masks(inst, open_mask, closed_mask)
                 rebuilt += 1
-                if is_stale:
-                    # The stored bound skipped the savings-dual part, which
-                    # this incumbent may take; bound the node against it, as
-                    # a fresh search would.
-                    bound, best, is_stale = node.bound(inst, incumbent_value)
         else:
             if (node_limit is not None and nodes >= node_limit) or (
                 deadline is not None and time.monotonic() >= deadline
@@ -579,7 +557,7 @@ def branch_and_bound(
             _, depth, node, just_opened = entry
             open_mask, closed_mask = node.open, node.closed
             nodes += 1
-            bound, best, is_stale = node.bound(inst, incumbent_value)
+            bound, best = node.bound(inst, incumbent_value, frontier is not None)
             if on_node is not None:
                 shown = bound
                 if spec.kind == KIND_SLR and node.value is None:
@@ -591,11 +569,9 @@ def branch_and_bound(
                 # equal-valued solution (deterministic tie-breaking).
                 if not consider(node.value, open_mask) and frontier is not None:
                     frontier.append((node.value, open_mask))
-                    stale.append(0)
         if bound >= incumbent_value:
             if frontier is not None:
                 frontier.append((bound, depth, open_mask, closed_mask, best))
-                stale.append(is_stale)
             continue
         if best is None:  # nothing is open: the closed child closes order[:depth + 1]
             if chain is None:
@@ -624,7 +600,7 @@ def branch_and_bound(
         status=status,
         lower_bound=lower_bound,
         nodes=nodes,
-        frontier=None if frontier is None else Frontier(inst, frontier, stale, order, chain),
+        frontier=None if frontier is None else Frontier(inst, frontier),
         rebuilt=rebuilt,
     )
 

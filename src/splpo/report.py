@@ -78,8 +78,10 @@ class RunReport(Record):
     def from_csv(text: str) -> "RunReport":
         """Read to_csv's format; an absent optional column takes its default.
         ValueError naming the columns for a header with a column that a report
-        does not have or without a required one (prob, algorithm, status), and
-        for a row with more or fewer cells than the header."""
+        does not have or without a required one (prob, algorithm, status),
+        for a row with more or fewer cells than the header, and naming the
+        line and column for a cell that is not a number (nan and inf are) or
+        not an integer where the column takes one."""
         reader = csv.DictReader(io.StringIO(text))
         header = reader.fieldnames or []
         if header:
@@ -97,15 +99,24 @@ class RunReport(Record):
                 if raw == "" or raw is None:
                     kwargs[key] = None
                 elif key in _FLOAT_FIELDS:
-                    kwargs[key] = float(raw)
+                    kwargs[key] = _cell(float, raw, key, reader.line_num)
                 elif key in _INT_FIELDS:
-                    kwargs[key] = int(raw)
+                    kwargs[key] = _cell(int, raw, key, reader.line_num)
                 else:
                     kwargs[key] = raw
             if kwargs.get("config_hash") is None:
                 kwargs["config_hash"] = ""
             rows.append(ReportRow(**kwargs))
         return RunReport(rows=rows)
+
+
+def _cell(kind, raw: str, key: str, line: int):
+    """raw read as kind, float or int; ValueError naming the line and column if it is not one."""
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"report line {line}: {key} {raw!r} is not {what}") from None
 
 
 def _check_columns(names) -> None:

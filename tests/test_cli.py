@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -322,7 +323,7 @@ def test_report_round_trips():
         ReportRow(prob="a", algorithm="hc", status="ok", best_ub=8.0, gap_pct=0.0,
                   y_count=1, time_s=0.001, config_hash="abc"),
         ReportRow(prob="b", algorithm="sg", status="iter_limit", lower_bound=4.5,
-                  iterations=10, seed=3),
+                  gap_pct=math.inf, iterations=10, seed=3),  # an optimum of 0 gives inf
     ]
     report = RunReport(rows=rows)
     assert RunReport.from_csv(report.to_csv()) == report
@@ -335,7 +336,10 @@ def test_report_round_trips():
      "unknown columns [], missing required columns ['status']"),
     (lambda t: t.rstrip("\n") + ",surplus\n", "report line 3 has more cells than the 15 columns"),
     (lambda t: t + "c,hc\n", "report line 4 has fewer cells than the 15 columns"),
-], ids=["unknown-column", "missing-column", "extra-cell", "short-row"])
+    (lambda t: t.replace("a,hc,ok,", "a,hc,ok,abc", 1), "report line 2: best_ub 'abc' is not a number"),
+    (lambda t: t.replace("b,sg,ok,,,,,,", "b,sg,ok,,,,,,2.5", 1),
+     "report line 3: y_count '2.5' is not an integer"),
+], ids=["unknown-column", "missing-column", "extra-cell", "short-row", "float-cell", "int-cell"])
 def test_report_from_csv_rejects_what_is_not_a_report(edit, message):
     rows = [ReportRow(prob="a", algorithm="hc", status="ok"), ReportRow("b", "sg", "ok")]
     text = RunReport(rows=rows).to_csv()

@@ -526,9 +526,9 @@ def test_handed_down_state_equals_its_rebuild(monkeypatch, seed):
     seen = []
     bound = _Node.bound
 
-    def recording(node, inst, incumbent):
+    def recording(node, inst, incumbent, keep=False):
         seen.append((inst, node))
-        return bound(node, inst, incumbent)
+        return bound(node, inst, incumbent, keep)
 
     monkeypatch.setattr(_Node, "bound", recording)
     specs = _float_specs(seed)
@@ -665,60 +665,76 @@ def test_resumed_search_equals_a_fresh_one(case):
     assert res.solution.open_facilities and steps > 5
 
 
-@pytest.mark.parametrize("case", ["float0", "float1", "int3"])
-def test_resumed_searches_bound_only_what_they_evaluate_or_find_stale(monkeypatch, case):
-    # A resumed search rebuilds a frontier entry only to expand it, and bounds
-    # it again only where its stored bound skipped the savings-dual part; the
-    # chain table is built once for a whole chain of resumed searches.
+def _chain_case(case):
+    """The instance of a case of the two tests below."""
     if case.startswith("float"):
-        inst = _float_specs(int(case[-1]))["slr"].inst
-    else:
-        inst = cheap_open_instance(3, integer=True, m_range=(30, 30), n_range=(14, 14))
-    calls = {"bound": 0, "chain": 0}
-    rebuilt = []
-    bound, from_masks, chain = _Node.bound, _Node.from_masks, exact._chain
+        return _float_specs(int(case[-1]))["slr"].inst
+    return cheap_open_instance(3, integer=True, m_range=(30, 30), n_range=(14, 14))
 
-    def counted_bound(node, inst, incumbent):
+
+@pytest.mark.parametrize("case", ["float0", "float1", "int3"])
+def test_resumed_searches_bound_only_what_they_evaluate(monkeypatch, case):
+    # A resumed search never bounds a frontier entry again: it rebuilds one
+    # only to expand it, where its stored bound lies below the threshold.
+    inst = _chain_case(case)
+    calls = {"bound": 0}
+    rebuilt = []
+    bound, from_masks = _Node.bound, _Node.from_masks
+
+    def counted_bound(node, inst, incumbent, keep=False):
         calls["bound"] += 1
-        return bound(node, inst, incumbent)
+        return bound(node, inst, incumbent, keep)
 
     def counted_from_masks(inst, open_mask, closed_mask):
         rebuilt.append((open_mask.tobytes(), closed_mask.tobytes()))
         return from_masks(inst, open_mask, closed_mask)
 
-    def counted_chain(inst, order):
-        calls["chain"] += 1
-        return chain(inst, order)
-
     monkeypatch.setattr(_Node, "bound", counted_bound)
     monkeypatch.setattr(_Node, "from_masks", staticmethod(counted_from_masks))
-    monkeypatch.setattr(exact, "_chain", counted_chain)
-    prev, totals = None, {"rebuilt": 0, "stale": 0}
+    prev, total = None, 0
     for spec in _slr_chain(inst):
         bounded = calls["bound"]
         del rebuilt[:]
         res = branch_and_bound(spec, resume=prev)
+        assert calls["bound"] - bounded == res.nodes
         if prev is None:
             assert res.rebuilt == 0 and len(rebuilt) == 1  # the root
-            assert calls["bound"] - bounded == res.nodes
         else:
-            frontier = prev.frontier
-            assert len(frontier.stale) == len(frontier.entries)
-            stale = {(e[2].tobytes(), e[3].tobytes())
-                     for e, flag in zip(frontier.entries, frontier.stale) if flag}
-            assert all(len(e) == 5 for e, flag in zip(frontier.entries, frontier.stale) if flag)
-            rebounded = sum(key in stale for key in rebuilt)
             assert res.rebuilt == len(rebuilt)
-            assert calls["bound"] - bounded == res.nodes + rebounded
-            totals["rebuilt"] += res.rebuilt
-            totals["stale"] += rebounded
+            stored = {(e[2].tobytes(), e[3].tobytes()): e[0]
+                      for e in prev.frontier.entries if len(e) == 5}
+            assert all(stored[key] < spec.threshold for key in rebuilt)
+            total += res.rebuilt
         if res.frontier is None:
             break
         prev = res
-    assert res.solution.open_facilities
-    assert calls["chain"] == 1
-    # Both kinds of rebuilt entry occur: some bounded again, most not.
-    assert 0 < totals["stale"] < totals["rebuilt"], totals
+    assert res.solution.open_facilities and total > 0
+
+
+@pytest.mark.parametrize("case", ["float0", "float1", "int3"])
+def test_stored_bounds_are_final(case):
+    # A pruned entry's stored bound reaches every later threshold exactly
+    # where the bound of the node, taken afresh at that threshold, does; so
+    # a resumed search prunes a stored node as a fresh search would.
+    specs = list(_slr_chain(_chain_case(case)))
+    prev, checked, mismatches = None, 0, []
+    for step, spec in enumerate(specs):
+        res = branch_and_bound(spec, resume=prev)
+        if res.frontier is None:
+            break
+        inst = spec.inst
+        for entry in res.frontier.entries:
+            if len(entry) == 2:
+                continue  # a rejected set, whose value holds at any threshold
+            stored, _, open_mask, closed_mask, _ = entry
+            node = _Node.from_masks(inst, open_mask, closed_mask)
+            for later in specs[step + 1:]:
+                threshold = later.threshold
+                if (stored >= threshold) != (node.bound(inst, threshold)[0] >= threshold):
+                    mismatches.append((step, threshold, stored))
+                checked += 1
+        prev = res
+    assert checked > 0 and mismatches == [], f"{len(mismatches)} of {checked}"
 
 
 def test_rebuilt_is_left_out_of_repr_and_equality():

@@ -77,7 +77,7 @@ def test_engine_digest_pins_the_engine_results():
     # subgradient runs, or to any of its hc and hs solutions, changes this line.
     engine_digest = load_script("engine_digest")
     assert engine_digest.digest() == (
-        "d33ae8cebc27f5ef57be273bcd88213f3b86d37443943124e5b5903542e81bd0")
+        "b43e5110407b5d214c7346a2d2c1699f203c3cf457ab4fab3a7ff0eb6ddd64d1")
 
 
 def test_engine_digest_prints_one_repeatable_sha256(capsys):
